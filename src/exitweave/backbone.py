@@ -11,11 +11,16 @@ Parameters live in a single flat float64 vector with a fixed layout
 within a layer). The layout is what makes per-sample gradients cheap to
 store and lets pseudo-updates be expressed as plain vector arithmetic.
 
-Gradients here are hand-derived reverse-mode passes, not autodiff:
-`per_sample_grads` materializes one gradient row per (sample, exit) pair
-because the meta-learning chain needs exactly those inner products, and
-`batch_weighted_grad` folds a coefficient matrix into a single backward
-sweep for the common "weighted sum of losses" case.
+Gradients here are hand-derived reverse-mode passes, not autodiff.
+`batch_weighted_grad` folds a coefficient matrix into one backward sweep
+per exit for the "weighted sum of losses" case, and `per_sample_grad_dots`
+returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
+chain needs, layer by layer (dz_i . (h_i @ V_W.T + v_b) for a layer with
+input h_i and error dz_i), without forming any per-sample gradient.
+Training uses only these two. `per_sample_grads` materializes the dense
+(B, K, P) tensor of per-sample per-exit gradients; it, `grad_weighted_loss`
+and `pseudo_step` are the dense reference the finite-difference audits
+and the tests compare against.
 """
 
 from __future__ import annotations
@@ -281,6 +286,46 @@ def batch_weighted_grad(params: BackboneParams, batch, labels, coeffs: np.ndarra
             grad[block_sl[j].bias] += dz.sum(axis=0)
             dh = dz @ params.blocks[j].weight
     return grad
+
+
+def per_sample_grad_dots(params: BackboneParams, batch, labels, vec: np.ndarray) -> np.ndarray:
+    """Inner products <vec, d loss_i^(k) / d theta>, shape (B, K).
+
+    Same numbers as contracting `per_sample_grads` with vec, but no
+    gradient row is built: the gradient of a layer with input h and
+    output error dz is the outer product dz h^T (plus dz for the bias),
+    so its inner product with vec's slice (V_W, v_b) is
+    dz . (h @ V_W.T + v_b). Each layer input is projected onto vec once
+    and shared by every exit whose backward sweep passes through it.
+    """
+    config = params.config
+    batch, labels = _validate_batch(config, batch, labels)
+    b = batch.shape[0]
+    block_sl, head_sl, total = param_layout(config)
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape != (total,):
+        raise ShapeError(f"vec shape {vec.shape}, expected ({total},)")
+    hs, zs = _hidden_states(params, batch)
+    dims = [config.input_dim, *config.trunk_widths]
+    proj = [
+        hs[j] @ vec[sl.weight].reshape(dims[j + 1], dims[j]).T + vec[sl.bias]
+        for j, sl in enumerate(block_sl)
+    ]
+    onehot = np.zeros((b, config.num_classes))
+    onehot[np.arange(b), labels] = 1.0
+    out = np.empty((b, config.num_exits))
+    for k, head in enumerate(params.heads):
+        sl = head_sl[k]
+        v_head = vec[sl.weight].reshape(config.num_classes, dims[k + 1])
+        dlog = softmax_stable(hs[k + 1] @ head.weight.T + head.bias) - onehot
+        acc = np.einsum("bc,bc->b", dlog, hs[k + 1] @ v_head.T + vec[sl.bias])
+        dh = dlog @ head.weight
+        for j in range(k, -1, -1):
+            dz = dh * (zs[j] > 0)
+            acc += np.einsum("bo,bo->b", dz, proj[j])
+            dh = dz @ params.blocks[j].weight
+        out[:, k] = acc
+    return out
 
 
 def weighted_train_loss(losses: np.ndarray, weights: np.ndarray) -> float:

@@ -11,8 +11,14 @@ on a deliberately tiny instance:
   4. end_to_end: d(meta objective)/d(weight network parameters) through
      squash, normalization, pseudo step and allocated meta loss.
 
-The meta allocation is held fixed at the base point in suites 2 and 4:
-it is a discrete selection, constant under infinitesimal perturbation.
+Suite 1 audits the dense per-sample tensor, which also serves as the
+reference elsewhere. The analytic sides of suites 2 and 4 come from the
+chain training runs (`trainer.lookahead` and `trainer.meta_chain`, whose
+weight gradient is factored layer by layer); their finite-difference
+sides step the dense `pseudo_step`, an independent route to the same
+lookahead. The meta allocation is held fixed at the base point in
+suites 2 and 4, as `meta_chain` chose it: it is a discrete selection,
+constant under infinitesimal perturbation.
 Relative errors are vector-norm based, so isolated zero crossings do
 not blow up the score.
 """
@@ -26,7 +32,6 @@ import numpy as np
 from .backbone import (
     BackboneConfig,
     BackboneParams,
-    batch_weighted_grad,
     forward_all,
     init_params,
     param_layout,
@@ -35,9 +40,8 @@ from .backbone import (
 )
 from .errors import ConfigError
 from .numkit import RngStream
-from .trainer import meta_objective
-from .exitpolicy import allocate_meta
-from .wpn import WpnConfig, WpnParams, init_wpn, make_weights, meta_weight_grad, wpn_backward, wpn_forward
+from .trainer import lookahead, meta_chain
+from .wpn import WpnConfig, WpnParams, init_wpn, make_weights, wpn_backward, wpn_forward
 
 PARAM_CAP = 2000
 
@@ -178,10 +182,12 @@ def run_suites(
     tr_losses = forward_all(inst.backbone, inst.train_x, inst.train_y).losses
     raw, fwd_cache = wpn_forward(inst.wpn, tr_losses)
     _, weights, w_cache = make_weights(raw, inst.wpn.config.delta)
-    pseudo = pseudo_step(inst.backbone, psg, weights, inst.alpha)
-    meta_outs = forward_all(pseudo, inst.meta_x, inst.meta_y)
-    alloc = allocate_meta(meta_outs.confidences, q)
-    _, mask = meta_objective(meta_outs, alloc)
+    # analytic sides of suites 2 and 4: the chain the trainer runs
+    pseudo = lookahead(inst.backbone, inst.train_x, inst.train_y, weights, inst.alpha)
+    analytic_e2e, dl_dw, _, _, mask, _ = meta_chain(
+        pseudo, inst.meta_x, inst.meta_y, q, inst.backbone, inst.train_x, inst.train_y,
+        inst.alpha, inst.wpn, fwd_cache, w_cache,
+    )
 
     def meta_loss_for_weights(w: np.ndarray) -> float:
         stepped = pseudo_step(inst.backbone, psg, w, inst.alpha)
@@ -189,8 +195,6 @@ def run_suites(
         return float(np.sum(mask * outs.losses))
 
     # 2. weight gradient through the pseudo step (allocation fixed)
-    meta_grad = batch_weighted_grad(pseudo, inst.meta_x, inst.meta_y, mask)
-    dl_dw = meta_weight_grad(psg, meta_grad, inst.alpha, inst.train_x.shape[0])
     fd_w = np.empty_like(weights)
     for i in range(weights.shape[0]):
         for k in range(weights.shape[1]):
@@ -221,8 +225,6 @@ def run_suites(
     results.append(SuiteResult("wpn_backward", rel_err(analytic_wpn, fd_wpn), 1e-6))
 
     # 4. end to end: meta objective as a function of the network params
-    analytic_e2e = wpn_backward(inst.wpn, fwd_cache, w_cache, dl_dw)
-
     def chain_value(flat: np.ndarray) -> float:
         r, _ = wpn_forward(WpnParams.from_flat(inst.wpn.config, flat), tr_losses)
         _, w, _ = make_weights(r, inst.wpn.config.delta)

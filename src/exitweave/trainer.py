@@ -3,18 +3,21 @@
 The full method ("learned") interleaves three updates on each half of a
 mini-batch:
 
-  1. Lookahead. Per-sample per-exit gradients of the train half are
-     stored; the weight network scores the train half's loss matrix into
-     a weight matrix w; a momentum-free pseudo step moves the backbone
-     against the w-weighted loss.
+  1. Lookahead. The weight network scores the train half's loss matrix
+     into a weight matrix w; a momentum-free pseudo step moves the
+     backbone against the w-weighted loss, whose gradient comes from one
+     coefficient-folded backward sweep per exit.
   2. Weight network update. The pseudo backbone is evaluated on the
      other half (the meta half); a budget-driven greedy allocation
      assigns each meta sample to one exit by confidence; the meta
      objective averages each exit's loss over its allocated subset. Its
      gradient reaches the weight network through an exact analytic
-     chain: the pseudo parameters are affine in w, so d(meta)/dw is an
-     inner product of stored gradients, and the rest is the weight
-     network's own backward pass, consumed by Adam.
+     chain: the pseudo parameters are affine in w, so d(meta)/dw[i,k] is
+     -(alpha/n) times the inner product of the meta gradient with the
+     train half's per-sample gradient g[i,k]. Those inner products are
+     taken layer by layer from fresh backward sweeps at the pre-step
+     backbone, so no per-sample gradient is ever stored. The rest is the
+     weight network's own backward pass, consumed by Adam.
   3. Real update. Weights are recomputed with the updated weight
      network and the backbone takes an SGD(momentum, weight decay) step
      against the reweighted loss.
@@ -44,10 +47,8 @@ from .backbone import (
     ExitOutputs,
     batch_weighted_grad,
     forward_all,
-    grad_weighted_loss,
     init_params,
-    per_sample_grads,
-    pseudo_step,
+    per_sample_grad_dots,
     sgd_step,
 )
 from .datahub import Dataset, make_batches
@@ -61,7 +62,6 @@ from .wpn import (
     adam_step,
     init_wpn,
     make_weights,
-    meta_weight_grad,
     wpn_backward,
     wpn_forward,
 )
@@ -195,12 +195,31 @@ def whole_meta_objective(outputs: ExitOutputs) -> tuple[float, np.ndarray]:
     return float(np.sum(mask * outputs.losses)), mask
 
 
+def lookahead(
+    backbone: BackboneParams,
+    train_x: np.ndarray,
+    train_y: np.ndarray,
+    weights: np.ndarray,
+    alpha: float,
+) -> BackboneParams:
+    """Momentum-free pseudo step against the w-weighted train-half loss.
+
+    theta_hat = theta - (alpha/n) * sum w[i,k] g[i,k]. Kept plain (no
+    momentum, no decay) so theta_hat is affine in the weight matrix,
+    which makes the analytic weight gradient in `meta_chain` exact.
+    """
+    grad = batch_weighted_grad(backbone, train_x, train_y, weights / train_x.shape[0])
+    return sgd_step(backbone, grad, alpha)[0]
+
+
 def meta_chain(
     pseudo: BackboneParams,
     meta_x: np.ndarray,
     meta_y: np.ndarray,
     q: float,
-    psg_train: np.ndarray,
+    backbone: BackboneParams,
+    train_x: np.ndarray,
+    train_y: np.ndarray,
     alpha: float,
     wpn_params: WpnParams,
     fwd_cache,
@@ -209,10 +228,11 @@ def meta_chain(
 ):
     """Analytic gradient of the meta objective wrt the weight network.
 
-    Returns (wpn_grad, dl_dweights, meta_value, allocation, mask, meta_outputs).
-    The allocation (and hence the mask) is treated as constant: it is a
-    discrete selection, so the objective's dependence on parameters
-    flows only through the allocated losses.
+    pseudo is the lookahead of backbone (the pre-step parameters) on the
+    train half. Returns (wpn_grad, dl_dweights, meta_value, allocation,
+    mask, meta_outputs). The allocation (and hence the mask) is treated
+    as constant: it is a discrete selection, so the objective's
+    dependence on parameters flows only through the allocated losses.
     """
     outs = forward_all(pseudo, meta_x, meta_y)
     if whole_meta:
@@ -222,7 +242,8 @@ def meta_chain(
         alloc = allocate_meta(outs.confidences, q)
         value, mask = meta_objective(outs, alloc)
     meta_grad = batch_weighted_grad(pseudo, meta_x, meta_y, mask)
-    dl_dw = meta_weight_grad(psg_train, meta_grad, alpha, psg_train.shape[0])
+    n = train_x.shape[0]
+    dl_dw = -(alpha / n) * per_sample_grad_dots(backbone, train_x, train_y, meta_grad)
     wpn_grad = wpn_backward(wpn_params, fwd_cache, weight_cache, dl_dw)
     return wpn_grad, dl_dw, value, alloc, mask, outs
 
@@ -262,10 +283,9 @@ def weighted_substep(
         "scatter": [],
     }
     if update_wpn:
-        psg = per_sample_grads(state.backbone, train_x, train_y)
-        pseudo = pseudo_step(state.backbone, psg, weights, alpha_t)
+        pseudo = lookahead(state.backbone, train_x, train_y, weights, alpha_t)
         wpn_grad, _, meta_value, alloc, _, meta_outs = meta_chain(
-            pseudo, meta_x, meta_y, config.q, psg, alpha_t,
+            pseudo, meta_x, meta_y, config.q, state.backbone, train_x, train_y, alpha_t,
             state.wpn, fwd_cache, w_cache,
             whole_meta=config.variant == "whole_meta",
         )
@@ -273,7 +293,6 @@ def weighted_substep(
         state.wpn = WpnParams.from_flat(state.wpn.config, new_flat)
         raw, _ = wpn_forward(state.wpn, outs.losses)
         _, weights, _ = make_weights(raw, delta)
-        grad = grad_weighted_loss(psg, weights)
         frag["meta_loss"] = meta_value
         if alloc is not None:
             frag["alloc_sizes"] = [int(s) for s in alloc.sizes]
@@ -289,8 +308,7 @@ def weighted_substep(
                 [float(meta_outs.losses[i, 0]), float(m_weights[i, 0]), int(claimed[i])]
                 for i in range(take)
             ]
-    else:
-        grad = batch_weighted_grad(state.backbone, train_x, train_y, weights / train_x.shape[0])
+    grad = batch_weighted_grad(state.backbone, train_x, train_y, weights / train_x.shape[0])
     frag["weights"] = weights
     state.backbone, state.velocity = sgd_step(
         state.backbone, grad, alpha_t, config.momentum, config.weight_decay, state.velocity

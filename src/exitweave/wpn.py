@@ -15,11 +15,13 @@ whole mechanism degenerates to plain unweighted training.
 The backward pass here is hand-derived. Its input is dL/d(weight) for a
 downstream scalar L; the zero-sum normalization is its own transpose
 (g -> g - mean(g)), the squash contributes 2 * delta * s * (1 - s), and
-the rest is a standard MLP backward. `meta_weight_grad` supplies that
-dL/d(weight) for the lookahead objective: because the lookahead step is
-affine in the weights, the exact derivative is an inner product between
-the objective's parameter gradient and the stored per-sample gradients,
-with no second-order terms.
+the rest is a standard MLP backward. Its input for the lookahead
+objective is exact with no second-order terms: the lookahead step is
+affine in the weights, so dL/dw[i,k] = -(alpha/n) * <meta_grad, g[i,k]>.
+Training takes those inner products layer by layer
+(`trainer.meta_chain` via `backbone.per_sample_grad_dots`);
+`meta_weight_grad` here is the dense reference that contracts a stored
+(B, K, P) per-sample gradient tensor.
 """
 
 from __future__ import annotations
@@ -167,12 +169,14 @@ def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, WeightCache
 
 
 def meta_weight_grad(psg: np.ndarray, meta_grad: np.ndarray, alpha: float, n: int) -> np.ndarray:
-    """Exact d(lookahead objective)/d(weight matrix), shape (B, K).
+    """Exact d(lookahead objective)/d(weight matrix), shape (B, K); dense reference.
 
     The lookahead parameters are theta - (alpha/n) * sum w[i,k] g[i,k],
     an affine map of the weights, so the derivative wrt w[i,k] is the
     inner product -(alpha/n) * <meta_grad, g[i,k]> with no curvature
-    correction.
+    correction. This form contracts a stored per-sample gradient tensor
+    psg; training computes the same numbers without one
+    (`trainer.meta_chain`), and the tests check the two agree.
     """
     psg = np.asarray(psg, dtype=np.float64)
     meta_grad = np.asarray(meta_grad, dtype=np.float64)

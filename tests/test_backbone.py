@@ -3,9 +3,10 @@
 The forward pass is compared against a straight-line reimplementation
 written with elementary loops, per-sample gradients against central
 finite differences, and the update rules against direct transcriptions
-of their formulas. The dense per-sample gradient route and the fused
-coefficient route are cross-checked against each other; both must agree
-with the oracles independently.
+of their formulas. The dense per-sample gradient route, the fused
+coefficient route and the layer-by-layer inner-product route are
+cross-checked against each other; the dense route must also agree with
+the oracles independently.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from exitweave.backbone import (
     grad_weighted_loss,
     init_params,
     param_layout,
+    per_sample_grad_dots,
     per_sample_grads,
     pseudo_step,
     sgd_step,
@@ -306,6 +308,89 @@ class TestGradWeightedLoss:
         config, params, x, y = small_instance()
         with pytest.raises(ShapeError):
             batch_weighted_grad(params, x, y, np.zeros((2, 2)))
+
+
+def dense_dots(params, x, y, vec):
+    return np.einsum("bkp,p->bk", per_sample_grads(params, x, y), vec)
+
+
+def random_biases(params, rng):
+    for layer in [*params.blocks, *params.heads]:
+        layer.bias[:] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+
+
+class TestPerSampleGradDots:
+    CONFIGS = (
+        BackboneConfig(3, (4, 3), 3),
+        BackboneConfig(5, (6,), 4),  # K = 1
+        BackboneConfig(4, (9, 2, 7, 5), 3),  # unequal widths, a 2-wide bottleneck
+        BackboneConfig(16, (32, 32, 32, 32), 8),
+    )
+
+    def test_matches_dense_contraction(self):
+        rng = np.random.default_rng(40)
+        for n, config in enumerate(self.CONFIGS):
+            _, params, x, y = small_instance(seed=40 + n, config=config, batch=9)
+            random_biases(params, rng)
+            vec = rng.standard_normal(param_layout(config)[2])
+            out = per_sample_grad_dots(params, x, y, vec)
+            assert out.shape == (9, config.num_exits)
+            np.testing.assert_allclose(out, dense_dots(params, x, y, vec), rtol=0, atol=1e-13)
+
+    def test_rows_with_dead_first_block(self):
+        # rows 0-2 switch off every first-block rectifier; deeper blocks
+        # still fire on their biases alone
+        config = BackboneConfig(3, (4, 3, 5), 3)
+        _, params, x, y = small_instance(seed=41, config=config, batch=7)
+        rng = np.random.default_rng(41)
+        random_biases(params, rng)
+        params.blocks[0].weight[:] = np.abs(params.blocks[0].weight)
+        params.blocks[0].bias[:] = -0.1
+        for blk in params.blocks[1:]:
+            blk.bias[:] = rng.uniform(0.2, 0.6, blk.bias.shape)
+        x[:3] = -np.abs(x[:3])
+        z1 = x @ params.blocks[0].weight.T + params.blocks[0].bias
+        assert np.all(z1[:3] <= 0) and np.any(z1[3:] > 0)
+        vec = rng.standard_normal(param_layout(config)[2])
+        np.testing.assert_allclose(
+            per_sample_grad_dots(params, x, y, vec), dense_dots(params, x, y, vec), rtol=0, atol=1e-13
+        )
+
+    def test_vec_on_biases_only(self):
+        config = BackboneConfig(4, (9, 2, 7, 5), 3)
+        _, params, x, y = small_instance(seed=42, config=config, batch=8)
+        rng = np.random.default_rng(42)
+        random_biases(params, rng)
+        blocks, heads, total = param_layout(config)
+        vec = np.zeros(total)
+        for sl in [*blocks, *heads]:
+            vec[sl.bias] = rng.standard_normal(sl.bias.stop - sl.bias.start)
+        np.testing.assert_allclose(
+            per_sample_grad_dots(params, x, y, vec), dense_dots(params, x, y, vec), rtol=0, atol=1e-13
+        )
+
+    def test_vec_on_one_head_only(self):
+        config = BackboneConfig(4, (6, 5, 3), 4)
+        _, params, x, y = small_instance(seed=43, config=config, batch=6)
+        rng = np.random.default_rng(43)
+        random_biases(params, rng)
+        _, heads, total = param_layout(config)
+        for k, sl in enumerate(heads):
+            vec = np.zeros(total)
+            vec[sl.weight.start : sl.bias.stop] = rng.standard_normal(sl.bias.stop - sl.weight.start)
+            out = per_sample_grad_dots(params, x, y, vec)
+            np.testing.assert_allclose(out, dense_dots(params, x, y, vec), rtol=0, atol=1e-13)
+            # only exit k's loss touches head k
+            others = [j for j in range(config.num_exits) if j != k]
+            assert np.all(out[:, others] == 0.0)
+            assert np.any(out[:, k] != 0.0)
+
+    def test_shape_error_on_wrong_vec(self):
+        config, params, x, y = small_instance(seed=44)
+        total = param_layout(config)[2]
+        for bad in (np.zeros(total - 1), np.zeros(total + 1), np.zeros((total, 1))):
+            with pytest.raises(ShapeError):
+                per_sample_grad_dots(params, x, y, bad)
 
 
 class TestUpdates:

@@ -12,11 +12,20 @@ modes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from exitweave.backbone import BackboneConfig, init_params
+import exitweave.trainer as trainer_module
+from exitweave.backbone import (
+    BackboneConfig,
+    batch_weighted_grad,
+    forward_all,
+    init_params,
+    per_sample_grads,
+    pseudo_step,
+)
 from exitweave.checkpoint import save_wpn_params
 from exitweave.datahub import gen_synthetic_gaussians
 from exitweave.errors import ConfigError, TrainingError
@@ -25,14 +34,16 @@ from exitweave.numkit import RngStream
 from exitweave.trainer import (
     TrainConfig,
     TrainState,
+    lookahead,
     lr_at,
+    meta_chain,
     meta_objective,
     run_training,
     split_batch,
     train_step,
     whole_meta_objective,
 )
-from exitweave.wpn import AdamState, WpnConfig, init_wpn
+from exitweave.wpn import AdamState, WpnConfig, init_wpn, make_weights, meta_weight_grad, wpn_forward
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +573,61 @@ class TestDeltaZeroReduction:
                     grad = grad_weighted_loss(psg, np.ones((5, 2)))
                     twin, velocity = sgd_step(twin, grad, alpha_t, cfg.momentum, cfg.weight_decay, velocity)
         np.testing.assert_allclose(state.backbone.flatten(), twin.flatten(), rtol=0, atol=1e-12)
+
+
+class TestFactoredMetaChain:
+    def test_matches_dense_reference(self):
+        # the trainer's lookahead and dL/dw against the stored-tensor route
+        backbone_cfg = BackboneConfig(5, (7, 3, 6), 4)
+        wpn_cfg = WpnConfig(3, hidden_width=6, delta=0.7)
+        root = RngStream(70)
+        backbone = init_params(backbone_cfg, root.child("init-backbone"))
+        wpn = init_wpn(wpn_cfg, root.child("init-wpn"))
+        data = root.child("data")
+        tx, mx = data.standard_normal((8, 5)), data.standard_normal((8, 5))
+        ty, my = (data.integers(0, 4, 8).astype(np.int64) for _ in range(2))
+        alpha = 0.3
+        raw, fwd_cache = wpn_forward(wpn, forward_all(backbone, tx, ty).losses)
+        _, weights, w_cache = make_weights(raw, wpn_cfg.delta)
+        psg = per_sample_grads(backbone, tx, ty)
+        pseudo = lookahead(backbone, tx, ty, weights, alpha)
+        np.testing.assert_allclose(
+            pseudo.flatten(), pseudo_step(backbone, psg, weights, alpha).flatten(), rtol=0, atol=1e-14
+        )
+        _, dl_dw, _, _, mask, _ = meta_chain(
+            pseudo, mx, my, 0.75, backbone, tx, ty, alpha, wpn, fwd_cache, w_cache
+        )
+        meta_grad = batch_weighted_grad(pseudo, mx, my, mask)
+        dense = meta_weight_grad(psg, meta_grad, alpha, 8)
+        assert np.any(dense != 0.0)
+        np.testing.assert_allclose(dl_dw, dense, rtol=0, atol=1e-15)
+
+    def test_trainer_binds_no_dense_route(self):
+        for name in ("per_sample_grads", "grad_weighted_loss", "pseudo_step", "meta_weight_grad"):
+            assert not hasattr(trainer_module, name), name
+
+    def test_learned_step_memory_at_128x4(self):
+        # the dense (64, 4, 55840) per-sample tensor alone is 114 MB
+        backbone_cfg = BackboneConfig(16, (128, 128, 128, 128), 8)
+        wpn_cfg = WpnConfig(4)
+        root = RngStream(71)
+        wpn = init_wpn(wpn_cfg, root.child("init-wpn"))
+        state = TrainState(
+            backbone=init_params(backbone_cfg, root.child("init-backbone")), wpn=wpn,
+            velocity=None, adam=AdamState.zeros(wpn.num_params),
+        )
+        data = root.child("data")
+        x = data.standard_normal((128, 16))
+        y = data.integers(0, 8, 128).astype(np.int64)
+        cfg = TrainConfig(epochs=1, batch_size=128, alpha=0.1, variant="learned")
+        tracemalloc.start()
+        try:
+            record = train_step(state, x, y, cfg, alpha_t=cfg.alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record["meta_loss"] is not None
+        assert peak < 20e6, f"peak traced memory {peak / 1e6:.1f} MB"
 
 
 class TestScatterLogging:
