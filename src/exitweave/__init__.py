@@ -2,8 +2,8 @@
 
 Submodules:
 
-  numkit      float64 linear algebra, stable softmax/cross-entropy, RNG streams
-  backbone    K-exit MLP with shared trunk, hand-derived per-sample gradients
+  numkit      finite checks, stable softmax/log-sum-exp/sigmoid, RNG streams
+  backbone    flat-buffer dense ReLU layers; K-exit MLP with shared trunk
   wpn         weight prediction network and its analytic backward chain
   exitpolicy  budget allocation, threshold calibration, dynamic inference
   datahub     synthetic and on-disk datasets, imbalancing, batching
@@ -12,7 +12,7 @@ Submodules:
   checkpoint  versioned JSON model/run containers
   gradcheck   finite-difference audits of the gradient chain
   cli         the `exitweave` command line tool
-  serial      canonical JSON + base64 float64 buffer helpers
+  serial      canonical JSON, base64 float64 buffers, config section reader
   errors      the exception hierarchy
 
 Submodules load lazily: the CLI applies the EXITWEAVE_THREADS cap to the

@@ -6,10 +6,14 @@ trunk blocks 1..k plus head k: shallower sub-networks share every trunk
 parameter with deeper ones. All K exits are evaluated in one forward
 pass, and the training objective sums per-exit cross-entropy terms.
 
-Parameters live in a single flat float64 vector with a fixed layout
-(all trunk blocks in order, then all heads in order; weight before bias
-within a layer). The layout is what makes per-sample gradients cheap to
-store and lets pseudo-updates be expressed as plain vector arithmetic.
+Parameters live in one flat float64 buffer (all trunk blocks in order,
+then all heads in order; weight before bias within a layer), reached
+through per-layer `Affine` views (`FlatParams`). The weight network
+keeps its parameters the same way: the layout rule, the dense ReLU
+forward pass and the reverse sweep are defined once, here. Gradients
+share the layout, so a backward pass writes into a zero buffer through
+the same views, and SGD and lookahead steps are plain arithmetic on
+buffers.
 
 Gradients here are hand-derived reverse-mode passes, not autodiff.
 `batch_weighted_grad` folds a coefficient matrix into one backward sweep
@@ -29,9 +33,132 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 from .numkit import RngStream, log_sum_exp, require_finite, softmax_stable
 
+
+# -- dense ReLU layers over one flat float64 buffer, shared with the weight network
+
+@dataclass
+class Affine:
+    """One linear layer: y = x @ weight.T + bias, weight shape (out, in)."""
+
+    weight: np.ndarray
+    bias: np.ndarray
+
+
+@dataclass
+class LayerSlices:
+    weight: slice
+    bias: slice
+
+
+def layer_slices(shapes: list[tuple[int, int]]) -> tuple[list[LayerSlices], int]:
+    """Slices of each (out, in) layer inside the flat buffer, and its length."""
+    slices = []
+    offset = 0
+    for out_dim, in_dim in shapes:
+        end = offset + out_dim * in_dim
+        slices.append(LayerSlices(slice(offset, end), slice(end, end + out_dim)))
+        offset = end + out_dim
+    return slices, offset
+
+
+class FlatParams:
+    """A network's parameters: one flat float64 buffer plus per-layer views.
+
+    `layers[j]` is an Affine whose weight and bias are views into
+    `buffer`, so writing through a view writes the buffer. The
+    constructor wraps the buffer it is given; `from_flat` copies first.
+    Subclasses define `layer_shapes(config)`, the (out, in) of each layer.
+    """
+
+    def __init__(self, config, buffer: np.ndarray):
+        shapes = self.layer_shapes(config)
+        slices, total = layer_slices(shapes)
+        if buffer.shape != (total,):
+            raise ShapeError(f"parameter vector has shape {buffer.shape}, layout implies {total} entries")
+        self.config = config
+        self.buffer = buffer
+        self.layers = [
+            Affine(buffer[sl.weight].reshape(shape), buffer[sl.bias]) for shape, sl in zip(shapes, slices)
+        ]
+
+    @classmethod
+    def from_flat(cls, config, flat):
+        return cls(config, np.array(flat, dtype=np.float64))
+
+    @classmethod
+    def zeros(cls, config):
+        return cls(config, np.zeros(layer_slices(cls.layer_shapes(config))[1]))
+
+    @classmethod
+    def fan_in_uniform(cls, config, rng: RngStream):
+        """Weights uniform in +-1/sqrt(fan_in), zero biases.
+
+        Draws run layer by layer in layout order, so a given stream
+        always produces the same buffer.
+        """
+        params = cls.zeros(config)
+        for layer in params.layers:
+            s = 1.0 / np.sqrt(layer.weight.shape[1])
+            layer.weight[:] = rng.uniform(-s, s, layer.weight.shape)
+        return params
+
+    @property
+    def num_params(self) -> int:
+        return self.buffer.size
+
+    def flatten(self) -> np.ndarray:
+        return self.buffer.copy()
+
+    def copy(self):
+        return type(self).from_flat(self.config, self.buffer)
+
+
+def relu_forward(layers: list[Affine], x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Pass x through affine layers, each followed by a ReLU.
+
+    Returns (hs, zs): hs[j] is the input of layer j (hs[-1] the last
+    output) and zs[j] the pre-activation of layer j.
+    """
+    hs = [x]
+    zs = []
+    for layer in layers:
+        z = hs[-1] @ layer.weight.T + layer.bias
+        zs.append(z)
+        hs.append(np.maximum(z, 0.0))
+    return hs, zs
+
+
+def output_errors(layers: list[Affine], zs: list[np.ndarray], dz: np.ndarray):
+    """Reverse sweep: yield (j, dz_j) from the top layer down to layer 0.
+
+    dz is the loss gradient with respect to the top layer's affine
+    output. Below it every layer is a ReLU layer with pre-activation
+    zs[j], so dz_j = (dz_{j+1} @ W_{j+1}) * (zs[j] > 0).
+    """
+    for j in range(len(layers) - 1, -1, -1):
+        yield j, dz
+        if j:
+            dz = (dz @ layers[j].weight) * (zs[j - 1] > 0)
+
+
+def accumulate_grads(
+    layers: list[Affine], hs: list[np.ndarray], zs: list[np.ndarray], dz: np.ndarray, grads: list[Affine]
+) -> None:
+    """Add the parameter gradient of one reverse sweep into grads.
+
+    grads are Affine views of a gradient buffer matching layers; hs[j]
+    is the input of layer j. Layer j receives dz_j^T hs[j] and the
+    column sums of dz_j.
+    """
+    for j, dz_j in output_errors(layers, zs, dz):
+        grads[j].weight += dz_j.T @ hs[j]
+        grads[j].bias += dz_j.sum(axis=0)
+
+
+# -- the multi-exit backbone
 
 @dataclass(frozen=True)
 class BackboneConfig:
@@ -57,12 +184,6 @@ class BackboneConfig:
         return len(self.trunk_widths)
 
 
-@dataclass
-class LayerSlices:
-    weight: slice
-    bias: slice
-
-
 def param_layout(config: BackboneConfig) -> tuple[list[LayerSlices], list[LayerSlices], int]:
     """Slices of each layer inside the flat parameter vector.
 
@@ -70,71 +191,23 @@ def param_layout(config: BackboneConfig) -> tuple[list[LayerSlices], list[LayerS
     1..K, then heads 1..K; inside a layer the weight matrix (row-major,
     shape (out, in)) precedes the bias.
     """
-    dims = [config.input_dim, *config.trunk_widths]
-    offset = 0
-    blocks: list[LayerSlices] = []
-    for k in range(config.num_exits):
-        n_w = dims[k + 1] * dims[k]
-        blocks.append(
-            LayerSlices(slice(offset, offset + n_w), slice(offset + n_w, offset + n_w + dims[k + 1]))
-        )
-        offset += n_w + dims[k + 1]
-    heads: list[LayerSlices] = []
-    c = config.num_classes
-    for k in range(config.num_exits):
-        n_w = c * config.trunk_widths[k]
-        heads.append(LayerSlices(slice(offset, offset + n_w), slice(offset + n_w, offset + n_w + c)))
-        offset += n_w + c
-    return blocks, heads, offset
+    slices, total = layer_slices(BackboneParams.layer_shapes(config))
+    return slices[: config.num_exits], slices[config.num_exits :], total
 
 
-@dataclass
-class Affine:
-    """One linear layer: y = x @ weight.T + bias, weight shape (out, in)."""
+class BackboneParams(FlatParams):
+    """Trunk blocks then exit heads, as views into one flat buffer."""
 
-    weight: np.ndarray
-    bias: np.ndarray
+    def __init__(self, config: BackboneConfig, buffer: np.ndarray):
+        super().__init__(config, buffer)
+        self.blocks = self.layers[: config.num_exits]
+        self.heads = self.layers[config.num_exits :]
 
-
-@dataclass
-class BackboneParams:
-    config: BackboneConfig
-    blocks: list[Affine]
-    heads: list[Affine]
-
-    @property
-    def num_params(self) -> int:
-        return param_layout(self.config)[2]
-
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for layer in [*self.blocks, *self.heads]:
-            parts.append(layer.weight.ravel())
-            parts.append(layer.bias)
-        return np.concatenate(parts)
-
-    @classmethod
-    def from_flat(cls, config: BackboneConfig, flat: np.ndarray) -> "BackboneParams":
-        flat = np.asarray(flat, dtype=np.float64)
-        block_sl, head_sl, total = param_layout(config)
-        if flat.shape != (total,):
-            raise ShapeError(f"flat parameter vector has shape {flat.shape}, expected ({total},)")
+    @staticmethod
+    def layer_shapes(config: BackboneConfig) -> list[tuple[int, int]]:
         dims = [config.input_dim, *config.trunk_widths]
-        blocks = [
-            Affine(flat[sl.weight].reshape(dims[k + 1], dims[k]).copy(), flat[sl.bias].copy())
-            for k, sl in enumerate(block_sl)
-        ]
-        heads = [
-            Affine(
-                flat[sl.weight].reshape(config.num_classes, config.trunk_widths[k]).copy(),
-                flat[sl.bias].copy(),
-            )
-            for k, sl in enumerate(head_sl)
-        ]
-        return cls(config, blocks, heads)
-
-    def copy(self) -> "BackboneParams":
-        return BackboneParams.from_flat(self.config, self.flatten())
+        blocks = [(dims[k + 1], dims[k]) for k in range(config.num_exits)]
+        return blocks + [(config.num_classes, w) for w in config.trunk_widths]
 
 
 def init_params(config: BackboneConfig, rng: RngStream) -> BackboneParams:
@@ -143,18 +216,12 @@ def init_params(config: BackboneConfig, rng: RngStream) -> BackboneParams:
     Draw order is fixed (blocks then heads) so a given stream always
     produces the same parameter vector.
     """
-    dims = [config.input_dim, *config.trunk_widths]
-    blocks = []
-    for k in range(config.num_exits):
-        s = 1.0 / np.sqrt(dims[k])
-        blocks.append(Affine(rng.uniform(-s, s, (dims[k + 1], dims[k])), np.zeros(dims[k + 1])))
-    heads = []
-    for k in range(config.num_exits):
-        s = 1.0 / np.sqrt(config.trunk_widths[k])
-        heads.append(
-            Affine(rng.uniform(-s, s, (config.num_classes, config.trunk_widths[k])), np.zeros(config.num_classes))
-        )
-    return BackboneParams(config, blocks, heads)
+    return BackboneParams.fan_in_uniform(config, rng)
+
+
+def _exit_path(layers: list, k: int) -> list:
+    """The layers exit k's loss runs through: trunk blocks 0..k, then head k."""
+    return [*layers[: k + 1], layers[(len(layers) // 2) + k]]
 
 
 @dataclass
@@ -197,23 +264,12 @@ def _validate_batch(config: BackboneConfig, batch: np.ndarray, labels: np.ndarra
     return batch, labels.astype(np.int64)
 
 
-def _hidden_states(params: BackboneParams, batch: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Activations hs[j] (input of block j) and pre-activations zs[j]."""
-    hs = [batch]
-    zs = []
-    for blk in params.blocks:
-        z = hs[-1] @ blk.weight.T + blk.bias
-        zs.append(z)
-        hs.append(np.maximum(z, 0.0))
-    return hs, zs
-
-
 def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
     """Evaluate every exit on a batch in one shared-trunk pass."""
     config = params.config
     batch, labels = _validate_batch(config, batch, labels)
     b, k_exits, c = batch.shape[0], config.num_exits, config.num_classes
-    hs, _ = _hidden_states(params, batch)
+    hs, _ = relu_forward(params.blocks, batch)
     logits = np.empty((b, k_exits, c))
     for k, head in enumerate(params.heads):
         logits[:, k, :] = hs[k + 1] @ head.weight.T + head.bias
@@ -227,6 +283,18 @@ def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
     return ExitOutputs(logits, probs, losses, confidences, predictions, labels)
 
 
+def _logit_errors(params: BackboneParams, batch, labels):
+    """Validated batch, trunk activations (hs, zs) and every exit's
+    logit error softmax - onehot, (B, C) per exit."""
+    config = params.config
+    batch, labels = _validate_batch(config, batch, labels)
+    hs, zs = relu_forward(params.blocks, batch)
+    onehot = np.zeros((batch.shape[0], config.num_classes))
+    onehot[np.arange(batch.shape[0]), labels] = 1.0
+    dlogs = [softmax_stable(hs[k + 1] @ h.weight.T + h.bias) - onehot for k, h in enumerate(params.heads)]
+    return batch, hs, zs, dlogs
+
+
 def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:
     """Gradient of every per-sample per-exit loss, dense (B, K, P).
 
@@ -234,25 +302,15 @@ def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:
     Entries for trunk blocks deeper than k and for heads other than k
     are exactly zero (exit k's loss never touches them).
     """
-    config = params.config
-    batch, labels = _validate_batch(config, batch, labels)
-    b, k_exits = batch.shape[0], config.num_exits
-    block_sl, head_sl, total = param_layout(config)
-    hs, zs = _hidden_states(params, batch)
-    out = np.zeros((b, k_exits, total))
-    onehot = np.zeros((b, config.num_classes))
-    onehot[np.arange(b), labels] = 1.0
-    for k in range(k_exits):
-        logits_k = hs[k + 1] @ params.heads[k].weight.T + params.heads[k].bias
-        dlog = softmax_stable(logits_k) - onehot
-        out[:, k, head_sl[k].weight] = np.einsum("bc,bh->bch", dlog, hs[k + 1]).reshape(b, -1)
-        out[:, k, head_sl[k].bias] = dlog
-        dh = dlog @ params.heads[k].weight
-        for j in range(k, -1, -1):
-            dz = dh * (zs[j] > 0)
-            out[:, k, block_sl[j].weight] = np.einsum("bo,bi->boi", dz, hs[j]).reshape(b, -1)
-            out[:, k, block_sl[j].bias] = dz
-            dh = dz @ params.blocks[j].weight
+    batch, hs, zs, dlogs = _logit_errors(params, batch, labels)
+    b = batch.shape[0]
+    block_sl, head_sl, total = param_layout(params.config)
+    out = np.zeros((b, params.config.num_exits, total))
+    for k, dlog in enumerate(dlogs):
+        path = _exit_path([*block_sl, *head_sl], k)
+        for j, dz in output_errors(_exit_path(params.layers, k), zs, dlog):
+            out[:, k, path[j].weight] = np.einsum("bo,bi->boi", dz, hs[j]).reshape(b, -1)
+            out[:, k, path[j].bias] = dz
     return out
 
 
@@ -263,29 +321,16 @@ def batch_weighted_grad(params: BackboneParams, batch, labels, coeffs: np.ndarra
     coefficients are folded into the logit error before the backward
     sweep, so the (B, K, P) tensor is never built.
     """
-    config = params.config
-    batch, labels = _validate_batch(config, batch, labels)
-    b, k_exits = batch.shape[0], config.num_exits
+    batch, hs, zs, dlogs = _logit_errors(params, batch, labels)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (b, k_exits):
-        raise ShapeError(f"coeffs shape {coeffs.shape}, expected ({b}, {k_exits})")
-    block_sl, head_sl, total = param_layout(config)
-    hs, zs = _hidden_states(params, batch)
-    onehot = np.zeros((b, config.num_classes))
-    onehot[np.arange(b), labels] = 1.0
-    grad = np.zeros(total)
-    for k in range(k_exits):
-        logits_k = hs[k + 1] @ params.heads[k].weight.T + params.heads[k].bias
-        dlog = coeffs[:, k : k + 1] * (softmax_stable(logits_k) - onehot)
-        grad[head_sl[k].weight] += (dlog.T @ hs[k + 1]).ravel()
-        grad[head_sl[k].bias] += dlog.sum(axis=0)
-        dh = dlog @ params.heads[k].weight
-        for j in range(k, -1, -1):
-            dz = dh * (zs[j] > 0)
-            grad[block_sl[j].weight] += (dz.T @ hs[j]).ravel()
-            grad[block_sl[j].bias] += dz.sum(axis=0)
-            dh = dz @ params.blocks[j].weight
-    return grad
+    if coeffs.shape != (batch.shape[0], len(dlogs)):
+        raise ShapeError(f"coeffs shape {coeffs.shape}, expected ({batch.shape[0]}, {len(dlogs)})")
+    grad = BackboneParams.zeros(params.config)
+    for k, dlog in enumerate(dlogs):
+        accumulate_grads(
+            _exit_path(params.layers, k), hs, zs, coeffs[:, k : k + 1] * dlog, _exit_path(grad.layers, k)
+        )
+    return grad.buffer
 
 
 def per_sample_grad_dots(params: BackboneParams, batch, labels, vec: np.ndarray) -> np.ndarray:
@@ -298,33 +343,14 @@ def per_sample_grad_dots(params: BackboneParams, batch, labels, vec: np.ndarray)
     dz . (h @ V_W.T + v_b). Each layer input is projected onto vec once
     and shared by every exit whose backward sweep passes through it.
     """
-    config = params.config
-    batch, labels = _validate_batch(config, batch, labels)
-    b = batch.shape[0]
-    block_sl, head_sl, total = param_layout(config)
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (total,):
-        raise ShapeError(f"vec shape {vec.shape}, expected ({total},)")
-    hs, zs = _hidden_states(params, batch)
-    dims = [config.input_dim, *config.trunk_widths]
-    proj = [
-        hs[j] @ vec[sl.weight].reshape(dims[j + 1], dims[j]).T + vec[sl.bias]
-        for j, sl in enumerate(block_sl)
-    ]
-    onehot = np.zeros((b, config.num_classes))
-    onehot[np.arange(b), labels] = 1.0
-    out = np.empty((b, config.num_exits))
-    for k, head in enumerate(params.heads):
-        sl = head_sl[k]
-        v_head = vec[sl.weight].reshape(config.num_classes, dims[k + 1])
-        dlog = softmax_stable(hs[k + 1] @ head.weight.T + head.bias) - onehot
-        acc = np.einsum("bc,bc->b", dlog, hs[k + 1] @ v_head.T + vec[sl.bias])
-        dh = dlog @ head.weight
-        for j in range(k, -1, -1):
-            dz = dh * (zs[j] > 0)
-            acc += np.einsum("bo,bo->b", dz, proj[j])
-            dh = dz @ params.blocks[j].weight
-        out[:, k] = acc
+    batch, hs, zs, dlogs = _logit_errors(params, batch, labels)
+    v = BackboneParams(params.config, np.asarray(vec, dtype=np.float64))
+    proj = [hs[j] @ layer.weight.T + layer.bias for j, layer in enumerate(v.blocks)]
+    out = np.empty((batch.shape[0], len(dlogs)))
+    for k, dlog in enumerate(dlogs):
+        terms = [*proj[: k + 1], hs[k + 1] @ v.heads[k].weight.T + v.heads[k].bias]
+        path = _exit_path(params.layers, k)
+        out[:, k] = sum(np.einsum("bo,bo->b", dz, terms[j]) for j, dz in output_errors(path, zs, dlog))
     return out
 
 
@@ -375,16 +401,17 @@ def sgd_step(
 
     Returns (new params, new velocity); velocity is None when momentum is 0.
     """
-    flat = params.flatten()
+    theta = params.buffer
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != flat.shape:
-        raise ShapeError(f"grad shape {grad.shape} does not match parameter count {flat.shape}")
+    if grad.shape != theta.shape:
+        raise ShapeError(f"grad shape {grad.shape} does not match parameter count {theta.shape}")
     require_finite(grad, "grad")
-    g = grad + weight_decay * flat if weight_decay != 0.0 else grad
+    g = grad + weight_decay * theta if weight_decay != 0.0 else grad
+    v = None
     if momentum != 0.0:
         v = momentum * velocity + g if velocity is not None else g.copy()
-        return BackboneParams.from_flat(params.config, flat - lr * v), v
-    return BackboneParams.from_flat(params.config, flat - lr * g), None
+        g = v
+    return BackboneParams(params.config, theta - lr * g), v
 
 
 def pseudo_step(
@@ -396,9 +423,7 @@ def pseudo_step(
     plain (no momentum, no decay) so theta_hat is an affine function of
     the weight matrix, which makes the analytic weight gradient exact.
     """
-    return BackboneParams.from_flat(
-        params.config, params.flatten() - alpha * grad_weighted_loss(psg, weights)
-    )
+    return BackboneParams(params.config, params.buffer - alpha * grad_weighted_loss(psg, weights))
 
 
 def count_mul_adds(config: BackboneConfig) -> np.ndarray:
@@ -407,10 +432,6 @@ def count_mul_adds(config: BackboneConfig) -> np.ndarray:
     Exit k pays for trunk blocks 1..k plus its own head; an affine layer
     costs in_dim * out_dim per sample. Returns int64 (K,).
     """
-    dims = [config.input_dim, *config.trunk_widths]
-    costs = np.empty(config.num_exits, dtype=np.int64)
-    trunk = 0
-    for k in range(config.num_exits):
-        trunk += dims[k] * dims[k + 1]
-        costs[k] = trunk + config.trunk_widths[k] * config.num_classes
-    return costs
+    shapes = BackboneParams.layer_shapes(config)
+    costs = [sum(o * i for o, i in _exit_path(shapes, k)) for k in range(config.num_exits)]
+    return np.array(costs, dtype=np.int64)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backbone import BackboneConfig, BackboneParams, param_layout
-from .errors import CompatibilityError, FormatError
-from .serial import check_envelope, decode_array, encode_array, read_json, write_json
+from .backbone import BackboneConfig, BackboneParams
+from .errors import CompatibilityError, FormatError, ShapeError
+from .serial import check_envelope, config_doc, decode_array, encode_array, read_config, read_json, write_json
 from .trainer import TrainConfig, TrainState
 from .wpn import AdamState, WpnConfig, WpnParams
 
@@ -28,126 +28,52 @@ WPN_FORMAT = "exitweave-wpn"
 RUN_FORMAT = "exitweave-run"
 VERSION = 1
 
-
-def backbone_config_doc(config: BackboneConfig) -> dict:
-    return {
-        "input_dim": config.input_dim,
-        "trunk_widths": list(config.trunk_widths),
-        "num_classes": config.num_classes,
-    }
+# TrainConfig fields added after the first version-1 run checkpoints were
+# written; a checkpoint without them reads their defaults.
+_LATER_TRAIN_FIELDS = ("frozen_wpn_path", "log_weight_scatter", "scatter_cap")
 
 
-def backbone_config_from(doc: dict) -> BackboneConfig:
-    return BackboneConfig(int(doc["input_dim"]), tuple(doc["trunk_widths"]), int(doc["num_classes"]))
+def _params_doc(params) -> dict:
+    return {"config": config_doc(params.config), "params": encode_array(params.buffer)}
 
 
-def wpn_config_doc(config: WpnConfig) -> dict:
-    return {
-        "num_exits": config.num_exits,
-        "hidden_width": config.hidden_width,
-        "hidden_depth": config.hidden_depth,
-        "delta": config.delta,
-    }
-
-
-def wpn_config_from(doc: dict) -> WpnConfig:
-    return WpnConfig(
-        int(doc["num_exits"]), int(doc["hidden_width"]), int(doc["hidden_depth"]), float(doc["delta"])
-    )
-
-
-def _flat_for_backbone(doc: dict, path) -> tuple[BackboneConfig, np.ndarray]:
-    config = backbone_config_from(doc["config"])
-    flat = decode_array(doc["params"], "params")
-    expected = param_layout(config)[2]
-    if flat.shape != (expected,):
-        raise CompatibilityError(
-            f"{path}: parameter vector has {flat.shape[0] if flat.ndim == 1 else flat.shape} "
-            f"entries, architecture implies {expected}"
-        )
-    return config, flat
+def _params_from(doc, path, section: str, params_cls, config_cls):
+    """Params from a {config, params} document; every config key is required."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: {section}: expected a JSON object")
+    config = read_config(config_cls, doc.get("config"), f"{path}: {section}.config", FormatError, fill=())
+    try:
+        return params_cls(config, decode_array(doc.get("params"), f"{section}.params"))
+    except ShapeError as exc:
+        raise CompatibilityError(f"{path}: {section}: {exc}") from exc
 
 
 def save_backbone_params(path, params: BackboneParams) -> None:
-    write_json(path, {
-        "format": BACKBONE_FORMAT,
-        "version": VERSION,
-        "config": backbone_config_doc(params.config),
-        "params": encode_array(params.flatten()),
-    })
+    write_json(path, {"format": BACKBONE_FORMAT, "version": VERSION, **_params_doc(params)})
 
 
 def load_backbone_params(path) -> BackboneParams:
     doc = read_json(path)
     check_envelope(doc, path, BACKBONE_FORMAT, VERSION)
-    config, flat = _flat_for_backbone(doc, path)
-    return BackboneParams.from_flat(config, flat)
+    return _params_from(doc, path, "backbone", BackboneParams, BackboneConfig)
 
 
 def save_wpn_params(path, params: WpnParams) -> None:
-    write_json(path, {
-        "format": WPN_FORMAT,
-        "version": VERSION,
-        "config": wpn_config_doc(params.config),
-        "params": encode_array(params.flatten()),
-    })
+    write_json(path, {"format": WPN_FORMAT, "version": VERSION, **_params_doc(params)})
 
 
 def load_wpn_params(path) -> WpnParams:
     """Load a weight network from its own container or from a run checkpoint."""
     doc = read_json(path)
     fmt = doc.get("format")
+    if fmt not in (WPN_FORMAT, RUN_FORMAT):
+        raise FormatError(f"{path}: not a {WPN_FORMAT} or {RUN_FORMAT} document (format={fmt!r})")
+    check_envelope(doc, path, fmt, VERSION)
     if fmt == RUN_FORMAT:
-        check_envelope(doc, path, RUN_FORMAT, VERSION)
         if doc.get("wpn") is None:
             raise CompatibilityError(f"{path}: run checkpoint carries no weight network")
         doc = doc["wpn"]
-    elif fmt != WPN_FORMAT:
-        raise FormatError(f"{path}: not a {WPN_FORMAT} or {RUN_FORMAT} document (format={fmt!r})")
-    else:
-        check_envelope(doc, path, WPN_FORMAT, VERSION)
-    config = wpn_config_from(doc["config"])
-    flat = decode_array(doc["params"], "params")
-    probe = WpnParams.from_flat(config, flat)  # validates length against config
-    return probe
-
-
-def train_config_doc(config: TrainConfig) -> dict:
-    return {
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "alpha": config.alpha,
-        "variant": config.variant,
-        "beta": config.beta,
-        "interval": config.interval,
-        "q": config.q,
-        "momentum": config.momentum,
-        "weight_decay": config.weight_decay,
-        "lr_schedule": config.lr_schedule,
-        "seed": config.seed,
-        "frozen_wpn_path": config.frozen_wpn_path,
-        "log_weight_scatter": config.log_weight_scatter,
-        "scatter_cap": config.scatter_cap,
-    }
-
-
-def train_config_from(doc: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(doc["epochs"]),
-        batch_size=int(doc["batch_size"]),
-        alpha=float(doc["alpha"]),
-        variant=str(doc["variant"]),
-        beta=float(doc["beta"]),
-        interval=int(doc["interval"]),
-        q=float(doc["q"]),
-        momentum=float(doc["momentum"]),
-        weight_decay=float(doc["weight_decay"]),
-        lr_schedule=str(doc["lr_schedule"]),
-        seed=int(doc["seed"]),
-        frozen_wpn_path=doc.get("frozen_wpn_path"),
-        log_weight_scatter=bool(doc.get("log_weight_scatter", False)),
-        scatter_cap=int(doc.get("scatter_cap", 2000)),
-    )
+    return _params_from(doc, path, "wpn", WpnParams, WpnConfig)
 
 
 def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> None:
@@ -155,12 +81,9 @@ def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> N
         "format": RUN_FORMAT,
         "version": VERSION,
         "iteration": state.iteration,
-        "train_config": train_config_doc(train_config),
-        "backbone": {
-            "config": backbone_config_doc(state.backbone.config),
-            "params": encode_array(state.backbone.flatten()),
-        },
-        "wpn": None,
+        "train_config": config_doc(train_config),
+        "backbone": _params_doc(state.backbone),
+        "wpn": None if state.wpn is None else _params_doc(state.wpn),
         "optimizer": {
             "velocity": None if state.velocity is None else encode_array(state.velocity),
             "adam_m": None,
@@ -168,11 +91,6 @@ def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> N
             "adam_step": None,
         },
     }
-    if state.wpn is not None:
-        doc["wpn"] = {
-            "config": wpn_config_doc(state.wpn.config),
-            "params": encode_array(state.wpn.flatten()),
-        }
     if state.adam is not None:
         doc["optimizer"]["adam_m"] = encode_array(state.adam.m)
         doc["optimizer"]["adam_v"] = encode_array(state.adam.v)
@@ -183,15 +101,16 @@ def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> N
 def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     doc = read_json(path)
     check_envelope(doc, path, RUN_FORMAT, VERSION)
-    config, flat = _flat_for_backbone(doc["backbone"], path)
-    backbone = BackboneParams.from_flat(config, flat)
+    train_config = read_config(
+        TrainConfig, doc.get("train_config"), f"{path}: train_config", FormatError, fill=_LATER_TRAIN_FIELDS
+    )
+    backbone = _params_from(doc.get("backbone"), path, "backbone", BackboneParams, BackboneConfig)
     wpn_params = None
     if doc.get("wpn") is not None:
-        wpn_config = wpn_config_from(doc["wpn"]["config"])
-        wpn_params = WpnParams.from_flat(wpn_config, decode_array(doc["wpn"]["params"], "wpn"))
+        wpn_params = _params_from(doc["wpn"], path, "wpn", WpnParams, WpnConfig)
     opt = doc.get("optimizer", {})
     velocity = None if opt.get("velocity") is None else decode_array(opt["velocity"], "velocity")
-    if velocity is not None and velocity.shape != (param_layout(config)[2],):
+    if velocity is not None and velocity.shape != (backbone.num_params,):
         raise CompatibilityError(f"{path}: momentum buffer does not match parameter count")
     adam = None
     if opt.get("adam_m") is not None:
@@ -206,4 +125,4 @@ def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
         backbone=backbone, wpn=wpn_params, velocity=velocity, adam=adam,
         iteration=int(doc.get("iteration", 0)),
     )
-    return state, train_config_from(doc["train_config"])
+    return state, train_config

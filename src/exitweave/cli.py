@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import make_dataclass
 from pathlib import Path
 
 from .errors import (
@@ -32,9 +33,7 @@ from .errors import (
     DomainError,
     ExitweaveError,
     FormatError,
-    NumericError,
     ShapeError,
-    TrainingError,
     UsageError,
 )
 
@@ -66,88 +65,67 @@ def _apply_thread_cap() -> None:
 # config handling
 # ---------------------------------------------------------------------------
 
-_TRAIN_DEFAULTS = {
-    "variant": "learned",
-    "beta": 1e-4,
-    "interval": 1,
-    "q": 0.75,
-    "momentum": 0.9,
-    "weight_decay": 1e-4,
-    "lr_schedule": "cosine",
-    "seed": 0,
-    "frozen_wpn_path": None,
-    "log_weight_scatter": False,
-    "scatter_cap": 2000,
-}
-_TRAIN_REQUIRED = {"epochs", "batch_size", "alpha"}
-
-_WPN_DEFAULTS = {"hidden_width": 500, "hidden_depth": 1, "delta": 0.8}
-
-_DATASET_KEYS = {
-    "synthetic": (
-        {"classes", "dim", "train_per_class", "val_per_class", "test_per_class"},
-        {"spread": 1.0, "radius": 3.0, "seed": 0, "longtail_factor": 1.0},
-    ),
-    "container": ({"train", "val", "test"}, {"longtail_factor": 1.0, "seed": 0}),
-    "idx": (
-        {"train_images", "train_labels", "val_images", "val_labels", "test_images", "test_labels"},
-        {"longtail_factor": 1.0, "seed": 0},
-    ),
-    "cifar_bin": (
-        {"train", "test", "val_holdout"},
-        {"num_classes": 10, "seed": 0, "longtail_factor": 1.0},
-    ),
-}
+# The output section: where `train` writes when --out is not given.
+OutputConfig = make_dataclass("OutputConfig", [("dir", str, "runs/default")], frozen=True)
 
 
-def _check_keys(section: dict, allowed: set, required: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    missing = sorted(required - set(section))
-    if missing:
-        raise ConfigError(f"missing required key(s) in {where}: {', '.join(missing)}")
+def _read_doc(p: Path, what: str) -> dict:
+    from .serial import read_json
+
+    if not p.is_file():
+        raise ConfigError(f"{what} file not found: {p}")
+    return read_json(p)
 
 
-def _resolve_section(section: dict, required: set, defaults: dict, where: str) -> dict:
-    _check_keys(section, required | set(defaults), required, where)
-    out = dict(defaults)
-    out.update(section)
-    return out
+def _dataset_section(ds, where: str) -> dict:
+    """Check a dataset section against its kind's keys and fill its defaults."""
+    from .datahub import DATASET_KINDS
+    from .serial import read_section
+
+    if not isinstance(ds, dict) or "kind" not in ds:
+        raise ConfigError(f"{where}: dataset section must be an object with a 'kind' key")
+    kind = ds["kind"]
+    if kind not in DATASET_KINDS:
+        raise ConfigError(f"unknown dataset kind {kind!r}; expected one of {sorted(DATASET_KINDS)}")
+    section = {k: v for k, v in ds.items() if k != "kind"}
+    return {**read_section(DATASET_KINDS[kind], section, f"{where}: dataset ({kind})"), "kind": kind}
 
 
 def load_config(path) -> dict:
-    """Read, validate and default-fill a run config file."""
+    """Read, validate and default-fill a run config file.
+
+    The backbone, wpn and train sections are checked against the fields
+    of BackboneConfig, WpnConfig and TrainConfig. Their values are kept
+    as written (they are hashed); `_model_configs` converts them.
+    """
+    from .backbone import BackboneConfig
+    from .serial import read_section
+    from .trainer import TrainConfig
+    from .wpn import WpnConfig
+
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{p}: config must be a JSON object")
-    _check_keys(doc, {"dataset", "backbone", "wpn", "train", "output"}, {"dataset", "backbone", "train"}, "config")
+    doc = _read_doc(p, "config")
+    unknown = sorted(set(doc) - {"dataset", "backbone", "wpn", "train", "output"})
+    if unknown:
+        raise ConfigError(f"{p}: unknown section(s): {', '.join(unknown)}")
+    missing = sorted({"dataset", "backbone", "train"} - set(doc))
+    if missing:
+        raise ConfigError(f"{p}: missing required section(s): {', '.join(missing)}")
+    return {
+        "dataset": _dataset_section(doc["dataset"], str(p)),
+        # input_dim and num_classes default to the dataset's
+        "backbone": read_section(
+            BackboneConfig, doc["backbone"], f"{p}: backbone", optional=("input_dim", "num_classes")
+        ),
+        "wpn": read_section(WpnConfig, doc.get("wpn", {}), f"{p}: wpn", given=("num_exits",)),
+        "train": read_section(TrainConfig, doc["train"], f"{p}: train"),
+        "output": read_section(OutputConfig, doc.get("output", {}), f"{p}: output"),
+    }
 
-    ds = doc["dataset"]
-    if not isinstance(ds, dict) or "kind" not in ds:
-        raise ConfigError("dataset section must be an object with a 'kind' key")
-    kind = ds["kind"]
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"unknown dataset kind {kind!r}; expected one of {sorted(_DATASET_KEYS)}")
-    required, defaults = _DATASET_KEYS[kind]
-    resolved_ds = _resolve_section(
-        {k: v for k, v in ds.items() if k != "kind"}, required, defaults, f"dataset ({kind})"
-    )
-    resolved_ds["kind"] = kind
 
-    bb = _resolve_section(
-        doc["backbone"], {"trunk_widths"}, {"input_dim": None, "num_classes": None}, "backbone"
-    )
-    wpn = _resolve_section(doc.get("wpn", {}), set(), _WPN_DEFAULTS, "wpn")
-    train = _resolve_section(doc["train"], _TRAIN_REQUIRED, _TRAIN_DEFAULTS, "train")
-    output = _resolve_section(doc.get("output", {}), set(), {"dir": "runs/default"}, "output")
-    return {"dataset": resolved_ds, "backbone": bb, "wpn": wpn, "train": train, "output": output}
+def _stamped(fmt: str, digest: str, **body) -> dict:
+    """An output document: format header plus the run id and config hash."""
+    return {"format": fmt, "version": VERSION, "run_id": digest[:12], "config_hash": digest, **body}
 
 
 def config_hash(resolved: dict) -> str:
@@ -157,15 +135,14 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _resolve_path(base_dir: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else base_dir / p
+def build_datasets(ds_doc: dict, config_path):
+    """Materialize (train, val, test) Datasets from a resolved dataset section.
 
-
-def build_datasets(ds_doc: dict, base_dir: Path):
-    """Materialize (train, val, test) Datasets from a resolved dataset section."""
+    config_path is the file the section came from: relative data paths
+    resolve against its directory, and errors name it.
+    """
     from .datahub import (
-        Dataset,
+        DATASET_KINDS,
         gen_synthetic_gaussians,
         load_cifar_bin,
         load_dataset,
@@ -173,49 +150,38 @@ def build_datasets(ds_doc: dict, base_dir: Path):
         longtail_subsample,
     )
     from .numkit import RngStream
+    from .serial import read_config
 
     kind = ds_doc["kind"]
-    seed = int(ds_doc.get("seed", 0))
-    root = RngStream(seed)
+    spec = read_config(DATASET_KINDS[kind], {k: v for k, v in ds_doc.items() if k != "kind"},
+                       f"{config_path}: dataset ({kind})")
+    base_dir = Path(config_path).resolve().parent
+    root = RngStream(spec.seed)
+    splits = ("train", "val", "test")
+
+    def path(value) -> Path:
+        p = Path(value)
+        return p if p.is_absolute() else base_dir / p
+
     if kind == "synthetic":
-        splits = []
-        for split, per_class in (
-            ("train", ds_doc["train_per_class"]),
-            ("val", ds_doc["val_per_class"]),
-            ("test", ds_doc["test_per_class"]),
-        ):
-            splits.append(
-                gen_synthetic_gaussians(
-                    int(ds_doc["classes"]), int(ds_doc["dim"]), int(per_class),
-                    float(ds_doc["spread"]), root.child(f"synth-{split}"),
-                    split=split, radius=float(ds_doc["radius"]),
-                )
+        train, val, test = (
+            gen_synthetic_gaussians(
+                spec.classes, spec.dim, getattr(spec, f"{split}_per_class"), spec.spread,
+                root.child(f"synth-{split}"), split=split, radius=spec.radius,
             )
-        train, val, test = splits
+            for split in splits
+        )
     elif kind == "container":
-        train = load_dataset(_resolve_path(base_dir, ds_doc["train"]))
-        val = load_dataset(_resolve_path(base_dir, ds_doc["val"]))
-        test = load_dataset(_resolve_path(base_dir, ds_doc["test"]))
+        train, val, test = (load_dataset(path(getattr(spec, split))) for split in splits)
     elif kind == "idx":
-        train = load_idx(
-            _resolve_path(base_dir, ds_doc["train_images"]),
-            _resolve_path(base_dir, ds_doc["train_labels"]), split="train",
-        )
-        val = load_idx(
-            _resolve_path(base_dir, ds_doc["val_images"]),
-            _resolve_path(base_dir, ds_doc["val_labels"]), split="val",
-        )
-        test = load_idx(
-            _resolve_path(base_dir, ds_doc["test_images"]),
-            _resolve_path(base_dir, ds_doc["test_labels"]), split="test",
+        train, val, test = (
+            load_idx(path(getattr(spec, f"{s}_images")), path(getattr(spec, f"{s}_labels")), split=s)
+            for s in splits
         )
     else:  # cifar_bin
-        paths = ds_doc["train"]
-        if isinstance(paths, str):
-            paths = [paths]
-        full = load_cifar_bin([_resolve_path(base_dir, p) for p in paths],
-                              num_classes=int(ds_doc["num_classes"]), split="train")
-        holdout = int(ds_doc["val_holdout"])
+        files = [spec.train] if isinstance(spec.train, str) else spec.train
+        full = load_cifar_bin([path(f) for f in files], num_classes=spec.num_classes, split="train")
+        holdout = spec.val_holdout
         if not (0 < holdout < len(full)):
             raise ConfigError(f"val_holdout must lie in (0, {len(full)}), got {holdout}")
         import numpy as np
@@ -223,48 +189,32 @@ def build_datasets(ds_doc: dict, base_dir: Path):
         perm = root.child("val-holdout").permutation(len(full))
         val = full.subset(np.sort(perm[:holdout]), split="val")
         train = full.subset(np.sort(perm[holdout:]), split="train")
-        test = load_cifar_bin(_resolve_path(base_dir, ds_doc["test"]),
-                              num_classes=int(ds_doc["num_classes"]), split="test")
-    factor = float(ds_doc.get("longtail_factor", 1.0))
-    if factor != 1.0:
-        train = longtail_subsample(train, factor, root.child("longtail"))
+        test = load_cifar_bin(path(spec.test), num_classes=spec.num_classes, split="test")
+    if spec.longtail_factor != 1.0:
+        train = longtail_subsample(train, spec.longtail_factor, root.child("longtail"))
     return train, val, test
 
 
-def _model_configs(resolved: dict, train_set):
+def _model_configs(resolved: dict, path, input_dim=None, num_classes=None):
+    """Backbone, weight-network and train configs of a resolved run config.
+
+    input_dim and num_classes fill a backbone section that leaves them
+    out. The backbone values used are echoed back into the resolved doc
+    so the hash pins them.
+    """
     from .backbone import BackboneConfig
+    from .serial import config_doc, read_config
     from .trainer import TrainConfig
     from .wpn import WpnConfig
 
     bb = resolved["backbone"]
-    input_dim = bb["input_dim"] if bb["input_dim"] is not None else train_set.dim
-    num_classes = bb["num_classes"] if bb["num_classes"] is not None else train_set.num_classes
-    backbone_cfg = BackboneConfig(int(input_dim), tuple(bb["trunk_widths"]), int(num_classes))
-    w = resolved["wpn"]
-    wpn_cfg = WpnConfig(
-        backbone_cfg.num_exits, int(w["hidden_width"]), int(w["hidden_depth"]), float(w["delta"])
-    )
-    train_cfg = TrainConfig(
-        epochs=int(resolved["train"]["epochs"]),
-        batch_size=int(resolved["train"]["batch_size"]),
-        alpha=float(resolved["train"]["alpha"]),
-        variant=str(resolved["train"]["variant"]),
-        beta=float(resolved["train"]["beta"]),
-        interval=int(resolved["train"]["interval"]),
-        q=float(resolved["train"]["q"]),
-        momentum=float(resolved["train"]["momentum"]),
-        weight_decay=float(resolved["train"]["weight_decay"]),
-        lr_schedule=str(resolved["train"]["lr_schedule"]),
-        seed=int(resolved["train"]["seed"]),
-        frozen_wpn_path=resolved["train"]["frozen_wpn_path"],
-        log_weight_scatter=bool(resolved["train"]["log_weight_scatter"]),
-        scatter_cap=int(resolved["train"]["scatter_cap"]),
-    )
-    # Echo derived values back into the resolved doc so the hash pins them.
-    resolved["backbone"]["input_dim"] = backbone_cfg.input_dim
-    resolved["backbone"]["num_classes"] = backbone_cfg.num_classes
-    resolved["backbone"]["trunk_widths"] = list(backbone_cfg.trunk_widths)
-    return backbone_cfg, wpn_cfg, train_cfg
+    for key, value in (("input_dim", input_dim), ("num_classes", num_classes)):
+        if bb[key] is None:
+            bb[key] = value
+    backbone_cfg = read_config(BackboneConfig, bb, f"{path}: backbone")
+    bb.update(config_doc(backbone_cfg))
+    wpn_cfg = read_config(WpnConfig, resolved["wpn"], f"{path}: wpn", num_exits=backbone_cfg.num_exits)
+    return backbone_cfg, wpn_cfg, read_config(TrainConfig, resolved["train"], f"{path}: train")
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +229,19 @@ def cmd_train(args) -> int:
     resolved = load_config(args.config)
     if args.seed is not None:
         resolved["train"]["seed"] = int(args.seed)
-    base_dir = Path(args.config).resolve().parent
     out_dir = Path(args.out) if args.out else Path(resolved["output"]["dir"])
-    train_set, val_set, _ = build_datasets(resolved["dataset"], base_dir)
-    backbone_cfg, wpn_cfg, train_cfg = _model_configs(resolved, train_set)
+    train_set, val_set, _ = build_datasets(resolved["dataset"], args.config)
+    backbone_cfg, wpn_cfg, train_cfg = _model_configs(
+        resolved, args.config, train_set.dim, train_set.num_classes
+    )
     digest = config_hash(resolved)
     state, history = run_training(train_cfg, backbone_cfg, wpn_cfg, train_set, val_set)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "resolved_config.json",
                {"format": CONFIG_FORMAT, "version": VERSION, **resolved})
     save_run_checkpoint(out_dir / "checkpoint.json", state, train_cfg)
-    write_json(out_dir / "history.json", {
-        "format": HISTORY_FORMAT,
-        "version": VERSION,
-        "run_id": digest[:12],
-        "config_hash": digest,
-        "iterations": history.iterations,
-        "epochs": history.epochs,
-    })
+    write_json(out_dir / "history.json",
+               _stamped(HISTORY_FORMAT, digest, iterations=history.iterations, epochs=history.epochs))
     print(
         f"trained variant={train_cfg.variant} epochs={train_cfg.epochs} "
         f"iterations={state.iteration}; outputs in {out_dir}"
@@ -329,28 +274,16 @@ def _parse_q_grid(text: str):
 
 
 def _dataset_doc_for_eval(args, checkpoint_path: Path) -> tuple[dict, Path]:
+    """The dataset section eval runs on, and the file it came from."""
     if args.dataset:
         p = Path(args.dataset)
-        if not p.is_file():
-            raise ConfigError(f"dataset config file not found: {p}")
-        doc = json.loads(p.read_text())
-        ds = doc.get("dataset", doc) if isinstance(doc, dict) else None
-        if not isinstance(ds, dict) or "kind" not in ds:
-            raise ConfigError(f"{p}: expected a dataset section with a 'kind' key")
-        kind = ds["kind"]
-        if kind not in _DATASET_KEYS:
-            raise ConfigError(f"unknown dataset kind {kind!r}")
-        required, defaults = _DATASET_KEYS[kind]
-        resolved = _resolve_section(
-            {k: v for k, v in ds.items() if k != "kind"}, required, defaults, f"dataset ({kind})"
-        )
-        resolved["kind"] = kind
-        return resolved, p.resolve().parent
+        doc = _read_doc(p, "dataset config")
+        return _dataset_section(doc.get("dataset", doc), str(p)), p
     sibling = checkpoint_path.resolve().parent / "resolved_config.json"
     if sibling.is_file():
-        doc = json.loads(sibling.read_text())
-        if isinstance(doc, dict) and isinstance(doc.get("dataset"), dict):
-            return doc["dataset"], sibling.parent
+        doc = _read_doc(sibling, "resolved config")
+        if isinstance(doc.get("dataset"), dict):
+            return doc["dataset"], sibling
     raise ConfigError(
         "no dataset available: pass --dataset or keep resolved_config.json next to the checkpoint"
     )
@@ -386,17 +319,17 @@ def _write_curves_csv(path, rows, num_exits: int) -> None:
 
 
 def cmd_eval(args) -> int:
-    from .checkpoint import backbone_config_doc, load_run_checkpoint, train_config_doc, wpn_config_doc
-    from .evaluate import anytime_accuracy, default_q_grid, dynamic_sweep
     from .backbone import count_mul_adds
-    from .serial import write_json
+    from .checkpoint import load_run_checkpoint
+    from .evaluate import anytime_accuracy, default_q_grid, dynamic_sweep
+    from .serial import config_doc, write_json
 
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.is_file():
         raise ConfigError(f"checkpoint file not found: {ckpt_path}")
     state, train_cfg = load_run_checkpoint(ckpt_path)
-    ds_doc, base_dir = _dataset_doc_for_eval(args, ckpt_path)
-    _, val_set, test_set = build_datasets(ds_doc, base_dir)
+    ds_doc, ds_path = _dataset_doc_for_eval(args, ckpt_path)
+    _, val_set, test_set = build_datasets(ds_doc, ds_path)
     config = state.backbone.config
     if val_set.dim != config.input_dim or val_set.num_classes != config.num_classes:
         raise CompatibilityError(
@@ -406,61 +339,44 @@ def cmd_eval(args) -> int:
     grid = _parse_q_grid(args.q_grid) if args.q_grid else default_q_grid()
     rows = dynamic_sweep(state.backbone, val_set, test_set, grid)
     anytime = anytime_accuracy(state.backbone, test_set)
-    semantic = {
+    digest = config_hash({
         "dataset": ds_doc,
-        "backbone": backbone_config_doc(config),
-        "wpn": None if state.wpn is None else wpn_config_doc(state.wpn.config),
-        "train": train_config_doc(train_cfg),
-    }
-    digest = hashlib.sha256(
-        json.dumps(semantic, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
+        "backbone": config_doc(config),
+        "wpn": None if state.wpn is None else config_doc(state.wpn.config),
+        "train": config_doc(train_cfg),
+    })
     out_dir = Path(args.out) if args.out else ckpt_path.resolve().parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics = {
-        "format": METRICS_FORMAT,
-        "version": VERSION,
-        "run_id": digest[:12],
-        "config_hash": digest,
-        "iteration": state.iteration,
-        "variant": train_cfg.variant,
-        "anytime": {
+    write_json(out_dir / "metrics.json", _stamped(
+        METRICS_FORMAT, digest,
+        iteration=state.iteration,
+        variant=train_cfg.variant,
+        anytime={
             "accuracy": [float(a) for a in anytime],
             "exit_muladds": [int(c) for c in count_mul_adds(config)],
         },
-        "dynamic": rows,
-        "weight_scatter": _scatter_from_history(ckpt_path),
-    }
-    write_json(out_dir / "metrics.json", metrics)
+        dynamic=rows,
+        weight_scatter=_scatter_from_history(ckpt_path),
+    ))
     _write_curves_csv(out_dir / "curves.csv", rows, config.num_exits)
     print(f"evaluated {len(rows)} budget points; outputs in {out_dir}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    from .backbone import BackboneConfig
-    from .gradcheck import run_suites
-    from .wpn import WpnConfig
+    from .gradcheck import DEFAULT_BACKBONE, DEFAULT_WPN, run_suites
 
+    backbone_cfg, wpn_cfg, options = DEFAULT_BACKBONE, DEFAULT_WPN, {}
     if args.config:
         resolved = load_config(args.config)
-        bb = resolved["backbone"]
-        if bb["input_dim"] is None or bb["num_classes"] is None:
+        if resolved["backbone"]["input_dim"] is None or resolved["backbone"]["num_classes"] is None:
             raise ConfigError("gradcheck configs must state backbone input_dim and num_classes")
-        backbone_cfg = BackboneConfig(int(bb["input_dim"]), tuple(bb["trunk_widths"]), int(bb["num_classes"]))
-        w = resolved["wpn"]
-        wpn_cfg = WpnConfig(backbone_cfg.num_exits, int(w["hidden_width"]),
-                            int(w["hidden_depth"]), float(w["delta"]))
-        q = float(resolved["train"]["q"])
-        seed = int(resolved["train"]["seed"])
-    else:
-        backbone_cfg = BackboneConfig(3, (4, 3), 3)
-        wpn_cfg = WpnConfig(2, hidden_width=8, hidden_depth=1, delta=0.6)
-        q, seed = 0.75, 0
+        backbone_cfg, wpn_cfg, train_cfg = _model_configs(resolved, args.config)
+        options = {"q": train_cfg.q, "seed": train_cfg.seed}
     if args.seed is not None:
-        seed = int(args.seed)
+        options["seed"] = args.seed
     sabotage = os.environ.get("EXITWEAVE_GRADCHECK_SABOTAGE", "") not in ("", "0")
-    results = run_suites(backbone_cfg, wpn_cfg, seed=seed, q=q, sabotage=sabotage)
+    results = run_suites(backbone_cfg, wpn_cfg, sabotage=sabotage, **options)
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -564,10 +480,7 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError, CompatibilityError, DomainError, ShapeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ExitweaveError as exc:  # pragma: no cover - safety net
+    except ExitweaveError as exc:  # TrainingError, NumericError: runtime failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,14 +12,15 @@ for three external formats:
 
 `longtail_subsample` imposes an exponential class-size profile on a
 balanced set, and `make_batches` produces the per-epoch shuffled index
-batches every trainer run consumes.
+batches every trainer run consumes. `DATASET_KINDS` holds the schema of
+a run config's dataset section, one config dataclass per `kind`.
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -291,3 +292,30 @@ def make_batches(
     if drop_last and batches and batches[-1].shape[0] < batch_size:
         batches.pop()
     return batches
+
+
+# ---------------------------------------------------------------------------
+# Dataset sections of a run config: one config dataclass per `kind`
+# ---------------------------------------------------------------------------
+
+def _source(name: str, required: dict, **defaults) -> type:
+    """A frozen config dataclass: the required fields, then the defaults
+    (every kind also takes a split seed and a long-tail factor)."""
+    defaults = {**defaults, "seed": 0, "longtail_factor": 1.0}
+    fields = [*required.items(), *((key, type(value), value) for key, value in defaults.items())]
+    return make_dataclass(name, fields, frozen=True)
+
+
+_SPLIT_FILES = {f"{split}_{part}": str for split in ("train", "val", "test") for part in ("images", "labels")}
+
+DATASET_KINDS = {
+    "synthetic": _source(
+        "SyntheticSource",
+        dict(classes=int, dim=int, train_per_class=int, val_per_class=int, test_per_class=int),
+        spread=1.0, radius=3.0,
+    ),
+    "container": _source("ContainerSource", dict(train=str, val=str, test=str)),
+    "idx": _source("IdxSource", _SPLIT_FILES),
+    # train is one batch file or a list of them
+    "cifar_bin": _source("CifarBinSource", dict(train=str | list, test=str, val_holdout=int), num_classes=10),
+}

@@ -37,13 +37,18 @@ from .backbone import (
     param_layout,
     per_sample_grads,
     pseudo_step,
+    relu_forward,
 )
 from .errors import ConfigError
 from .numkit import RngStream
-from .trainer import lookahead, meta_chain
+from .trainer import TrainConfig, lookahead, meta_chain
 from .wpn import WpnConfig, WpnParams, init_wpn, make_weights, wpn_backward, wpn_forward
 
 PARAM_CAP = 2000
+
+# The instance `exitweave gradcheck` audits when no config names one.
+DEFAULT_BACKBONE = BackboneConfig(3, (4, 3), 3)
+DEFAULT_WPN = WpnConfig(2, hidden_width=8, hidden_depth=1, delta=0.6)
 
 
 @dataclass
@@ -67,21 +72,29 @@ def rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.linalg.norm(a - f) / denom)
 
 
-def fd_loss_grads(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Central-difference per-sample per-exit gradients, (B, K, P)."""
-    flat = params.flatten()
-    b = batch.shape[0]
-    k = params.config.num_exits
-    out = np.empty((b, k, flat.shape[0]))
-    for p in range(flat.shape[0]):
-        step = 1e-5 * max(1.0, abs(flat[p]))
-        up, dn = flat.copy(), flat.copy()
+def central_diff(f, x: np.ndarray, rel_step: float) -> np.ndarray:
+    """Central differences of f at x, one entry of x at a time.
+
+    Entry p moves by rel_step * max(1, |x[p]|) each way. The result has
+    shape x.shape + the shape of f's value.
+    """
+    out = []
+    for p in np.ndindex(x.shape):
+        step = rel_step * max(1.0, abs(x[p]))
+        up, dn = x.copy(), x.copy()
         up[p] += step
         dn[p] -= step
-        plus = forward_all(BackboneParams.from_flat(params.config, up), batch, labels).losses
-        minus = forward_all(BackboneParams.from_flat(params.config, dn), batch, labels).losses
-        out[:, :, p] = (plus - minus) / (2.0 * step)
-    return out
+        out.append((f(up) - f(dn)) / (2.0 * step))
+    return np.reshape(out, x.shape + np.shape(out[0]))
+
+
+def fd_loss_grads(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Central-difference per-sample per-exit gradients, (B, K, P)."""
+
+    def losses(flat: np.ndarray) -> np.ndarray:
+        return forward_all(BackboneParams.from_flat(params.config, flat), batch, labels).losses
+
+    return np.moveaxis(central_diff(losses, params.flatten(), 1e-5), 0, -1)
 
 
 def _flip_largest(arr: np.ndarray) -> np.ndarray:
@@ -108,13 +121,8 @@ _KINK_MARGIN = 1e-3
 
 def _min_preactivation(params: BackboneParams, batch: np.ndarray) -> float:
     """Smallest |z| over every rectifier input in the trunk."""
-    h = batch
-    worst = np.inf
-    for block in params.blocks:
-        z = h @ block.weight.T + block.bias
-        worst = min(worst, float(np.min(np.abs(z))))
-        h = np.maximum(z, 0.0)
-    return worst
+    _, zs = relu_forward(params.blocks, batch)
+    return min(float(np.min(np.abs(z))) for z in zs)
 
 
 def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int) -> _Instance:
@@ -157,8 +165,8 @@ def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int)
 def run_suites(
     backbone_cfg: BackboneConfig,
     wpn_cfg: WpnConfig,
-    seed: int = 0,
-    q: float = 0.75,
+    seed: int = TrainConfig.seed,
+    q: float = TrainConfig.q,
     sabotage: bool = False,
 ) -> list[SuiteResult]:
     """Run all four FD suites; sabotage flips one sign in the first suite."""
@@ -166,9 +174,8 @@ def run_suites(
     results = []
 
     # 1. per-sample backbone gradients
-    analytic = per_sample_grads(inst.backbone, inst.train_x, inst.train_y)
-    if sabotage:
-        analytic = _flip_largest(analytic)
+    psg = per_sample_grads(inst.backbone, inst.train_x, inst.train_y)
+    analytic = _flip_largest(psg) if sabotage else psg
     fd = fd_loss_grads(inst.backbone, inst.train_x, inst.train_y)
     worst = max(
         rel_err(analytic[i, k], fd[i, k])
@@ -178,7 +185,6 @@ def run_suites(
     results.append(SuiteResult("backbone_per_sample", worst, 1e-5))
 
     # shared pieces for the meta chain
-    psg = per_sample_grads(inst.backbone, inst.train_x, inst.train_y)
     tr_losses = forward_all(inst.backbone, inst.train_x, inst.train_y).losses
     raw, fwd_cache = wpn_forward(inst.wpn, tr_losses)
     _, weights, w_cache = make_weights(raw, inst.wpn.config.delta)
@@ -195,14 +201,7 @@ def run_suites(
         return float(np.sum(mask * outs.losses))
 
     # 2. weight gradient through the pseudo step (allocation fixed)
-    fd_w = np.empty_like(weights)
-    for i in range(weights.shape[0]):
-        for k in range(weights.shape[1]):
-            step = 1e-4 * max(1.0, abs(weights[i, k]))
-            wp, wm = weights.copy(), weights.copy()
-            wp[i, k] += step
-            wm[i, k] -= step
-            fd_w[i, k] = (meta_loss_for_weights(wp) - meta_loss_for_weights(wm)) / (2.0 * step)
+    fd_w = central_diff(meta_loss_for_weights, weights, 1e-4)
     results.append(SuiteResult("weight_gradient", rel_err(dl_dw, fd_w), 1e-4))
 
     # 3. weight-network backward for a fixed linear probe sum(c * weights)
@@ -210,32 +209,14 @@ def run_suites(
     analytic_wpn = wpn_backward(inst.wpn, fwd_cache, w_cache, probe)
     flat_g = inst.wpn.flatten()
 
-    def probe_value(flat: np.ndarray) -> float:
+    def weights_at(flat: np.ndarray) -> np.ndarray:
         r, _ = wpn_forward(WpnParams.from_flat(inst.wpn.config, flat), tr_losses)
-        _, w, _ = make_weights(r, inst.wpn.config.delta)
-        return float(np.sum(probe * w))
+        return make_weights(r, inst.wpn.config.delta)[1]
 
-    fd_wpn = np.empty_like(flat_g)
-    for p in range(flat_g.shape[0]):
-        step = 1e-5 * max(1.0, abs(flat_g[p]))
-        up, dn = flat_g.copy(), flat_g.copy()
-        up[p] += step
-        dn[p] -= step
-        fd_wpn[p] = (probe_value(up) - probe_value(dn)) / (2.0 * step)
+    fd_wpn = central_diff(lambda flat: float(np.sum(probe * weights_at(flat))), flat_g, 1e-5)
     results.append(SuiteResult("wpn_backward", rel_err(analytic_wpn, fd_wpn), 1e-6))
 
     # 4. end to end: meta objective as a function of the network params
-    def chain_value(flat: np.ndarray) -> float:
-        r, _ = wpn_forward(WpnParams.from_flat(inst.wpn.config, flat), tr_losses)
-        _, w, _ = make_weights(r, inst.wpn.config.delta)
-        return meta_loss_for_weights(w)
-
-    fd_e2e = np.empty_like(flat_g)
-    for p in range(flat_g.shape[0]):
-        step = 1e-4 * max(1.0, abs(flat_g[p]))
-        up, dn = flat_g.copy(), flat_g.copy()
-        up[p] += step
-        dn[p] -= step
-        fd_e2e[p] = (chain_value(up) - chain_value(dn)) / (2.0 * step)
+    fd_e2e = central_diff(lambda flat: meta_loss_for_weights(weights_at(flat)), flat_g, 1e-4)
     results.append(SuiteResult("end_to_end", rel_err(analytic_e2e, fd_e2e), 1e-4))
     return results

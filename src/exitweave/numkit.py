@@ -2,9 +2,9 @@
 
 All heavy math in this package runs on C-contiguous float64 ndarrays.
 The helpers here pin down the conventions the rest of the code relies on:
-shape validation with explicit errors, overflow-safe softmax and
-cross-entropy, and a reproducible RNG tree where every consumer draws
-from its own labeled child stream.
+explicit errors for non-finite values, overflow-safe softmax,
+log-sum-exp and sigmoid, and a reproducible RNG tree where every
+consumer draws from its own labeled child stream.
 """
 
 from __future__ import annotations
@@ -17,30 +17,10 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 
-def as_matrix(values, name: str = "array") -> np.ndarray:
-    """Coerce to a 2-D C-contiguous float64 array; reject anything else."""
-    out = np.ascontiguousarray(values, dtype=np.float64)
-    if out.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={out.ndim}")
-    return out
-
-
 def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{name} contains non-finite entries")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D float64 arrays with explicit dim checking."""
-    am = as_matrix(a, "left operand")
-    bm = as_matrix(b, "right operand")
-    if am.shape[1] != bm.shape[0]:
-        raise ShapeError(
-            f"inner dimensions differ: ({am.shape[0]},{am.shape[1]}) @ "
-            f"({bm.shape[0]},{bm.shape[1]})"
-        )
-    return am @ bm
 
 
 def softmax_stable(logits) -> np.ndarray:
@@ -65,43 +45,6 @@ def log_sum_exp(x: np.ndarray) -> np.ndarray:
     return np.squeeze(m, axis=-1) + np.log(np.exp(x - m).sum(axis=-1))
 
 
-def cross_entropy_batch(logits, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row cross-entropy losses and logit gradients.
-
-    logits: (N, C); labels: (N,) ints in [0, C). Returns (losses (N,),
-    grads (N, C)) where grads[i] = softmax(logits[i]) - onehot(labels[i]).
-    Losses are computed through log-sum-exp, not -log(prob), so tiny
-    probabilities do not lose precision.
-    """
-    x = as_matrix(logits, "logits")
-    require_finite(x, "logits")
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ShapeError(f"labels shape {y.shape} does not match logits rows {x.shape[0]}")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ShapeError("labels must be integers")
-    n, c = x.shape
-    if y.min() < 0 or y.max() >= c:
-        raise ShapeError(f"labels must lie in [0, {c})")
-    losses = log_sum_exp(x) - x[np.arange(n), y]
-    grads = softmax_stable(x)
-    grads[np.arange(n), y] -= 1.0
-    return losses, grads
-
-
-def cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of a single logit row against an integer label.
-
-    Returns (loss, gradient wrt logits). The gradient is softmax - onehot,
-    so its entries always sum to zero.
-    """
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"logits must be 1-D, got ndim={x.ndim}")
-    losses, grads = cross_entropy_batch(x[None, :], np.asarray([label]))
-    return float(losses[0]), grads[0]
-
-
 def sigmoid_stable(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, safe for large |x| of either sign."""
     x = np.asarray(x, dtype=np.float64)
@@ -111,10 +54,6 @@ def sigmoid_stable(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def _child_seed(seed: int, label: str) -> int:

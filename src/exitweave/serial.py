@@ -5,17 +5,24 @@ history, metrics) goes through these helpers: arrays are base64-encoded
 little-endian float64 buffers, and documents are dumped with sorted
 keys and a fixed layout. Rewriting the same content therefore produces
 byte-identical files, which reruns rely on.
+
+Config sections (in run config files and in checkpoints) are read and
+written against the config dataclasses themselves: their fields give
+the allowed keys, their defaults fill missing ones, and their type
+annotations say how each value is converted.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 
 def encode_array(arr: np.ndarray) -> dict:
@@ -59,3 +66,73 @@ def check_envelope(doc: dict, path, fmt: str, version: int) -> None:
         raise FormatError(
             f"{path}: unsupported {fmt} version {doc.get('version')!r}, expected {version}"
         )
+
+
+def config_doc(config) -> dict:
+    """A config dataclass as a JSON object: every field, tuples as lists."""
+    doc = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        doc[f.name] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def read_section(cls, doc, where: str, error=ConfigError, *, fill=None, optional=(), given=()) -> dict:
+    """Check a JSON section against the fields of config dataclass cls.
+
+    Keys must name fields outside `given` (those the caller supplies). A
+    missing key takes its field's default, if it has one and `fill` (when
+    not None) lists it; `optional` fields read None; other missing keys
+    are errors. Returns the section with those filled in, unconverted.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected a JSON object")
+    names = [f.name for f in fields(cls) if f.name not in given]
+    defaults = {
+        f.name: f.default for f in fields(cls)
+        if f.default is not MISSING and (fill is None or f.name in fill)
+    }
+    defaults.update(dict.fromkeys(optional))
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise error(f"{where}: unknown key(s): {', '.join(unknown)}")
+    missing = [name for name in names if name not in doc and name not in defaults]
+    if missing:
+        raise error(f"{where}: missing required key(s): {', '.join(missing)}")
+    return {**{name: defaults[name] for name in names if name in defaults}, **doc}
+
+
+def _convert(hint, value):
+    origin = get_origin(hint)
+    if origin is tuple:
+        return tuple(_convert(get_args(hint)[0], v) for v in value)
+    if origin is None:  # a plain class such as int
+        return hint(value)
+    # a union such as str | None: keep a value of a member type, else convert to the first
+    args = get_args(hint)
+    return value if isinstance(value, tuple(get_origin(a) or a for a in args)) else _convert(args[0], value)
+
+
+def read_config(cls, doc, where: str, error=ConfigError, *, fill=None, **given):
+    """Build config dataclass cls from a JSON section checked by read_section.
+
+    Values convert to their field's type as int(), float(), str() and
+    bool() do, tuples item by item; a union field keeps a value of one
+    of its types. Keyword arguments supply fields directly. A value that
+    does not convert, or that the dataclass rejects, raises `error`
+    naming where and the key.
+    """
+    section = read_section(cls, doc, where, error, fill=fill, given=given)
+    hints = get_type_hints(cls)
+    values = dict(given)
+    for name, value in section.items():
+        hint = hints[name]
+        try:
+            values[name] = _convert(hint, value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            kind = hint.__name__ if isinstance(hint, type) else hint
+            raise error(f"{where}: {name}: cannot read {value!r} as {kind}") from exc
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise error(f"{where}: {exc}") from exc

@@ -248,9 +248,24 @@ def meta_chain(
     return wpn_grad, dl_dw, value, alloc, mask, outs
 
 
-def _check_losses(losses: np.ndarray, iteration: int) -> None:
-    if not np.all(np.isfinite(losses)):
-        raise TrainingError(f"non-finite training loss at iteration {iteration}; run diverged")
+def _forward_fragment(state: TrainState, x: np.ndarray, y: np.ndarray) -> tuple[ExitOutputs, dict]:
+    """Exit outputs at the current backbone and a fresh record fragment.
+
+    Non-finite training losses raise TrainingError: the run diverged.
+    """
+    outs = forward_all(state.backbone, x, y)
+    if not np.all(np.isfinite(outs.losses)):
+        raise TrainingError(f"non-finite training loss at iteration {state.iteration}; run diverged")
+    frag = {"loss_sum": outs.losses.sum(axis=0), "count": x.shape[0], "alloc_sizes": None,
+            "meta_loss": None, "scatter": [], "weights": None}
+    return outs, frag
+
+
+def _sgd_update(state: TrainState, grad: np.ndarray, config: TrainConfig, alpha_t: float) -> None:
+    """The real backbone step: SGD with the run's momentum and weight decay."""
+    state.backbone, state.velocity = sgd_step(
+        state.backbone, grad, alpha_t, config.momentum, config.weight_decay, state.velocity
+    )
 
 
 def weighted_substep(
@@ -271,17 +286,9 @@ def weighted_substep(
     real update happens. delta comes from the weight network's config.
     """
     delta = state.wpn.config.delta
-    outs = forward_all(state.backbone, train_x, train_y)
-    _check_losses(outs.losses, state.iteration)
+    outs, frag = _forward_fragment(state, train_x, train_y)
     raw, fwd_cache = wpn_forward(state.wpn, outs.losses)
     _, weights, w_cache = make_weights(raw, delta)
-    frag: dict = {
-        "loss_sum": outs.losses.sum(axis=0),
-        "count": train_x.shape[0],
-        "alloc_sizes": None,
-        "meta_loss": None,
-        "scatter": [],
-    }
     if update_wpn:
         pseudo = lookahead(state.backbone, train_x, train_y, weights, alpha_t)
         wpn_grad, _, meta_value, alloc, _, meta_outs = meta_chain(
@@ -289,8 +296,8 @@ def weighted_substep(
             state.wpn, fwd_cache, w_cache,
             whole_meta=config.variant == "whole_meta",
         )
-        new_flat, state.adam = adam_step(state.wpn.flatten(), wpn_grad, state.adam, config.beta)
-        state.wpn = WpnParams.from_flat(state.wpn.config, new_flat)
+        new_buffer, state.adam = adam_step(state.wpn.buffer, wpn_grad, state.adam, config.beta)
+        state.wpn = WpnParams(state.wpn.config, new_buffer)
         raw, _ = wpn_forward(state.wpn, outs.losses)
         _, weights, _ = make_weights(raw, delta)
         frag["meta_loss"] = meta_value
@@ -310,9 +317,7 @@ def weighted_substep(
             ]
     grad = batch_weighted_grad(state.backbone, train_x, train_y, weights / train_x.shape[0])
     frag["weights"] = weights
-    state.backbone, state.velocity = sgd_step(
-        state.backbone, grad, alpha_t, config.momentum, config.weight_decay, state.velocity
-    )
+    _sgd_update(state, grad, config, alpha_t)
     return frag
 
 
@@ -329,17 +334,7 @@ def _plain_substep(
     alpha_t: float,
 ) -> dict:
     """Substep for the no-WPN variants (fixed rows / selection)."""
-    outs = forward_all(state.backbone, x, y)
-    _check_losses(outs.losses, state.iteration)
-    n = x.shape[0]
-    frag: dict = {
-        "loss_sum": outs.losses.sum(axis=0),
-        "count": n,
-        "alloc_sizes": None,
-        "meta_loss": None,
-        "scatter": [],
-        "weights": None,
-    }
+    outs, frag = _forward_fragment(state, x, y)
     if config.variant == "selection":
         alloc = allocate_meta(outs.confidences, config.q)
         _, mask = meta_objective(outs, alloc)
@@ -348,11 +343,9 @@ def _plain_substep(
     else:
         row = _fixed_weight_row(outs.num_exits, config.variant == "fixed_ascending")
         weights = np.broadcast_to(row, outs.losses.shape)
-        grad = batch_weighted_grad(state.backbone, x, y, weights / n)
+        grad = batch_weighted_grad(state.backbone, x, y, weights / x.shape[0])
         frag["weights"] = weights
-    state.backbone, state.velocity = sgd_step(
-        state.backbone, grad, alpha_t, config.momentum, config.weight_decay, state.velocity
-    )
+    _sgd_update(state, grad, config, alpha_t)
     return frag
 
 
@@ -373,33 +366,18 @@ def train_step(
     """
     t = state.iteration
     if config.variant == "baseline":
-        outs = forward_all(state.backbone, batch_x, batch_y)
-        _check_losses(outs.losses, t)
-        n = batch_x.shape[0]
-        grad = batch_weighted_grad(state.backbone, batch_x, batch_y, np.full(outs.losses.shape, 1.0 / n))
-        state.backbone, state.velocity = sgd_step(
-            state.backbone, grad, alpha_t, config.momentum, config.weight_decay, state.velocity
-        )
-        frags = [{
-            "loss_sum": outs.losses.sum(axis=0), "count": n, "alloc_sizes": None,
-            "meta_loss": None, "scatter": [], "weights": None,
-        }]
+        outs, frag = _forward_fragment(state, batch_x, batch_y)
+        coeffs = np.full(outs.losses.shape, 1.0 / batch_x.shape[0])
+        _sgd_update(state, batch_weighted_grad(state.backbone, batch_x, batch_y, coeffs), config, alpha_t)
+        frags = [frag]
     elif config.variant in _WPN_VARIANTS:
         update = config.variant != "frozen_wpn" and t % config.interval == 0
         (xa, ya), (xb, yb) = split_batch(batch_x, batch_y)
-        frags = [
-            weighted_substep(state, xa, ya, xb, yb, config, alpha_t, update, scatter_budget),
-        ]
-        used = len(frags[0]["scatter"])
-        frags.append(
-            weighted_substep(state, xb, yb, xa, ya, config, alpha_t, update, scatter_budget - used)
-        )
+        first = weighted_substep(state, xa, ya, xb, yb, config, alpha_t, update, scatter_budget)
+        left = scatter_budget - len(first["scatter"])
+        frags = [first, weighted_substep(state, xb, yb, xa, ya, config, alpha_t, update, left)]
     else:
-        (xa, ya), (xb, yb) = split_batch(batch_x, batch_y)
-        frags = [
-            _plain_substep(state, xa, ya, config, alpha_t),
-            _plain_substep(state, xb, yb, config, alpha_t),
-        ]
+        frags = [_plain_substep(state, x, y, config, alpha_t) for x, y in split_batch(batch_x, batch_y)]
     state.iteration = t + 1
     return _merge_fragments(t, alpha_t, frags)
 

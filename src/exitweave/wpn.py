@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import Affine
+from .backbone import FlatParams, accumulate_grads, relu_forward
 from .errors import ConfigError, ShapeError, UsageError
 from .numkit import RngStream, require_finite, sigmoid_stable
 
@@ -57,59 +57,18 @@ class WpnConfig:
             raise ConfigError(f"delta must lie in [0, 1), got {self.delta}")
 
 
-@dataclass
-class WpnParams:
-    config: WpnConfig
-    layers: list[Affine]
+class WpnParams(FlatParams):
+    """Layers K -> width (x depth, ReLU) -> K, as views into one flat buffer."""
 
-    @property
-    def num_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
-
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for layer in self.layers:
-            parts.append(layer.weight.ravel())
-            parts.append(layer.bias)
-        return np.concatenate(parts)
-
-    @classmethod
-    def from_flat(cls, config: WpnConfig, flat: np.ndarray) -> "WpnParams":
-        flat = np.asarray(flat, dtype=np.float64)
-        dims = _layer_dims(config)
-        total = sum(o * i + o for i, o in dims)
-        if flat.shape != (total,):
-            raise ShapeError(f"flat parameter vector has shape {flat.shape}, expected ({total},)")
-        layers = []
-        offset = 0
-        for i, o in dims:
-            w = flat[offset : offset + o * i].reshape(o, i).copy()
-            offset += o * i
-            b = flat[offset : offset + o].copy()
-            offset += o
-            layers.append(Affine(w, b))
-        return cls(config, layers)
-
-    def copy(self) -> "WpnParams":
-        return WpnParams.from_flat(self.config, self.flatten())
-
-
-def _layer_dims(config: WpnConfig) -> list[tuple[int, int]]:
-    """(in, out) of each affine layer: K -> width (x depth, ReLU) -> K."""
-    dims = [(config.num_exits, config.hidden_width)]
-    for _ in range(config.hidden_depth - 1):
-        dims.append((config.hidden_width, config.hidden_width))
-    dims.append((config.hidden_width, config.num_exits))
-    return dims
+    @staticmethod
+    def layer_shapes(config: WpnConfig) -> list[tuple[int, int]]:
+        w, k = config.hidden_width, config.num_exits
+        return [(w, k), *[(w, w)] * (config.hidden_depth - 1), (k, w)]
 
 
 def init_wpn(config: WpnConfig, rng: RngStream) -> WpnParams:
     """Fan-in scaled uniform weights, zero biases, fixed draw order."""
-    layers = []
-    for i, o in _layer_dims(config):
-        s = 1.0 / np.sqrt(i)
-        layers.append(Affine(rng.uniform(-s, s, (o, i)), np.zeros(o)))
-    return WpnParams(config, layers)
+    return WpnParams.fan_in_uniform(config, rng)
 
 
 @dataclass
@@ -128,17 +87,9 @@ def wpn_forward(params: WpnParams, loss_matrix) -> tuple[np.ndarray, WpnForwardC
             f"loss matrix shape {x.shape} does not match num_exits={params.config.num_exits}"
         )
     require_finite(x, "loss matrix")
-    inputs = [x]
-    preacts = []
-    h = x
-    for layer in params.layers[:-1]:
-        z = h @ layer.weight.T + layer.bias
-        preacts.append(z)
-        h = np.maximum(z, 0.0)
-        inputs.append(h)
+    hs, zs = relu_forward(params.layers[:-1], x)
     last = params.layers[-1]
-    raw = h @ last.weight.T + last.bias
-    return raw, WpnForwardCache(inputs, preacts)
+    return hs[-1] @ last.weight.T + last.bias, WpnForwardCache(hs, zs)
 
 
 @dataclass
@@ -215,18 +166,9 @@ def wpn_backward(
     g = g - g.mean()
     s = weight_cache.sigmoids
     dz = g * (2.0 * weight_cache.delta) * s * (1.0 - s)
-    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(params.layers)
-    for idx in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[idx]
-        grads[idx] = (dz.T @ fwd_cache.inputs[idx], dz.sum(axis=0))
-        if idx > 0:
-            dh = dz @ layer.weight
-            dz = dh * (fwd_cache.preacts[idx - 1] > 0)
-    parts = []
-    for gw, gb in grads:
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+    grad = WpnParams.zeros(params.config)
+    accumulate_grads(params.layers, fwd_cache.inputs, fwd_cache.preacts, dz, grad.layers)
+    return grad.buffer
 
 
 @dataclass

@@ -119,6 +119,40 @@ class TestConfigAndLayout:
         assert not np.all(rebuilt.flatten() == 0.0)
 
 
+class TestFlatBuffer:
+    def test_layer_views_alias_the_buffer(self):
+        config, params, _, _ = small_instance()
+        before = params.flatten()
+        params.blocks[0].weight[0, 1] += 1.0
+        params.heads[-1].bias[-1] -= 2.0
+        blocks, heads, _ = param_layout(config)
+        changed = np.flatnonzero(params.flatten() != before)
+        np.testing.assert_array_equal(changed, [blocks[0].weight.start + 1, heads[-1].bias.stop - 1])
+        assert np.shares_memory(params.blocks[0].weight, params.buffer)
+
+    def test_flatten_returns_a_copy(self):
+        _, params, _, _ = small_instance()
+        before = params.flatten()
+        flat = params.flatten()
+        flat[:] = 7.0
+        np.testing.assert_array_equal(params.flatten(), before)
+
+    def test_steps_leave_their_inputs_untouched(self):
+        config, params, x, y = small_instance(seed=4)
+        before = params.flatten().tobytes()
+        grad = batch_weighted_grad(params, x, y, np.full((x.shape[0], config.num_exits), 0.2))
+        velocity = np.ones_like(grad)
+        stepped, new_velocity = sgd_step(params, grad, 0.1, momentum=0.9, weight_decay=0.01, velocity=velocity)
+        plain, _ = sgd_step(params, grad, 0.1)
+        pseudo = pseudo_step(params, per_sample_grads(params, x, y), np.ones((x.shape[0], config.num_exits)), 0.1)
+        assert params.flatten().tobytes() == before
+        assert np.all(velocity == 1.0)
+        for out in (stepped, plain, pseudo):
+            assert out.flatten().tobytes() != before
+            assert not np.shares_memory(out.buffer, params.buffer)
+        assert not np.shares_memory(new_velocity, velocity)
+
+
 class TestInit:
     def test_deterministic_and_seed_sensitive(self):
         config = BackboneConfig(3, (4, 3), 3)

@@ -219,3 +219,47 @@ class TestRunContainer:
         doc = json.loads(path.read_text())
         assert isinstance(doc["backbone"]["params"]["data"], str)
         assert isinstance(doc["wpn"]["params"]["data"], str)
+
+
+class TestMalformedRunCheckpoint:
+    def saved(self, tmp_path):
+        path = tmp_path / "run.json"
+        save_run_checkpoint(path, TestRunContainer().make_state(), TrainConfig(epochs=1, batch_size=4, alpha=0.1))
+        return path, read_json(path)
+
+    def load_error(self, path, doc) -> str:
+        path.write_text(dump_json(doc))
+        with pytest.raises(FormatError) as err:
+            load_run_checkpoint(path)
+        return str(err.value)
+
+    def test_missing_train_field_names_file_section_and_key(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        del doc["train_config"]["beta"]
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "train_config" in msg and "beta" in msg
+
+    def test_missing_backbone_field(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        del doc["backbone"]["config"]["trunk_widths"]
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "backbone.config" in msg and "trunk_widths" in msg
+
+    def test_unreadable_wpn_field(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        doc["wpn"]["config"]["hidden_width"] = "abc"
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "wpn.config" in msg and "hidden_width" in msg
+
+    def test_unknown_train_field(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        doc["train_config"]["learning_rate"] = 0.1
+        assert "learning_rate" in self.load_error(path, doc)
+
+    def test_later_train_fields_default_when_absent(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        for key in ("frozen_wpn_path", "log_weight_scatter", "scatter_cap"):
+            del doc["train_config"][key]
+        path.write_text(dump_json(doc))
+        _, cfg = load_run_checkpoint(path)
+        assert cfg == TrainConfig(epochs=1, batch_size=4, alpha=0.1)

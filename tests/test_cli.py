@@ -204,6 +204,61 @@ class TestEval:
         assert main(base + ["--q-grid", "abc"]) == 2
 
 
+class TestPreciseFileErrors:
+    """Malformed checkpoints and run configs exit 2 naming file, section and key."""
+
+    def eval_edited_checkpoint(self, trained, tmp_path, capsys, edit):
+        ckpt = tmp_path / "checkpoint.json"
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        edit(doc)
+        ckpt.write_text(json.dumps(doc))
+        shutil.copy(trained / "resolved_config.json", tmp_path / "resolved_config.json")
+        rc = main(["eval", "--checkpoint", str(ckpt), "--q-grid", "1.0"])
+        return rc, capsys.readouterr().err, str(ckpt)
+
+    def test_checkpoint_train_config_without_beta(self, trained, tmp_path, capsys):
+        rc, err, path = self.eval_edited_checkpoint(
+            trained, tmp_path, capsys, lambda d: d["train_config"].pop("beta"))
+        assert rc == 2
+        assert path in err and "train_config" in err and "beta" in err
+
+    def test_checkpoint_backbone_without_trunk_widths(self, trained, tmp_path, capsys):
+        rc, err, path = self.eval_edited_checkpoint(
+            trained, tmp_path, capsys, lambda d: d["backbone"]["config"].pop("trunk_widths"))
+        assert rc == 2
+        assert path in err and "backbone.config" in err and "trunk_widths" in err
+
+    def test_checkpoint_wpn_hidden_width_not_a_number(self, trained, tmp_path, capsys):
+        rc, err, path = self.eval_edited_checkpoint(
+            trained, tmp_path, capsys, lambda d: d["wpn"]["config"].update(hidden_width="abc"))
+        assert rc == 2
+        assert path in err and "wpn.config" in err and "hidden_width" in err
+
+    def test_config_epochs_not_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        doc = write_config(cfg)
+        doc["train"]["epochs"] = "three"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "train" in err and "epochs" in err
+
+    def test_config_hidden_width_list(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, wpn={"hidden_width": [32]})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "wpn" in err and "hidden_width" in err
+
+    def test_numeric_strings_still_accepted(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        doc = write_config(cfg)
+        doc["train"].update(epochs="1", alpha="0.1")
+        doc["wpn"]["hidden_width"] = 8.0
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 class TestGradcheck:
     def test_default_passes(self, capsys, monkeypatch):
         monkeypatch.delenv("EXITWEAVE_GRADCHECK_SABOTAGE", raising=False)

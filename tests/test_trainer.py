@@ -602,6 +602,18 @@ class TestFactoredMetaChain:
         assert np.any(dense != 0.0)
         np.testing.assert_allclose(dl_dw, dense, rtol=0, atol=1e-15)
 
+    def test_lookahead_leaves_backbone_untouched(self):
+        backbone_cfg = BackboneConfig(5, (7, 3), 4)
+        root = RngStream(72)
+        backbone = init_params(backbone_cfg, root.child("init-backbone"))
+        data = root.child("data")
+        x, y = data.standard_normal((6, 5)), data.integers(0, 4, 6).astype(np.int64)
+        before = backbone.flatten().tobytes()
+        pseudo = lookahead(backbone, x, y, np.full((6, 2), 1.5), 0.3)
+        assert backbone.flatten().tobytes() == before
+        assert pseudo.flatten().tobytes() != before
+        assert not np.shares_memory(pseudo.buffer, backbone.buffer)
+
     def test_trainer_binds_no_dense_route(self):
         for name in ("per_sample_grads", "grad_weighted_loss", "pseudo_step", "meta_weight_grad"):
             assert not hasattr(trainer_module, name), name

@@ -76,6 +76,15 @@ class TestConfig:
             WpnParams.from_flat(config, flat[:-1])
 
 
+class TestFlatBuffer:
+    def test_layer_views_alias_the_buffer(self):
+        config, params = small_wpn(depth=2)
+        before = params.flatten()
+        params.layers[1].weight[2, 3] = 7.0
+        changed = np.flatnonzero(params.flatten() != before)
+        # layer 0 holds 6*3 weights and 6 biases; row 2 of layer 1 starts 12 entries in
+        np.testing.assert_array_equal(changed, [6 * 3 + 6 + 2 * 6 + 3])
+
 class TestForward:
     def test_matches_loop_oracle(self):
         for depth in (1, 2):
@@ -122,6 +131,16 @@ class TestMakeWeights:
         ptb, w, _ = make_weights(rng.standard_normal((6, 4)) * 10, 0.0)
         assert np.all(ptb == 0.0)
         assert np.all(w == 1.0)
+
+    def test_range_is_one_plus_minus_two_delta(self):
+        # the zero-sum shift can add up to delta on top of the squash's
+        # +-delta: one high score among 63 low ones, 16x4 at delta = 0.8
+        raw = np.full((16, 4), -40.0)
+        raw[0, 0] = 40.0
+        _, w, _ = make_weights(raw, 0.8)
+        assert w[0, 0] > 1.0 + 0.8
+        np.testing.assert_allclose(w[0, 0], 1.0 + 0.8 * (1.0 + 62.0 / 64.0), atol=1e-12)
+        assert w[0, 0] < 1.0 + 2 * 0.8 and w.min() > 1.0 - 2 * 0.8
 
     def test_validation(self):
         with pytest.raises(ShapeError):
