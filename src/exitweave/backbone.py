@@ -15,7 +15,10 @@ share the layout, so a backward pass writes into a zero buffer through
 the same views, and SGD and lookahead steps are plain arithmetic on
 buffers.
 
-Gradients here are hand-derived reverse-mode passes, not autodiff.
+Gradients here are hand-derived reverse-mode passes, not autodiff. They
+start from a `ForwardPass` (`forward_pass`): the exit outputs plus the
+trunk activations at one parameter point, so every gradient at that point
+reuses one trunk pass; `forward_all` returns the outputs alone.
 `batch_weighted_grad` folds a coefficient matrix into one backward sweep
 per exit for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
@@ -30,6 +33,7 @@ and the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -264,12 +268,36 @@ def _validate_batch(config: BackboneConfig, batch: np.ndarray, labels: np.ndarra
     return batch, labels.astype(np.int64)
 
 
-def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
-    """Evaluate every exit on a batch in one shared-trunk pass."""
+@dataclass
+class ForwardPass:
+    """One forward pass at one parameter point, kept for backward sweeps.
+
+    hs/zs are the trunk activations from `relu_forward` (hs[0] is the
+    validated batch). Every gradient at these parameters on this batch
+    reuses them, so the trunk runs once per parameter point.
+    """
+
+    params: BackboneParams
+    outputs: ExitOutputs
+    hs: list[np.ndarray]
+    zs: list[np.ndarray]
+
+    @cached_property
+    def logit_errors(self) -> list[np.ndarray]:
+        """Each exit's loss gradient wrt its logits, softmax - onehot, (B, C)."""
+        labels = self.outputs.labels
+        onehot = np.zeros((labels.shape[0], self.params.config.num_classes))
+        onehot[np.arange(labels.shape[0]), labels] = 1.0
+        return [self.outputs.probs[:, k] - onehot for k in range(self.outputs.num_exits)]
+
+
+def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
+    """Evaluate every exit on a batch in one shared-trunk pass, keeping
+    the trunk activations for gradients at the same parameters."""
     config = params.config
     batch, labels = _validate_batch(config, batch, labels)
     b, k_exits, c = batch.shape[0], config.num_exits, config.num_classes
-    hs, _ = relu_forward(params.blocks, batch)
+    hs, zs = relu_forward(params.blocks, batch)
     logits = np.empty((b, k_exits, c))
     for k, head in enumerate(params.heads):
         logits[:, k, :] = hs[k + 1] @ head.weight.T + head.bias
@@ -280,19 +308,12 @@ def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
     losses = lse - picked
     confidences = probs.max(axis=2)
     predictions = probs.argmax(axis=2)
-    return ExitOutputs(logits, probs, losses, confidences, predictions, labels)
+    return ForwardPass(params, ExitOutputs(logits, probs, losses, confidences, predictions, labels), hs, zs)
 
 
-def _logit_errors(params: BackboneParams, batch, labels):
-    """Validated batch, trunk activations (hs, zs) and every exit's
-    logit error softmax - onehot, (B, C) per exit."""
-    config = params.config
-    batch, labels = _validate_batch(config, batch, labels)
-    hs, zs = relu_forward(params.blocks, batch)
-    onehot = np.zeros((batch.shape[0], config.num_classes))
-    onehot[np.arange(batch.shape[0]), labels] = 1.0
-    dlogs = [softmax_stable(hs[k + 1] @ h.weight.T + h.bias) - onehot for k, h in enumerate(params.heads)]
-    return batch, hs, zs, dlogs
+def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
+    """Evaluate every exit on a batch in one shared-trunk pass."""
+    return forward_pass(params, batch, labels).outputs
 
 
 def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:
@@ -302,39 +323,40 @@ def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:
     Entries for trunk blocks deeper than k and for heads other than k
     are exactly zero (exit k's loss never touches them).
     """
-    batch, hs, zs, dlogs = _logit_errors(params, batch, labels)
-    b = batch.shape[0]
+    fp = forward_pass(params, batch, labels)
+    b = fp.outputs.batch_size
     block_sl, head_sl, total = param_layout(params.config)
     out = np.zeros((b, params.config.num_exits, total))
-    for k, dlog in enumerate(dlogs):
+    for k, dlog in enumerate(fp.logit_errors):
         path = _exit_path([*block_sl, *head_sl], k)
-        for j, dz in output_errors(_exit_path(params.layers, k), zs, dlog):
-            out[:, k, path[j].weight] = np.einsum("bo,bi->boi", dz, hs[j]).reshape(b, -1)
+        for j, dz in output_errors(_exit_path(params.layers, k), fp.zs, dlog):
+            out[:, k, path[j].weight] = np.einsum("bo,bi->boi", dz, fp.hs[j]).reshape(b, -1)
             out[:, k, path[j].bias] = dz
     return out
 
 
-def batch_weighted_grad(params: BackboneParams, batch, labels, coeffs: np.ndarray) -> np.ndarray:
-    """Gradient of sum_{i,k} coeffs[i,k] * loss_i^(k), flat (P,).
+def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray) -> np.ndarray:
+    """Gradient of sum_{i,k} coeffs[i,k] * loss_i^(k) at the pass's params, flat (P,).
 
     Same math as contracting `per_sample_grads` with coeffs, but the
     coefficients are folded into the logit error before the backward
     sweep, so the (B, K, P) tensor is never built.
     """
-    batch, hs, zs, dlogs = _logit_errors(params, batch, labels)
+    params, dlogs = fp.params, fp.logit_errors
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (batch.shape[0], len(dlogs)):
-        raise ShapeError(f"coeffs shape {coeffs.shape}, expected ({batch.shape[0]}, {len(dlogs)})")
+    expected = (fp.outputs.batch_size, len(dlogs))
+    if coeffs.shape != expected:
+        raise ShapeError(f"coeffs shape {coeffs.shape}, expected {expected}")
     grad = BackboneParams.zeros(params.config)
     for k, dlog in enumerate(dlogs):
         accumulate_grads(
-            _exit_path(params.layers, k), hs, zs, coeffs[:, k : k + 1] * dlog, _exit_path(grad.layers, k)
+            _exit_path(params.layers, k), fp.hs, fp.zs, coeffs[:, k : k + 1] * dlog, _exit_path(grad.layers, k)
         )
     return grad.buffer
 
 
-def per_sample_grad_dots(params: BackboneParams, batch, labels, vec: np.ndarray) -> np.ndarray:
-    """Inner products <vec, d loss_i^(k) / d theta>, shape (B, K).
+def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
+    """Inner products <vec, d loss_i^(k) / d theta> at the pass's params, shape (B, K).
 
     Same numbers as contracting `per_sample_grads` with vec, but no
     gradient row is built: the gradient of a layer with input h and
@@ -343,14 +365,14 @@ def per_sample_grad_dots(params: BackboneParams, batch, labels, vec: np.ndarray)
     dz . (h @ V_W.T + v_b). Each layer input is projected onto vec once
     and shared by every exit whose backward sweep passes through it.
     """
-    batch, hs, zs, dlogs = _logit_errors(params, batch, labels)
-    v = BackboneParams(params.config, np.asarray(vec, dtype=np.float64))
+    hs, dlogs = fp.hs, fp.logit_errors
+    v = BackboneParams(fp.params.config, np.asarray(vec, dtype=np.float64))
     proj = [hs[j] @ layer.weight.T + layer.bias for j, layer in enumerate(v.blocks)]
-    out = np.empty((batch.shape[0], len(dlogs)))
+    out = np.empty((fp.outputs.batch_size, len(dlogs)))
     for k, dlog in enumerate(dlogs):
         terms = [*proj[: k + 1], hs[k + 1] @ v.heads[k].weight.T + v.heads[k].bias]
-        path = _exit_path(params.layers, k)
-        out[:, k] = sum(np.einsum("bo,bo->b", dz, terms[j]) for j, dz in output_errors(path, zs, dlog))
+        path = _exit_path(fp.params.layers, k)
+        out[:, k] = sum(np.einsum("bo,bo->b", dz, terms[j]) for j, dz in output_errors(path, fp.zs, dlog))
     return out
 
 

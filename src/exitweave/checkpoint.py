@@ -19,7 +19,16 @@ import numpy as np
 
 from .backbone import BackboneConfig, BackboneParams
 from .errors import CompatibilityError, FormatError, ShapeError
-from .serial import check_envelope, config_doc, decode_array, encode_array, read_config, read_json, write_json
+from .serial import (
+    check_envelope,
+    config_doc,
+    decode_array,
+    encode_array,
+    read_config,
+    read_json,
+    read_value,
+    write_json,
+)
 from .trainer import TrainConfig, TrainState
 from .wpn import AdamState, WpnConfig, WpnParams
 
@@ -109,20 +118,23 @@ def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     if doc.get("wpn") is not None:
         wpn_params = _params_from(doc["wpn"], path, "wpn", WpnParams, WpnConfig)
     opt = doc.get("optimizer", {})
+    if not isinstance(opt, dict):
+        raise FormatError(f"{path}: optimizer: expected a JSON object")
     velocity = None if opt.get("velocity") is None else decode_array(opt["velocity"], "velocity")
     if velocity is not None and velocity.shape != (backbone.num_params,):
         raise CompatibilityError(f"{path}: momentum buffer does not match parameter count")
     adam = None
     if opt.get("adam_m") is not None:
+        missing = [key for key in ("adam_v", "adam_step") if opt.get(key) is None]
+        if missing:
+            raise FormatError(f"{path}: optimizer: missing required key(s): {', '.join(missing)}")
         adam = AdamState(
             decode_array(opt["adam_m"], "adam_m"),
             decode_array(opt["adam_v"], "adam_v"),
-            int(opt["adam_step"]),
+            read_value(int, opt["adam_step"], f"{path}: optimizer.adam_step", FormatError),
         )
-        if wpn_params is not None and adam.m.shape != (wpn_params.num_params,):
+        if wpn_params is not None and not adam.m.shape == adam.v.shape == (wpn_params.num_params,):
             raise CompatibilityError(f"{path}: Adam buffers do not match weight-network size")
-    state = TrainState(
-        backbone=backbone, wpn=wpn_params, velocity=velocity, adam=adam,
-        iteration=int(doc.get("iteration", 0)),
-    )
+    iteration = read_value(int, doc.get("iteration", 0), f"{path}: iteration", FormatError)
+    state = TrainState(backbone=backbone, wpn=wpn_params, velocity=velocity, adam=adam, iteration=iteration)
     return state, train_config

@@ -33,6 +33,7 @@ from .backbone import (
     BackboneConfig,
     BackboneParams,
     forward_all,
+    forward_pass,
     init_params,
     param_layout,
     per_sample_grads,
@@ -149,11 +150,10 @@ def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int)
         inst = _Instance(backbone, wpn_params, train_x, train_y, meta_x, meta_y, alpha=0.05)
         if _min_preactivation(backbone, train_x) <= _KINK_MARGIN:
             continue
-        psg = per_sample_grads(backbone, train_x, train_y)
-        losses = forward_all(backbone, train_x, train_y).losses
-        raw, _ = wpn_forward(wpn_params, losses)
+        train_pass = forward_pass(backbone, train_x, train_y)
+        raw, _ = wpn_forward(wpn_params, train_pass.outputs.losses)
         _, weights, _ = make_weights(raw, wpn_cfg.delta)
-        pseudo = pseudo_step(backbone, psg, weights, inst.alpha)
+        pseudo = lookahead(train_pass, weights, inst.alpha)
         if _min_preactivation(pseudo, meta_x) > _KINK_MARGIN:
             return inst
     raise ConfigError(
@@ -185,14 +185,14 @@ def run_suites(
     results.append(SuiteResult("backbone_per_sample", worst, 1e-5))
 
     # shared pieces for the meta chain
-    tr_losses = forward_all(inst.backbone, inst.train_x, inst.train_y).losses
+    train_pass = forward_pass(inst.backbone, inst.train_x, inst.train_y)
+    tr_losses = train_pass.outputs.losses
     raw, fwd_cache = wpn_forward(inst.wpn, tr_losses)
     _, weights, w_cache = make_weights(raw, inst.wpn.config.delta)
     # analytic sides of suites 2 and 4: the chain the trainer runs
-    pseudo = lookahead(inst.backbone, inst.train_x, inst.train_y, weights, inst.alpha)
+    pseudo = lookahead(train_pass, weights, inst.alpha)
     analytic_e2e, dl_dw, _, _, mask, _ = meta_chain(
-        pseudo, inst.meta_x, inst.meta_y, q, inst.backbone, inst.train_x, inst.train_y,
-        inst.alpha, inst.wpn, fwd_cache, w_cache,
+        pseudo, inst.meta_x, inst.meta_y, q, train_pass, inst.alpha, inst.wpn, fwd_cache, w_cache
     )
 
     def meta_loss_for_weights(w: np.ndarray) -> float:

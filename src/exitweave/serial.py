@@ -106,6 +106,12 @@ def _convert(hint, value):
     origin = get_origin(hint)
     if origin is tuple:
         return tuple(_convert(get_args(hint)[0], v) for v in value)
+    if hint is bool:  # bool("false") is True, so only JSON true/false count
+        if not isinstance(value, bool):
+            raise TypeError("expected true or false")
+        return value
+    if hint is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        raise ValueError("not a whole number")  # int() would read 2.9 as 2 and true as 1
     if origin is None:  # a plain class such as int
         return hint(value)
     # a union such as str | None: keep a value of a member type, else convert to the first
@@ -113,25 +119,31 @@ def _convert(hint, value):
     return value if isinstance(value, tuple(get_origin(a) or a for a in args)) else _convert(args[0], value)
 
 
+def read_value(hint, value, where: str, error=ConfigError):
+    """value converted to type hint as `read_config` converts a field;
+    a value that does not convert raises `error` naming where."""
+    try:
+        return _convert(hint, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = hint.__name__ if isinstance(hint, type) else hint
+        raise error(f"{where}: cannot read {value!r} as {kind}") from exc
+
+
 def read_config(cls, doc, where: str, error=ConfigError, *, fill=None, **given):
     """Build config dataclass cls from a JSON section checked by read_section.
 
-    Values convert to their field's type as int(), float(), str() and
-    bool() do, tuples item by item; a union field keeps a value of one
-    of its types. Keyword arguments supply fields directly. A value that
-    does not convert, or that the dataclass rejects, raises `error`
-    naming where and the key.
+    Values convert to their field's type as int(), float() and str() do,
+    tuples item by item, except that an int field takes no boolean and no
+    fractional number and a bool field takes only true or false; a union
+    field keeps a value of one of its types. Keyword arguments supply
+    fields directly. A value that does not convert, or that the dataclass
+    rejects, raises `error` naming where and the key.
     """
     section = read_section(cls, doc, where, error, fill=fill, given=given)
     hints = get_type_hints(cls)
     values = dict(given)
     for name, value in section.items():
-        hint = hints[name]
-        try:
-            values[name] = _convert(hint, value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            kind = hint.__name__ if isinstance(hint, type) else hint
-            raise error(f"{where}: {name}: cannot read {value!r} as {kind}") from exc
+        values[name] = read_value(hints[name], value, f"{where}: {name}", error)
     try:
         return cls(**values)
     except ConfigError as exc:

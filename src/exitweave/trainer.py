@@ -1,37 +1,34 @@
 """Training loops: meta-learned sample weighting plus ablation variants.
 
-The full method ("learned") interleaves three updates on each half of a
-mini-batch:
+Every variant trains through one `substep`: a forward pass at the current
+backbone over the train side gives the losses, a (B, K) coefficient
+matrix c is chosen, and one coefficient-folded backward sweep per exit
+on that same pass gives the gradient of sum c[i,k] * loss_i^(k) for an
+SGD(momentum, weight decay) step. The variants differ only in c:
 
-  1. Lookahead. The weight network scores the train half's loss matrix
-     into a weight matrix w; a momentum-free pseudo step moves the
-     backbone against the w-weighted loss, whose gradient comes from one
-     coefficient-folded backward sweep per exit.
-  2. Weight network update. The pseudo backbone is evaluated on the
-     other half (the meta half); a budget-driven greedy allocation
-     assigns each meta sample to one exit by confidence; the meta
-     objective averages each exit's loss over its allocated subset. Its
-     gradient reaches the weight network through an exact analytic
-     chain: the pseudo parameters are affine in w, so d(meta)/dw[i,k] is
-     -(alpha/n) times the inner product of the meta gradient with the
-     train half's per-sample gradient g[i,k]. Those inner products are
-     taken layer by layer from fresh backward sweeps at the pre-step
-     backbone, so no per-sample gradient is ever stored. The rest is the
-     weight network's own backward pass, consumed by Adam.
-  3. Real update. Weights are recomputed with the updated weight
-     network and the backbone takes an SGD(momentum, weight decay) step
-     against the reweighted loss.
+  baseline            1/n, one substep on the full batch;
+  fixed_*             a constant per-exit weight row / n;
+  selection           the allocation mask (1/|subset_k| on allocated cells);
+  learned, whole_meta,
+  frozen_wpn          the weight network's weight matrix w / n.
 
-Each mini-batch is split into two halves which swap train/meta roles, so
-every sample contributes to both sides per iteration. Steps 1-2 run only
-on iterations where t % interval == 0; step 3 runs every time.
-
-Variants reuse the same half-batch schedule with pieces disabled:
-"baseline" is one unweighted full-batch step, "fixed_*" applies a
-constant per-exit weight row, "selection" trains on the allocated
-subsets without weighting, "frozen_wpn" loads a weight network from a
-checkpoint and never updates it, "whole_meta" replaces the allocated
-meta objective with each exit's mean loss over the entire meta half.
+The other variants split each mini-batch into two halves that swap
+train/meta roles, so every sample serves both sides per iteration. For
+the learned variants, on iterations where t % interval == 0 (never for
+"frozen_wpn"), w is first used for a lookahead: a momentum-free pseudo
+step from the same train pass. The pseudo backbone is evaluated on the
+meta half; a budget-driven greedy allocation assigns each meta sample to
+one exit by confidence, and the meta objective averages each exit's loss
+over its allocated subset ("whole_meta": over the whole meta half). Its
+gradient reaches the weight network through an exact analytic chain:
+the pseudo parameters are affine in w, so d(meta)/dw[i,k] is -(alpha/n)
+times the inner product of the meta gradient with the train half's
+per-sample gradient g[i,k]. Those inner products are taken layer by
+layer on the train pass, so no per-sample gradient is ever stored. The
+weight network's own backward pass feeds Adam, and w is recomputed with
+the updated network before the real step. The trunk thus runs once per
+parameter point: at the backbone on the train side and at the pseudo
+backbone on the meta side.
 """
 
 from __future__ import annotations
@@ -45,8 +42,10 @@ from .backbone import (
     BackboneConfig,
     BackboneParams,
     ExitOutputs,
+    ForwardPass,
     batch_weighted_grad,
     forward_all,
+    forward_pass,
     init_params,
     per_sample_grad_dots,
     sgd_step,
@@ -195,21 +194,14 @@ def whole_meta_objective(outputs: ExitOutputs) -> tuple[float, np.ndarray]:
     return float(np.sum(mask * outputs.losses)), mask
 
 
-def lookahead(
-    backbone: BackboneParams,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    weights: np.ndarray,
-    alpha: float,
-) -> BackboneParams:
-    """Momentum-free pseudo step against the w-weighted train-half loss.
-
-    theta_hat = theta - (alpha/n) * sum w[i,k] g[i,k]. Kept plain (no
-    momentum, no decay) so theta_hat is affine in the weight matrix,
-    which makes the analytic weight gradient in `meta_chain` exact.
+def lookahead(train_pass: ForwardPass, weights: np.ndarray, alpha: float) -> BackboneParams:
+    """Momentum-free pseudo step from the train pass's params against the
+    w-weighted train-half loss: theta_hat = theta - (alpha/n) * sum w[i,k] g[i,k].
+    Kept plain (no momentum, no decay) so theta_hat is affine in the weight
+    matrix, which makes the analytic weight gradient in `meta_chain` exact.
     """
-    grad = batch_weighted_grad(backbone, train_x, train_y, weights / train_x.shape[0])
-    return sgd_step(backbone, grad, alpha)[0]
+    grad = batch_weighted_grad(train_pass, weights / train_pass.outputs.batch_size)
+    return sgd_step(train_pass.params, grad, alpha)[0]
 
 
 def meta_chain(
@@ -217,9 +209,7 @@ def meta_chain(
     meta_x: np.ndarray,
     meta_y: np.ndarray,
     q: float,
-    backbone: BackboneParams,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
+    train_pass: ForwardPass,
     alpha: float,
     wpn_params: WpnParams,
     fwd_cache,
@@ -228,97 +218,24 @@ def meta_chain(
 ):
     """Analytic gradient of the meta objective wrt the weight network.
 
-    pseudo is the lookahead of backbone (the pre-step parameters) on the
-    train half. Returns (wpn_grad, dl_dweights, meta_value, allocation,
-    mask, meta_outputs). The allocation (and hence the mask) is treated
-    as constant: it is a discrete selection, so the objective's
-    dependence on parameters flows only through the allocated losses.
+    pseudo is the lookahead of the train pass; one pass at pseudo serves
+    the allocation and the meta gradient. Returns (wpn_grad, dl_dweights,
+    meta_value, allocation, mask, meta_outputs). The allocation (and hence
+    the mask) is treated as constant: it is a discrete selection, so the
+    objective's dependence on parameters flows only through the allocated losses.
     """
-    outs = forward_all(pseudo, meta_x, meta_y)
+    meta_pass = forward_pass(pseudo, meta_x, meta_y)
+    outs = meta_pass.outputs
     if whole_meta:
         alloc = None
         value, mask = whole_meta_objective(outs)
     else:
         alloc = allocate_meta(outs.confidences, q)
         value, mask = meta_objective(outs, alloc)
-    meta_grad = batch_weighted_grad(pseudo, meta_x, meta_y, mask)
-    n = train_x.shape[0]
-    dl_dw = -(alpha / n) * per_sample_grad_dots(backbone, train_x, train_y, meta_grad)
+    meta_grad = batch_weighted_grad(meta_pass, mask)
+    dl_dw = -(alpha / train_pass.outputs.batch_size) * per_sample_grad_dots(train_pass, meta_grad)
     wpn_grad = wpn_backward(wpn_params, fwd_cache, weight_cache, dl_dw)
     return wpn_grad, dl_dw, value, alloc, mask, outs
-
-
-def _forward_fragment(state: TrainState, x: np.ndarray, y: np.ndarray) -> tuple[ExitOutputs, dict]:
-    """Exit outputs at the current backbone and a fresh record fragment.
-
-    Non-finite training losses raise TrainingError: the run diverged.
-    """
-    outs = forward_all(state.backbone, x, y)
-    if not np.all(np.isfinite(outs.losses)):
-        raise TrainingError(f"non-finite training loss at iteration {state.iteration}; run diverged")
-    frag = {"loss_sum": outs.losses.sum(axis=0), "count": x.shape[0], "alloc_sizes": None,
-            "meta_loss": None, "scatter": [], "weights": None}
-    return outs, frag
-
-
-def _sgd_update(state: TrainState, grad: np.ndarray, config: TrainConfig, alpha_t: float) -> None:
-    """The real backbone step: SGD with the run's momentum and weight decay."""
-    state.backbone, state.velocity = sgd_step(
-        state.backbone, grad, alpha_t, config.momentum, config.weight_decay, state.velocity
-    )
-
-
-def weighted_substep(
-    state: TrainState,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    meta_x: np.ndarray,
-    meta_y: np.ndarray,
-    config: TrainConfig,
-    alpha_t: float,
-    update_wpn: bool,
-    scatter_budget: int = 0,
-) -> dict:
-    """One weighted substep; mutates state, returns a record fragment.
-
-    With update_wpn the full lookahead/meta/real sequence runs; without
-    it (off-interval iterations, frozen networks) only the reweighted
-    real update happens. delta comes from the weight network's config.
-    """
-    delta = state.wpn.config.delta
-    outs, frag = _forward_fragment(state, train_x, train_y)
-    raw, fwd_cache = wpn_forward(state.wpn, outs.losses)
-    _, weights, w_cache = make_weights(raw, delta)
-    if update_wpn:
-        pseudo = lookahead(state.backbone, train_x, train_y, weights, alpha_t)
-        wpn_grad, _, meta_value, alloc, _, meta_outs = meta_chain(
-            pseudo, meta_x, meta_y, config.q, state.backbone, train_x, train_y, alpha_t,
-            state.wpn, fwd_cache, w_cache,
-            whole_meta=config.variant == "whole_meta",
-        )
-        new_buffer, state.adam = adam_step(state.wpn.buffer, wpn_grad, state.adam, config.beta)
-        state.wpn = WpnParams(state.wpn.config, new_buffer)
-        raw, _ = wpn_forward(state.wpn, outs.losses)
-        _, weights, _ = make_weights(raw, delta)
-        frag["meta_loss"] = meta_value
-        if alloc is not None:
-            frag["alloc_sizes"] = [int(s) for s in alloc.sizes]
-        if scatter_budget > 0 and alloc is not None:
-            # What weight would the fresh network give each meta sample,
-            # and did exit 1 claim it? (loss, weight, claimed) triples.
-            m_raw, _ = wpn_forward(state.wpn, meta_outs.losses)
-            _, m_weights, _ = make_weights(m_raw, delta)
-            claimed = np.zeros(meta_x.shape[0], dtype=bool)
-            claimed[alloc.subsets[0]] = True
-            take = min(scatter_budget, meta_x.shape[0])
-            frag["scatter"] = [
-                [float(meta_outs.losses[i, 0]), float(m_weights[i, 0]), int(claimed[i])]
-                for i in range(take)
-            ]
-    grad = batch_weighted_grad(state.backbone, train_x, train_y, weights / train_x.shape[0])
-    frag["weights"] = weights
-    _sgd_update(state, grad, config, alpha_t)
-    return frag
 
 
 def _fixed_weight_row(num_exits: int, ascending: bool) -> np.ndarray:
@@ -326,26 +243,79 @@ def _fixed_weight_row(num_exits: int, ascending: bool) -> np.ndarray:
     return row if ascending else row[::-1].copy()
 
 
-def _plain_substep(
-    state: TrainState,
-    x: np.ndarray,
-    y: np.ndarray,
-    config: TrainConfig,
-    alpha_t: float,
-) -> dict:
-    """Substep for the no-WPN variants (fixed rows / selection)."""
-    outs, frag = _forward_fragment(state, x, y)
-    if config.variant == "selection":
+def _sample_weights(state: TrainState, train_pass: ForwardPass, meta, config: TrainConfig,
+                    alpha_t: float, scatter_budget: int, frag: dict) -> np.ndarray:
+    """The train side's (B, K) weight matrix: a fixed row, or the weight network's.
+
+    On update iterations (never for a frozen network) the lookahead and
+    meta chain run first, Adam updates the network, and the weights are
+    recomputed with the updated network. delta comes from its config.
+    """
+    losses = train_pass.outputs.losses
+    if config.variant not in _WPN_VARIANTS:
+        row = _fixed_weight_row(losses.shape[1], config.variant == "fixed_ascending")
+        return np.broadcast_to(row, losses.shape)
+    delta = state.wpn.config.delta
+    raw, fwd_cache = wpn_forward(state.wpn, losses)
+    _, weights, w_cache = make_weights(raw, delta)
+    if config.variant == "frozen_wpn" or state.iteration % config.interval != 0:
+        return weights
+    pseudo = lookahead(train_pass, weights, alpha_t)
+    wpn_grad, _, meta_value, alloc, _, meta_outs = meta_chain(
+        pseudo, *meta, config.q, train_pass, alpha_t, state.wpn, fwd_cache, w_cache,
+        whole_meta=config.variant == "whole_meta",
+    )
+    new_buffer, state.adam = adam_step(state.wpn.buffer, wpn_grad, state.adam, config.beta)
+    state.wpn = WpnParams(state.wpn.config, new_buffer)
+    raw, _ = wpn_forward(state.wpn, losses)
+    _, weights, _ = make_weights(raw, delta)
+    frag["meta_loss"] = meta_value
+    if alloc is not None:
+        frag["alloc_sizes"] = [int(s) for s in alloc.sizes]
+    if scatter_budget > 0 and alloc is not None:
+        # What weight would the fresh network give each meta sample,
+        # and did exit 1 claim it? (loss, weight, claimed) triples.
+        m_raw, _ = wpn_forward(state.wpn, meta_outs.losses)
+        _, m_weights, _ = make_weights(m_raw, delta)
+        claimed = np.zeros(meta_outs.batch_size, dtype=bool)
+        claimed[alloc.subsets[0]] = True
+        take = min(scatter_budget, meta_outs.batch_size)
+        frag["scatter"] = [
+            [float(meta_outs.losses[i, 0]), float(m_weights[i, 0]), int(claimed[i])]
+            for i in range(take)
+        ]
+    return weights
+
+
+def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float, scatter_budget: int = 0) -> dict:
+    """One backbone update on the train side; mutates state, returns a record fragment.
+
+    train and meta are (features, labels) pairs; meta is the other half
+    of the batch (None for baseline). One pass at the current backbone
+    gives the losses, the coefficient matrix and the gradient; the
+    variant only chooses the coefficients. Non-finite training losses
+    raise TrainingError: the run diverged.
+    """
+    train_pass = forward_pass(state.backbone, *train)
+    outs = train_pass.outputs
+    if not np.all(np.isfinite(outs.losses)):
+        raise TrainingError(f"non-finite training loss at iteration {state.iteration}; run diverged")
+    n = outs.batch_size
+    frag = {"loss_sum": outs.losses.sum(axis=0), "count": n, "alloc_sizes": None,
+            "meta_loss": None, "scatter": [], "weights": None}
+    if config.variant == "baseline":
+        coeffs = np.full(outs.losses.shape, 1.0 / n)
+    elif config.variant == "selection":
         alloc = allocate_meta(outs.confidences, config.q)
-        _, mask = meta_objective(outs, alloc)
-        grad = batch_weighted_grad(state.backbone, x, y, mask)
+        _, coeffs = meta_objective(outs, alloc)
         frag["alloc_sizes"] = [int(s) for s in alloc.sizes]
     else:
-        row = _fixed_weight_row(outs.num_exits, config.variant == "fixed_ascending")
-        weights = np.broadcast_to(row, outs.losses.shape)
-        grad = batch_weighted_grad(state.backbone, x, y, weights / x.shape[0])
-        frag["weights"] = weights
-    _sgd_update(state, grad, config, alpha_t)
+        frag["weights"] = _sample_weights(state, train_pass, meta, config, alpha_t, scatter_budget, frag)
+        coeffs = frag["weights"] / n
+    state.backbone, state.velocity = sgd_step(
+        state.backbone, batch_weighted_grad(train_pass, coeffs), alpha_t,
+        config.momentum, config.weight_decay, state.velocity,
+    )
     return frag
 
 
@@ -359,25 +329,21 @@ def train_step(
 ) -> dict:
     """One mini-batch update; mutates state and returns an iteration record.
 
-    Half-batch variants perform two substeps (each half serves once as
-    the train side and once as the other side's meta side); baseline
-    performs a single unweighted full-batch step. The iteration counter
-    advances once per mini-batch regardless of variant.
+    Baseline takes one substep on the full batch; the other variants take
+    one per half, each half serving once as the train side and once as the
+    other's meta side, with the scatter budget carried from the first to
+    the second. The iteration counter advances once per mini-batch.
     """
     t = state.iteration
     if config.variant == "baseline":
-        outs, frag = _forward_fragment(state, batch_x, batch_y)
-        coeffs = np.full(outs.losses.shape, 1.0 / batch_x.shape[0])
-        _sgd_update(state, batch_weighted_grad(state.backbone, batch_x, batch_y, coeffs), config, alpha_t)
-        frags = [frag]
-    elif config.variant in _WPN_VARIANTS:
-        update = config.variant != "frozen_wpn" and t % config.interval == 0
-        (xa, ya), (xb, yb) = split_batch(batch_x, batch_y)
-        first = weighted_substep(state, xa, ya, xb, yb, config, alpha_t, update, scatter_budget)
-        left = scatter_budget - len(first["scatter"])
-        frags = [first, weighted_substep(state, xb, yb, xa, ya, config, alpha_t, update, left)]
+        sides = [((batch_x, batch_y), None)]
     else:
-        frags = [_plain_substep(state, x, y, config, alpha_t) for x, y in split_batch(batch_x, batch_y)]
+        first, second = split_batch(batch_x, batch_y)
+        sides = [(first, second), (second, first)]
+    frags = []
+    for train, meta in sides:
+        frags.append(substep(state, train, meta, config, alpha_t, scatter_budget))
+        scatter_budget -= len(frags[-1]["scatter"])
     state.iteration = t + 1
     return _merge_fragments(t, alpha_t, frags)
 

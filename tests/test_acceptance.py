@@ -19,6 +19,7 @@ from exitweave.backbone import (
     BackboneConfig,
     ExitOutputs,
     batch_weighted_grad,
+    forward_pass,
     init_params,
     param_layout,
     per_sample_grads,
@@ -157,7 +158,7 @@ def test_criterion_03_degenerate_squash_reduces_to_unweighted():
             x, y = train.features[idx], train.labels[idx]
             train_step(state, x, y, cfg, alpha_t)
             for sl in (slice(0, 10), slice(10, 20)):
-                grad = batch_weighted_grad(twin, x[sl], y[sl], ones / 10)
+                grad = batch_weighted_grad(forward_pass(twin, x[sl], y[sl]), ones / 10)
                 twin, twin_vel = sgd_step(twin, grad, alpha_t, cfg.momentum,
                                           cfg.weight_decay, twin_vel)
             worst = max(worst, float(np.max(np.abs(state.backbone.flatten() - twin.flatten()))))

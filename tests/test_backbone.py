@@ -20,6 +20,7 @@ from exitweave.backbone import (
     count_mul_adds,
     cumulative_loss,
     forward_all,
+    forward_pass,
     grad_weighted_loss,
     init_params,
     param_layout,
@@ -140,7 +141,7 @@ class TestFlatBuffer:
     def test_steps_leave_their_inputs_untouched(self):
         config, params, x, y = small_instance(seed=4)
         before = params.flatten().tobytes()
-        grad = batch_weighted_grad(params, x, y, np.full((x.shape[0], config.num_exits), 0.2))
+        grad = batch_weighted_grad(forward_pass(params, x, y), np.full((x.shape[0], config.num_exits), 0.2))
         velocity = np.ones_like(grad)
         stepped, new_velocity = sgd_step(params, grad, 0.1, momentum=0.9, weight_decay=0.01, velocity=velocity)
         plain, _ = sgd_step(params, grad, 0.1)
@@ -264,7 +265,7 @@ class TestPerSampleGrads:
         for k in range(config.num_exits):
             coeffs = np.zeros((b, config.num_exits))
             coeffs[:, k] = 1.0 / b
-            batch_grad = batch_weighted_grad(params, x, y, coeffs)
+            batch_grad = batch_weighted_grad(forward_pass(params, x, y), coeffs)
             np.testing.assert_allclose(psg[:, k].mean(axis=0), batch_grad, atol=1e-12)
 
 
@@ -304,7 +305,7 @@ class TestGradWeightedLoss:
         ones = np.ones((x.shape[0], config.num_exits))
         np.testing.assert_allclose(
             grad_weighted_loss(psg, ones),
-            batch_weighted_grad(params, x, y, ones / x.shape[0]),
+            batch_weighted_grad(forward_pass(params, x, y), ones / x.shape[0]),
             atol=1e-12,
         )
 
@@ -333,15 +334,16 @@ class TestGradWeightedLoss:
         w = rng.uniform(-1.0, 2.0, (6, config.num_exits))
         psg = per_sample_grads(params, x, y)
         dense = grad_weighted_loss(psg, w)
-        fused = batch_weighted_grad(params, x, y, w / x.shape[0])
+        fused = batch_weighted_grad(forward_pass(params, x, y), w / x.shape[0])
         np.testing.assert_allclose(dense, fused, atol=1e-13)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             grad_weighted_loss(np.zeros((2, 2, 5)), np.zeros((2, 3)))
         config, params, x, y = small_instance()
+        fp = forward_pass(params, x, y)
         with pytest.raises(ShapeError):
-            batch_weighted_grad(params, x, y, np.zeros((2, 2)))
+            batch_weighted_grad(fp, np.zeros((2, 2)))
 
 
 def dense_dots(params, x, y, vec):
@@ -367,7 +369,7 @@ class TestPerSampleGradDots:
             _, params, x, y = small_instance(seed=40 + n, config=config, batch=9)
             random_biases(params, rng)
             vec = rng.standard_normal(param_layout(config)[2])
-            out = per_sample_grad_dots(params, x, y, vec)
+            out = per_sample_grad_dots(forward_pass(params, x, y), vec)
             assert out.shape == (9, config.num_exits)
             np.testing.assert_allclose(out, dense_dots(params, x, y, vec), rtol=0, atol=1e-13)
 
@@ -387,7 +389,7 @@ class TestPerSampleGradDots:
         assert np.all(z1[:3] <= 0) and np.any(z1[3:] > 0)
         vec = rng.standard_normal(param_layout(config)[2])
         np.testing.assert_allclose(
-            per_sample_grad_dots(params, x, y, vec), dense_dots(params, x, y, vec), rtol=0, atol=1e-13
+            per_sample_grad_dots(forward_pass(params, x, y), vec), dense_dots(params, x, y, vec), rtol=0, atol=1e-13
         )
 
     def test_vec_on_biases_only(self):
@@ -400,7 +402,7 @@ class TestPerSampleGradDots:
         for sl in [*blocks, *heads]:
             vec[sl.bias] = rng.standard_normal(sl.bias.stop - sl.bias.start)
         np.testing.assert_allclose(
-            per_sample_grad_dots(params, x, y, vec), dense_dots(params, x, y, vec), rtol=0, atol=1e-13
+            per_sample_grad_dots(forward_pass(params, x, y), vec), dense_dots(params, x, y, vec), rtol=0, atol=1e-13
         )
 
     def test_vec_on_one_head_only(self):
@@ -412,7 +414,7 @@ class TestPerSampleGradDots:
         for k, sl in enumerate(heads):
             vec = np.zeros(total)
             vec[sl.weight.start : sl.bias.stop] = rng.standard_normal(sl.bias.stop - sl.weight.start)
-            out = per_sample_grad_dots(params, x, y, vec)
+            out = per_sample_grad_dots(forward_pass(params, x, y), vec)
             np.testing.assert_allclose(out, dense_dots(params, x, y, vec), rtol=0, atol=1e-13)
             # only exit k's loss touches head k
             others = [j for j in range(config.num_exits) if j != k]
@@ -422,9 +424,10 @@ class TestPerSampleGradDots:
     def test_shape_error_on_wrong_vec(self):
         config, params, x, y = small_instance(seed=44)
         total = param_layout(config)[2]
+        fp = forward_pass(params, x, y)
         for bad in (np.zeros(total - 1), np.zeros(total + 1), np.zeros((total, 1))):
             with pytest.raises(ShapeError):
-                per_sample_grad_dots(params, x, y, bad)
+                per_sample_grad_dots(fp, bad)
 
 
 class TestUpdates:

@@ -256,6 +256,38 @@ class TestMalformedRunCheckpoint:
         doc["train_config"]["learning_rate"] = 0.1
         assert "learning_rate" in self.load_error(path, doc)
 
+    def test_train_field_read_lossily(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        doc["train_config"]["log_weight_scatter"] = "false"
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "train_config" in msg and "log_weight_scatter" in msg
+
+    def test_missing_adam_step(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        del doc["optimizer"]["adam_step"]
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "optimizer" in msg and "adam_step" in msg
+
+    @pytest.mark.parametrize("where", ["adam_step", "iteration"])
+    def test_unreadable_counter(self, tmp_path, where):
+        path, doc = self.saved(tmp_path)
+        (doc["optimizer"] if where == "adam_step" else doc)[where] = "abc"
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and where in msg and "abc" in msg
+
+    def test_optimizer_not_an_object(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        doc["optimizer"] = []
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "optimizer" in msg
+
+    def test_adam_v_of_wrong_length(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        doc["optimizer"]["adam_v"] = encode_array(np.zeros(3))
+        path.write_text(dump_json(doc))
+        with pytest.raises(CompatibilityError, match="Adam"):
+            load_run_checkpoint(path)
+
     def test_later_train_fields_default_when_absent(self, tmp_path):
         path, doc = self.saved(tmp_path)
         for key in ("frozen_wpn_path", "log_weight_scatter", "scatter_cap"):

@@ -250,6 +250,21 @@ class TestPreciseFileErrors:
         err = capsys.readouterr().err
         assert str(cfg) in err and "wpn" in err and "hidden_width" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.9), ("batch_size", 10.9), ("epochs", True), ("log_weight_scatter", "false"),
+    ])
+    def test_config_value_read_lossily(self, tmp_path, capsys, key, value):
+        # int() would train 2 epochs on 2.9, batch 10 on 10.9 and 1 epoch on
+        # true; bool() would turn scatter logging on for "false"
+        cfg = tmp_path / "run.json"
+        doc = write_config(cfg)
+        doc["train"][key] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "train" in err and key in err
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_strings_still_accepted(self, tmp_path):
         cfg = tmp_path / "run.json"
         doc = write_config(cfg)

@@ -22,6 +22,7 @@ from exitweave.backbone import (
     BackboneConfig,
     batch_weighted_grad,
     forward_all,
+    forward_pass,
     init_params,
     per_sample_grads,
     pseudo_step,
@@ -501,7 +502,7 @@ class TestVariants:
 
     def test_selection_gradient_against_masked_oracle(self):
         # one batch, by hand: fresh state, single step
-        from exitweave.backbone import batch_weighted_grad, forward_all, sgd_step
+        from exitweave.backbone import batch_weighted_grad, forward_all, forward_pass, sgd_step
 
         cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.05, seed=1,
                           variant="selection", q=0.5, momentum=0.0, weight_decay=0.0)
@@ -515,7 +516,7 @@ class TestVariants:
             outs = forward_all(ref, x[sl], y[sl])
             alloc = allocate_meta(outs.confidences, 0.5)
             _, mask = meta_objective(outs, alloc)
-            grad = batch_weighted_grad(ref, x[sl], y[sl], mask)
+            grad = batch_weighted_grad(forward_pass(ref, x[sl], y[sl]), mask)
             ref, _ = sgd_step(ref, grad, cfg.alpha)
         np.testing.assert_allclose(state.backbone.flatten(), ref.flatten(), atol=1e-13)
 
@@ -590,14 +591,15 @@ class TestFactoredMetaChain:
         raw, fwd_cache = wpn_forward(wpn, forward_all(backbone, tx, ty).losses)
         _, weights, w_cache = make_weights(raw, wpn_cfg.delta)
         psg = per_sample_grads(backbone, tx, ty)
-        pseudo = lookahead(backbone, tx, ty, weights, alpha)
+        train_pass = forward_pass(backbone, tx, ty)
+        pseudo = lookahead(train_pass, weights, alpha)
         np.testing.assert_allclose(
             pseudo.flatten(), pseudo_step(backbone, psg, weights, alpha).flatten(), rtol=0, atol=1e-14
         )
         _, dl_dw, _, _, mask, _ = meta_chain(
-            pseudo, mx, my, 0.75, backbone, tx, ty, alpha, wpn, fwd_cache, w_cache
+            pseudo, mx, my, 0.75, train_pass, alpha, wpn, fwd_cache, w_cache
         )
-        meta_grad = batch_weighted_grad(pseudo, mx, my, mask)
+        meta_grad = batch_weighted_grad(forward_pass(pseudo, mx, my), mask)
         dense = meta_weight_grad(psg, meta_grad, alpha, 8)
         assert np.any(dense != 0.0)
         np.testing.assert_allclose(dl_dw, dense, rtol=0, atol=1e-15)
@@ -609,7 +611,7 @@ class TestFactoredMetaChain:
         data = root.child("data")
         x, y = data.standard_normal((6, 5)), data.integers(0, 4, 6).astype(np.int64)
         before = backbone.flatten().tobytes()
-        pseudo = lookahead(backbone, x, y, np.full((6, 2), 1.5), 0.3)
+        pseudo = lookahead(forward_pass(backbone, x, y), np.full((6, 2), 1.5), 0.3)
         assert backbone.flatten().tobytes() == before
         assert pseudo.flatten().tobytes() != before
         assert not np.shares_memory(pseudo.buffer, backbone.buffer)
@@ -640,6 +642,46 @@ class TestFactoredMetaChain:
             tracemalloc.stop()
         assert record["meta_loss"] is not None
         assert peak < 20e6, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
+class TestPassSharing:
+    """Every gradient at one parameter point reuses one trunk pass."""
+
+    @pytest.mark.parametrize("variant, iteration, passes", [
+        ("learned", 0, 4),  # update iteration: train pass + pseudo pass, per half
+        ("whole_meta", 0, 4),
+        ("learned", 1, 2),  # off-interval: one train pass per half
+        ("whole_meta", 1, 2),
+        ("frozen_wpn", 0, 2),
+        ("fixed_ascending", 0, 2),
+        ("fixed_descending", 0, 2),
+        ("selection", 0, 2),
+        ("baseline", 0, 1),
+    ])
+    def test_trunk_passes_per_train_step(self, monkeypatch, tmp_path, variant, iteration, passes):
+        import exitweave.backbone as backbone_module
+
+        root = RngStream(73)
+        wpn = init_wpn(WPN, root.child("init-wpn"))
+        path = tmp_path / "wpn.json"
+        save_wpn_params(path, wpn)
+        cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.1, variant=variant, interval=2,
+                          frozen_wpn_path=str(path) if variant == "frozen_wpn" else None)
+        state = TrainState(backbone=init_params(BB, root.child("init-backbone")), wpn=wpn,
+                           velocity=None, adam=AdamState.zeros(wpn.num_params), iteration=iteration)
+        data = root.child("data")
+        x, y = data.standard_normal((10, 4)), data.integers(0, 3, 10).astype(np.int64)
+        calls = []
+        real = backbone_module.relu_forward
+
+        def counting(layers, batch):
+            calls.append(batch.shape[0])
+            return real(layers, batch)
+
+        monkeypatch.setattr(backbone_module, "relu_forward", counting)
+        record = train_step(state, x, y, cfg, alpha_t=cfg.alpha)
+        assert len(calls) == passes, calls
+        assert (record["meta_loss"] is not None) == (passes == 4)
 
 
 class TestScatterLogging:
