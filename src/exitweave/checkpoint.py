@@ -52,7 +52,7 @@ def _params_from(doc, path, section: str, params_cls, config_cls):
         raise FormatError(f"{path}: {section}: expected a JSON object")
     config = read_config(config_cls, doc.get("config"), f"{path}: {section}.config", FormatError, fill=())
     try:
-        return params_cls(config, decode_array(doc.get("params"), f"{section}.params"))
+        return params_cls(config, decode_array(doc.get("params"), f"{path}: {section}.params"))
     except ShapeError as exc:
         raise CompatibilityError(f"{path}: {section}: {exc}") from exc
 
@@ -120,7 +120,7 @@ def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     opt = doc.get("optimizer", {})
     if not isinstance(opt, dict):
         raise FormatError(f"{path}: optimizer: expected a JSON object")
-    velocity = None if opt.get("velocity") is None else decode_array(opt["velocity"], "velocity")
+    velocity = None if opt.get("velocity") is None else decode_array(opt["velocity"], f"{path}: optimizer.velocity")
     if velocity is not None and velocity.shape != (backbone.num_params,):
         raise CompatibilityError(f"{path}: momentum buffer does not match parameter count")
     adam = None
@@ -129,8 +129,8 @@ def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
         if missing:
             raise FormatError(f"{path}: optimizer: missing required key(s): {', '.join(missing)}")
         adam = AdamState(
-            decode_array(opt["adam_m"], "adam_m"),
-            decode_array(opt["adam_v"], "adam_v"),
+            decode_array(opt["adam_m"], f"{path}: optimizer.adam_m"),
+            decode_array(opt["adam_v"], f"{path}: optimizer.adam_v"),
             read_value(int, opt["adam_step"], f"{path}: optimizer.adam_step", FormatError),
         )
         if wpn_params is not None and not adam.m.shape == adam.v.shape == (wpn_params.num_params,):

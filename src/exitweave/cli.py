@@ -3,10 +3,11 @@
 Runs are described by a JSON config file with four semantic sections
 (dataset, backbone, wpn, train) plus an output section. Unknown keys
 are rejected anywhere in the document, defaults are materialized, and
-the resolved config is written next to the run outputs together with a
-hash of its semantic sections; that hash doubles as the run id, so the
-same config and seed always produce the same id and byte-identical
-history/metrics files.
+the resolved config is written next to the run outputs. history.json
+and metrics.json carry a hash of the dataset section and the configs
+the run used (`run_hash`); that hash doubles as the run id, so train
+and eval of one run share it, and the same config and seed always
+produce the same id and byte-identical history/metrics files.
 
 Exit codes: 0 success, 2 configuration or file-format problems
 (including a missing config file, which is reported by path), 1
@@ -135,6 +136,23 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def run_hash(dataset: dict, state, train_config) -> str:
+    """Config hash of one run: its dataset section and the configs it ran with.
+
+    The backbone and weight-network configs are read off the state (None
+    without a network), so `train` and `eval` of one run hash the same
+    values and stamp history.json and metrics.json with one run id.
+    """
+    from .serial import config_doc
+
+    return config_hash({
+        "dataset": dataset,
+        "backbone": config_doc(state.backbone.config),
+        "wpn": None if state.wpn is None else config_doc(state.wpn.config),
+        "train": config_doc(train_config),
+    })
+
+
 def build_datasets(ds_doc: dict, config_path):
     """Materialize (train, val, test) Datasets from a resolved dataset section.
 
@@ -234,8 +252,8 @@ def cmd_train(args) -> int:
     backbone_cfg, wpn_cfg, train_cfg = _model_configs(
         resolved, args.config, train_set.dim, train_set.num_classes
     )
-    digest = config_hash(resolved)
     state, history = run_training(train_cfg, backbone_cfg, wpn_cfg, train_set, val_set)
+    digest = run_hash(resolved["dataset"], state, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "resolved_config.json",
                {"format": CONFIG_FORMAT, "version": VERSION, **resolved})
@@ -290,16 +308,23 @@ def _dataset_doc_for_eval(args, checkpoint_path: Path) -> tuple[dict, Path]:
 
 
 def _scatter_from_history(checkpoint_path: Path) -> list:
+    """The weight-scatter points of the history.json next to the checkpoint, if any."""
+    from .serial import check_envelope, read_json
+
     sibling = checkpoint_path.resolve().parent / "history.json"
     if not sibling.is_file():
         return []
-    try:
-        doc = json.loads(sibling.read_text())
-    except json.JSONDecodeError:
-        return []
+    doc = read_json(sibling)
+    check_envelope(doc, sibling, HISTORY_FORMAT, VERSION)
+    iterations = doc.get("iterations")
+    if not isinstance(iterations, list) or not all(isinstance(rec, dict) for rec in iterations):
+        raise FormatError(f"{sibling}: iterations: expected a list of objects")
     points = []
-    for rec in doc.get("iterations", []):
-        points.extend(rec.get("weight_scatter", []))
+    for i, rec in enumerate(iterations):
+        scatter = rec.get("weight_scatter", [])
+        if not isinstance(scatter, list):
+            raise FormatError(f"{sibling}: iterations[{i}].weight_scatter: expected a list")
+        points.extend(scatter)
     return points
 
 
@@ -322,7 +347,7 @@ def cmd_eval(args) -> int:
     from .backbone import count_mul_adds
     from .checkpoint import load_run_checkpoint
     from .evaluate import anytime_accuracy, default_q_grid, dynamic_sweep
-    from .serial import config_doc, write_json
+    from .serial import write_json
 
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.is_file():
@@ -339,12 +364,7 @@ def cmd_eval(args) -> int:
     grid = _parse_q_grid(args.q_grid) if args.q_grid else default_q_grid()
     rows = dynamic_sweep(state.backbone, val_set, test_set, grid)
     anytime = anytime_accuracy(state.backbone, test_set)
-    digest = config_hash({
-        "dataset": ds_doc,
-        "backbone": config_doc(config),
-        "wpn": None if state.wpn is None else config_doc(state.wpn.config),
-        "train": config_doc(train_cfg),
-    })
+    digest = run_hash(ds_doc, state, train_cfg)
     out_dir = Path(args.out) if args.out else ckpt_path.resolve().parent
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "metrics.json", _stamped(

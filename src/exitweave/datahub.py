@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .numkit import RngStream, require_finite
-from .serial import check_envelope, decode_array, encode_array, read_json, write_json
+from .serial import check_envelope, decode_array, encode_array, read_json, read_value, write_json
 
 DATASET_FORMAT = "exitweave-dataset"
 DATASET_VERSION = 1
@@ -233,9 +233,16 @@ def save_dataset(path, dataset: Dataset) -> None:
 def load_dataset(path) -> Dataset:
     doc = read_json(path)
     check_envelope(doc, path, DATASET_FORMAT, DATASET_VERSION)
-    features = decode_array(doc["features"], "features")
-    labels = np.asarray(doc["labels"], dtype=np.int64)
-    return Dataset(features, labels, int(doc["num_classes"]), str(doc.get("split", "train")))
+    missing = [key for key in ("features", "labels", "num_classes") if key not in doc]
+    if missing:
+        raise FormatError(f"{path}: missing required key(s): {', '.join(missing)}")
+    features = decode_array(doc["features"], f"{path}: features")
+    try:
+        labels = np.asarray(doc["labels"], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: labels: expected a list of integers ({exc})") from exc
+    num_classes = read_value(int, doc["num_classes"], f"{path}: num_classes", FormatError)
+    return Dataset(features, labels, num_classes, str(doc.get("split", "train")))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ on a deliberately tiny instance:
 
 Suite 1 audits the dense per-sample tensor, which also serves as the
 reference elsewhere. The analytic sides of suites 2 and 4 come from the
-chain training runs (`trainer.lookahead` and `trainer.meta_chain`, whose
-weight gradient is factored layer by layer); their finite-difference
+chain training runs (`trainer.meta_chain`, whose weight gradient is
+factored layer by layer, then `wpn_backward`); their finite-difference
 sides step the dense `pseudo_step`, an independent route to the same
 lookahead. The meta allocation is held fixed at the base point in
 suites 2 and 4, as `meta_chain` chose it: it is a discrete selection,
@@ -190,10 +190,8 @@ def run_suites(
     raw, fwd_cache = wpn_forward(inst.wpn, tr_losses)
     _, weights, w_cache = make_weights(raw, inst.wpn.config.delta)
     # analytic sides of suites 2 and 4: the chain the trainer runs
-    pseudo = lookahead(train_pass, weights, inst.alpha)
-    analytic_e2e, dl_dw, _, _, mask, _ = meta_chain(
-        pseudo, inst.meta_x, inst.meta_y, q, train_pass, inst.alpha, inst.wpn, fwd_cache, w_cache
-    )
+    dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, inst.alpha, inst.meta_x, inst.meta_y, q)
+    analytic_e2e = wpn_backward(inst.wpn, fwd_cache, w_cache, dl_dw)
 
     def meta_loss_for_weights(w: np.ndarray) -> float:
         stepped = pseudo_step(inst.backbone, psg, w, inst.alpha)

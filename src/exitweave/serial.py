@@ -30,13 +30,14 @@ def encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def decode_array(obj, name: str) -> np.ndarray:
+def decode_array(obj, where: str) -> np.ndarray:
+    """The array `encode_array` wrote; a malformed one raises FormatError naming where."""
     try:
         buf = base64.b64decode(obj["data"])
         arr = np.frombuffer(buf, dtype="<f8").astype(np.float64)
         return arr.reshape(obj["shape"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad encoded array {name!r}: {exc}") from exc
+        raise FormatError(f"{where}: bad encoded array: {exc}") from exc
 
 
 def dump_json(doc) -> str:

@@ -15,20 +15,20 @@ SGD(momentum, weight decay) step. The variants differ only in c:
 The other variants split each mini-batch into two halves that swap
 train/meta roles, so every sample serves both sides per iteration. For
 the learned variants, on iterations where t % interval == 0 (never for
-"frozen_wpn"), w is first used for a lookahead: a momentum-free pseudo
-step from the same train pass. The pseudo backbone is evaluated on the
-meta half; a budget-driven greedy allocation assigns each meta sample to
-one exit by confidence, and the meta objective averages each exit's loss
-over its allocated subset ("whole_meta": over the whole meta half). Its
-gradient reaches the weight network through an exact analytic chain:
-the pseudo parameters are affine in w, so d(meta)/dw[i,k] is -(alpha/n)
-times the inner product of the meta gradient with the train half's
-per-sample gradient g[i,k]. Those inner products are taken layer by
-layer on the train pass, so no per-sample gradient is ever stored. The
-weight network's own backward pass feeds Adam, and w is recomputed with
-the updated network before the real step. The trunk thus runs once per
-parameter point: at the backbone on the train side and at the pseudo
-backbone on the meta side.
+"frozen_wpn"), a meta step runs first. `meta_chain` takes a lookahead
+(a momentum-free pseudo step from the same train pass) and evaluates
+the pseudo backbone on the meta half; a budget-driven greedy allocation
+assigns each meta sample to one exit by confidence, and the meta
+objective averages each exit's loss over its allocated subset
+("whole_meta": over the whole meta half). It returns the exact gradient
+wrt w: the pseudo parameters are affine in w, so d(meta)/dw[i,k] is
+-(alpha/n) times the inner product of the meta gradient with the train
+half's per-sample gradient g[i,k], taken layer by layer on the train
+pass, so no per-sample gradient is ever stored. The weight network's
+backward pass turns it into an Adam step, and w is recomputed with the
+updated network before the real step. The trunk thus runs once per
+parameter point. `train_step` merges the sides into one iteration
+record and keeps the first scatter-budget (loss, weight, claimed) points.
 """
 
 from __future__ import annotations
@@ -170,27 +170,24 @@ def split_batch(features: np.ndarray, labels: np.ndarray):
     return (features[:h], labels[:h]), (features[h:], labels[h:])
 
 
-def meta_objective(outputs: ExitOutputs, allocation: AllocationResult) -> tuple[float, np.ndarray]:
+def meta_objective(outputs: ExitOutputs, allocation: AllocationResult | None = None) -> tuple[float, np.ndarray]:
     """Allocated meta loss and its coefficient mask.
 
     Each exit contributes the mean loss over its allocated subset;
-    exits with empty subsets contribute nothing. The mask holds
-    1/|subset_k| at allocated (sample, exit) cells and 0 elsewhere, so
-    sum(mask * losses) reproduces the value and the mask doubles as the
-    coefficient matrix of the objective's gradient.
+    exits with empty subsets contribute nothing. With no allocation
+    (the "whole_meta" ablation) every exit averages over the entire
+    meta half. The mask holds 1/|subset_k| at allocated (sample, exit)
+    cells and 0 elsewhere, so sum(mask * losses) reproduces the value
+    and the mask doubles as the coefficient matrix of the objective's gradient.
     """
     b, k_exits = outputs.losses.shape
-    mask = np.zeros((b, k_exits))
-    for k, subset in enumerate(allocation.subsets):
-        if subset.size:
-            mask[subset, k] = 1.0 / subset.size
-    return float(np.sum(mask * outputs.losses)), mask
-
-
-def whole_meta_objective(outputs: ExitOutputs) -> tuple[float, np.ndarray]:
-    """Ablation objective: every exit averages over the entire meta half."""
-    b, k_exits = outputs.losses.shape
-    mask = np.full((b, k_exits), 1.0 / b)
+    if allocation is None:
+        mask = np.full((b, k_exits), 1.0 / b)
+    else:
+        mask = np.zeros((b, k_exits))
+        for k, subset in enumerate(allocation.subsets):
+            if subset.size:
+                mask[subset, k] = 1.0 / subset.size
     return float(np.sum(mask * outputs.losses)), mask
 
 
@@ -204,38 +201,25 @@ def lookahead(train_pass: ForwardPass, weights: np.ndarray, alpha: float) -> Bac
     return sgd_step(train_pass.params, grad, alpha)[0]
 
 
-def meta_chain(
-    pseudo: BackboneParams,
-    meta_x: np.ndarray,
-    meta_y: np.ndarray,
-    q: float,
-    train_pass: ForwardPass,
-    alpha: float,
-    wpn_params: WpnParams,
-    fwd_cache,
-    weight_cache,
-    whole_meta: bool = False,
-):
-    """Analytic gradient of the meta objective wrt the weight network.
+def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
+               meta_x: np.ndarray, meta_y: np.ndarray, q: float, whole_meta: bool = False):
+    """Analytic gradient of the meta objective wrt the weight matrix.
 
-    pseudo is the lookahead of the train pass; one pass at pseudo serves
-    the allocation and the meta gradient. Returns (wpn_grad, dl_dweights,
-    meta_value, allocation, mask, meta_outputs). The allocation (and hence
-    the mask) is treated as constant: it is a discrete selection, so the
-    objective's dependence on parameters flows only through the allocated losses.
+    Takes the lookahead of the train pass under weights, then makes one
+    pass at those pseudo params that serves both the allocation and the
+    meta gradient. Returns (dl_dw, meta_value, allocation, mask,
+    meta_outputs); allocation is None for whole_meta. The allocation
+    (and hence the mask) is treated as constant: it is a discrete
+    selection, so the objective's dependence on parameters flows only
+    through the allocated losses.
     """
-    meta_pass = forward_pass(pseudo, meta_x, meta_y)
+    meta_pass = forward_pass(lookahead(train_pass, weights, alpha), meta_x, meta_y)
     outs = meta_pass.outputs
-    if whole_meta:
-        alloc = None
-        value, mask = whole_meta_objective(outs)
-    else:
-        alloc = allocate_meta(outs.confidences, q)
-        value, mask = meta_objective(outs, alloc)
+    alloc = None if whole_meta else allocate_meta(outs.confidences, q)
+    value, mask = meta_objective(outs, alloc)
     meta_grad = batch_weighted_grad(meta_pass, mask)
     dl_dw = -(alpha / train_pass.outputs.batch_size) * per_sample_grad_dots(train_pass, meta_grad)
-    wpn_grad = wpn_backward(wpn_params, fwd_cache, weight_cache, dl_dw)
-    return wpn_grad, dl_dw, value, alloc, mask, outs
+    return dl_dw, value, alloc, mask, outs
 
 
 def _fixed_weight_row(num_exits: int, ascending: bool) -> np.ndarray:
@@ -244,12 +228,13 @@ def _fixed_weight_row(num_exits: int, ascending: bool) -> np.ndarray:
 
 
 def _sample_weights(state: TrainState, train_pass: ForwardPass, meta, config: TrainConfig,
-                    alpha_t: float, scatter_budget: int, frag: dict) -> np.ndarray:
+                    alpha_t: float, frag: dict, log_scatter: bool) -> np.ndarray:
     """The train side's (B, K) weight matrix: a fixed row, or the weight network's.
 
-    On update iterations (never for a frozen network) the lookahead and
-    meta chain run first, Adam updates the network, and the weights are
-    recomputed with the updated network. delta comes from its config.
+    On update iterations (never for a frozen network) the meta chain
+    runs first, its weight gradient goes back through the network to
+    Adam, and the weights are recomputed with the updated network.
+    delta comes from its config.
     """
     losses = train_pass.outputs.losses
     if config.variant not in _WPN_VARIANTS:
@@ -260,41 +245,38 @@ def _sample_weights(state: TrainState, train_pass: ForwardPass, meta, config: Tr
     _, weights, w_cache = make_weights(raw, delta)
     if config.variant == "frozen_wpn" or state.iteration % config.interval != 0:
         return weights
-    pseudo = lookahead(train_pass, weights, alpha_t)
-    wpn_grad, _, meta_value, alloc, _, meta_outs = meta_chain(
-        pseudo, *meta, config.q, train_pass, alpha_t, state.wpn, fwd_cache, w_cache,
-        whole_meta=config.variant == "whole_meta",
+    dl_dw, meta_value, alloc, _, meta_outs = meta_chain(
+        train_pass, weights, alpha_t, *meta, config.q, whole_meta=config.variant == "whole_meta"
     )
+    frag["meta_loss"] = meta_value
+    wpn_grad = wpn_backward(state.wpn, fwd_cache, w_cache, dl_dw)
     new_buffer, state.adam = adam_step(state.wpn.buffer, wpn_grad, state.adam, config.beta)
     state.wpn = WpnParams(state.wpn.config, new_buffer)
     raw, _ = wpn_forward(state.wpn, losses)
     _, weights, _ = make_weights(raw, delta)
-    frag["meta_loss"] = meta_value
     if alloc is not None:
         frag["alloc_sizes"] = [int(s) for s in alloc.sizes]
-    if scatter_budget > 0 and alloc is not None:
-        # What weight would the fresh network give each meta sample,
-        # and did exit 1 claim it? (loss, weight, claimed) triples.
-        m_raw, _ = wpn_forward(state.wpn, meta_outs.losses)
-        _, m_weights, _ = make_weights(m_raw, delta)
-        claimed = np.zeros(meta_outs.batch_size, dtype=bool)
-        claimed[alloc.subsets[0]] = True
-        take = min(scatter_budget, meta_outs.batch_size)
-        frag["scatter"] = [
-            [float(meta_outs.losses[i, 0]), float(m_weights[i, 0]), int(claimed[i])]
-            for i in range(take)
-        ]
+        if log_scatter:
+            # What weight would the fresh network give each meta sample,
+            # and did exit 1 claim it? (loss, weight, claimed) triples.
+            m_raw, _ = wpn_forward(state.wpn, meta_outs.losses)
+            _, m_weights, _ = make_weights(m_raw, delta)
+            claimed = np.zeros(meta_outs.batch_size, dtype=bool)
+            claimed[alloc.subsets[0]] = True
+            frag["scatter"] = [[float(loss), float(w), int(c)]
+                               for loss, w, c in zip(meta_outs.losses[:, 0], m_weights[:, 0], claimed)]
     return weights
 
 
-def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float, scatter_budget: int = 0) -> dict:
+def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float, log_scatter: bool = False) -> dict:
     """One backbone update on the train side; mutates state, returns a record fragment.
 
     train and meta are (features, labels) pairs; meta is the other half
     of the batch (None for baseline). One pass at the current backbone
     gives the losses, the coefficient matrix and the gradient; the
-    variant only chooses the coefficients. Non-finite training losses
-    raise TrainingError: the run diverged.
+    variant only chooses the coefficients. With log_scatter, an update
+    iteration's fragment holds a scatter point for every meta sample.
+    Non-finite training losses raise TrainingError: the run diverged.
     """
     train_pass = forward_pass(state.backbone, *train)
     outs = train_pass.outputs
@@ -310,7 +292,7 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
         _, coeffs = meta_objective(outs, alloc)
         frag["alloc_sizes"] = [int(s) for s in alloc.sizes]
     else:
-        frag["weights"] = _sample_weights(state, train_pass, meta, config, alpha_t, scatter_budget, frag)
+        frag["weights"] = _sample_weights(state, train_pass, meta, config, alpha_t, frag, log_scatter)
         coeffs = frag["weights"] / n
     state.backbone, state.velocity = sgd_step(
         state.backbone, batch_weighted_grad(train_pass, coeffs), alpha_t,
@@ -331,8 +313,9 @@ def train_step(
 
     Baseline takes one substep on the full batch; the other variants take
     one per half, each half serving once as the train side and once as the
-    other's meta side, with the scatter budget carried from the first to
-    the second. The iteration counter advances once per mini-batch.
+    other's meta side. The record keeps the first scatter_budget scatter
+    points of the two sides, in order. The iteration counter advances
+    once per mini-batch.
     """
     t = state.iteration
     if config.variant == "baseline":
@@ -340,17 +323,10 @@ def train_step(
     else:
         first, second = split_batch(batch_x, batch_y)
         sides = [(first, second), (second, first)]
-    frags = []
-    for train, meta in sides:
-        frags.append(substep(state, train, meta, config, alpha_t, scatter_budget))
-        scatter_budget -= len(frags[-1]["scatter"])
+    frags = [substep(state, train, meta, config, alpha_t, scatter_budget > 0) for train, meta in sides]
     state.iteration = t + 1
-    return _merge_fragments(t, alpha_t, frags)
-
-
-def _merge_fragments(t: int, alpha_t: float, frags: list[dict]) -> dict:
-    total = sum(f["count"] for f in frags)
-    loss = sum(f["loss_sum"] for f in frags) / total
+    # summed per side, then in total: the record's bytes depend on the order
+    loss = sum(f["loss_sum"] for f in frags) / sum(f["count"] for f in frags)
     record: dict = {
         "iteration": t,
         "lr": alpha_t,
@@ -368,7 +344,7 @@ def _merge_fragments(t: int, alpha_t: float, frags: list[dict]) -> dict:
     record["allocation_sizes"] = allocs if allocs else None
     metas = [f["meta_loss"] for f in frags if f["meta_loss"] is not None]
     record["meta_loss"] = float(np.mean(metas)) if metas else None
-    scatter = [p for f in frags for p in f["scatter"]]
+    scatter = [p for f in frags for p in f["scatter"]][:scatter_budget]
     if scatter:
         record["weight_scatter"] = scatter
     return record

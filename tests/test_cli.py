@@ -234,6 +234,34 @@ class TestPreciseFileErrors:
         assert rc == 2
         assert path in err and "wpn.config" in err and "hidden_width" in err
 
+    def test_checkpoint_velocity_not_an_array(self, trained, tmp_path, capsys):
+        rc, err, path = self.eval_edited_checkpoint(
+            trained, tmp_path, capsys, lambda d: d["optimizer"].update(velocity=5))
+        assert rc == 2
+        assert path in err and "optimizer.velocity" in err and "bad encoded array" in err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d.pop("labels"), "labels"),
+        (lambda d: d.update(labels=["cat"] * len(d["labels"])), "labels"),
+        (lambda d: d.update(num_classes="three"), "num_classes"),
+    ], ids=["labels-missing", "labels-strings", "num_classes-not-a-number"])
+    def test_container_dataset_payload(self, tmp_path, capsys, edit, key):
+        from exitweave.datahub import gen_synthetic_gaussians, save_dataset
+        from exitweave.numkit import RngStream
+
+        for split in ("train", "val", "test"):
+            save_dataset(tmp_path / f"{split}.json",
+                         gen_synthetic_gaussians(3, 4, 6, 1.0, RngStream(5).child(split), split=split))
+        doc = json.loads((tmp_path / "train.json").read_text())
+        edit(doc)
+        (tmp_path / "train.json").write_text(json.dumps(doc))
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "container", "train": "train.json", "val": "val.json",
+                                   "test": "test.json"})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "train.json") in err and key in err
+
     def test_config_epochs_not_a_number(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         doc = write_config(cfg)
@@ -272,6 +300,67 @@ class TestPreciseFileErrors:
         doc["wpn"]["hidden_width"] = 8.0
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+class TestEvalHistory:
+    """eval copies the weight scatter out of the history.json next to the checkpoint."""
+
+    def eval_with_history(self, trained, tmp_path, text):
+        for name in ("checkpoint.json", "resolved_config.json"):
+            shutil.copy(trained / name, tmp_path / name)
+        if text is not None:
+            (tmp_path / "history.json").write_text(text)
+        return main(["eval", "--checkpoint", str(tmp_path / "checkpoint.json"), "--q-grid", "1.0"])
+
+    def test_missing_history_gives_no_scatter(self, trained, tmp_path):
+        assert self.eval_with_history(trained, tmp_path, None) == 0
+        assert json.loads((tmp_path / "metrics.json").read_text())["weight_scatter"] == []
+
+    def test_scatter_copied_from_history(self, trained, tmp_path):
+        doc = json.loads((trained / "history.json").read_text())
+        doc["iterations"][1]["weight_scatter"] = [[0.5, 1.25, 1], [0.75, 0.5, 0]]
+        assert self.eval_with_history(trained, tmp_path, json.dumps(doc)) == 0
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["weight_scatter"] == [[0.5, 1.25, 1], [0.75, 0.5, 0]]
+
+    @pytest.mark.parametrize("edit, words", [
+        (lambda text: text[:40], ["not valid JSON"]),
+        (lambda text: "[]", ["JSON object"]),
+        (lambda text: text.replace('"exitweave-history"', '"exitweave-metrics"'), ["format"]),
+        (lambda text: json.dumps({**json.loads(text), "iterations": 5}), ["iterations"]),
+        (lambda text: json.dumps({**json.loads(text), "iterations": [{"weight_scatter": 5}]}),
+         ["iterations[0].weight_scatter"]),
+    ], ids=["corrupt", "list", "wrong-format", "iterations-not-a-list", "scatter-not-a-list"])
+    def test_malformed_history_exits_2(self, trained, tmp_path, capsys, edit, words):
+        text = edit((trained / "history.json").read_text())
+        assert self.eval_with_history(trained, tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "history.json") in err
+        assert all(w in err for w in words), err
+        assert not (tmp_path / "metrics.json").exists()
+
+
+class TestRunId:
+    @pytest.mark.parametrize("variant", ["learned", "baseline", "frozen_wpn"])
+    def test_history_and_metrics_share_the_run_id(self, tmp_path, variant):
+        # the other runs' wpn section (hidden width 5) is not the network they
+        # use: none for baseline, the learned run's (width 8) for frozen_wpn
+        cfg = tmp_path / "learned.json"
+        write_config(cfg)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "learned")]) == 0
+        if variant != "learned":
+            train = {"epochs": 2, "batch_size": 10, "alpha": 0.1, "seed": 3, "variant": variant}
+            if variant == "frozen_wpn":
+                train["frozen_wpn_path"] = str(tmp_path / "learned" / "checkpoint.json")
+            cfg = tmp_path / f"{variant}.json"
+            write_config(cfg, train=train, wpn={"hidden_width": 5})
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / variant)]) == 0
+        out = tmp_path / variant
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--q-grid", "1.0"]) == 0
+        history = json.loads((out / "history.json").read_text())
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert history["config_hash"] == metrics["config_hash"]
+        assert history["run_id"] == metrics["run_id"] == metrics["config_hash"][:12]
 
 
 class TestGradcheck:

@@ -42,7 +42,6 @@ from exitweave.trainer import (
     run_training,
     split_batch,
     train_step,
-    whole_meta_objective,
 )
 from exitweave.wpn import AdamState, WpnConfig, init_wpn, make_weights, meta_weight_grad, wpn_forward
 
@@ -362,7 +361,7 @@ class TestMetaObjectives:
 
     def test_whole_meta_is_per_exit_mean(self):
         losses = RngStream(22).uniform(0.0, 3.0, (6, 4))
-        value, mask = whole_meta_objective(self.outputs(losses))
+        value, mask = meta_objective(self.outputs(losses), None)
         np.testing.assert_allclose(value, losses.mean(axis=0).sum(), atol=1e-12)
         assert np.all(mask == 1.0 / 6)
 
@@ -588,17 +587,15 @@ class TestFactoredMetaChain:
         tx, mx = data.standard_normal((8, 5)), data.standard_normal((8, 5))
         ty, my = (data.integers(0, 4, 8).astype(np.int64) for _ in range(2))
         alpha = 0.3
-        raw, fwd_cache = wpn_forward(wpn, forward_all(backbone, tx, ty).losses)
-        _, weights, w_cache = make_weights(raw, wpn_cfg.delta)
+        raw, _ = wpn_forward(wpn, forward_all(backbone, tx, ty).losses)
+        _, weights, _ = make_weights(raw, wpn_cfg.delta)
         psg = per_sample_grads(backbone, tx, ty)
         train_pass = forward_pass(backbone, tx, ty)
         pseudo = lookahead(train_pass, weights, alpha)
         np.testing.assert_allclose(
             pseudo.flatten(), pseudo_step(backbone, psg, weights, alpha).flatten(), rtol=0, atol=1e-14
         )
-        _, dl_dw, _, _, mask, _ = meta_chain(
-            pseudo, mx, my, 0.75, train_pass, alpha, wpn, fwd_cache, w_cache
-        )
+        dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, alpha, mx, my, 0.75)
         meta_grad = batch_weighted_grad(forward_pass(pseudo, mx, my), mask)
         dense = meta_weight_grad(psg, meta_grad, alpha, 8)
         assert np.any(dense != 0.0)
@@ -700,6 +697,22 @@ class TestScatterLogging:
             per_epoch[rec["iteration"] // 9] += len(pts)
         assert all(c <= 7 for c in per_epoch)
         assert per_epoch[0] > 0
+
+    def test_cap_keeps_the_first_points_across_sides(self):
+        # halves of 5: the first record has 5 points per side, so a cap of
+        # 7 keeps all of the first side's points and 2 of the second's
+        train, val = quick_sets(seed=62)
+        runs = []
+        for cap in (7, 10_000):
+            cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.05, seed=2,
+                              log_weight_scatter=True, scatter_cap=cap)
+            runs.append(run_training(cfg, BB, WPN, train, val))
+        (capped, capped_history), (full, full_history) = runs
+        first = full_history.iterations[0]["weight_scatter"]
+        assert len(first) == 10
+        assert capped_history.iterations[0]["weight_scatter"] == first[:7]
+        assert all("weight_scatter" not in r for r in capped_history.iterations[1:])
+        assert capped.backbone.buffer.tobytes() == full.backbone.buffer.tobytes()
 
     def test_disabled_by_default(self):
         train, val = quick_sets(seed=61)

@@ -1,0 +1,91 @@
+"""Digest the artifacts of the reference runs, for byte-identity checks.
+
+    python3 tools/artifact_digests.py --src CHECKOUT/src --out DIR
+
+runs, from the package under --src and inside DIR, eight reference runs
+(`train` then `eval` on the checkpoint) plus `gradcheck`, with
+EXITWEAVE_THREADS=1 and cwd-relative paths, then prints one
+`sha256  path` line per file in DIR. Run it on two checkouts and diff
+the outputs: equal lines mean byte-identical artifacts.
+
+The reference runs are the seven variants on a 16x4 trunk (synthetic
+data, 6 classes, dim 16, 150/60/60 rows per class; 3 epochs, batch 32,
+weight-network hidden width 32; `learned` logs its weight scatter with
+cap 50, `frozen_wpn` loads `learned/checkpoint.json`) and `learned` on a
+128x4 trunk (10 classes, dim 32, 100/50/50 rows per class; 2 epochs,
+batch 128).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+VARIANTS = ("learned", "baseline", "fixed_ascending", "fixed_descending",
+            "selection", "whole_meta", "frozen_wpn")  # frozen_wpn reads learned's checkpoint
+
+
+def _synthetic(classes: int, dim: int, train: int, held_out: int) -> dict:
+    return {"kind": "synthetic", "classes": classes, "dim": dim, "train_per_class": train,
+            "val_per_class": held_out, "test_per_class": held_out}
+
+
+def reference_configs() -> dict[str, dict]:
+    """Run name -> run config, in the order the runs must go."""
+    configs = {}
+    for variant in VARIANTS:
+        train = {"epochs": 3, "batch_size": 32, "alpha": 0.1, "variant": variant}
+        if variant == "learned":
+            train.update(log_weight_scatter=True, scatter_cap=50)
+        if variant == "frozen_wpn":
+            train["frozen_wpn_path"] = "learned/checkpoint.json"
+        configs[variant] = {
+            "dataset": _synthetic(6, 16, 150, 60),
+            "backbone": {"trunk_widths": [16] * 4},
+            "wpn": {"hidden_width": 32},
+            "train": train,
+        }
+    configs["learned_wide"] = {
+        "dataset": _synthetic(10, 32, 100, 50),
+        "backbone": {"trunk_widths": [128] * 4},
+        "wpn": {"hidden_width": 32},
+        "train": {"epochs": 2, "batch_size": 128, "alpha": 0.1},
+    }
+    return configs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="the checkout's src directory")
+    parser.add_argument("--out", required=True, help="empty or new directory for the runs")
+    args = parser.parse_args(argv)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()), "EXITWEAVE_THREADS": "1"}
+
+    def cli(*cmd: str) -> str:
+        done = subprocess.run([sys.executable, "-m", "exitweave.cli", *cmd], cwd=out, env=env,
+                              capture_output=True, text=True)
+        # a failing gradcheck exits 1, and its report is an artifact like any other
+        if done.returncode != 0 and not (cmd[0] == "gradcheck" and done.returncode == 1):
+            sys.exit(f"exitweave {' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+        return done.stdout
+
+    for name, config in reference_configs().items():
+        (out / f"{name}.json").write_text(json.dumps(config, indent=1) + "\n")
+        cli("train", "--config", f"{name}.json", "--out", name)
+        cli("eval", "--checkpoint", f"{name}/checkpoint.json")
+    (out / "gradcheck.txt").write_text(cli("gradcheck"))
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
