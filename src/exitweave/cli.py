@@ -2,12 +2,13 @@
 
 Runs are described by a JSON config file with four semantic sections
 (dataset, backbone, wpn, train) plus an output section. Unknown keys
-are rejected anywhere in the document, defaults are materialized, and
-the resolved config is written next to the run outputs. history.json
-and metrics.json carry a hash of the dataset section and the configs
-the run used (`run_hash`); that hash doubles as the run id, so train
-and eval of one run share it, and the same config and seed always
-produce the same id and byte-identical history/metrics files.
+are rejected anywhere in the document, and each section is converted
+once into its config dataclass. `run_document` collects the converted
+configs the run used; `train` writes it, with the output section, as
+resolved_config.json, and history.json and metrics.json carry its hash
+(`config_hash`). That hash doubles as the run id, so train and eval of
+one run share it, and the same config and seed always produce the same
+id and byte-identical history/metrics files.
 
 Exit codes: 0 success, 2 configuration or file-format problems
 (including a missing config file, which is reported by path), 1
@@ -25,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import make_dataclass
+from dataclasses import make_dataclass, replace
 from pathlib import Path
 
 from .errors import (
@@ -78,31 +79,29 @@ def _read_doc(p: Path, what: str) -> dict:
     return read_json(p)
 
 
-def _dataset_section(ds, where: str) -> dict:
-    """Check a dataset section against its kind's keys and fill its defaults."""
+def read_dataset(section, where: str) -> tuple:
+    """(kind, config) of a dataset section, config its kind's DATASET_KINDS dataclass."""
     from .datahub import DATASET_KINDS
-    from .serial import read_section
+    from .serial import read_config
 
-    if not isinstance(ds, dict) or "kind" not in ds:
+    if not isinstance(section, dict) or "kind" not in section:
         raise ConfigError(f"{where}: dataset section must be an object with a 'kind' key")
-    kind = ds["kind"]
-    if kind not in DATASET_KINDS:
-        raise ConfigError(f"unknown dataset kind {kind!r}; expected one of {sorted(DATASET_KINDS)}")
-    section = {k: v for k, v in ds.items() if k != "kind"}
-    return {**read_section(DATASET_KINDS[kind], section, f"{where}: dataset ({kind})"), "kind": kind}
+    kind = section["kind"]
+    if not isinstance(kind, str) or kind not in DATASET_KINDS:
+        raise ConfigError(f"{where}: unknown dataset kind {kind!r}; expected one of {sorted(DATASET_KINDS)}")
+    rest = {k: v for k, v in section.items() if k != "kind"}
+    return kind, read_config(DATASET_KINDS[kind], rest, f"{where}: dataset ({kind})")
 
 
 def load_config(path) -> dict:
-    """Read, validate and default-fill a run config file.
+    """Read a run config file and convert the sections that need no data.
 
-    The backbone, wpn and train sections are checked against the fields
-    of BackboneConfig, WpnConfig and TrainConfig. Their values are kept
-    as written (they are hashed); `_model_configs` converts them.
+    dataset becomes (kind, config) and train and output their
+    TrainConfig and OutputConfig. The backbone and wpn sections stay as
+    written until `_model_configs` converts them against the data.
     """
-    from .backbone import BackboneConfig
-    from .serial import read_section
+    from .serial import read_config
     from .trainer import TrainConfig
-    from .wpn import WpnConfig
 
     p = Path(path)
     doc = _read_doc(p, "config")
@@ -113,15 +112,54 @@ def load_config(path) -> dict:
     if missing:
         raise ConfigError(f"{p}: missing required section(s): {', '.join(missing)}")
     return {
-        "dataset": _dataset_section(doc["dataset"], str(p)),
-        # input_dim and num_classes default to the dataset's
-        "backbone": read_section(
-            BackboneConfig, doc["backbone"], f"{p}: backbone", optional=("input_dim", "num_classes")
-        ),
-        "wpn": read_section(WpnConfig, doc.get("wpn", {}), f"{p}: wpn", given=("num_exits",)),
-        "train": read_section(TrainConfig, doc["train"], f"{p}: train"),
-        "output": read_section(OutputConfig, doc.get("output", {}), f"{p}: output"),
+        "dataset": read_dataset(doc["dataset"], str(p)),
+        "backbone": doc["backbone"],
+        "wpn": doc.get("wpn", {}),
+        "train": read_config(TrainConfig, doc["train"], f"{p}: train"),
+        "output": read_config(OutputConfig, doc.get("output", {}), f"{p}: output"),
     }
+
+
+def _model_configs(run: dict, path, **widths):
+    """Backbone and weight-network configs of a loaded run config.
+
+    widths (input_dim, num_classes) fill the backbone keys the section
+    leaves out; without them the section must state both.
+    """
+    from .backbone import BackboneConfig
+    from .serial import read_config
+    from .wpn import WpnConfig
+
+    section = run["backbone"]
+    if isinstance(section, dict):
+        section = {**widths, **section}
+    backbone = read_config(BackboneConfig, section, f"{path}: backbone")
+    return backbone, read_config(WpnConfig, run["wpn"], f"{path}: wpn", num_exits=backbone.num_exits)
+
+
+def run_document(dataset: tuple, state, train_config) -> dict:
+    """The semantic sections of one run: what resolved_config.json holds.
+
+    Every value is a converted config field. The backbone and
+    weight-network configs are read off the state (wpn None without a
+    network, the loaded one's for frozen_wpn), so `train` and `eval` of
+    one run build the same document.
+    """
+    from .serial import config_doc
+
+    kind, spec = dataset
+    return {
+        "dataset": {"kind": kind, **config_doc(spec)},
+        "backbone": config_doc(state.backbone.config),
+        "wpn": None if state.wpn is None else config_doc(state.wpn.config),
+        "train": config_doc(train_config),
+    }
+
+
+def config_hash(run_doc: dict) -> str:
+    """SHA-256 of a run document's canonical JSON; its first 12 hex digits are the run id."""
+    payload = json.dumps(run_doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _stamped(fmt: str, digest: str, **body) -> dict:
@@ -129,50 +167,16 @@ def _stamped(fmt: str, digest: str, **body) -> dict:
     return {"format": fmt, "version": VERSION, "run_id": digest[:12], "config_hash": digest, **body}
 
 
-def config_hash(resolved: dict) -> str:
-    """Hash of the semantic sections; the output location does not count."""
-    semantic = {k: resolved[k] for k in ("dataset", "backbone", "wpn", "train") if k in resolved}
-    payload = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def run_hash(dataset: dict, state, train_config) -> str:
-    """Config hash of one run: its dataset section and the configs it ran with.
-
-    The backbone and weight-network configs are read off the state (None
-    without a network), so `train` and `eval` of one run hash the same
-    values and stamp history.json and metrics.json with one run id.
-    """
-    from .serial import config_doc
-
-    return config_hash({
-        "dataset": dataset,
-        "backbone": config_doc(state.backbone.config),
-        "wpn": None if state.wpn is None else config_doc(state.wpn.config),
-        "train": config_doc(train_config),
-    })
-
-
-def build_datasets(ds_doc: dict, config_path):
-    """Materialize (train, val, test) Datasets from a resolved dataset section.
+def build_datasets(dataset: tuple, config_path):
+    """Materialize (train, val, test) Datasets from a (kind, config) dataset.
 
     config_path is the file the section came from: relative data paths
     resolve against its directory, and errors name it.
     """
-    from .datahub import (
-        DATASET_KINDS,
-        gen_synthetic_gaussians,
-        load_cifar_bin,
-        load_dataset,
-        load_idx,
-        longtail_subsample,
-    )
+    from .datahub import gen_synthetic_gaussians, load_cifar_bin, load_dataset, load_idx, longtail_subsample
     from .numkit import RngStream
-    from .serial import read_config
 
-    kind = ds_doc["kind"]
-    spec = read_config(DATASET_KINDS[kind], {k: v for k, v in ds_doc.items() if k != "kind"},
-                       f"{config_path}: dataset ({kind})")
+    kind, spec = dataset
     base_dir = Path(config_path).resolve().parent
     root = RngStream(spec.seed)
     splits = ("train", "val", "test")
@@ -213,50 +217,28 @@ def build_datasets(ds_doc: dict, config_path):
     return train, val, test
 
 
-def _model_configs(resolved: dict, path, input_dim=None, num_classes=None):
-    """Backbone, weight-network and train configs of a resolved run config.
-
-    input_dim and num_classes fill a backbone section that leaves them
-    out. The backbone values used are echoed back into the resolved doc
-    so the hash pins them.
-    """
-    from .backbone import BackboneConfig
-    from .serial import config_doc, read_config
-    from .trainer import TrainConfig
-    from .wpn import WpnConfig
-
-    bb = resolved["backbone"]
-    for key, value in (("input_dim", input_dim), ("num_classes", num_classes)):
-        if bb[key] is None:
-            bb[key] = value
-    backbone_cfg = read_config(BackboneConfig, bb, f"{path}: backbone")
-    bb.update(config_doc(backbone_cfg))
-    wpn_cfg = read_config(WpnConfig, resolved["wpn"], f"{path}: wpn", num_exits=backbone_cfg.num_exits)
-    return backbone_cfg, wpn_cfg, read_config(TrainConfig, resolved["train"], f"{path}: train")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
     from .checkpoint import save_run_checkpoint
-    from .serial import write_json
+    from .serial import config_doc, write_json
     from .trainer import run_training
 
-    resolved = load_config(args.config)
-    if args.seed is not None:
-        resolved["train"]["seed"] = int(args.seed)
-    out_dir = Path(args.out) if args.out else Path(resolved["output"]["dir"])
-    train_set, val_set, _ = build_datasets(resolved["dataset"], args.config)
-    backbone_cfg, wpn_cfg, train_cfg = _model_configs(
-        resolved, args.config, train_set.dim, train_set.num_classes
+    run = load_config(args.config)
+    train_cfg = run["train"] if args.seed is None else replace(run["train"], seed=args.seed)
+    out_dir = Path(args.out or run["output"].dir)
+    train_set, val_set, _ = build_datasets(run["dataset"], args.config)
+    backbone_cfg, wpn_cfg = _model_configs(
+        run, args.config, input_dim=train_set.dim, num_classes=train_set.num_classes
     )
     state, history = run_training(train_cfg, backbone_cfg, wpn_cfg, train_set, val_set)
-    digest = run_hash(resolved["dataset"], state, train_cfg)
+    doc = run_document(run["dataset"], state, train_cfg)
+    digest = config_hash(doc)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "resolved_config.json",
-               {"format": CONFIG_FORMAT, "version": VERSION, **resolved})
+               {"format": CONFIG_FORMAT, "version": VERSION, **doc, "output": config_doc(run["output"])})
     save_run_checkpoint(out_dir / "checkpoint.json", state, train_cfg)
     write_json(out_dir / "history.json",
                _stamped(HISTORY_FORMAT, digest, iterations=history.iterations, epochs=history.epochs))
@@ -291,20 +273,18 @@ def _parse_q_grid(text: str):
     return grid
 
 
-def _dataset_doc_for_eval(args, checkpoint_path: Path) -> tuple[dict, Path]:
-    """The dataset section eval runs on, and the file it came from."""
+def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
+    """The (kind, config) dataset eval runs on, and the file it came from."""
     if args.dataset:
         p = Path(args.dataset)
         doc = _read_doc(p, "dataset config")
-        return _dataset_section(doc.get("dataset", doc), str(p)), p
+        return read_dataset(doc.get("dataset", doc), str(p)), p
     sibling = checkpoint_path.resolve().parent / "resolved_config.json"
-    if sibling.is_file():
-        doc = _read_doc(sibling, "resolved config")
-        if isinstance(doc.get("dataset"), dict):
-            return doc["dataset"], sibling
-    raise ConfigError(
-        "no dataset available: pass --dataset or keep resolved_config.json next to the checkpoint"
-    )
+    if not sibling.is_file():
+        raise ConfigError(
+            "no dataset available: pass --dataset or keep resolved_config.json next to the checkpoint"
+        )
+    return read_dataset(_read_doc(sibling, "resolved config").get("dataset"), str(sibling)), sibling
 
 
 def _scatter_from_history(checkpoint_path: Path) -> list:
@@ -324,6 +304,13 @@ def _scatter_from_history(checkpoint_path: Path) -> list:
         scatter = rec.get("weight_scatter", [])
         if not isinstance(scatter, list):
             raise FormatError(f"{sibling}: iterations[{i}].weight_scatter: expected a list")
+        for j, point in enumerate(scatter):
+            # (loss, weight, claimed): bool is an int subclass, so compare types exactly
+            if not (isinstance(point, list) and len(point) == 3
+                    and all(type(v) in (int, float) for v in point[:2])
+                    and type(point[2]) is int and point[2] in (0, 1)):
+                raise FormatError(f"{sibling}: iterations[{i}].weight_scatter[{j}]: "
+                                  f"expected [loss, weight, 0 or 1], got {point!r}")
         points.extend(scatter)
     return points
 
@@ -353,8 +340,8 @@ def cmd_eval(args) -> int:
     if not ckpt_path.is_file():
         raise ConfigError(f"checkpoint file not found: {ckpt_path}")
     state, train_cfg = load_run_checkpoint(ckpt_path)
-    ds_doc, ds_path = _dataset_doc_for_eval(args, ckpt_path)
-    _, val_set, test_set = build_datasets(ds_doc, ds_path)
+    dataset, ds_path = _dataset_for_eval(args, ckpt_path)
+    _, val_set, test_set = build_datasets(dataset, ds_path)
     config = state.backbone.config
     if val_set.dim != config.input_dim or val_set.num_classes != config.num_classes:
         raise CompatibilityError(
@@ -364,7 +351,7 @@ def cmd_eval(args) -> int:
     grid = _parse_q_grid(args.q_grid) if args.q_grid else default_q_grid()
     rows = dynamic_sweep(state.backbone, val_set, test_set, grid)
     anytime = anytime_accuracy(state.backbone, test_set)
-    digest = run_hash(ds_doc, state, train_cfg)
+    digest = config_hash(run_document(dataset, state, train_cfg))
     out_dir = Path(args.out) if args.out else ckpt_path.resolve().parent
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "metrics.json", _stamped(
@@ -388,11 +375,9 @@ def cmd_gradcheck(args) -> int:
 
     backbone_cfg, wpn_cfg, options = DEFAULT_BACKBONE, DEFAULT_WPN, {}
     if args.config:
-        resolved = load_config(args.config)
-        if resolved["backbone"]["input_dim"] is None or resolved["backbone"]["num_classes"] is None:
-            raise ConfigError("gradcheck configs must state backbone input_dim and num_classes")
-        backbone_cfg, wpn_cfg, train_cfg = _model_configs(resolved, args.config)
-        options = {"q": train_cfg.q, "seed": train_cfg.seed}
+        run = load_config(args.config)
+        backbone_cfg, wpn_cfg = _model_configs(run, args.config)
+        options = {"q": run["train"].q, "seed": run["train"].seed}
     if args.seed is not None:
         options["seed"] = args.seed
     sabotage = os.environ.get("EXITWEAVE_GRADCHECK_SABOTAGE", "") not in ("", "0")

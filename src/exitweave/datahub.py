@@ -237,10 +237,14 @@ def load_dataset(path) -> Dataset:
     if missing:
         raise FormatError(f"{path}: missing required key(s): {', '.join(missing)}")
     features = decode_array(doc["features"], f"{path}: features")
+    if not isinstance(doc["labels"], list):
+        raise FormatError(f"{path}: labels: expected a list of integers")
+    # read as an int config field is: 1.5 and true are errors, not 1
+    labels = [read_value(int, v, f"{path}: labels[{i}]", FormatError) for i, v in enumerate(doc["labels"])]
     try:
-        labels = np.asarray(doc["labels"], dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: labels: expected a list of integers ({exc})") from exc
+        labels = np.asarray(labels, dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError(f"{path}: labels: {exc}") from exc
     num_classes = read_value(int, doc["num_classes"], f"{path}: num_classes", FormatError)
     return Dataset(features, labels, num_classes, str(doc.get("split", "train")))
 

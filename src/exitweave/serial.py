@@ -78,31 +78,6 @@ def config_doc(config) -> dict:
     return doc
 
 
-def read_section(cls, doc, where: str, error=ConfigError, *, fill=None, optional=(), given=()) -> dict:
-    """Check a JSON section against the fields of config dataclass cls.
-
-    Keys must name fields outside `given` (those the caller supplies). A
-    missing key takes its field's default, if it has one and `fill` (when
-    not None) lists it; `optional` fields read None; other missing keys
-    are errors. Returns the section with those filled in, unconverted.
-    """
-    if not isinstance(doc, dict):
-        raise error(f"{where}: expected a JSON object")
-    names = [f.name for f in fields(cls) if f.name not in given]
-    defaults = {
-        f.name: f.default for f in fields(cls)
-        if f.default is not MISSING and (fill is None or f.name in fill)
-    }
-    defaults.update(dict.fromkeys(optional))
-    unknown = sorted(set(doc) - set(names))
-    if unknown:
-        raise error(f"{where}: unknown key(s): {', '.join(unknown)}")
-    missing = [name for name in names if name not in doc and name not in defaults]
-    if missing:
-        raise error(f"{where}: missing required key(s): {', '.join(missing)}")
-    return {**{name: defaults[name] for name in names if name in defaults}, **doc}
-
-
 def _convert(hint, value):
     origin = get_origin(hint)
     if origin is tuple:
@@ -131,19 +106,31 @@ def read_value(hint, value, where: str, error=ConfigError):
 
 
 def read_config(cls, doc, where: str, error=ConfigError, *, fill=None, **given):
-    """Build config dataclass cls from a JSON section checked by read_section.
+    """Build config dataclass cls from the JSON section doc.
 
-    Values convert to their field's type as int(), float() and str() do,
-    tuples item by item, except that an int field takes no boolean and no
-    fractional number and a bool field takes only true or false; a union
-    field keeps a value of one of its types. Keyword arguments supply
-    fields directly. A value that does not convert, or that the dataclass
-    rejects, raises `error` naming where and the key.
+    Keyword arguments supply fields directly; the keys of doc must name
+    the other fields. A missing key takes its field's default, if it has
+    one and `fill` (when not None) lists it; other missing keys are
+    errors. Values convert to their field's type as int(), float() and
+    str() do, tuples item by item, except that an int field takes no
+    boolean and no fractional number and a bool field takes only true or
+    false; a union field keeps a value of one of its types. A bad key, a
+    value that does not convert, or one the dataclass rejects raises
+    `error` naming where and the key.
     """
-    section = read_section(cls, doc, where, error, fill=fill, given=given)
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected a JSON object")
+    names = [f.name for f in fields(cls) if f.name not in given]
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise error(f"{where}: unknown key(s): {', '.join(unknown)}")
+    defaults = {f.name for f in fields(cls) if f.default is not MISSING and (fill is None or f.name in fill)}
+    missing = [name for name in names if name not in doc and name not in defaults]
+    if missing:
+        raise error(f"{where}: missing required key(s): {', '.join(missing)}")
     hints = get_type_hints(cls)
     values = dict(given)
-    for name, value in section.items():
+    for name, value in doc.items():
         values[name] = read_value(hints[name], value, f"{where}: {name}", error)
     try:
         return cls(**values)

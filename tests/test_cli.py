@@ -6,6 +6,7 @@ they run the entry point that pyproject.toml declares in a subprocess, the
 way an installed `exitweave` wrapper runs it.
 """
 
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exitweave.cli import config_hash, main
+from exitweave.cli import main
 
 
 def write_config(path, **overrides):
@@ -124,14 +125,14 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
 
     def test_config_hash_ignores_output_section(self, tmp_path):
+        # output.dir says where a run goes, not what it is
         cfg = tmp_path / "run.json"
-        write_config(cfg)
-        from exitweave.cli import load_config
-
-        a = load_config(cfg)
-        write_config(cfg, output={"dir": "elsewhere"})
-        b = load_config(cfg)
-        assert config_hash(a) == config_hash(b)
+        hashes = []
+        for name in ("a", "b"):
+            write_config(cfg, output={"dir": str(tmp_path / name)})
+            assert main(["train", "--config", str(cfg)]) == 0
+            hashes.append(json.loads((tmp_path / name / "history.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +245,11 @@ class TestPreciseFileErrors:
         (lambda d: d.pop("labels"), "labels"),
         (lambda d: d.update(labels=["cat"] * len(d["labels"])), "labels"),
         (lambda d: d.update(num_classes="three"), "num_classes"),
-    ], ids=["labels-missing", "labels-strings", "num_classes-not-a-number"])
+        # np.asarray(..., dtype=np.int64) would read these as 1
+        (lambda d: d["labels"].__setitem__(0, 1.5), "labels"),
+        (lambda d: d["labels"].__setitem__(0, True), "labels"),
+    ], ids=["labels-missing", "labels-strings", "num_classes-not-a-number",
+            "labels-fractional", "labels-boolean"])
     def test_container_dataset_payload(self, tmp_path, capsys, edit, key):
         from exitweave.datahub import gen_synthetic_gaussians, save_dataset
         from exitweave.numkit import RngStream
@@ -302,6 +307,11 @@ class TestPreciseFileErrors:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+def scatter(points):
+    """A history.json edit: one iteration, whose weight_scatter is points."""
+    return lambda text: json.dumps({**json.loads(text), "iterations": [{"weight_scatter": points}]})
+
+
 class TestEvalHistory:
     """eval copies the weight scatter out of the history.json next to the checkpoint."""
 
@@ -328,9 +338,15 @@ class TestEvalHistory:
         (lambda text: "[]", ["JSON object"]),
         (lambda text: text.replace('"exitweave-history"', '"exitweave-metrics"'), ["format"]),
         (lambda text: json.dumps({**json.loads(text), "iterations": 5}), ["iterations"]),
-        (lambda text: json.dumps({**json.loads(text), "iterations": [{"weight_scatter": 5}]}),
-         ["iterations[0].weight_scatter"]),
-    ], ids=["corrupt", "list", "wrong-format", "iterations-not-a-list", "scatter-not-a-list"])
+        (scatter(5), ["iterations[0].weight_scatter"]),
+        (scatter([5, "x"]), ["iterations[0].weight_scatter[0]"]),
+        (scatter([[0.5, 1.0, 1], [0.5, "x", 0]]), ["iterations[0].weight_scatter[1]"]),
+        (scatter([[0.5, 1.0]]), ["iterations[0].weight_scatter[0]"]),
+        (scatter([[0.5, 1.0, 2]]), ["iterations[0].weight_scatter[0]"]),
+        (scatter([[0.5, 1.0, True]]), ["iterations[0].weight_scatter[0]"]),
+        (scatter([[False, 1.0, 0]]), ["iterations[0].weight_scatter[0]"]),
+    ], ids=["corrupt", "list", "wrong-format", "iterations-not-a-list", "scatter-not-a-list",
+            "point-not-a-list", "weight-a-string", "pair", "claimed-2", "claimed-true", "loss-false"])
     def test_malformed_history_exits_2(self, trained, tmp_path, capsys, edit, words):
         text = edit((trained / "history.json").read_text())
         assert self.eval_with_history(trained, tmp_path, text) == 2
@@ -338,6 +354,32 @@ class TestEvalHistory:
         assert str(tmp_path / "history.json") in err
         assert all(w in err for w in words), err
         assert not (tmp_path / "metrics.json").exists()
+
+
+class TestEvalSiblingConfig:
+    """Without --dataset, eval reads the dataset section of resolved_config.json."""
+
+    @pytest.mark.parametrize("dataset", [
+        {"classes": 3, "dim": 4}, {"kind": "cifar"}, {"kind": ["synthetic"]}, ["synthetic"], None,
+    ], ids=["no-kind", "unknown-kind", "kind-not-a-string", "not-an-object", "missing"])
+    def test_bad_dataset_section_exits_2(self, trained, tmp_path, capsys, dataset):
+        shutil.copy(trained / "checkpoint.json", tmp_path / "checkpoint.json")
+        doc = json.loads((trained / "resolved_config.json").read_text())
+        if dataset is None:
+            del doc["dataset"]
+        else:
+            doc["dataset"] = dataset
+        (tmp_path / "resolved_config.json").write_text(json.dumps(doc))
+        assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint.json"), "--q-grid", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "resolved_config.json") in err and "dataset" in err, err
+        assert not (tmp_path / "metrics.json").exists()
+
+
+def semantic_hash(resolved: dict) -> str:
+    """SHA-256 of the canonical JSON of a resolved config's four semantic sections."""
+    semantic = {k: resolved[k] for k in ("dataset", "backbone", "wpn", "train")}
+    return hashlib.sha256(json.dumps(semantic, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 class TestRunId:
@@ -361,6 +403,26 @@ class TestRunId:
         metrics = json.loads((out / "metrics.json").read_text())
         assert history["config_hash"] == metrics["config_hash"]
         assert history["run_id"] == metrics["run_id"] == metrics["config_hash"][:12]
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert semantic_hash(resolved) == history["config_hash"]
+        # the weight network the run used: none, or the learned run's for frozen_wpn
+        if variant == "baseline":
+            assert resolved["wpn"] is None
+        else:
+            assert resolved["wpn"] == {"num_exits": 2, "hidden_width": 8, "hidden_depth": 1, "delta": 0.6}
+
+    def test_spelling_of_a_value_keeps_the_run_id(self, tmp_path):
+        # "6" and 1 convert to the 6 and 1.0 the run uses, so the run is the same
+        cfg = tmp_path / "run.json"
+        for name, classes, spread in (("canonical", 6, 1.0), ("spelled", "6", 1)):
+            doc = write_config(cfg)
+            doc["dataset"].update(classes=classes, spread=spread)
+            cfg.write_text(json.dumps(doc))
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        for name in ("resolved_config.json", "history.json", "checkpoint.json"):
+            assert (tmp_path / "canonical" / name).read_bytes() == (tmp_path / "spelled" / name).read_bytes()
+        resolved = json.loads((tmp_path / "spelled" / "resolved_config.json").read_text())
+        assert resolved["dataset"]["classes"] == 6 and resolved["dataset"]["spread"] == 1.0
 
 
 class TestGradcheck:
@@ -380,6 +442,32 @@ class TestGradcheck:
     def test_seed_flag(self, monkeypatch):
         monkeypatch.delenv("EXITWEAVE_GRADCHECK_SABOTAGE", raising=False)
         assert main(["gradcheck", "--seed", "5"]) == 0
+
+    def gradcheck_config(self, tmp_path, monkeypatch, backbone):
+        monkeypatch.delenv("EXITWEAVE_GRADCHECK_SABOTAGE", raising=False)
+        cfg = tmp_path / "tiny.json"
+        write_config(cfg, backbone=backbone)
+        return main(["gradcheck", "--config", str(cfg)])
+
+    def test_config_stating_widths_passes(self, tmp_path, monkeypatch, capsys):
+        backbone = {"input_dim": 3, "trunk_widths": [4, 3], "num_classes": 3}
+        assert self.gradcheck_config(tmp_path, monkeypatch, backbone) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 4 and "all suites passed" in out
+
+    def test_config_without_widths_exits_2(self, tmp_path, monkeypatch, capsys):
+        # no data is loaded, so nothing fills them in
+        assert self.gradcheck_config(tmp_path, monkeypatch, {"trunk_widths": [4, 3]}) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "tiny.json") in err
+        assert "backbone: missing required key(s): input_dim, num_classes" in err
+
+    def test_config_above_param_cap_exits_2(self, tmp_path, monkeypatch, capsys):
+        from exitweave.gradcheck import PARAM_CAP
+
+        backbone = {"input_dim": 32, "trunk_widths": [32, 32], "num_classes": 10}
+        assert self.gradcheck_config(tmp_path, monkeypatch, backbone) == 2
+        assert str(PARAM_CAP) in capsys.readouterr().err
 
 
 class TestAllocate:
