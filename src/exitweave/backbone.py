@@ -18,7 +18,9 @@ buffers.
 Gradients here are hand-derived reverse-mode passes, not autodiff. They
 start from a `ForwardPass` (`forward_pass`): the exit outputs plus the
 trunk activations at one parameter point, so every gradient at that point
-reuses one trunk pass; `forward_all` returns the outputs alone.
+reuses one trunk pass. `forward_all` returns the outputs alone and keeps
+no activations: it runs a large batch (an evaluation split) as
+cache-sized row blocks, with bitwise the outputs of one whole-batch pass.
 `batch_weighted_grad` folds a coefficient matrix into one backward sweep
 per exit for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
@@ -32,13 +34,16 @@ and the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .numkit import RngStream, log_sum_exp, require_finite, softmax_stable
+
+# forward_all splits larger batches into row blocks of at most this many rows
+FORWARD_BLOCK_ROWS = 1024
 
 
 # -- dense ReLU layers over one flat float64 buffer, shared with the weight network
@@ -294,8 +299,12 @@ class ForwardPass:
 def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
     """Evaluate every exit on a batch in one shared-trunk pass, keeping
     the trunk activations for gradients at the same parameters."""
+    return _forward(params, *_validate_batch(params.config, batch, labels))
+
+
+def _forward(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> ForwardPass:
+    """`forward_pass` on a batch and labels `_validate_batch` already returned."""
     config = params.config
-    batch, labels = _validate_batch(config, batch, labels)
     b, k_exits, c = batch.shape[0], config.num_exits, config.num_classes
     hs, zs = relu_forward(params.blocks, batch)
     logits = np.empty((b, k_exits, c))
@@ -312,8 +321,25 @@ def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
 
 
 def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
-    """Evaluate every exit on a batch in one shared-trunk pass."""
-    return forward_pass(params, batch, labels).outputs
+    """Evaluate every exit on a batch, keeping no trunk activations.
+
+    A batch of more than FORWARD_BLOCK_ROWS rows runs as ceil(n / FORWARD_BLOCK_ROWS)
+    near-equal row blocks whose outputs are concatenated, so the
+    activations of one block stay cache-sized and are freed before the
+    next. The outputs are bitwise those of one whole-batch pass. A
+    matmul over a few rows may take another BLAS kernel and round
+    differently, so the blocks are near-equal: each holds more than
+    FORWARD_BLOCK_ROWS / 2 rows, never a sliver left over.
+    """
+    batch, labels = _validate_batch(params.config, batch, labels)
+    blocks = -(-batch.shape[0] // FORWARD_BLOCK_ROWS)
+    if blocks <= 1:
+        return _forward(params, batch, labels).outputs
+    parts = [
+        _forward(params, x, y).outputs
+        for x, y in zip(np.array_split(batch, blocks), np.array_split(labels, blocks))
+    ]
+    return ExitOutputs(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(ExitOutputs)))
 
 
 def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:

@@ -171,7 +171,9 @@ def build_datasets(dataset: tuple, config_path):
     """Materialize (train, val, test) Datasets from a (kind, config) dataset.
 
     config_path is the file the section came from: relative data paths
-    resolve against its directory, and errors name it.
+    resolve against its directory, and errors name it. A data path that
+    is not a string or names no file raises ConfigError naming the key
+    and the resolved path.
     """
     from .datahub import gen_synthetic_gaussians, load_cifar_bin, load_dataset, load_idx, longtail_subsample
     from .numkit import RngStream
@@ -181,9 +183,14 @@ def build_datasets(dataset: tuple, config_path):
     root = RngStream(spec.seed)
     splits = ("train", "val", "test")
 
-    def path(value) -> Path:
+    def path(key: str, value) -> Path:
+        if not isinstance(value, str):
+            raise ConfigError(f"{config_path}: dataset.{key}: expected a file path string, got {value!r}")
         p = Path(value)
-        return p if p.is_absolute() else base_dir / p
+        p = p if p.is_absolute() else base_dir / p
+        if not p.is_file():
+            raise ConfigError(f"{config_path}: dataset.{key}: data file not found: {p}")
+        return p
 
     if kind == "synthetic":
         train, val, test = (
@@ -194,15 +201,18 @@ def build_datasets(dataset: tuple, config_path):
             for split in splits
         )
     elif kind == "container":
-        train, val, test = (load_dataset(path(getattr(spec, split))) for split in splits)
+        train, val, test = (load_dataset(path(split, getattr(spec, split))) for split in splits)
     elif kind == "idx":
         train, val, test = (
-            load_idx(path(getattr(spec, f"{s}_images")), path(getattr(spec, f"{s}_labels")), split=s)
+            load_idx(*(path(key, getattr(spec, key)) for key in (f"{s}_images", f"{s}_labels")), split=s)
             for s in splits
         )
     else:  # cifar_bin
-        files = [spec.train] if isinstance(spec.train, str) else spec.train
-        full = load_cifar_bin([path(f) for f in files], num_classes=spec.num_classes, split="train")
+        if isinstance(spec.train, str):
+            files = [path("train", spec.train)]
+        else:
+            files = [path(f"train[{i}]", f) for i, f in enumerate(spec.train)]
+        full = load_cifar_bin(files, num_classes=spec.num_classes, split="train")
         holdout = spec.val_holdout
         if not (0 < holdout < len(full)):
             raise ConfigError(f"val_holdout must lie in (0, {len(full)}), got {holdout}")
@@ -211,7 +221,7 @@ def build_datasets(dataset: tuple, config_path):
         perm = root.child("val-holdout").permutation(len(full))
         val = full.subset(np.sort(perm[:holdout]), split="val")
         train = full.subset(np.sort(perm[holdout:]), split="train")
-        test = load_cifar_bin(path(spec.test), num_classes=spec.num_classes, split="test")
+        test = load_cifar_bin(path("test", spec.test), num_classes=spec.num_classes, split="test")
     if spec.longtail_factor != 1.0:
         train = longtail_subsample(train, spec.longtail_factor, root.child("longtail"))
     return train, val, test

@@ -5,7 +5,8 @@ forced through it. The dynamic sweep asks what the threshold policy
 delivers across a grid of budget knobs: for each q, thresholds are
 calibrated on a validation split and replayed on a test split, yielding
 (accuracy, expected cost) pairs that trace the accuracy/compute curve.
-Forward passes are shared across the whole grid, so sweeping is cheap.
+Forward passes are shared across the whole grid, and each exit's
+validation confidences are sorted once per sweep, so sweeping is cheap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .backbone import BackboneParams, count_mul_adds, forward_all
 from .datahub import Dataset
-from .exitpolicy import calibrate_thresholds, dynamic_infer, expected_cost
+from .exitpolicy import calibrate_threshold_grid, dynamic_infer, expected_cost
 
 
 def anytime_accuracy(params: BackboneParams, dataset: Dataset) -> np.ndarray:
@@ -45,8 +46,7 @@ def dynamic_sweep(
     val_outs = forward_all(params, val_set.features, val_set.labels)
     test_outs = forward_all(params, test_set.features, test_set.labels)
     rows = []
-    for q in grid:
-        thresholds = calibrate_thresholds(val_outs.confidences, float(q))
+    for q, thresholds in zip(grid, calibrate_threshold_grid(val_outs.confidences, grid)):
         result = dynamic_infer(test_outs, thresholds)
         rows.append({
             "q": float(q),

@@ -14,6 +14,11 @@ one knob the module derives
   * the expected inference cost of a threshold policy under a per-exit
     cost vector.
 
+The allocation, the thresholds at one q and the thresholds over a whole
+q grid (`calibrate_threshold_grid`) share one greedy loop over each
+exit's stable descending order of the table, sorted once per table: an
+exit takes the first rows of its order that no earlier exit claimed.
+
 Floor counts are computed in exact rational arithmetic on the float
 value of q: mathematically-integer boundaries like q=1, K=3, N=6 must
 come out as equal thirds, which naive float multiplication misses.
@@ -80,6 +85,40 @@ class AllocationResult:
     sizes: np.ndarray
 
 
+def _confidence_table(confidences) -> np.ndarray:
+    conf = np.ascontiguousarray(confidences, dtype=np.float64)
+    if conf.ndim != 2:
+        raise ShapeError(f"confidence table must be 2-D, got ndim={conf.ndim}")
+    require_finite(conf, "confidence table")
+    if conf.shape[0] < 1:
+        raise DomainError("confidence table must have at least one row")
+    return conf
+
+
+def _exit_orders(conf: np.ndarray) -> np.ndarray:
+    """Row k: all sample indices by descending confidence at exit k, ties
+    toward the lower index, for every exit but the last; (K-1, N)."""
+    return np.argsort(np.ascontiguousarray(-conf[:, :-1].T), axis=1, kind="stable")
+
+
+def _greedy_subsets(orders: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """The greedy partition: exit k takes the first sizes[k] unclaimed rows
+    of orders[k]; the last exit takes the rest in ascending index order.
+
+    Dropping claimed rows from a full-table order leaves the unclaimed
+    rows in the order a stable sort of the remainder alone would give,
+    because the remainder keeps ascending index order.
+    """
+    claimed = np.zeros(orders.shape[1], dtype=bool)
+    subsets = []
+    for order, take in zip(orders, sizes[:-1]):
+        chosen = order[~claimed[order]][: int(take)]
+        claimed[chosen] = True
+        subsets.append(chosen)
+    subsets.append(np.flatnonzero(~claimed))
+    return subsets
+
+
 def allocate_meta(confidences, q: float) -> AllocationResult:
     """Greedy confidence-ordered partition of a (N, K) table.
 
@@ -88,26 +127,26 @@ def allocate_meta(confidences, q: float) -> AllocationResult:
     whatever remains. Ties break toward the lower sample index, so the
     result is deterministic.
     """
-    conf = np.ascontiguousarray(confidences, dtype=np.float64)
-    if conf.ndim != 2:
-        raise ShapeError(f"confidence table must be 2-D, got ndim={conf.ndim}")
-    require_finite(conf, "confidence table")
+    conf = _confidence_table(confidences)
+    sizes = allocation_sizes(q, conf.shape[1], conf.shape[0])
+    return AllocationResult(_greedy_subsets(_exit_orders(conf), sizes), sizes)
+
+
+def calibrate_threshold_grid(val_confidences, q_grid) -> np.ndarray:
+    """`calibrate_thresholds` at every q of a grid, (Q, K), sorting each exit once.
+
+    Row j is bitwise the thresholds `calibrate_thresholds` gives at
+    q_grid[j]; the per-exit orders are shared by the whole grid.
+    """
+    conf = _confidence_table(val_confidences)
     n, num_exits = conf.shape
-    if n < 1:
-        raise DomainError("confidence table must have at least one row")
-    sizes = allocation_sizes(q, num_exits, n)
-    remaining = np.arange(n)
-    subsets: list[np.ndarray] = []
-    for k in range(num_exits - 1):
-        take = int(sizes[k])
-        # stable sort on negated confidence: descending value, ascending index
-        order = np.argsort(-conf[remaining, k], kind="stable")
-        subsets.append(remaining[order[:take]])
-        keep = np.ones(remaining.shape[0], dtype=bool)
-        keep[order[:take]] = False
-        remaining = remaining[keep]
-    subsets.append(remaining)
-    return AllocationResult(subsets, sizes)
+    orders = _exit_orders(conf)
+    eps = np.zeros((len(q_grid), num_exits))
+    for row, q in zip(eps, q_grid):
+        subsets = _greedy_subsets(orders, allocation_sizes(q, num_exits, n))
+        for k, subset in enumerate(subsets[:-1]):
+            row[k] = conf[subset[-1], k] if subset.size else EMPTY_EXIT_SENTINEL
+    return eps
 
 
 def calibrate_thresholds(val_confidences, q: float) -> np.ndarray:
@@ -120,14 +159,7 @@ def calibrate_thresholds(val_confidences, q: float) -> np.ndarray:
     table reproduces the allocation exactly whenever no two samples tie
     at a quota boundary.
     """
-    conf = np.ascontiguousarray(val_confidences, dtype=np.float64)
-    alloc = allocate_meta(conf, q)
-    num_exits = conf.shape[1]
-    eps = np.zeros(num_exits)
-    for k in range(num_exits - 1):
-        subset = alloc.subsets[k]
-        eps[k] = conf[subset[-1], k] if subset.size else EMPTY_EXIT_SENTINEL
-    return eps
+    return calibrate_threshold_grid(val_confidences, [q])[0]
 
 
 def exit_decisions(confidences, thresholds) -> np.ndarray:

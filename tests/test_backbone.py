@@ -9,13 +9,17 @@ cross-checked against each other; the dense route must also agree with
 the oracles independently.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from exitweave.backbone import (
+    FORWARD_BLOCK_ROWS,
     Affine,
     BackboneConfig,
     BackboneParams,
+    ExitOutputs,
     batch_weighted_grad,
     count_mul_adds,
     cumulative_loss,
@@ -30,7 +34,7 @@ from exitweave.backbone import (
     sgd_step,
     weighted_train_loss,
 )
-from exitweave.errors import ConfigError, ShapeError
+from exitweave.errors import ConfigError, NumericError, ShapeError
 from exitweave.gradcheck import fd_loss_grads, rel_err
 from exitweave.numkit import RngStream
 
@@ -222,6 +226,39 @@ class TestForwardAll:
         bad[0] = config.num_classes
         with pytest.raises(ShapeError):
             forward_all(params, x, bad)
+
+
+    @pytest.mark.parametrize("widths", [(16,) * 4, (128,) * 4], ids=["16x4", "128x4"])
+    @pytest.mark.parametrize("n", [1025, 2049, 10000])
+    def test_row_blocks_match_one_whole_batch_pass(self, widths, n):
+        # above FORWARD_BLOCK_ROWS rows forward_all runs near-equal row
+        # blocks; every output field must be bitwise the whole-batch pass's
+        assert n > FORWARD_BLOCK_ROWS
+        config = BackboneConfig(16, widths, 8)
+        params = init_params(config, RngStream(n).child("params"))
+        rng = RngStream(n).child("data")
+        x = 3.0 * rng.standard_normal((n, 16))
+        y = rng.integers(0, 8, n)
+        blocked = forward_all(params, x, y)
+        whole = forward_pass(params, x, y).outputs
+        for f in fields(ExitOutputs):
+            got, want = getattr(blocked, f.name), getattr(whole, f.name)
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+
+    def test_row_blocks_validate_the_whole_batch(self):
+        config = BackboneConfig(4, (5, 5), 3)
+        params = init_params(config, RngStream(8))
+        n = 2 * FORWARD_BLOCK_ROWS + 1
+        x = RngStream(9).standard_normal((n, 4))
+        y = np.zeros(n, dtype=np.int64)
+        bad_label = y.copy()
+        bad_label[-1] = 3
+        with pytest.raises(ShapeError):
+            forward_all(params, x, bad_label)
+        x[-1, 0] = np.nan
+        with pytest.raises(NumericError):
+            forward_all(params, x, y)
 
 
 class TestPerSampleGrads:

@@ -681,6 +681,32 @@ class TestFileDatasetKinds:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "val_holdout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dataset, key, name", [
+        ({"kind": "container", "train": "train.json", "val": "val.json", "test": "test.json"},
+         "dataset.train", "train.json"),
+        ({"kind": "idx", **{f"{s}_{part}": f"{s}-{part}.idx"
+                            for s in ("train", "val", "test") for part in ("images", "labels")}},
+         "dataset.train_images", "train-images.idx"),
+        ({"kind": "cifar_bin", "train": ["train.bin"], "test": "test.bin", "val_holdout": 2},
+         "dataset.train[0]", "train.bin"),
+    ], ids=["container", "idx", "cifar_bin"])
+    def test_missing_data_file_exits_2(self, tmp_path, capsys, dataset, key, name):
+        # reading the file used to raise FileNotFoundError: a traceback and exit 1
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset=dataset)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err and str(tmp_path / name) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_cifar_bin_train_entry_not_a_string_exits_2(self, tmp_path, capsys):
+        # the schema types train as str | list, so [5] reached Path(5): TypeError, exit 1
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "cifar_bin", "train": [5], "test": "test.bin", "val_holdout": 2})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "dataset.train[0]" in err
+
     def test_idx_kind_trains(self, tmp_path):
         import struct
 

@@ -71,6 +71,31 @@ class TestDynamicSweep:
                 row["expected_muladds"], expected_cost(result.exit_counts, costs), atol=1e-9
             )
 
+    def test_rows_equal_per_q_calibration(self):
+        # the sweep sorts each exit once for the whole grid; its rows must be
+        # exactly the rows of calibrating afresh at every q (val and test
+        # above 1024 rows, so forward_all runs in row blocks)
+        root = RngStream(21)
+        params = init_params(BB, root.child("p"))
+        val = gen_synthetic_gaussians(4, 6, 300, 1.5, root.child("v"), split="val")
+        test = gen_synthetic_gaussians(4, 6, 300, 1.5, root.child("t"), split="test")
+        grid = default_q_grid()
+        costs = count_mul_adds(BB)
+        val_outs = forward_all(params, val.features, val.labels)
+        test_outs = forward_all(params, test.features, test.labels)
+        expected = []
+        for q in grid:
+            thresholds = calibrate_thresholds(val_outs.confidences, float(q))
+            result = dynamic_infer(test_outs, thresholds)
+            expected.append({
+                "q": float(q),
+                "thresholds": [float(e) for e in thresholds],
+                "exit_counts": [int(c) for c in result.exit_counts],
+                "accuracy": result.accuracy,
+                "expected_muladds": expected_cost(result.exit_counts, costs),
+            })
+        assert dynamic_sweep(params, val, test, grid) == expected
+
     def test_default_grid_used_when_omitted(self):
         params, val, test = fixture()
         rows = dynamic_sweep(params, val, test)

@@ -21,6 +21,7 @@ from exitweave.exitpolicy import (
     EMPTY_EXIT_SENTINEL,
     allocate_meta,
     allocation_sizes,
+    calibrate_threshold_grid,
     calibrate_thresholds,
     dynamic_infer,
     exit_decisions,
@@ -42,6 +43,46 @@ def greedy_oracle(conf: np.ndarray, sizes: np.ndarray):
         remaining = [i for i in remaining if i not in take]
     subsets.append(remaining)
     return subsets
+
+
+def shrinking_argsort_oracle(conf: np.ndarray, q: float) -> list[np.ndarray]:
+    """The greedy partition as it was first written: a fresh stable argsort
+    of the shrinking remainder at every exit."""
+    n, k_exits = conf.shape
+    sizes = allocation_sizes(q, k_exits, n)
+    remaining = np.arange(n)
+    subsets = []
+    for k in range(k_exits - 1):
+        take = int(sizes[k])
+        order = np.argsort(-conf[remaining, k], kind="stable")
+        subsets.append(remaining[order[:take]])
+        keep = np.ones(remaining.shape[0], dtype=bool)
+        keep[order[:take]] = False
+        remaining = remaining[keep]
+    subsets.append(remaining)
+    return subsets
+
+
+def oracle_thresholds(conf: np.ndarray, subsets: list[np.ndarray]) -> np.ndarray:
+    eps = np.zeros(conf.shape[1])
+    for k, subset in enumerate(subsets[:-1]):
+        eps[k] = conf[subset[-1], k] if subset.size else EMPTY_EXIT_SENTINEL
+    return eps
+
+
+@st.composite
+def tied_tables(draw):
+    """Confidence tables full of ties: values on a 0.1 grid, rows drawn with
+    repetition from a few distinct ones, some columns saturated at 1.0."""
+    k = draw(st.integers(1, 5))
+    distinct = draw(st.integers(1, 6))
+    values = st.integers(0, 10).map(lambda v: v / 10)
+    base = np.array(draw(st.lists(st.lists(values, min_size=k, max_size=k),
+                                  min_size=distinct, max_size=distinct)))
+    rows = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=60))
+    table = base[rows]
+    table[:, draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 1.0
+    return table
 
 
 def sizes_oracle(q: float, k_exits: int, n: int):
@@ -182,6 +223,33 @@ class TestAllocateMeta:
             allocate_meta(np.zeros(4), 1.0)
         with pytest.raises(DomainError):
             allocate_meta(np.zeros((0, 3)), 1.0)
+
+
+class TestSortOnce:
+    """One stable sort per exit, shared by every q, against the shrinking-remainder argsort."""
+
+    @given(tied_tables(), st.lists(st.floats(0.05, 3.0), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_subsets_and_grid_match_shrinking_argsort(self, conf, grid):
+        thresholds = calibrate_threshold_grid(conf, grid)
+        assert thresholds.shape == (len(grid), conf.shape[1])
+        for q, eps in zip(grid, thresholds):
+            want = shrinking_argsort_oracle(conf, q)
+            got = allocate_meta(conf, q).subsets
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+            assert eps.tobytes() == oracle_thresholds(conf, want).tobytes()
+            assert eps.tobytes() == calibrate_thresholds(conf, q).tobytes()
+
+    def test_grid_errors(self):
+        with pytest.raises(ShapeError):
+            calibrate_threshold_grid(np.zeros(4), [1.0])
+        with pytest.raises(DomainError):
+            calibrate_threshold_grid(np.zeros((0, 3)), [1.0])
+        with pytest.raises(DomainError):
+            calibrate_threshold_grid(np.zeros((4, 3)), [1.0, -1.0])
 
 
 class TestCalibration:

@@ -2,7 +2,7 @@
 
     python3 tools/artifact_digests.py --src CHECKOUT/src --out DIR
 
-runs, from the package under --src and inside DIR, eight reference runs
+runs, from the package under --src and inside DIR, nine reference runs
 (`train` then `eval` on the checkpoint) plus `gradcheck`, with
 EXITWEAVE_THREADS=1 and cwd-relative paths, then prints one
 `sha256  path` line per file in DIR. Run it on two checkouts and diff
@@ -11,9 +11,12 @@ the outputs: equal lines mean byte-identical artifacts.
 The reference runs are the seven variants on a 16x4 trunk (synthetic
 data, 6 classes, dim 16, 150/60/60 rows per class; 3 epochs, batch 32,
 weight-network hidden width 32; `learned` logs its weight scatter with
-cap 50, `frozen_wpn` loads `learned/checkpoint.json`) and `learned` on a
+cap 50, `frozen_wpn` loads `learned/checkpoint.json`), `learned` on a
 128x4 trunk (10 classes, dim 32, 100/50/50 rows per class; 2 epochs,
-batch 128).
+batch 128), and `baseline` on a 16x4 trunk whose val and test splits
+hold 1,500 rows each (6 classes, dim 16, 250 rows per class in every
+split; 1 epoch, batch 64), so that training's per-epoch validation and
+`eval` run `forward_all` in row blocks.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ def reference_configs() -> dict[str, dict]:
         "backbone": {"trunk_widths": [128] * 4},
         "wpn": {"hidden_width": 32},
         "train": {"epochs": 2, "batch_size": 128, "alpha": 0.1},
+    }
+    configs["baseline_blocks"] = {
+        "dataset": _synthetic(6, 16, 250, 250),
+        "backbone": {"trunk_widths": [16] * 4},
+        "train": {"epochs": 1, "batch_size": 64, "alpha": 0.1, "variant": "baseline"},
     }
     return configs
 
