@@ -9,7 +9,7 @@ Submodules:
   datahub     synthetic and on-disk datasets, imbalancing, batching
   trainer     the training loops (full method plus ablation variants)
   evaluate    anytime tables and budget sweeps
-  checkpoint  versioned JSON model/run containers
+  checkpoint  the versioned run checkpoint
   gradcheck   finite-difference audits of the gradient chain
   cli         the `exitweave` command line tool
   serial      canonical JSON, base64 float64 buffers, config section reader

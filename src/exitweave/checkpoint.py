@@ -1,21 +1,16 @@
-"""Versioned checkpoint containers for model and run state.
+"""The versioned run checkpoint, the one model document.
 
-Three document kinds, all JSON envelopes with base64 float64 buffers:
-
-  * backbone checkpoint: architecture + flat parameter vector,
-  * weight-network checkpoint: its config + flat parameter vector,
-  * run checkpoint: both of the above plus the optimizer buffers, the
-    training config and the iteration counter, enough to evaluate or
-    inspect a finished run.
-
-Loads validate format/version headers and that the flat vectors match
-the parameter counts their configs imply, raising CompatibilityError on
-mismatch rather than producing silently misshapen models.
+A JSON envelope with base64 float64 buffers holding the backbone and
+the weight network (if any), each as config + flat parameter vector,
+the optimizer buffers, the training config and the iteration counter:
+enough to evaluate or inspect a finished run, and where a `frozen_wpn`
+run reads its weight network. Loads validate the format/version header
+and that the flat vectors match the parameter counts their configs
+imply, raising CompatibilityError rather than producing silently
+misshapen models.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .backbone import BackboneConfig, BackboneParams
 from .errors import CompatibilityError, FormatError, ShapeError
@@ -32,8 +27,6 @@ from .serial import (
 from .trainer import TrainConfig, TrainState
 from .wpn import AdamState, WpnConfig, WpnParams
 
-BACKBONE_FORMAT = "exitweave-backbone"
-WPN_FORMAT = "exitweave-wpn"
 RUN_FORMAT = "exitweave-run"
 VERSION = 1
 
@@ -55,34 +48,6 @@ def _params_from(doc, path, section: str, params_cls, config_cls):
         return params_cls(config, decode_array(doc.get("params"), f"{path}: {section}.params"))
     except ShapeError as exc:
         raise CompatibilityError(f"{path}: {section}: {exc}") from exc
-
-
-def save_backbone_params(path, params: BackboneParams) -> None:
-    write_json(path, {"format": BACKBONE_FORMAT, "version": VERSION, **_params_doc(params)})
-
-
-def load_backbone_params(path) -> BackboneParams:
-    doc = read_json(path)
-    check_envelope(doc, path, BACKBONE_FORMAT, VERSION)
-    return _params_from(doc, path, "backbone", BackboneParams, BackboneConfig)
-
-
-def save_wpn_params(path, params: WpnParams) -> None:
-    write_json(path, {"format": WPN_FORMAT, "version": VERSION, **_params_doc(params)})
-
-
-def load_wpn_params(path) -> WpnParams:
-    """Load a weight network from its own container or from a run checkpoint."""
-    doc = read_json(path)
-    fmt = doc.get("format")
-    if fmt not in (WPN_FORMAT, RUN_FORMAT):
-        raise FormatError(f"{path}: not a {WPN_FORMAT} or {RUN_FORMAT} document (format={fmt!r})")
-    check_envelope(doc, path, fmt, VERSION)
-    if fmt == RUN_FORMAT:
-        if doc.get("wpn") is None:
-            raise CompatibilityError(f"{path}: run checkpoint carries no weight network")
-        doc = doc["wpn"]
-    return _params_from(doc, path, "wpn", WpnParams, WpnConfig)
 
 
 def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> None:

@@ -212,10 +212,12 @@ def build_datasets(dataset: tuple, config_path):
             files = [path("train", spec.train)]
         else:
             files = [path(f"train[{i}]", f) for i, f in enumerate(spec.train)]
+        if not files:
+            raise ConfigError(f"{config_path}: dataset.train: at least one batch file is required")
         full = load_cifar_bin(files, num_classes=spec.num_classes, split="train")
         holdout = spec.val_holdout
         if not (0 < holdout < len(full)):
-            raise ConfigError(f"val_holdout must lie in (0, {len(full)}), got {holdout}")
+            raise ConfigError(f"{config_path}: dataset.val_holdout: must lie in (0, {len(full)}), got {holdout}")
         import numpy as np
 
         perm = root.child("val-holdout").permutation(len(full))
@@ -238,6 +240,10 @@ def cmd_train(args) -> int:
 
     run = load_config(args.config)
     train_cfg = run["train"] if args.seed is None else replace(run["train"], seed=args.seed)
+    # a relative path is read from the working directory, as run_training reads it
+    frozen = train_cfg.frozen_wpn_path
+    if train_cfg.variant == "frozen_wpn" and not Path(frozen).is_file():
+        raise ConfigError(f"{args.config}: train.frozen_wpn_path: run checkpoint not found: {Path(frozen).absolute()}")
     out_dir = Path(args.out or run["output"].dir)
     train_set, val_set, _ = build_datasets(run["dataset"], args.config)
     backbone_cfg, wpn_cfg = _model_configs(
@@ -289,12 +295,16 @@ def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
         p = Path(args.dataset)
         doc = _read_doc(p, "dataset config")
         return read_dataset(doc.get("dataset", doc), str(p)), p
+    from .serial import check_envelope
+
     sibling = checkpoint_path.resolve().parent / "resolved_config.json"
     if not sibling.is_file():
         raise ConfigError(
             "no dataset available: pass --dataset or keep resolved_config.json next to the checkpoint"
         )
-    return read_dataset(_read_doc(sibling, "resolved config").get("dataset"), str(sibling)), sibling
+    doc = _read_doc(sibling, "resolved config")
+    check_envelope(doc, sibling, CONFIG_FORMAT, VERSION)
+    return read_dataset(doc.get("dataset"), str(sibling)), sibling
 
 
 def _scatter_from_history(checkpoint_path: Path) -> list:

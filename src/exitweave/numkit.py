@@ -73,12 +73,9 @@ class RngStream:
     """
 
     seed: int
-    algorithm: str = "pcg64"
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.algorithm != "pcg64":
-            raise NumericError(f"unknown rng algorithm: {self.algorithm!r}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, label: str) -> "RngStream":

@@ -51,7 +51,7 @@ from .backbone import (
     sgd_step,
 )
 from .datahub import Dataset, make_batches
-from .errors import ConfigError, NumericError, TrainingError
+from .errors import CompatibilityError, ConfigError, NumericError, TrainingError
 from .exitpolicy import AllocationResult, allocate_meta, calibrate_thresholds, dynamic_infer
 from .numkit import RngStream
 from .wpn import (
@@ -92,7 +92,8 @@ class TrainConfig:
     beta the Adam rate for the weight network, interval the WPN update
     period in iterations, q the budget knob used for meta allocation.
     batch_size must be even because every batch is split into two
-    halves that exchange train and meta roles.
+    halves that exchange train and meta roles. frozen_wpn_path names the
+    run checkpoint whose weight network a frozen_wpn run applies.
     """
 
     epochs: int
@@ -395,9 +396,11 @@ def run_training(
     backbone = init_params(backbone_config, root.child("init-backbone"))
     if config.variant in _WPN_VARIANTS:
         if config.variant == "frozen_wpn":
-            from .checkpoint import load_wpn_params
+            from .checkpoint import load_run_checkpoint
 
-            wpn_params = load_wpn_params(config.frozen_wpn_path)
+            wpn_params = load_run_checkpoint(config.frozen_wpn_path)[0].wpn
+            if wpn_params is None:
+                raise CompatibilityError(f"{config.frozen_wpn_path}: run checkpoint carries no weight network")
             if wpn_params.config.num_exits != backbone_config.num_exits:
                 raise ConfigError(
                     f"frozen weight network expects {wpn_params.config.num_exits} exits, "

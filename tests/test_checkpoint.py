@@ -12,14 +12,7 @@ import numpy as np
 import pytest
 
 from exitweave.backbone import BackboneConfig, init_params
-from exitweave.checkpoint import (
-    load_backbone_params,
-    load_run_checkpoint,
-    load_wpn_params,
-    save_backbone_params,
-    save_run_checkpoint,
-    save_wpn_params,
-)
+from exitweave.checkpoint import load_run_checkpoint, save_run_checkpoint
 from exitweave.errors import CompatibilityError, FormatError
 from exitweave.numkit import RngStream
 from exitweave.serial import decode_array, dump_json, encode_array, read_json
@@ -61,86 +54,6 @@ class TestSerial:
 
 BB = BackboneConfig(4, (5, 4), 3)
 WPN = WpnConfig(2, hidden_width=6, hidden_depth=2, delta=0.7)
-
-
-class TestBackboneContainer:
-    def test_round_trip_bytes_and_values(self, tmp_path):
-        params = init_params(BB, RngStream(5).child("p"))
-        path = tmp_path / "bb.json"
-        save_backbone_params(path, params)
-        loaded = load_backbone_params(path)
-        assert loaded.config == BB
-        np.testing.assert_array_equal(loaded.flatten(), params.flatten())
-        save_backbone_params(tmp_path / "bb2.json", loaded)
-        assert (tmp_path / "bb2.json").read_bytes() == path.read_bytes()
-
-    def test_wrong_format_rejected(self, tmp_path):
-        params = init_params(BB, RngStream(5).child("p"))
-        path = tmp_path / "bb.json"
-        save_backbone_params(path, params)
-        doc = read_json(path)
-        doc["format"] = "something-else"
-        path.write_text(dump_json(doc))
-        with pytest.raises(FormatError, match="format"):
-            load_backbone_params(path)
-
-    def test_future_version_rejected(self, tmp_path):
-        params = init_params(BB, RngStream(5).child("p"))
-        path = tmp_path / "bb.json"
-        save_backbone_params(path, params)
-        doc = read_json(path)
-        doc["version"] = 99
-        path.write_text(dump_json(doc))
-        with pytest.raises(FormatError, match="version"):
-            load_backbone_params(path)
-
-    def test_buffer_shape_mismatch_rejected(self, tmp_path):
-        params = init_params(BB, RngStream(5).child("p"))
-        path = tmp_path / "bb.json"
-        save_backbone_params(path, params)
-        doc = read_json(path)
-        doc["params"] = encode_array(np.zeros(4))
-        path.write_text(dump_json(doc))
-        with pytest.raises(CompatibilityError, match="entries"):
-            load_backbone_params(path)
-
-    def test_invalid_json_is_format_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(FormatError):
-            load_backbone_params(path)
-
-
-class TestWpnContainer:
-    def test_round_trip(self, tmp_path):
-        wpn = init_wpn(WPN, RngStream(6).child("w"))
-        path = tmp_path / "wpn.json"
-        save_wpn_params(path, wpn)
-        loaded = load_wpn_params(path)
-        assert loaded.config == WPN
-        np.testing.assert_array_equal(loaded.flatten(), wpn.flatten())
-        save_wpn_params(tmp_path / "wpn2.json", loaded)
-        assert (tmp_path / "wpn2.json").read_bytes() == path.read_bytes()
-
-    def test_load_from_run_container(self, tmp_path):
-        backbone = init_params(BB, RngStream(7).child("b"))
-        wpn = init_wpn(WpnConfig(2, hidden_width=6), RngStream(7).child("w"))
-        state = TrainState(backbone=backbone, wpn=wpn, velocity=None,
-                           adam=AdamState.zeros(wpn.num_params))
-        cfg = TrainConfig(epochs=1, batch_size=4, alpha=0.1)
-        path = tmp_path / "run.json"
-        save_run_checkpoint(path, state, cfg)
-        loaded = load_wpn_params(path)
-        np.testing.assert_array_equal(loaded.flatten(), wpn.flatten())
-
-    def test_run_container_without_wpn_rejected(self, tmp_path):
-        backbone = init_params(BB, RngStream(7).child("b"))
-        state = TrainState(backbone=backbone, wpn=None, velocity=None, adam=None)
-        cfg = TrainConfig(epochs=1, batch_size=4, alpha=0.1, variant="baseline")
-        path = tmp_path / "run.json"
-        save_run_checkpoint(path, state, cfg)
-        with pytest.raises(CompatibilityError, match="weight network"):
-            load_wpn_params(path)
 
 
 class TestRunContainer:
@@ -232,6 +145,22 @@ class TestMalformedRunCheckpoint:
         with pytest.raises(FormatError) as err:
             load_run_checkpoint(path)
         return str(err.value)
+
+    @pytest.mark.parametrize("edit, error, words", [
+        (lambda d: d.update(format="something-else"), FormatError, ["format", "something-else"]),
+        (lambda d: d.update(version=99), FormatError, ["version", "99"]),
+        (lambda d: d["backbone"].update(params=encode_array(np.zeros(4))), CompatibilityError,
+         ["backbone", "entries"]),
+        (None, FormatError, ["not valid JSON"]),
+        # the weight network alone, as its own container: a run checkpoint is the only model document
+        (lambda d: {"format": "exitweave-wpn", "version": 1, **d["wpn"]}, FormatError, ["exitweave-wpn"]),
+    ], ids=["wrong-format", "future-version", "backbone-params-length", "invalid-json", "standalone-wpn"])
+    def test_rejected_container(self, tmp_path, edit, error, words):
+        path, doc = self.saved(tmp_path)
+        path.write_text("{not json" if edit is None else dump_json(edit(doc) or doc))
+        with pytest.raises(error) as err:
+            load_run_checkpoint(path)
+        assert str(path) in str(err.value) and all(w in str(err.value) for w in words), err.value
 
     def test_missing_train_field_names_file_section_and_key(self, tmp_path):
         path, doc = self.saved(tmp_path)

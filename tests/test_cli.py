@@ -375,6 +375,17 @@ class TestEvalSiblingConfig:
         assert str(tmp_path / "resolved_config.json") in err and "dataset" in err, err
         assert not (tmp_path / "metrics.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("format", "exitweave-history"), ("version", 99)])
+    def test_bad_envelope_exits_2(self, trained, tmp_path, capsys, key, value):
+        shutil.copy(trained / "checkpoint.json", tmp_path / "checkpoint.json")
+        doc = json.loads((trained / "resolved_config.json").read_text())
+        doc[key] = value
+        (tmp_path / "resolved_config.json").write_text(json.dumps(doc))
+        assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint.json"), "--q-grid", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "resolved_config.json") in err and key in err and str(value) in err, err
+        assert not (tmp_path / "metrics.json").exists()
+
 
 def semantic_hash(resolved: dict) -> str:
     """SHA-256 of the canonical JSON of a resolved config's four semantic sections."""
@@ -423,6 +434,48 @@ class TestRunId:
             assert (tmp_path / "canonical" / name).read_bytes() == (tmp_path / "spelled" / name).read_bytes()
         resolved = json.loads((tmp_path / "spelled" / "resolved_config.json").read_text())
         assert resolved["dataset"]["classes"] == 6 and resolved["dataset"]["spread"] == 1.0
+
+
+class TestFrozenWpn:
+    """A frozen_wpn run applies the weight network of another run's checkpoint."""
+
+    def train_frozen(self, tmp_path, source: str) -> int:
+        train = {"epochs": 2, "batch_size": 10, "alpha": 0.1, "seed": 3, "variant": "frozen_wpn",
+                 "frozen_wpn_path": source}
+        write_config(tmp_path / "frozen.json", train=train)
+        return main(["train", "--config", str(tmp_path / "frozen.json"), "--out", str(tmp_path / "frozen")])
+
+    def test_applies_the_learned_network_unchanged(self, tmp_path, monkeypatch):
+        from exitweave.checkpoint import load_run_checkpoint
+
+        monkeypatch.chdir(tmp_path)  # a relative path is read from the working directory
+        write_config(tmp_path / "learned.json")
+        assert main(["train", "--config", "learned.json", "--out", "learned"]) == 0
+        assert self.train_frozen(tmp_path, "learned/checkpoint.json") == 0
+        source, _ = load_run_checkpoint(tmp_path / "learned" / "checkpoint.json")
+        frozen, cfg = load_run_checkpoint(tmp_path / "frozen" / "checkpoint.json")
+        assert cfg.frozen_wpn_path == "learned/checkpoint.json"
+        assert frozen.wpn.buffer.tobytes() == source.wpn.buffer.tobytes()
+        assert frozen.adam.step == 0
+
+    def test_baseline_checkpoint_exits_2(self, tmp_path, capsys):
+        train = {"epochs": 1, "batch_size": 10, "alpha": 0.1, "variant": "baseline"}
+        write_config(tmp_path / "baseline.json", train=train)
+        assert main(["train", "--config", str(tmp_path / "baseline.json"), "--out", str(tmp_path / "baseline")]) == 0
+        source = str(tmp_path / "baseline" / "checkpoint.json")
+        assert self.train_frozen(tmp_path, source) == 2
+        err = capsys.readouterr().err
+        assert source in err and "carries no weight network" in err
+        assert not (tmp_path / "frozen").exists()
+
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys, monkeypatch):
+        # opening the file used to raise FileNotFoundError: a traceback and exit 1
+        monkeypatch.chdir(tmp_path)
+        assert self.train_frozen(tmp_path, "missing.json") == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "frozen.json") in err and "train.frozen_wpn_path" in err
+        assert str(tmp_path / "missing.json") in err
+        assert not (tmp_path / "frozen").exists()
 
 
 class TestGradcheck:
@@ -679,7 +732,8 @@ class TestFileDatasetKinds:
             "train": {"epochs": 1, "batch_size": 2, "alpha": 0.1},
         }))
         assert main(["train", "--config", str(cfg)]) == 2
-        assert "val_holdout" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "dataset.val_holdout" in err
 
     @pytest.mark.parametrize("dataset, key, name", [
         ({"kind": "container", "train": "train.json", "val": "val.json", "test": "test.json"},
@@ -706,6 +760,14 @@ class TestFileDatasetKinds:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and "dataset.train[0]" in err
+
+    def test_cifar_bin_empty_train_list_exits_2(self, tmp_path, capsys):
+        # the loader's own message named neither the config file nor the key
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "cifar_bin", "train": [], "test": "test.bin", "val_holdout": 2})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "dataset.train" in err and "at least one batch file" in err
 
     def test_idx_kind_trains(self, tmp_path):
         import struct

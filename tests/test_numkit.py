@@ -122,10 +122,6 @@ class TestRngStream:
         draws = s.integers(0, 5, 100)
         assert draws.min() >= 0 and draws.max() < 5
 
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(NumericError):
-            RngStream(0, algorithm="mt19937")
-
     @given(st.integers(min_value=0, max_value=2**31), st.text(min_size=0, max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_child_seed_deterministic_property(self, seed, label):

@@ -27,9 +27,9 @@ from exitweave.backbone import (
     per_sample_grads,
     pseudo_step,
 )
-from exitweave.checkpoint import save_wpn_params
+from exitweave.checkpoint import save_run_checkpoint
 from exitweave.datahub import gen_synthetic_gaussians
-from exitweave.errors import ConfigError, TrainingError
+from exitweave.errors import CompatibilityError, ConfigError, TrainingError
 from exitweave.exitpolicy import allocate_meta
 from exitweave.numkit import RngStream
 from exitweave.trainer import (
@@ -377,6 +377,14 @@ BB = BackboneConfig(4, (5, 4), 3)
 WPN = WpnConfig(2, hidden_width=8, hidden_depth=1, delta=0.8)
 
 
+def saved_run(path, wpn, backbone_config=BB) -> str:
+    """Write a run checkpoint carrying wpn (None: no network), as frozen_wpn_path reads it."""
+    state = TrainState(backbone=init_params(backbone_config, RngStream(0).child("b")), wpn=wpn,
+                       velocity=None, adam=None)
+    save_run_checkpoint(path, state, TrainConfig(epochs=1, batch_size=10, alpha=0.1))
+    return str(path)
+
+
 class TestRunTraining:
     def test_zero_epochs_returns_initial_state(self):
         train, val = quick_sets()
@@ -528,9 +536,7 @@ class TestVariants:
 
     def test_frozen_wpn_never_updates(self, tmp_path):
         wpn = init_wpn(WPN, RngStream(99).child("frozen"))
-        path = tmp_path / "wpn.json"
-        save_wpn_params(path, wpn)
-        state, history = self.run(variant="frozen_wpn", frozen_wpn_path=str(path))
+        state, history = self.run(variant="frozen_wpn", frozen_wpn_path=saved_run(tmp_path / "run.json", wpn))
         np.testing.assert_array_equal(state.wpn.flatten(), wpn.flatten())
         assert state.adam.step == 0
         rec = history.iterations[0]
@@ -543,10 +549,23 @@ class TestVariants:
 
     def test_frozen_wpn_exit_mismatch(self, tmp_path):
         wpn = init_wpn(WpnConfig(3, hidden_width=4), RngStream(1))
-        path = tmp_path / "wpn3.json"
-        save_wpn_params(path, wpn)
+        path = saved_run(tmp_path / "run3.json", wpn, BackboneConfig(4, (5, 4, 3), 3))
         with pytest.raises(ConfigError, match="exits"):
-            self.run(variant="frozen_wpn", frozen_wpn_path=str(path))
+            self.run(variant="frozen_wpn", frozen_wpn_path=path)
+
+    def test_load_from_run_container(self, tmp_path):
+        # the checkpoint's network replaces the configured one, whatever its width
+        wpn = init_wpn(WpnConfig(2, hidden_width=6), RngStream(7).child("w"))
+        state, _ = self.run(variant="frozen_wpn", frozen_wpn_path=saved_run(tmp_path / "run.json", wpn))
+        assert state.wpn.config == wpn.config != WPN
+        np.testing.assert_array_equal(state.wpn.flatten(), wpn.flatten())
+        assert state.adam.m.shape == (wpn.num_params,)
+
+    def test_run_container_without_wpn_rejected(self, tmp_path):
+        path = saved_run(tmp_path / "run.json", None)
+        with pytest.raises(CompatibilityError, match="carries no weight network") as err:
+            self.run(variant="frozen_wpn", frozen_wpn_path=path)
+        assert path in str(err.value)
 
 
 class TestDeltaZeroReduction:
@@ -660,10 +679,9 @@ class TestPassSharing:
 
         root = RngStream(73)
         wpn = init_wpn(WPN, root.child("init-wpn"))
-        path = tmp_path / "wpn.json"
-        save_wpn_params(path, wpn)
+        path = saved_run(tmp_path / "run.json", wpn)
         cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.1, variant=variant, interval=2,
-                          frozen_wpn_path=str(path) if variant == "frozen_wpn" else None)
+                          frozen_wpn_path=path if variant == "frozen_wpn" else None)
         state = TrainState(backbone=init_params(BB, root.child("init-backbone")), wpn=wpn,
                            velocity=None, adam=AdamState.zeros(wpn.num_params), iteration=iteration)
         data = root.child("data")
