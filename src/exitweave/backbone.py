@@ -402,29 +402,8 @@ def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def weighted_train_loss(losses: np.ndarray, weights: np.ndarray) -> float:
-    """(1/B) * sum_{i,k} weights[i,k] * losses[i,k].
-
-    With weights identically 1 this is the plain cumulative multi-exit
-    loss; the expression is shared so the two agree bit for bit.
-    """
-    losses = np.asarray(losses, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if losses.ndim != 2 or losses.shape != weights.shape:
-        raise ShapeError(f"losses {losses.shape} and weights {weights.shape} must be equal 2-D shapes")
-    return float(np.sum(weights * losses) / losses.shape[0])
-
-
-def cumulative_loss(losses: np.ndarray) -> float:
-    """Unweighted multi-exit training loss, (1/B) * sum of all entries."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.ndim != 2:
-        raise ShapeError(f"losses must be 2-D, got ndim={losses.ndim}")
-    return weighted_train_loss(losses, np.ones_like(losses))
-
-
 def grad_weighted_loss(psg: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Flat gradient of weighted_train_loss from stored per-sample grads."""
+    """Flat gradient of (1/B) * sum w[i,k] * loss_i^(k) from stored per-sample grads."""
     psg = np.asarray(psg, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if psg.ndim != 3 or weights.shape != psg.shape[:2]:

@@ -291,12 +291,15 @@ def _parse_q_grid(text: str):
 
 def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
     """The (kind, config) dataset eval runs on, and the file it came from."""
+    from .serial import check_envelope
+
     if args.dataset:
         p = Path(args.dataset)
         doc = _read_doc(p, "dataset config")
+        # a resolved_config.json carries an envelope; a run config or a bare section does not
+        if "format" in doc or "version" in doc:
+            check_envelope(doc, p, CONFIG_FORMAT, VERSION)
         return read_dataset(doc.get("dataset", doc), str(p)), p
-    from .serial import check_envelope
-
     sibling = checkpoint_path.resolve().parent / "resolved_config.json"
     if not sibling.is_file():
         raise ConfigError(
@@ -415,6 +418,7 @@ def cmd_allocate(args) -> int:
     import numpy as np
 
     from .exitpolicy import allocate_meta, calibrate_thresholds
+    from .numkit import require_finite
 
     path = Path(args.confidences)
     if not path.is_file():
@@ -429,6 +433,7 @@ def cmd_allocate(args) -> int:
             row = [float(c) for c in cells]
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        require_finite(np.asarray(row), f"{path}: line {lineno}", FormatError)
         if width is None:
             width = len(row)
         elif len(row) != width:

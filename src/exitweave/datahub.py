@@ -67,9 +67,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
     def subset(self, indices: np.ndarray, split: str | None = None) -> "Dataset":
         return Dataset(
             self.features[indices], self.labels[indices], self.num_classes,
@@ -173,6 +170,7 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     feats = images.reshape(images.shape[0], -1).astype(np.float64)
     if np.issubdtype(images.dtype, np.integer):
         feats /= 255.0
+    require_finite(feats, f"{images_path}: images", FormatError)
     if not np.issubdtype(labels.dtype, np.integer):
         raise FormatError(f"{labels_path}: labels must be an integer IDX tensor")
     labels = labels.astype(np.int64)
@@ -236,7 +234,8 @@ def load_dataset(path) -> Dataset:
     missing = [key for key in ("features", "labels", "num_classes") if key not in doc]
     if missing:
         raise FormatError(f"{path}: missing required key(s): {', '.join(missing)}")
-    features = decode_array(doc["features"], f"{path}: features")
+    where = f"{path}: features"
+    features = require_finite(decode_array(doc["features"], where), where, FormatError)
     if not isinstance(doc["labels"], list):
         raise FormatError(f"{path}: labels: expected a list of integers")
     # read as an int config field is: 1.5 and true are errors, not 1

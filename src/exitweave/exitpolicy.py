@@ -203,7 +203,8 @@ def dynamic_infer(outputs: ExitOutputs, thresholds) -> DynamicInference:
 def expected_cost(exit_counts, costs) -> float:
     """Average per-sample cost of an observed exit distribution.
 
-    costs must be strictly increasing (deeper exits always pay more);
+    The count-weighted mean of costs, which need not increase across
+    exits (a narrow late head can cost less than a wide early one);
     counts must be nonnegative with a positive total.
     """
     counts = np.asarray(exit_counts, dtype=np.float64)
@@ -215,6 +216,4 @@ def expected_cost(exit_counts, costs) -> float:
     total = counts.sum()
     if total <= 0:
         raise DomainError("exit counts must sum to a positive number")
-    if np.any(np.diff(c) <= 0):
-        raise DomainError("cost vector must be strictly increasing across exits")
     return float(np.dot(counts, c) / total)

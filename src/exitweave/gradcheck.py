@@ -43,7 +43,7 @@ from .backbone import (
 from .errors import ConfigError
 from .numkit import RngStream
 from .trainer import TrainConfig, lookahead, meta_chain
-from .wpn import WpnConfig, WpnParams, init_wpn, make_weights, wpn_backward, wpn_forward
+from .wpn import WpnConfig, WpnParams, init_wpn, wpn_backward, wpn_weights
 
 PARAM_CAP = 2000
 
@@ -151,9 +151,7 @@ def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int)
         if _min_preactivation(backbone, train_x) <= _KINK_MARGIN:
             continue
         train_pass = forward_pass(backbone, train_x, train_y)
-        raw, _ = wpn_forward(wpn_params, train_pass.outputs.losses)
-        _, weights, _ = make_weights(raw, wpn_cfg.delta)
-        pseudo = lookahead(train_pass, weights, inst.alpha)
+        pseudo = lookahead(train_pass, wpn_weights(wpn_params, train_pass.outputs.losses)[0], inst.alpha)
         if _min_preactivation(pseudo, meta_x) > _KINK_MARGIN:
             return inst
     raise ConfigError(
@@ -187,8 +185,7 @@ def run_suites(
     # shared pieces for the meta chain
     train_pass = forward_pass(inst.backbone, inst.train_x, inst.train_y)
     tr_losses = train_pass.outputs.losses
-    raw, fwd_cache = wpn_forward(inst.wpn, tr_losses)
-    _, weights, w_cache = make_weights(raw, inst.wpn.config.delta)
+    weights, fwd_cache, w_cache = wpn_weights(inst.wpn, tr_losses)
     # analytic sides of suites 2 and 4: the chain the trainer runs
     dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, inst.alpha, inst.meta_x, inst.meta_y, q)
     analytic_e2e = wpn_backward(inst.wpn, fwd_cache, w_cache, dl_dw)
@@ -208,8 +205,7 @@ def run_suites(
     flat_g = inst.wpn.flatten()
 
     def weights_at(flat: np.ndarray) -> np.ndarray:
-        r, _ = wpn_forward(WpnParams.from_flat(inst.wpn.config, flat), tr_losses)
-        return make_weights(r, inst.wpn.config.delta)[1]
+        return wpn_weights(WpnParams.from_flat(inst.wpn.config, flat), tr_losses)[0]
 
     fd_wpn = central_diff(lambda flat: float(np.sum(probe * weights_at(flat))), flat_g, 1e-5)
     results.append(SuiteResult("wpn_backward", rel_err(analytic_wpn, fd_wpn), 1e-6))

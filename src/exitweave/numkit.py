@@ -17,9 +17,10 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 
-def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
+def require_finite(arr: np.ndarray, name: str = "array", error=NumericError) -> np.ndarray:
+    """arr, or `error` naming it when an entry is NaN or infinite."""
     if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name} contains non-finite entries")
+        raise error(f"{name} contains non-finite entries")
     return arr
 
 

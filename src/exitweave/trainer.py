@@ -10,25 +10,28 @@ SGD(momentum, weight decay) step. The variants differ only in c:
   fixed_*             a constant per-exit weight row / n;
   selection           the allocation mask (1/|subset_k| on allocated cells);
   learned, whole_meta,
-  frozen_wpn          the weight network's weight matrix w / n.
+  frozen_wpn          the weight network's weight matrix w / n
+                      (`wpn_weights` of the train losses).
 
 The other variants split each mini-batch into two halves that swap
 train/meta roles, so every sample serves both sides per iteration. For
 the learned variants, on iterations where t % interval == 0 (never for
-"frozen_wpn"), a meta step runs first. `meta_chain` takes a lookahead
-(a momentum-free pseudo step from the same train pass) and evaluates
-the pseudo backbone on the meta half; a budget-driven greedy allocation
-assigns each meta sample to one exit by confidence, and the meta
-objective averages each exit's loss over its allocated subset
+"frozen_wpn"), a meta step (`_meta_step`) runs first. `meta_chain` takes
+a lookahead (a momentum-free pseudo step from the same train pass) and
+evaluates the pseudo backbone on the meta half; a budget-driven greedy
+allocation assigns each meta sample to one exit by confidence, and the
+meta objective averages each exit's loss over its allocated subset
 ("whole_meta": over the whole meta half). It returns the exact gradient
 wrt w: the pseudo parameters are affine in w, so d(meta)/dw[i,k] is
 -(alpha/n) times the inner product of the meta gradient with the train
 half's per-sample gradient g[i,k], taken layer by layer on the train
 pass, so no per-sample gradient is ever stored. The weight network's
-backward pass turns it into an Adam step, and w is recomputed with the
-updated network before the real step. The trunk thus runs once per
-parameter point. `train_step` merges the sides into one iteration
-record and keeps the first scatter-budget (loss, weight, claimed) points.
+backward pass turns it into an Adam step, and `substep` recomputes w
+with the updated network before the real step. The trunk thus runs once
+per parameter point. Each side's record fragment holds only the fields
+its variant fills; `train_step` merges the sides into one iteration
+record and keeps the first scatter-budget (loss, weight, claimed)
+points.
 """
 
 from __future__ import annotations
@@ -60,9 +63,8 @@ from .wpn import (
     WpnParams,
     adam_step,
     init_wpn,
-    make_weights,
     wpn_backward,
-    wpn_forward,
+    wpn_weights,
 )
 
 VARIANT_NAMES = (
@@ -228,45 +230,30 @@ def _fixed_weight_row(num_exits: int, ascending: bool) -> np.ndarray:
     return row if ascending else row[::-1].copy()
 
 
-def _sample_weights(state: TrainState, train_pass: ForwardPass, meta, config: TrainConfig,
-                    alpha_t: float, frag: dict, log_scatter: bool) -> np.ndarray:
-    """The train side's (B, K) weight matrix: a fixed row, or the weight network's.
-
-    On update iterations (never for a frozen network) the meta chain
-    runs first, its weight gradient goes back through the network to
-    Adam, and the weights are recomputed with the updated network.
-    delta comes from its config.
+def _meta_step(state: TrainState, train_pass: ForwardPass, weights: np.ndarray, caches, meta,
+               config: TrainConfig, alpha_t: float, log_scatter: bool) -> dict:
+    """One Adam step of the weight network from dL/dw at the train side's
+    weights (caches: their `wpn_weights` caches); mutates state.wpn and
+    state.adam. Returns the record fields it fills: meta_loss and, except
+    for whole_meta, alloc_sizes and (with log_scatter) scatter.
     """
-    losses = train_pass.outputs.losses
-    if config.variant not in _WPN_VARIANTS:
-        row = _fixed_weight_row(losses.shape[1], config.variant == "fixed_ascending")
-        return np.broadcast_to(row, losses.shape)
-    delta = state.wpn.config.delta
-    raw, fwd_cache = wpn_forward(state.wpn, losses)
-    _, weights, w_cache = make_weights(raw, delta)
-    if config.variant == "frozen_wpn" or state.iteration % config.interval != 0:
-        return weights
     dl_dw, meta_value, alloc, _, meta_outs = meta_chain(
         train_pass, weights, alpha_t, *meta, config.q, whole_meta=config.variant == "whole_meta"
     )
-    frag["meta_loss"] = meta_value
-    wpn_grad = wpn_backward(state.wpn, fwd_cache, w_cache, dl_dw)
+    wpn_grad = wpn_backward(state.wpn, *caches, dl_dw)
     new_buffer, state.adam = adam_step(state.wpn.buffer, wpn_grad, state.adam, config.beta)
     state.wpn = WpnParams(state.wpn.config, new_buffer)
-    raw, _ = wpn_forward(state.wpn, losses)
-    _, weights, _ = make_weights(raw, delta)
+    fields = {"meta_loss": meta_value}
     if alloc is not None:
-        frag["alloc_sizes"] = [int(s) for s in alloc.sizes]
+        fields["alloc_sizes"] = [int(s) for s in alloc.sizes]
         if log_scatter:
-            # What weight would the fresh network give each meta sample,
-            # and did exit 1 claim it? (loss, weight, claimed) triples.
-            m_raw, _ = wpn_forward(state.wpn, meta_outs.losses)
-            _, m_weights, _ = make_weights(m_raw, delta)
+            # (loss, weight, claimed): the fresh network's weight per meta sample, and did exit 1 claim it?
+            m_weights = wpn_weights(state.wpn, meta_outs.losses)[0]
             claimed = np.zeros(meta_outs.batch_size, dtype=bool)
             claimed[alloc.subsets[0]] = True
-            frag["scatter"] = [[float(loss), float(w), int(c)]
-                               for loss, w, c in zip(meta_outs.losses[:, 0], m_weights[:, 0], claimed)]
-    return weights
+            fields["scatter"] = [[float(loss), float(w), int(c)]
+                                 for loss, w, c in zip(meta_outs.losses[:, 0], m_weights[:, 0], claimed)]
+    return fields
 
 
 def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float, log_scatter: bool = False) -> dict:
@@ -275,17 +262,16 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
     train and meta are (features, labels) pairs; meta is the other half
     of the batch (None for baseline). One pass at the current backbone
     gives the losses, the coefficient matrix and the gradient; the
-    variant only chooses the coefficients. With log_scatter, an update
-    iteration's fragment holds a scatter point for every meta sample.
-    Non-finite training losses raise TrainingError: the run diverged.
+    variant only chooses the coefficients. The fragment holds loss_sum
+    plus only the fields the variant fills. Non-finite training losses
+    raise TrainingError: the run diverged.
     """
     train_pass = forward_pass(state.backbone, *train)
     outs = train_pass.outputs
     if not np.all(np.isfinite(outs.losses)):
         raise TrainingError(f"non-finite training loss at iteration {state.iteration}; run diverged")
     n = outs.batch_size
-    frag = {"loss_sum": outs.losses.sum(axis=0), "count": n, "alloc_sizes": None,
-            "meta_loss": None, "scatter": [], "weights": None}
+    frag = {"loss_sum": outs.losses.sum(axis=0)}
     if config.variant == "baseline":
         coeffs = np.full(outs.losses.shape, 1.0 / n)
     elif config.variant == "selection":
@@ -293,8 +279,16 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
         _, coeffs = meta_objective(outs, alloc)
         frag["alloc_sizes"] = [int(s) for s in alloc.sizes]
     else:
-        frag["weights"] = _sample_weights(state, train_pass, meta, config, alpha_t, frag, log_scatter)
-        coeffs = frag["weights"] / n
+        if config.variant not in _WPN_VARIANTS:
+            row = _fixed_weight_row(outs.num_exits, config.variant == "fixed_ascending")
+            weights = np.broadcast_to(row, outs.losses.shape)
+        else:
+            weights, *caches = wpn_weights(state.wpn, outs.losses)
+            if config.variant != "frozen_wpn" and state.iteration % config.interval == 0:
+                frag.update(_meta_step(state, train_pass, weights, caches, meta, config, alpha_t, log_scatter))
+                weights = wpn_weights(state.wpn, outs.losses)[0]
+        frag["weights"] = weights
+        coeffs = weights / n
     state.backbone, state.velocity = sgd_step(
         state.backbone, batch_weighted_grad(train_pass, coeffs), alpha_t,
         config.momentum, config.weight_decay, state.velocity,
@@ -327,25 +321,20 @@ def train_step(
     frags = [substep(state, train, meta, config, alpha_t, scatter_budget > 0) for train, meta in sides]
     state.iteration = t + 1
     # summed per side, then in total: the record's bytes depend on the order
-    loss = sum(f["loss_sum"] for f in frags) / sum(f["count"] for f in frags)
+    loss = sum(f["loss_sum"] for f in frags) / batch_x.shape[0]
     record: dict = {
         "iteration": t,
         "lr": alpha_t,
         "train_loss_per_exit": [float(v) for v in loss],
     }
-    weight_mats = [f["weights"] for f in frags if f["weights"] is not None]
-    if weight_mats:
-        stacked = np.concatenate(weight_mats, axis=0)
-        record["weight_mean"] = [float(v) for v in stacked.mean(axis=0)]
-        record["weight_min"] = [float(v) for v in stacked.min(axis=0)]
-        record["weight_max"] = [float(v) for v in stacked.max(axis=0)]
-    else:
-        record["weight_mean"] = record["weight_min"] = record["weight_max"] = None
-    allocs = [f["alloc_sizes"] for f in frags if f["alloc_sizes"] is not None]
-    record["allocation_sizes"] = allocs if allocs else None
-    metas = [f["meta_loss"] for f in frags if f["meta_loss"] is not None]
+    weight_mats, allocs, metas = ([f[key] for f in frags if key in f]
+                                  for key in ("weights", "alloc_sizes", "meta_loss"))
+    stacked = np.concatenate(weight_mats, axis=0) if weight_mats else None
+    for stat in ("mean", "min", "max"):
+        record[f"weight_{stat}"] = None if stacked is None else [float(v) for v in getattr(stacked, stat)(axis=0)]
+    record["allocation_sizes"] = allocs or None
     record["meta_loss"] = float(np.mean(metas)) if metas else None
-    scatter = [p for f in frags for p in f["scatter"]][:scatter_budget]
+    scatter = [p for f in frags for p in f.get("scatter", [])][:scatter_budget]
     if scatter:
         record["weight_scatter"] = scatter
     return record
@@ -422,10 +411,8 @@ def run_training(
                     state, train_set.features[idx], train_set.labels[idx], config, alpha_t, budget
                 )
             except NumericError as exc:
-                # overflow in a forward or gradient before the loss check fires
-                raise TrainingError(
-                    f"non-finite values at iteration {state.iteration}; run diverged"
-                ) from exc
+                # overflow in a forward or gradient before the loss check fires; exc names the array
+                raise TrainingError(f"{exc} at iteration {state.iteration}; run diverged") from exc
             budget -= len(record.get("weight_scatter", []))
             history.iterations.append(record)
         history.epochs.append(_eval_epoch(state, val_set, config, epoch, alpha_t))

@@ -119,6 +119,13 @@ def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, WeightCache
     return ptb, 1.0 + ptb, WeightCache(s, delta)
 
 
+def wpn_weights(params: WpnParams, loss_matrix) -> tuple[np.ndarray, WpnForwardCache, WeightCache]:
+    """`wpn_forward` then `make_weights` at the network's delta: (weights, fwd_cache, w_cache)."""
+    raw, fwd_cache = wpn_forward(params, loss_matrix)
+    _, weights, w_cache = make_weights(raw, params.config.delta)
+    return weights, fwd_cache, w_cache
+
+
 def meta_weight_grad(psg: np.ndarray, meta_grad: np.ndarray, alpha: float, n: int) -> np.ndarray:
     """Exact d(lookahead objective)/d(weight matrix), shape (B, K); dense reference.
 

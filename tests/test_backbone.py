@@ -22,7 +22,6 @@ from exitweave.backbone import (
     ExitOutputs,
     batch_weighted_grad,
     count_mul_adds,
-    cumulative_loss,
     forward_all,
     forward_pass,
     grad_weighted_loss,
@@ -32,7 +31,6 @@ from exitweave.backbone import (
     per_sample_grads,
     pseudo_step,
     sgd_step,
-    weighted_train_loss,
 )
 from exitweave.errors import ConfigError, NumericError, ShapeError
 from exitweave.gradcheck import fd_loss_grads, rel_err
@@ -306,27 +304,6 @@ class TestPerSampleGrads:
             np.testing.assert_allclose(psg[:, k].mean(axis=0), batch_grad, atol=1e-12)
 
 
-class TestLossAggregation:
-    def test_weighted_loss_examples(self):
-        losses = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert weighted_train_loss(losses, np.zeros_like(losses)) == 0.0
-        np.testing.assert_allclose(
-            weighted_train_loss(losses, np.array([[2.0, 0.0], [0.0, 2.0]])), (2 * 1 + 2 * 4) / 2
-        )
-        assert weighted_train_loss(losses, np.ones_like(losses)) == cumulative_loss(losses)
-
-    def test_cumulative_is_bitwise_equal_to_ones_weighting(self):
-        rng = np.random.default_rng(12)
-        losses = rng.uniform(0, 5, (7, 3))
-        assert cumulative_loss(losses) == weighted_train_loss(losses, np.ones_like(losses))
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            weighted_train_loss(np.zeros((2, 2)), np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            cumulative_loss(np.zeros(4))
-
-
 class TestGradWeightedLoss:
     def test_selector_weights_pick_one_gradient_row(self):
         config, params, x, y = small_instance(seed=13)
@@ -349,7 +326,8 @@ class TestGradWeightedLoss:
     def test_matches_fd_on_weighted_loss(self):
         config, params, x, y = small_instance(seed=15, batch=4)
         rng = np.random.default_rng(15)
-        w = rng.uniform(0.5, 1.5, (4, config.num_exits))
+        b = x.shape[0]
+        w = rng.uniform(0.5, 1.5, (b, config.num_exits))
         psg = per_sample_grads(params, x, y)
         grad = grad_weighted_loss(psg, w)
         flat = params.flatten()
@@ -359,8 +337,8 @@ class TestGradWeightedLoss:
             up, dn = flat.copy(), flat.copy()
             up[p] += step
             dn[p] -= step
-            lu = weighted_train_loss(forward_all(BackboneParams.from_flat(config, up), x, y).losses, w)
-            ld = weighted_train_loss(forward_all(BackboneParams.from_flat(config, dn), x, y).losses, w)
+            lu, ld = (np.sum(w * forward_all(BackboneParams.from_flat(config, v), x, y).losses) / b
+                      for v in (up, dn))
             fd[p] = (lu - ld) / (2 * step)
         assert rel_err(grad, fd) <= 1e-5
 

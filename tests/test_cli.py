@@ -387,6 +387,100 @@ class TestEvalSiblingConfig:
         assert not (tmp_path / "metrics.json").exists()
 
 
+class TestEvalDatasetFile:
+    """eval --dataset checks the envelope of a file that has one."""
+
+    @pytest.mark.parametrize("key, value", [("format", "exitweave-history"), ("version", 99)])
+    def test_bad_envelope_exits_2(self, trained, tmp_path, capsys, key, value):
+        ds = tmp_path / "copy.json"
+        doc = json.loads((trained / "resolved_config.json").read_text())
+        doc[key] = value
+        ds.write_text(json.dumps(doc))
+        rc = main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--dataset", str(ds),
+                   "--out", str(tmp_path / "ev"), "--q-grid", "1.0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(ds) in err and key in err and str(value) in err, err
+        assert not (tmp_path / "ev").exists()
+
+    def test_bare_dataset_section_loads(self, trained, tmp_path):
+        ds = tmp_path / "section.json"
+        ds.write_text(json.dumps(json.loads((trained / "resolved_config.json").read_text())["dataset"]))
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--dataset", str(ds),
+                     "--out", str(tmp_path / "ev"), "--q-grid", "1.0"]) == 0
+
+
+class TestNarrowLateHead:
+    def test_eval_accepts_costs_that_fall_across_exits(self, tmp_path):
+        # 16 -> 64 -> 4 with 10 classes: exit 1 costs 16*64 + 64*10 = 1664
+        # mul-adds, exit 2 16*64 + 64*4 + 4*10 = 1320
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "synthetic", "classes": 10, "dim": 16, "train_per_class": 4,
+                                   "val_per_class": 3, "test_per_class": 3, "seed": 2},
+                     backbone={"trunk_widths": [64, 4]})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--q-grid", "0.2,1.0,3.0"]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        costs = [1664, 1320]
+        assert metrics["anytime"]["exit_muladds"] == costs
+        for row in metrics["dynamic"]:
+            counts = row["exit_counts"]
+            assert row["expected_muladds"] == (counts[0] * costs[0] + counts[1] * costs[1]) / sum(counts)
+
+
+class TestNonFiniteInputs:
+    """A NaN in a data file or a confidence CSV exits 2 naming the file; it used to exit 1."""
+
+    def test_container_features(self, tmp_path, capsys):
+        from exitweave.datahub import gen_synthetic_gaussians, save_dataset
+        from exitweave.numkit import RngStream
+        from exitweave.serial import encode_array
+
+        for split in ("train", "val", "test"):
+            save_dataset(tmp_path / f"{split}.json",
+                         gen_synthetic_gaussians(3, 4, 6, 1.0, RngStream(5).child(split), split=split))
+        doc = json.loads((tmp_path / "train.json").read_text())
+        features = np.zeros((18, 4))
+        features[3, 1] = np.nan
+        doc["features"] = encode_array(features)
+        (tmp_path / "train.json").write_text(json.dumps(doc))
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "container", "train": "train.json", "val": "val.json",
+                                   "test": "test.json"})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'train.json'}: features" in err and "non-finite" in err, err
+
+    def test_idx_float_images(self, tmp_path, capsys):
+        import struct
+
+        def idx_file(path, code, shape, payload):
+            head = struct.pack(">BBBB", 0, 0, code, len(shape)) + b"".join(struct.pack(">I", d) for d in shape)
+            path.write_bytes(head + payload)
+
+        rng = np.random.default_rng(6)
+        for split in ("train", "val", "test"):
+            pixels = rng.uniform(0.0, 1.0, (8, 2, 3))
+            if split == "train":
+                pixels[5, 1, 2] = np.nan
+            idx_file(tmp_path / f"{split}-images.idx", 0x0E, (8, 2, 3), pixels.astype(">f8").tobytes())
+            idx_file(tmp_path / f"{split}-labels.idx", 0x08, (8,), rng.integers(0, 3, 8).astype(np.uint8).tobytes())
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "idx", **{f"{s}_{part}": f"{s}-{part}.idx"
+                                                     for s in ("train", "val", "test") for part in ("images", "labels")}})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "train-images.idx") in err and "non-finite" in err, err
+
+    def test_allocate_csv_cell(self, tmp_path, capsys):
+        path = tmp_path / "conf.csv"
+        path.write_text("0.5,0.6\n0.7,nan\n")
+        assert main(["allocate", str(path), "--q", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 2" in err and "non-finite" in err, err
+
+
 def semantic_hash(resolved: dict) -> str:
     """SHA-256 of the canonical JSON of a resolved config's four semantic sections."""
     semantic = {k: resolved[k] for k in ("dataset", "backbone", "wpn", "train")}

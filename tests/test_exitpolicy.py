@@ -360,8 +360,6 @@ class TestExpectedCost:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            expected_cost([1, 1], [5.0, 5.0])  # not strictly increasing
-        with pytest.raises(DomainError):
             expected_cost([-1, 2], [1.0, 2.0])
         with pytest.raises(DomainError):
             expected_cost([0, 0], [1.0, 2.0])

@@ -466,7 +466,8 @@ class TestRunTraining:
         train, val = quick_sets()
         cfg = TrainConfig(epochs=50, batch_size=10, alpha=1e8, variant="baseline",
                           momentum=0.0, weight_decay=0.0, lr_schedule="constant")
-        with pytest.raises(TrainingError, match="iteration"):
+        # the message names the array the overflow reached, then the iteration
+        with pytest.raises(TrainingError, match=r"contains non-finite entries at iteration \d+; run diverged"):
             run_training(cfg, BB, WPN, train, val)
 
 
@@ -697,6 +698,53 @@ class TestPassSharing:
         record = train_step(state, x, y, cfg, alpha_t=cfg.alpha)
         assert len(calls) == passes, calls
         assert (record["meta_loss"] is not None) == (passes == 4)
+
+
+_ALWAYS = {"iteration", "lr", "train_loss_per_exit"}
+_WEIGHT_STATS = {"weight_mean", "weight_min", "weight_max"}
+
+
+# (variant, iteration, fields not None besides _ALWAYS); with interval 2,
+# iteration 0 is an update iteration and iteration 1 is not
+_RECORD_CASES = [
+    ("baseline", 0, set()),
+    ("baseline", 1, set()),
+    ("fixed_ascending", 0, _WEIGHT_STATS),
+    ("fixed_ascending", 1, _WEIGHT_STATS),
+    ("fixed_descending", 0, _WEIGHT_STATS),
+    ("fixed_descending", 1, _WEIGHT_STATS),
+    ("selection", 0, {"allocation_sizes"}),
+    ("selection", 1, {"allocation_sizes"}),
+    ("learned", 0, _WEIGHT_STATS | {"allocation_sizes", "meta_loss"}),
+    ("learned", 1, _WEIGHT_STATS),
+    ("whole_meta", 0, _WEIGHT_STATS | {"meta_loss"}),
+    ("whole_meta", 1, _WEIGHT_STATS),
+    ("frozen_wpn", 0, _WEIGHT_STATS),
+    ("frozen_wpn", 1, _WEIGHT_STATS),
+]
+
+
+class TestRecordFields:
+    """Every variant's iteration record has the same keys; a field its variant leaves unfilled is None."""
+
+    @pytest.mark.parametrize("variant, iteration, filled", _RECORD_CASES,
+                             ids=[f"{v}-{'update' if t == 0 else 'off-interval'}" for v, t, _ in _RECORD_CASES])
+    def test_keys_and_unfilled_fields(self, tmp_path, variant, iteration, filled):
+        root = RngStream(74)
+        wpn = init_wpn(WPN, root.child("init-wpn"))
+        path = saved_run(tmp_path / "run.json", wpn)
+        cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.1, variant=variant, interval=2,
+                          frozen_wpn_path=path if variant == "frozen_wpn" else None)
+        with_wpn = variant in ("learned", "whole_meta", "frozen_wpn")
+        state = TrainState(backbone=init_params(BB, root.child("init-backbone")),
+                           wpn=wpn if with_wpn else None, velocity=None,
+                           adam=AdamState.zeros(wpn.num_params) if with_wpn else None, iteration=iteration)
+        data = root.child("data")
+        x, y = data.standard_normal((10, 4)), data.integers(0, 3, 10).astype(np.int64)
+        record = train_step(state, x, y, cfg, alpha_t=cfg.alpha)
+        assert set(record) == _ALWAYS | _WEIGHT_STATS | {"allocation_sizes", "meta_loss"}
+        assert {key for key, value in record.items() if value is not None} == _ALWAYS | filled
+        assert record["iteration"] == iteration
 
 
 class TestScatterLogging:

@@ -24,6 +24,7 @@ from exitweave.wpn import (
     meta_weight_grad,
     wpn_backward,
     wpn_forward,
+    wpn_weights,
 )
 
 
@@ -175,6 +176,31 @@ class TestMakeWeights:
         _, w_p, _ = make_weights(raw_p, 0.7)
         # global mean is permutation-invariant, so weights permute with rows
         np.testing.assert_allclose(w_p, w[perm], atol=1e-15)
+
+
+class TestWpnWeights:
+    def test_is_forward_then_make_weights_at_the_config_delta(self):
+        config, params = small_wpn(seed=9, delta=0.55)
+        losses = RngStream(10).uniform(0.0, 3.0, (5, 3))
+        weights, fwd_cache, w_cache = wpn_weights(params, losses)
+        raw, ref_fwd = wpn_forward(params, losses)
+        _, ref_weights, ref_w = make_weights(raw, config.delta)
+        assert weights.tobytes() == ref_weights.tobytes()
+        assert w_cache.delta == ref_w.delta == config.delta
+        assert w_cache.sigmoids.tobytes() == ref_w.sigmoids.tobytes()
+        assert len(fwd_cache.inputs) == len(ref_fwd.inputs) and len(fwd_cache.preacts) == len(ref_fwd.preacts)
+        for got, ref in zip(fwd_cache.inputs + fwd_cache.preacts, ref_fwd.inputs + ref_fwd.preacts):
+            assert got.tobytes() == ref.tobytes()
+        # the caches drive the backward pass exactly as the reference pair's do
+        probe = RngStream(11).standard_normal(weights.shape)
+        np.testing.assert_array_equal(wpn_backward(params, fwd_cache, w_cache, probe),
+                                      wpn_backward(params, ref_fwd, ref_w, probe))
+
+    def test_delta_zero_network_gives_all_ones(self):
+        config = WpnConfig(3, hidden_width=6, delta=0.0)
+        params = init_wpn(config, RngStream(12))
+        weights, _, _ = wpn_weights(params, RngStream(13).uniform(0.0, 3.0, (4, 3)))
+        assert np.all(weights == 1.0)
 
 
 class TestMetaWeightGrad:
