@@ -12,7 +12,7 @@ Submodules:
   checkpoint  the versioned run checkpoint
   gradcheck   finite-difference audits of the gradient chain
   cli         the `exitweave` command line tool
-  serial      canonical JSON, base64 float64 buffers, config section reader
+  serial      the document layer: format names, versions, writer and reader
   errors      the exception hierarchy
 
 Submodules load lazily: the CLI applies the EXITWEAVE_THREADS cap to the

@@ -4,31 +4,19 @@ A JSON envelope with base64 float64 buffers holding the backbone and
 the weight network (if any), each as config + flat parameter vector,
 the optimizer buffers, the training config and the iteration counter:
 enough to evaluate or inspect a finished run, and where a `frozen_wpn`
-run reads its weight network. Loads validate the format/version header
-and that the flat vectors match the parameter counts their configs
-imply, raising CompatibilityError rather than producing silently
-misshapen models.
+run reads its weight network. `serial` writes and checks its header
+(format `exitweave-run`); loads also check that the flat vectors match
+the parameter counts their configs imply, raising CompatibilityError
+rather than producing silently misshapen models.
 """
 
 from __future__ import annotations
 
 from .backbone import BackboneConfig, BackboneParams
 from .errors import CompatibilityError, FormatError, ShapeError
-from .serial import (
-    check_envelope,
-    config_doc,
-    decode_array,
-    encode_array,
-    read_config,
-    read_json,
-    read_value,
-    write_json,
-)
+from .serial import RUN_FORMAT, config_doc, decode_array, encode_array, read_config, read_doc, read_value, write_doc
 from .trainer import TrainConfig, TrainState
 from .wpn import AdamState, WpnConfig, WpnParams
-
-RUN_FORMAT = "exitweave-run"
-VERSION = 1
 
 # TrainConfig fields added after the first version-1 run checkpoints were
 # written; a checkpoint without them reads their defaults.
@@ -52,8 +40,6 @@ def _params_from(doc, path, section: str, params_cls, config_cls):
 
 def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> None:
     doc = {
-        "format": RUN_FORMAT,
-        "version": VERSION,
         "iteration": state.iteration,
         "train_config": config_doc(train_config),
         "backbone": _params_doc(state.backbone),
@@ -69,12 +55,11 @@ def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> N
         doc["optimizer"]["adam_m"] = encode_array(state.adam.m)
         doc["optimizer"]["adam_v"] = encode_array(state.adam.v)
         doc["optimizer"]["adam_step"] = state.adam.step
-    write_json(path, doc)
+    write_doc(path, RUN_FORMAT, doc)
 
 
 def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
-    doc = read_json(path)
-    check_envelope(doc, path, RUN_FORMAT, VERSION)
+    doc = read_doc(path, RUN_FORMAT)
     train_config = read_config(
         TrainConfig, doc.get("train_config"), f"{path}: train_config", FormatError, fill=_LATER_TRAIN_FIELDS
     )

@@ -3,12 +3,15 @@
 Runs are described by a JSON config file with four semantic sections
 (dataset, backbone, wpn, train) plus an output section. Unknown keys
 are rejected anywhere in the document, and each section is converted
-once into its config dataclass. `run_document` collects the converted
-configs the run used; `train` writes it, with the output section, as
-resolved_config.json, and history.json and metrics.json carry its hash
-(`config_hash`). That hash doubles as the run id, so train and eval of
-one run share it, and the same config and seed always produce the same
-id and byte-identical history/metrics files.
+once into its config dataclass; relative data paths become absolute
+then. `run_document` collects the converted configs the run used;
+`train` writes it, with the output section, as resolved_config.json,
+which is itself a run config, and history.json and metrics.json carry
+its hash (`config_hash`). That hash doubles as the run id, so train and
+eval of one run share it, and the same config and seed always produce
+the same id and byte-identical history/metrics files. Every document
+goes through `serial.write_doc` and `serial.read_doc`, which own the
+format header; a hand-written config file may omit it.
 
 Exit codes: 0 success, 2 configuration or file-format problems
 (including a missing config file, which is reported by path), 1
@@ -26,7 +29,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import make_dataclass, replace
+from dataclasses import fields, make_dataclass, replace
 from pathlib import Path
 
 from .errors import (
@@ -38,11 +41,6 @@ from .errors import (
     ShapeError,
     UsageError,
 )
-
-CONFIG_FORMAT = "exitweave-config"
-HISTORY_FORMAT = "exitweave-history"
-METRICS_FORMAT = "exitweave-metrics"
-VERSION = 1
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -71,26 +69,41 @@ def _apply_thread_cap() -> None:
 OutputConfig = make_dataclass("OutputConfig", [("dir", str, "runs/default")], frozen=True)
 
 
-def _read_doc(p: Path, what: str) -> dict:
-    from .serial import read_json
+def _read_config_file(p: Path, what: str) -> dict:
+    """A hand-written config file, whose header is optional."""
+    from .serial import CONFIG_FORMAT, read_doc
 
     if not p.is_file():
         raise ConfigError(f"{what} file not found: {p}")
-    return read_json(p)
+    return read_doc(p, CONFIG_FORMAT, header_optional=True)
 
 
-def read_dataset(section, where: str) -> tuple:
-    """(kind, config) of a dataset section, config its kind's DATASET_KINDS dataclass."""
+def _absolute(value, base: Path):
+    """A data path made absolute against base, a list of them item by
+    item; any other value as is, for `build_datasets` to reject."""
+    if isinstance(value, list):
+        return [_absolute(v, base) for v in value]
+    return str(base / value) if isinstance(value, str) else value
+
+
+def read_dataset(section, path: Path) -> tuple:
+    """(kind, config) of a dataset section, config its kind's DATASET_KINDS
+    dataclass, read from file path. Every string value of a dataset
+    section names a data file; a relative one is made absolute against
+    path's directory here, once, so the run document records where the
+    data is wherever the run's outputs go."""
     from .datahub import DATASET_KINDS
     from .serial import read_config
 
     if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError(f"{where}: dataset section must be an object with a 'kind' key")
+        raise ConfigError(f"{path}: dataset section must be an object with a 'kind' key")
     kind = section["kind"]
     if not isinstance(kind, str) or kind not in DATASET_KINDS:
-        raise ConfigError(f"{where}: unknown dataset kind {kind!r}; expected one of {sorted(DATASET_KINDS)}")
+        raise ConfigError(f"{path}: unknown dataset kind {kind!r}; expected one of {sorted(DATASET_KINDS)}")
     rest = {k: v for k, v in section.items() if k != "kind"}
-    return kind, read_config(DATASET_KINDS[kind], rest, f"{where}: dataset ({kind})")
+    spec = read_config(DATASET_KINDS[kind], rest, f"{path}: dataset ({kind})")
+    base = path.resolve().parent
+    return kind, replace(spec, **{f.name: _absolute(getattr(spec, f.name), base) for f in fields(spec)})
 
 
 def load_config(path) -> dict:
@@ -104,7 +117,7 @@ def load_config(path) -> dict:
     from .trainer import TrainConfig
 
     p = Path(path)
-    doc = _read_doc(p, "config")
+    doc = _read_config_file(p, "config")
     unknown = sorted(set(doc) - {"dataset", "backbone", "wpn", "train", "output"})
     if unknown:
         raise ConfigError(f"{p}: unknown section(s): {', '.join(unknown)}")
@@ -112,9 +125,9 @@ def load_config(path) -> dict:
     if missing:
         raise ConfigError(f"{p}: missing required section(s): {', '.join(missing)}")
     return {
-        "dataset": read_dataset(doc["dataset"], str(p)),
+        "dataset": read_dataset(doc["dataset"], p),
         "backbone": doc["backbone"],
-        "wpn": doc.get("wpn", {}),
+        "wpn": {} if doc.get("wpn") is None else doc["wpn"],  # a baseline run's resolved config has null
         "train": read_config(TrainConfig, doc["train"], f"{p}: train"),
         "output": read_config(OutputConfig, doc.get("output", {}), f"{p}: output"),
     }
@@ -124,17 +137,24 @@ def _model_configs(run: dict, path, **widths):
     """Backbone and weight-network configs of a loaded run config.
 
     widths (input_dim, num_classes) fill the backbone keys the section
-    leaves out; without them the section must state both.
+    leaves out; without them the section must state both. The wpn
+    section may state num_exits (a resolved config does) only as the
+    trunk's exit count.
     """
     from .backbone import BackboneConfig
-    from .serial import read_config
+    from .serial import read_config, read_value
     from .wpn import WpnConfig
 
-    section = run["backbone"]
+    section, wpn = run["backbone"], run["wpn"]
     if isinstance(section, dict):
         section = {**widths, **section}
     backbone = read_config(BackboneConfig, section, f"{path}: backbone")
-    return backbone, read_config(WpnConfig, run["wpn"], f"{path}: wpn", num_exits=backbone.num_exits)
+    if isinstance(wpn, dict) and "num_exits" in wpn:
+        wpn = dict(wpn)
+        where = f"{path}: wpn.num_exits"
+        if read_value(int, wpn.pop("num_exits"), where) != backbone.num_exits:
+            raise ConfigError(f"{where}: must equal the trunk's {backbone.num_exits} exits")
+    return backbone, read_config(WpnConfig, wpn, f"{path}: wpn", num_exits=backbone.num_exits)
 
 
 def run_document(dataset: tuple, state, train_config) -> dict:
@@ -162,24 +182,23 @@ def config_hash(run_doc: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _stamped(fmt: str, digest: str, **body) -> dict:
-    """An output document: format header plus the run id and config hash."""
-    return {"format": fmt, "version": VERSION, "run_id": digest[:12], "config_hash": digest, **body}
+def _stamped(digest: str, **body) -> dict:
+    """An output document's body: the run id and config hash, then body."""
+    return {"run_id": digest[:12], "config_hash": digest, **body}
 
 
 def build_datasets(dataset: tuple, config_path):
     """Materialize (train, val, test) Datasets from a (kind, config) dataset.
 
-    config_path is the file the section came from: relative data paths
-    resolve against its directory, and errors name it. A data path that
-    is not a string or names no file raises ConfigError naming the key
-    and the resolved path.
+    config_path is the file the section came from, which errors name
+    (`read_dataset` already made its data paths absolute). A data path
+    that is not a string or names no file raises ConfigError naming the
+    key and the path.
     """
     from .datahub import gen_synthetic_gaussians, load_cifar_bin, load_dataset, load_idx, longtail_subsample
     from .numkit import RngStream
 
     kind, spec = dataset
-    base_dir = Path(config_path).resolve().parent
     root = RngStream(spec.seed)
     splits = ("train", "val", "test")
 
@@ -187,7 +206,6 @@ def build_datasets(dataset: tuple, config_path):
         if not isinstance(value, str):
             raise ConfigError(f"{config_path}: dataset.{key}: expected a file path string, got {value!r}")
         p = Path(value)
-        p = p if p.is_absolute() else base_dir / p
         if not p.is_file():
             raise ConfigError(f"{config_path}: dataset.{key}: data file not found: {p}")
         return p
@@ -235,7 +253,7 @@ def build_datasets(dataset: tuple, config_path):
 
 def cmd_train(args) -> int:
     from .checkpoint import save_run_checkpoint
-    from .serial import config_doc, write_json
+    from .serial import CONFIG_FORMAT, HISTORY_FORMAT, config_doc, write_doc
     from .trainer import run_training
 
     run = load_config(args.config)
@@ -253,11 +271,10 @@ def cmd_train(args) -> int:
     doc = run_document(run["dataset"], state, train_cfg)
     digest = config_hash(doc)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "resolved_config.json",
-               {"format": CONFIG_FORMAT, "version": VERSION, **doc, "output": config_doc(run["output"])})
+    write_doc(out_dir / "resolved_config.json", CONFIG_FORMAT, {**doc, "output": config_doc(run["output"])})
     save_run_checkpoint(out_dir / "checkpoint.json", state, train_cfg)
-    write_json(out_dir / "history.json",
-               _stamped(HISTORY_FORMAT, digest, iterations=history.iterations, epochs=history.epochs))
+    write_doc(out_dir / "history.json", HISTORY_FORMAT,
+              _stamped(digest, iterations=history.iterations, epochs=history.epochs))
     print(
         f"trained variant={train_cfg.variant} epochs={train_cfg.epochs} "
         f"iterations={state.iteration}; outputs in {out_dir}"
@@ -290,35 +307,31 @@ def _parse_q_grid(text: str):
 
 
 def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
-    """The (kind, config) dataset eval runs on, and the file it came from."""
-    from .serial import check_envelope
+    """The (kind, config) dataset eval runs on, and the file it came from:
+    --dataset (a run config or a bare dataset section), else the
+    resolved_config.json next to the checkpoint, whose header is required."""
+    from .serial import CONFIG_FORMAT, read_doc
 
     if args.dataset:
         p = Path(args.dataset)
-        doc = _read_doc(p, "dataset config")
-        # a resolved_config.json carries an envelope; a run config or a bare section does not
-        if "format" in doc or "version" in doc:
-            check_envelope(doc, p, CONFIG_FORMAT, VERSION)
-        return read_dataset(doc.get("dataset", doc), str(p)), p
+        doc = _read_config_file(p, "dataset config")
+        return read_dataset(doc.get("dataset", doc), p), p
     sibling = checkpoint_path.resolve().parent / "resolved_config.json"
     if not sibling.is_file():
         raise ConfigError(
             "no dataset available: pass --dataset or keep resolved_config.json next to the checkpoint"
         )
-    doc = _read_doc(sibling, "resolved config")
-    check_envelope(doc, sibling, CONFIG_FORMAT, VERSION)
-    return read_dataset(doc.get("dataset"), str(sibling)), sibling
+    return read_dataset(read_doc(sibling, CONFIG_FORMAT).get("dataset"), sibling), sibling
 
 
 def _scatter_from_history(checkpoint_path: Path) -> list:
     """The weight-scatter points of the history.json next to the checkpoint, if any."""
-    from .serial import check_envelope, read_json
+    from .serial import HISTORY_FORMAT, read_doc
 
     sibling = checkpoint_path.resolve().parent / "history.json"
     if not sibling.is_file():
         return []
-    doc = read_json(sibling)
-    check_envelope(doc, sibling, HISTORY_FORMAT, VERSION)
+    doc = read_doc(sibling, HISTORY_FORMAT)
     iterations = doc.get("iterations")
     if not isinstance(iterations, list) or not all(isinstance(rec, dict) for rec in iterations):
         raise FormatError(f"{sibling}: iterations: expected a list of objects")
@@ -354,10 +367,10 @@ def _write_curves_csv(path, rows, num_exits: int) -> None:
 
 
 def cmd_eval(args) -> int:
-    from .backbone import count_mul_adds
+    from .backbone import count_mul_adds, forward_all
     from .checkpoint import load_run_checkpoint
-    from .evaluate import anytime_accuracy, default_q_grid, dynamic_sweep
-    from .serial import write_json
+    from .evaluate import default_q_grid, score_anytime, score_sweep
+    from .serial import METRICS_FORMAT, write_doc
 
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.is_file():
@@ -372,13 +385,15 @@ def cmd_eval(args) -> int:
             f"dataset provides dim={val_set.dim}, classes={val_set.num_classes}"
         )
     grid = _parse_q_grid(args.q_grid) if args.q_grid else default_q_grid()
-    rows = dynamic_sweep(state.backbone, val_set, test_set, grid)
-    anytime = anytime_accuracy(state.backbone, test_set)
+    val_outs = forward_all(state.backbone, val_set.features, val_set.labels)
+    test_outs = forward_all(state.backbone, test_set.features, test_set.labels)
+    rows = score_sweep(config, val_outs, test_outs, grid)
+    anytime = score_anytime(test_outs)
     digest = config_hash(run_document(dataset, state, train_cfg))
     out_dir = Path(args.out) if args.out else ckpt_path.resolve().parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "metrics.json", _stamped(
-        METRICS_FORMAT, digest,
+    write_doc(out_dir / "metrics.json", METRICS_FORMAT, _stamped(
+        digest,
         iteration=state.iteration,
         variant=train_cfg.variant,
         anytime={

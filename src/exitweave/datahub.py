@@ -27,10 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .numkit import RngStream, require_finite
-from .serial import check_envelope, decode_array, encode_array, read_json, read_value, write_json
-
-DATASET_FORMAT = "exitweave-dataset"
-DATASET_VERSION = 1
+from .serial import DATASET_FORMAT, decode_array, encode_array, read_doc, read_value, write_doc
 
 
 @dataclass
@@ -174,7 +171,16 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     if not np.issubdtype(labels.dtype, np.integer):
         raise FormatError(f"{labels_path}: labels must be an integer IDX tensor")
     labels = labels.astype(np.int64)
-    return Dataset(feats, labels, int(labels.max()) + 1, split)
+    num_classes = int(labels.max()) + 1
+    _check_labels(labels, num_classes, labels_path)
+    return Dataset(feats, labels, num_classes, split)
+
+
+def _check_labels(labels: np.ndarray, num_classes: int, path) -> None:
+    """A label outside [0, num_classes) raises FormatError naming the file."""
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise FormatError(f"{path}: labels: label {int(bad[0])} out of range [0, {num_classes})")
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +211,9 @@ def load_cifar_bin(paths, num_classes: int = 10, split: str = "train") -> Datase
             )
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)
         labels.append(records[:, 0].astype(np.int64))
+        _check_labels(labels[-1], num_classes, path)
         feats.append(records[:, 1:].astype(np.float64) / 255.0)
-    labels = np.concatenate(labels)
-    if labels.max() >= num_classes:
-        raise FormatError(f"label {int(labels.max())} out of range for num_classes={num_classes}")
-    return Dataset(np.concatenate(feats), labels, num_classes, split)
+    return Dataset(np.concatenate(feats), np.concatenate(labels), num_classes, split)
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +221,16 @@ def load_cifar_bin(paths, num_classes: int = 10, split: str = "train") -> Datase
 # ---------------------------------------------------------------------------
 
 def save_dataset(path, dataset: Dataset) -> None:
-    doc = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
+    write_doc(path, DATASET_FORMAT, {
         "split": dataset.split,
         "num_classes": dataset.num_classes,
         "features": encode_array(dataset.features),
         "labels": [int(v) for v in dataset.labels],
-    }
-    write_json(path, doc)
+    })
 
 
 def load_dataset(path) -> Dataset:
-    doc = read_json(path)
-    check_envelope(doc, path, DATASET_FORMAT, DATASET_VERSION)
+    doc = read_doc(path, DATASET_FORMAT)
     missing = [key for key in ("features", "labels", "num_classes") if key not in doc]
     if missing:
         raise FormatError(f"{path}: missing required key(s): {', '.join(missing)}")
@@ -245,6 +245,7 @@ def load_dataset(path) -> Dataset:
     except OverflowError as exc:
         raise FormatError(f"{path}: labels: {exc}") from exc
     num_classes = read_value(int, doc["num_classes"], f"{path}: num_classes", FormatError)
+    _check_labels(labels, num_classes, path)
     return Dataset(features, labels, num_classes, str(doc.get("split", "train")))
 
 

@@ -5,23 +5,30 @@ forced through it. The dynamic sweep asks what the threshold policy
 delivers across a grid of budget knobs: for each q, thresholds are
 calibrated on a validation split and replayed on a test split, yielding
 (accuracy, expected cost) pairs that trace the accuracy/compute curve.
-Forward passes are shared across the whole grid, and each exit's
-validation confidences are sorted once per sweep, so sweeping is cheap.
+Both score forward outputs (`score_anytime`, `score_sweep`), so a caller
+that already holds a split's outputs runs no second forward pass;
+`anytime_accuracy` and `dynamic_sweep` run the passes themselves. Each
+exit's validation confidences are sorted once per sweep, so sweeping
+is cheap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backbone import BackboneParams, count_mul_adds, forward_all
+from .backbone import BackboneConfig, BackboneParams, ExitOutputs, count_mul_adds, forward_all
 from .datahub import Dataset
 from .exitpolicy import calibrate_threshold_grid, dynamic_infer, expected_cost
 
 
+def score_anytime(outs: ExitOutputs) -> np.ndarray:
+    """Per-exit accuracy of forward outputs, (K,)."""
+    return (outs.predictions == outs.labels[:, None]).mean(axis=0)
+
+
 def anytime_accuracy(params: BackboneParams, dataset: Dataset) -> np.ndarray:
     """Per-exit accuracy with every sample routed through every exit, (K,)."""
-    outs = forward_all(params, dataset.features, dataset.labels)
-    return (outs.predictions == outs.labels[:, None]).mean(axis=0)
+    return score_anytime(forward_all(params, dataset.features, dataset.labels))
 
 
 def default_q_grid() -> np.ndarray:
@@ -29,22 +36,15 @@ def default_q_grid() -> np.ndarray:
     return np.linspace(0.05, 2.0, 40)
 
 
-def dynamic_sweep(
-    params: BackboneParams,
-    val_set: Dataset,
-    test_set: Dataset,
-    q_grid=None,
-) -> list[dict]:
-    """Calibrate on val and score on test at every q in the grid.
+def score_sweep(config: BackboneConfig, val_outs: ExitOutputs, test_outs: ExitOutputs, q_grid=None) -> list[dict]:
+    """Calibrate on val outputs and score test outputs at every q in the grid.
 
     Returns one row per q: thresholds, test exit counts, test accuracy,
-    and expected per-sample mul-adds under the architecture's cost
-    vector. Rows are ordered exactly as the grid.
+    and expected per-sample mul-adds under config's cost vector. Rows
+    are ordered exactly as the grid.
     """
     grid = default_q_grid() if q_grid is None else np.asarray(q_grid, dtype=np.float64)
-    costs = count_mul_adds(params.config)
-    val_outs = forward_all(params, val_set.features, val_set.labels)
-    test_outs = forward_all(params, test_set.features, test_set.labels)
+    costs = count_mul_adds(config)
     rows = []
     for q, thresholds in zip(grid, calibrate_threshold_grid(val_outs.confidences, grid)):
         result = dynamic_infer(test_outs, thresholds)
@@ -56,3 +56,15 @@ def dynamic_sweep(
             "expected_muladds": expected_cost(result.exit_counts, costs),
         })
     return rows
+
+
+def dynamic_sweep(
+    params: BackboneParams,
+    val_set: Dataset,
+    test_set: Dataset,
+    q_grid=None,
+) -> list[dict]:
+    """`score_sweep` of the model's outputs on val_set and test_set."""
+    val_outs = forward_all(params, val_set.features, val_set.labels)
+    test_outs = forward_all(params, test_set.features, test_set.labels)
+    return score_sweep(params.config, val_outs, test_outs, q_grid)

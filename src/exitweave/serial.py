@@ -1,10 +1,13 @@
-"""Canonical JSON envelopes with embedded float64 buffers.
+"""The document layer: every JSON file format this package writes.
 
-Every on-disk artifact this package writes (datasets, checkpoints,
-history, metrics) goes through these helpers: arrays are base64-encoded
+Run config, run checkpoint, history, metrics and dataset container each
+open with a `{"format", "version"}` header, and only this module knows
+it: the format names, the `VERSIONS` table, the one writer (`write_doc`)
+and the one reader (`read_doc`). Arrays are base64-encoded
 little-endian float64 buffers, and documents are dumped with sorted
-keys and a fixed layout. Rewriting the same content therefore produces
-byte-identical files, which reruns rely on.
+keys and a fixed layout, so rewriting the same content produces
+byte-identical files, which reruns rely on. A write replaces its target
+only once complete, so an interrupted one leaves the old file intact.
 
 Config sections (in run config files and in checkpoints) are read and
 written against the config dataclasses themselves: their fields give
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -23,6 +27,16 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, FormatError
+
+CONFIG_FORMAT = "exitweave-config"
+RUN_FORMAT = "exitweave-run"
+HISTORY_FORMAT = "exitweave-history"
+METRICS_FORMAT = "exitweave-metrics"
+DATASET_FORMAT = "exitweave-dataset"
+
+# The version each format's writer stamps and reader requires, one per format
+VERSIONS = {CONFIG_FORMAT: 1, RUN_FORMAT: 1, HISTORY_FORMAT: 1, METRICS_FORMAT: 1, DATASET_FORMAT: 1}
+_HEADER = ("format", "version")
 
 
 def encode_array(arr: np.ndarray) -> dict:
@@ -44,8 +58,16 @@ def dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def write_json(path, doc) -> None:
-    Path(path).write_text(dump_json(doc))
+def write_doc(path, fmt: str, body: dict) -> None:
+    """Write body under fmt's header, through a temporary file next to path."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(dump_json({"format": fmt, "version": VERSIONS[fmt], **body}))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_json(path) -> dict:
@@ -59,14 +81,25 @@ def read_json(path) -> dict:
     return doc
 
 
-def check_envelope(doc: dict, path, fmt: str, version: int) -> None:
+def check_envelope(doc: dict, path, fmt: str) -> None:
     """Validate the format/version header of a loaded document."""
+    version = VERSIONS[fmt]
     if doc.get("format") != fmt:
         raise FormatError(f"{path}: not an {fmt} document (format={doc.get('format')!r})")
     if doc.get("version") != version:
         raise FormatError(
             f"{path}: unsupported {fmt} version {doc.get('version')!r}, expected {version}"
         )
+
+
+def read_doc(path, fmt: str, *, header_optional: bool = False) -> dict:
+    """The body of a fmt document, header checked and removed. With
+    header_optional (hand-written config files) the header may be left
+    out, but one that is present must be fmt's."""
+    doc = read_json(path)
+    if not header_optional or any(k in doc for k in _HEADER):
+        check_envelope(doc, path, fmt)
+    return {k: v for k, v in doc.items() if k not in _HEADER}
 
 
 def config_doc(config) -> dict:

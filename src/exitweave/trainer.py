@@ -55,6 +55,7 @@ from .backbone import (
 )
 from .datahub import Dataset, make_batches
 from .errors import CompatibilityError, ConfigError, NumericError, TrainingError
+from .evaluate import score_anytime
 from .exitpolicy import AllocationResult, allocate_meta, calibrate_thresholds, dynamic_infer
 from .numkit import RngStream
 from .wpn import (
@@ -342,7 +343,7 @@ def train_step(
 
 def _eval_epoch(state: TrainState, val_set: Dataset, config: TrainConfig, epoch: int, alpha_t: float) -> dict:
     outs = forward_all(state.backbone, val_set.features, val_set.labels)
-    anytime = (outs.predictions == outs.labels[:, None]).mean(axis=0)
+    anytime = score_anytime(outs)
     thresholds = calibrate_thresholds(outs.confidences, config.q)
     dyn = dynamic_infer(outs, thresholds)
     return {

@@ -7,6 +7,7 @@ byte level, not just value level.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,28 @@ class TestRunContainer:
             wpn, adam = None, None
         return TrainState(backbone=backbone, wpn=wpn, velocity=velocity,
                           adam=adam, iteration=42)
+
+    def test_interrupted_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        # the write stops halfway: the old checkpoint must survive whole, with no file left beside it
+        cfg = TrainConfig(epochs=3, batch_size=8, alpha=0.2, variant="learned")
+        path = tmp_path / "checkpoint.json"
+        save_run_checkpoint(path, self.make_state(), cfg)
+        old = path.read_bytes()
+
+        def half_write(self, text, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        state = self.make_state()
+        state.iteration = 43
+        with pytest.raises(OSError, match="disk full"):
+            save_run_checkpoint(path, state, cfg)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert load_run_checkpoint(path)[0].iteration == 42
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
 
     def test_full_round_trip(self, tmp_path):
         state = self.make_state()

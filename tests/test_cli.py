@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from exitweave.cli import main
+from exitweave.errors import FormatError
 
 
 def write_config(path, **overrides):
@@ -410,6 +411,93 @@ class TestEvalDatasetFile:
                      "--out", str(tmp_path / "ev"), "--q-grid", "1.0"]) == 0
 
 
+class TestDocuments:
+    """Every document a run writes carries its own format's header, which serial alone checks."""
+
+    def test_each_document_reads_back_as_its_format(self, trained, tmp_path):
+        from exitweave.datahub import gen_synthetic_gaussians, save_dataset
+        from exitweave.numkit import RngStream
+        from exitweave.serial import (CONFIG_FORMAT, DATASET_FORMAT, HISTORY_FORMAT, METRICS_FORMAT,
+                                      RUN_FORMAT, read_doc)
+
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path),
+                     "--q-grid", "1.0"]) == 0
+        save_dataset(tmp_path / "ds.json", gen_synthetic_gaussians(3, 4, 2, 1.0, RngStream(1)))
+        documents = {trained / "resolved_config.json": CONFIG_FORMAT, trained / "checkpoint.json": RUN_FORMAT,
+                     trained / "history.json": HISTORY_FORMAT, tmp_path / "metrics.json": METRICS_FORMAT,
+                     tmp_path / "ds.json": DATASET_FORMAT}
+        for path, fmt in documents.items():
+            body = read_doc(path, fmt)
+            assert body and "format" not in body and "version" not in body
+            other = METRICS_FORMAT if fmt == HISTORY_FORMAT else HISTORY_FORMAT
+            with pytest.raises(FormatError, match=other):
+                read_doc(path, other)
+
+    def test_versions_are_per_format(self, trained, tmp_path, capsys, monkeypatch):
+        from exitweave.checkpoint import load_run_checkpoint
+        from exitweave.serial import CONFIG_FORMAT, HISTORY_FORMAT, VERSIONS, read_doc
+
+        monkeypatch.setitem(VERSIONS, HISTORY_FORMAT, 2)
+        rc = main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path / "ev"),
+                   "--q-grid", "1.0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(trained / "history.json") in err and "version 1, expected 2" in err, err
+        load_run_checkpoint(trained / "checkpoint.json")
+        read_doc(trained / "resolved_config.json", CONFIG_FORMAT)
+
+
+class TestResolvedConfigRerun:
+    """A run's resolved_config.json is a run config that reproduces the run."""
+
+    @pytest.mark.parametrize("variant", ["learned", "baseline"])
+    def test_rerun_is_byte_identical(self, tmp_path, variant):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, train={"epochs": 2, "batch_size": 10, "alpha": 0.1, "seed": 3, "variant": variant})
+        first, second = tmp_path / "o1", tmp_path / "o2"
+        assert main(["train", "--config", str(cfg), "--out", str(first)]) == 0
+        assert main(["train", "--config", str(first / "resolved_config.json"), "--out", str(second)]) == 0
+        for name in ("checkpoint.json", "history.json", "resolved_config.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_wpn_num_exits_must_match_the_trunk(self, trained, tmp_path, capsys):
+        doc = json.loads((trained / "resolved_config.json").read_text())
+        doc["wpn"]["num_exits"] = 3  # the trunk has 2 exits
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "wpn.num_exits" in err, err
+
+    def test_header_of_another_format_exits_2(self, trained, tmp_path, capsys):
+        doc = json.loads((trained / "resolved_config.json").read_text())
+        doc["format"] = "exitweave-history"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "exitweave-history" in err, err
+
+
+class TestEvalForwardPasses:
+    def test_one_forward_pass_per_split(self, trained, tmp_path, monkeypatch):
+        import exitweave.backbone
+        import exitweave.evaluate
+
+        calls = []
+        real = exitweave.backbone.forward_all
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (exitweave.backbone, exitweave.evaluate):
+            monkeypatch.setattr(module, "forward_all", counted)
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path),
+                     "--q-grid", "0.5,1.0"]) == 0
+        assert len(calls) == 2
+
+
 class TestNarrowLateHead:
     def test_eval_accepts_costs_that_fall_across_exits(self, tmp_path):
         # 16 -> 64 -> 4 with 10 classes: exit 1 costs 16*64 + 64*10 = 1664
@@ -785,6 +873,27 @@ class TestFileDatasetKinds:
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "history.json").is_file()
+
+    def test_eval_finds_relative_data_from_another_out_dir(self, tmp_path):
+        # the data paths are relative to the config's directory, not to the run's outputs
+        from exitweave.datahub import gen_synthetic_gaussians, save_dataset
+        from exitweave.numkit import RngStream
+
+        (tmp_path / "A" / "data").mkdir(parents=True)
+        for split, n in (("train", 15), ("val", 6), ("test", 6)):
+            ds = gen_synthetic_gaussians(3, 4, n, 1.0, RngStream(5).child(split), split=split)
+            save_dataset(tmp_path / "A" / "data" / f"{split}.json", ds)
+        cfg = tmp_path / "A" / "run.json"
+        write_config(cfg, dataset={"kind": "container",
+                                   **{split: f"data/{split}.json" for split in ("train", "val", "test")}})
+        out = tmp_path / "B"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--q-grid", "1.0"]) == 0
+        history = json.loads((out / "history.json").read_text())
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["run_id"] == history["run_id"]
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["dataset"]["train"] == str((tmp_path / "A" / "data" / "train.json").resolve())
 
     def test_cifar_bin_kind_with_holdout(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -5,6 +5,7 @@ the parsers are checked against the format definitions rather than
 against themselves. Container round-trips must be byte-identical.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -103,6 +104,15 @@ class TestIdx:
         np.testing.assert_array_equal(ds.labels, [1, 0])
         assert ds.num_classes == 2
 
+    def test_negative_label_names_the_file(self, tmp_path):
+        # int8 labels may hold -1; Dataset's own error named no file
+        img_path = tmp_path / "imgs.idx"
+        img_path.write_bytes(idx_bytes(0x08, (3, 2), bytes(6)))
+        lbl_path = tmp_path / "lbls.idx"
+        lbl_path.write_bytes(idx_bytes(0x09, (3,), struct.pack(">3b", 0, 2, -1)))
+        with pytest.raises(FormatError, match=rf"{lbl_path}: labels: label -1 out of range"):
+            load_idx(img_path, lbl_path)
+
     def test_big_endian_int32_payload(self, tmp_path):
         path = tmp_path / "t.idx"
         path.write_bytes(idx_bytes(0x0C, (2, 2), struct.pack(">4i", 1, -2, 300, 70000)))
@@ -181,6 +191,13 @@ class TestCifarBin:
         with pytest.raises(FormatError, match="out of range"):
             load_cifar_bin(path, num_classes=5)
 
+    def test_label_error_names_the_file(self, tmp_path):
+        good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+        good.write_bytes(bytes([3]) + bytes(3072))
+        bad.write_bytes(bytes([1]) + bytes(3072) + bytes([12]) + bytes(3072))
+        with pytest.raises(FormatError, match=rf"{bad}: labels: label 12 out of range \[0, 10\)"):
+            load_cifar_bin([good, bad], num_classes=10)
+
     def test_requires_at_least_one_file(self):
         with pytest.raises(ConfigError):
             load_cifar_bin([])
@@ -206,6 +223,15 @@ class TestContainer:
             load_dataset(path)
         path.write_text(dump_json({"format": "exitweave-dataset", "version": 99}))
         with pytest.raises(FormatError, match="version"):
+            load_dataset(path)
+
+    def test_label_error_names_the_file(self, tmp_path):
+        path = tmp_path / "ds.json"
+        save_dataset(path, gen_synthetic_gaussians(3, 4, 2, 1.0, RngStream(6)))
+        doc = json.loads(path.read_text())
+        doc["labels"][1] = 7
+        path.write_text(dump_json(doc))
+        with pytest.raises(FormatError, match=rf"{path}: labels: label 7 out of range \[0, 3\)"):
             load_dataset(path)
 
     def test_rejects_invalid_json(self, tmp_path):
