@@ -18,9 +18,11 @@ buffers.
 Gradients here are hand-derived reverse-mode passes, not autodiff. They
 start from a `ForwardPass` (`forward_pass`): the exit outputs plus the
 trunk activations at one parameter point, so every gradient at that point
-reuses one trunk pass. `forward_all` returns the outputs alone and keeps
-no activations: it runs a large batch (an evaluation split) as
-cache-sized row blocks, with bitwise the outputs of one whole-batch pass.
+reuses one trunk pass; each exit head is one `softmax_lse` pass, with
+the confidence read at the prediction. `forward_all` returns the outputs
+alone and keeps no activations: it runs a large batch (an evaluation
+split) as cache-sized row blocks, with bitwise the outputs of one
+whole-batch pass.
 `batch_weighted_grad` folds a coefficient matrix into one backward sweep
 per exit for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
@@ -40,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numkit import RngStream, log_sum_exp, require_finite, softmax_stable
+from .numkit import RngStream, require_finite, softmax_lse
 
 # forward_all splits larger batches into row blocks of at most this many rows
 FORWARD_BLOCK_ROWS = 1024
@@ -134,7 +136,8 @@ def relu_forward(layers: list[Affine], x: np.ndarray) -> tuple[list[np.ndarray],
     hs = [x]
     zs = []
     for layer in layers:
-        z = hs[-1] @ layer.weight.T + layer.bias
+        z = hs[-1] @ layer.weight.T
+        z += layer.bias  # in place: rounds as `+` does, without a second array
         zs.append(z)
         hs.append(np.maximum(z, 0.0))
     return hs, zs
@@ -310,13 +313,11 @@ def _forward(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> F
     logits = np.empty((b, k_exits, c))
     for k, head in enumerate(params.heads):
         logits[:, k, :] = hs[k + 1] @ head.weight.T + head.bias
-    flat = logits.reshape(b * k_exits, c)
-    probs = softmax_stable(flat).reshape(b, k_exits, c)
-    lse = log_sum_exp(flat).reshape(b, k_exits)
-    picked = np.take_along_axis(logits, labels[:, None, None], axis=2)[:, :, 0]
-    losses = lse - picked
-    confidences = probs.max(axis=2)
+    probs, lse = softmax_lse(logits.reshape(b * k_exits, c))
+    probs = probs.reshape(b, k_exits, c)
+    losses = lse.reshape(b, k_exits) - np.take_along_axis(logits, labels[:, None, None], axis=2)[:, :, 0]
     predictions = probs.argmax(axis=2)
+    confidences = np.take_along_axis(probs, predictions[:, :, None], axis=2)[:, :, 0]
     return ForwardPass(params, ExitOutputs(logits, probs, losses, confidences, predictions, labels), hs, zs)
 
 

@@ -164,6 +164,8 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
             f"image count {images.shape[0]} != label count {labels.shape[0]} "
             f"({images_path} vs {labels_path})"
         )
+    if images.shape[0] == 0:
+        raise FormatError(f"{images_path}: no samples (image count 0)")
     feats = images.reshape(images.shape[0], -1).astype(np.float64)
     if np.issubdtype(images.dtype, np.integer):
         feats /= 255.0
@@ -173,6 +175,8 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     labels = labels.astype(np.int64)
     num_classes = int(labels.max()) + 1
     _check_labels(labels, num_classes, labels_path)
+    if num_classes < 2:
+        raise FormatError(f"{labels_path}: num_classes: need >= 2 classes, got {num_classes}")
     return Dataset(feats, labels, num_classes, split)
 
 
@@ -246,6 +250,8 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"{path}: labels: {exc}") from exc
     num_classes = read_value(int, doc["num_classes"], f"{path}: num_classes", FormatError)
     _check_labels(labels, num_classes, path)
+    if num_classes < 2:
+        raise FormatError(f"{path}: num_classes: need >= 2 classes, got {num_classes}")
     return Dataset(features, labels, num_classes, str(doc.get("split", "train")))
 
 

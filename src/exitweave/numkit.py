@@ -2,9 +2,9 @@
 
 All heavy math in this package runs on C-contiguous float64 ndarrays.
 The helpers here pin down the conventions the rest of the code relies on:
-explicit errors for non-finite values, overflow-safe softmax,
-log-sum-exp and sigmoid, and a reproducible RNG tree where every
-consumer draws from its own labeled child stream.
+explicit errors for non-finite values, an overflow-safe softmax and
+log-sum-exp in one pass (`softmax_lse`) and sigmoid, and a reproducible
+RNG tree where every consumer draws from its own labeled child stream.
 """
 
 from __future__ import annotations
@@ -24,26 +24,29 @@ def require_finite(arr: np.ndarray, name: str = "array", error=NumericError) -> 
     return arr
 
 
-def softmax_stable(logits) -> np.ndarray:
-    """Softmax over the last axis of a 1-D row or 2-D batch.
+def softmax_lse(logits) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax and log-sum-exp over the last axis of a 1-D row or 2-D batch.
 
-    The row maximum is subtracted before exponentiation, so arbitrarily
-    large logits never overflow. Rows of the result sum to 1 and every
-    entry is strictly positive.
+    The row max m comes from np.maximum swept over the class columns
+    (exact, and cheaper than a reduction along a short axis); then with
+    e = exp(x - m) and s = e.sum(-1), probs = e / s and lse = m + log(s).
+    Large logits never overflow; rows of probs sum to 1, entries are > 0.
     """
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ShapeError(f"logits must be 1-D or 2-D, got ndim={x.ndim}")
     require_finite(x, "logits")
-    shift = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shift)
-    return e / e.sum(axis=-1, keepdims=True)
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    e = np.exp(x - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / s, (m + np.log(s))[..., 0]
 
 
-def log_sum_exp(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe log(sum(exp(x))) over the last axis."""
-    m = x.max(axis=-1, keepdims=True)
-    return np.squeeze(m, axis=-1) + np.log(np.exp(x - m).sum(axis=-1))
+def softmax_stable(logits) -> np.ndarray:
+    """The softmax half of `softmax_lse`."""
+    return softmax_lse(logits)[0]
 
 
 def sigmoid_stable(x: np.ndarray) -> np.ndarray:

@@ -259,6 +259,59 @@ class TestForwardAll:
             forward_all(params, x, y)
 
 
+def two_pass_head(logits: np.ndarray, labels: np.ndarray):
+    """The exit head written as separate passes over (B, K, C) logits:
+    max-shift softmax, a log-sum-exp with its own row max, then
+    probs.max and probs.argmax. Returns (probs, losses, confidences,
+    predictions)."""
+    b, k, c = logits.shape
+    flat = logits.reshape(b * k, c)
+    e = np.exp(flat - flat.max(axis=-1, keepdims=True))
+    probs = (e / e.sum(axis=-1, keepdims=True)).reshape(b, k, c)
+    m = flat.max(axis=-1, keepdims=True)
+    lse = (np.squeeze(m, axis=-1) + np.log(np.exp(flat - m).sum(axis=-1))).reshape(b, k)
+    picked = np.take_along_axis(logits, labels[:, None, None], axis=2)[:, :, 0]
+    return probs, lse - picked, probs.max(axis=2), probs.argmax(axis=2)
+
+
+class TestExitHead:
+    """The one-pass head must reproduce the two-pass head bit for bit."""
+
+    @pytest.mark.parametrize("c", [2, 3, 10])
+    def test_matches_two_pass_head_bitwise(self, c):
+        n = FORWARD_BLOCK_ROWS + 77
+        config = BackboneConfig(6, (8, 8, 8, 8), c)
+        params = init_params(config, RngStream(c).child("params"))
+        rng = RngStream(c).child("data")
+        x = 3.0 * rng.standard_normal((n, 6))
+        x[:40] = 0.0
+        x[20:40] = -0.0
+        x[40:80, ::2] = -0.0
+        y = rng.integers(0, c, n)
+        tied, gap, zero = params.heads[0], params.heads[1], params.heads[2]
+        # exit 1: classes 0 and 1 give equal logits on every row, 30 above the rest
+        tied.weight[1] = tied.weight[0]
+        tied.bias[:2] = 30.0
+        # exit 2: class c-1 leads by at least 40 on every row
+        gap.weight *= 0.01
+        gap.bias[-1] = 60.0
+        # exit 3: all-zero logits
+        zero.weight[:] = 0.0
+        zero.bias[:] = 0.0
+        for outs in (forward_pass(params, x, y).outputs, forward_all(params, x, y)):
+            lg = outs.logits
+            assert np.all(lg[:, 0, 0] == lg[:, 0, 1]) and np.all(lg[:, 0, 0] == lg[:, 0].max(axis=1))
+            top2 = np.sort(lg[:, 1], axis=1)[:, -2:]
+            assert np.all(top2[:, 1] - top2[:, 0] >= 40.0)
+            assert np.all(lg[:, 2] == 0.0)
+            probs, losses, confidences, predictions = two_pass_head(lg, y)
+            assert np.array_equal(outs.probs, probs)
+            assert np.array_equal(outs.losses, losses)
+            assert np.array_equal(outs.confidences, confidences)
+            assert np.array_equal(outs.predictions, predictions)
+            assert np.all(outs.predictions[:, 0] == 0) and np.all(outs.confidences[:, 1] == 1.0)
+
+
 class TestPerSampleGrads:
     def test_matches_finite_differences(self):
         config, params, x, y = small_instance(seed=8)

@@ -561,6 +561,24 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert str(tmp_path / "train-images.idx") in err and "non-finite" in err, err
 
+    def test_idx_zero_samples(self, tmp_path, capsys):
+        # a (0, 2) image file used to end in a ValueError traceback and exit 1
+        import struct
+
+        def idx_file(path, code, shape, payload):
+            head = struct.pack(">BBBB", 0, 0, code, len(shape)) + b"".join(struct.pack(">I", d) for d in shape)
+            path.write_bytes(head + payload)
+
+        for split in ("train", "val", "test"):
+            idx_file(tmp_path / f"{split}-images.idx", 0x08, (0, 2), b"")
+            idx_file(tmp_path / f"{split}-labels.idx", 0x08, (0,), b"")
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "idx", **{f"{s}_{part}": f"{s}-{part}.idx"
+                                                     for s in ("train", "val", "test") for part in ("images", "labels")}})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'train-images.idx'}: no samples" in err, err
+
     def test_allocate_csv_cell(self, tmp_path, capsys):
         path = tmp_path / "conf.csv"
         path.write_text("0.5,0.6\n0.7,nan\n")

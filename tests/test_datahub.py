@@ -113,6 +113,24 @@ class TestIdx:
         with pytest.raises(FormatError, match=rf"{lbl_path}: labels: label -1 out of range"):
             load_idx(img_path, lbl_path)
 
+    def test_zero_samples_names_the_image_file(self, tmp_path):
+        # a (0, 2) image tensor used to reach reshape(0, -1): a bare ValueError
+        img_path = tmp_path / "imgs.idx"
+        img_path.write_bytes(idx_bytes(0x08, (0, 2), b""))
+        lbl_path = tmp_path / "lbls.idx"
+        lbl_path.write_bytes(idx_bytes(0x08, (0,), b""))
+        with pytest.raises(FormatError, match=rf"{img_path}: no samples"):
+            load_idx(img_path, lbl_path)
+
+    def test_one_class_names_the_label_file(self, tmp_path):
+        # all-zero labels give one class; Dataset's ConfigError named no file
+        img_path = tmp_path / "imgs.idx"
+        img_path.write_bytes(idx_bytes(0x08, (3, 2), bytes(6)))
+        lbl_path = tmp_path / "lbls.idx"
+        lbl_path.write_bytes(idx_bytes(0x08, (3,), bytes(3)))
+        with pytest.raises(FormatError, match=rf"{lbl_path}: num_classes: need >= 2 classes, got 1"):
+            load_idx(img_path, lbl_path)
+
     def test_big_endian_int32_payload(self, tmp_path):
         path = tmp_path / "t.idx"
         path.write_bytes(idx_bytes(0x0C, (2, 2), struct.pack(">4i", 1, -2, 300, 70000)))
@@ -232,6 +250,16 @@ class TestContainer:
         doc["labels"][1] = 7
         path.write_text(dump_json(doc))
         with pytest.raises(FormatError, match=rf"{path}: labels: label 7 out of range \[0, 3\)"):
+            load_dataset(path)
+
+    def test_one_class_names_the_file(self, tmp_path):
+        path = tmp_path / "ds.json"
+        save_dataset(path, gen_synthetic_gaussians(3, 4, 2, 1.0, RngStream(6)))
+        doc = json.loads(path.read_text())
+        doc["num_classes"] = 1
+        doc["labels"] = [0] * len(doc["labels"])
+        path.write_text(dump_json(doc))
+        with pytest.raises(FormatError, match=rf"{path}: num_classes: need >= 2 classes, got 1"):
             load_dataset(path)
 
     def test_rejects_invalid_json(self, tmp_path):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from exitweave.errors import NumericError, ShapeError
 from exitweave.numkit import (
     RngStream,
-    log_sum_exp,
     require_finite,
     sigmoid_stable,
+    softmax_lse,
     softmax_stable,
 )
 
@@ -61,7 +61,20 @@ class TestSoftmax:
     def test_log_sum_exp_matches_naive(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 5))
-        np.testing.assert_allclose(log_sum_exp(x), np.log(np.exp(x).sum(axis=1)), atol=1e-12)
+        np.testing.assert_allclose(softmax_lse(x)[1], np.log(np.exp(x).sum(axis=1)), atol=1e-12)
+        lse = softmax_lse(x[0])[1]
+        assert lse.shape == ()
+        np.testing.assert_allclose(lse, np.log(np.exp(x[0]).sum()), atol=1e-12)
+
+    def test_signed_zeros_and_ties_match_two_pass(self):
+        # the column sweep may keep either zero as the row max; every
+        # output must still equal the reduction-based two-pass result
+        x = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [2.0, 2.0, -50.0]])
+        m = x.max(axis=1, keepdims=True)
+        e = np.exp(x - m)
+        probs, lse = softmax_lse(x)
+        assert probs.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+        assert lse.tobytes() == (m[:, 0] + np.log(np.exp(x - m).sum(axis=1))).tobytes()
 
 
 class TestSigmoid:
