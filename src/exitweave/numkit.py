@@ -27,18 +27,15 @@ def require_finite(arr: np.ndarray, name: str = "array", error=NumericError) -> 
 def softmax_lse(logits) -> tuple[np.ndarray, np.ndarray]:
     """Softmax and log-sum-exp over the last axis of a 1-D row or 2-D batch.
 
-    The row max m comes from np.maximum swept over the class columns
-    (exact, and cheaper than a reduction along a short axis); then with
-    e = exp(x - m) and s = e.sum(-1), probs = e / s and lse = m + log(s).
-    Large logits never overflow; rows of probs sum to 1, entries are > 0.
+    One row max m serves both halves: with e = exp(x - m) and
+    s = e.sum(-1), probs = e / s and lse = m + log(s). Large logits never
+    overflow; rows of probs sum to 1 and every entry is > 0.
     """
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ShapeError(f"logits must be 1-D or 2-D, got ndim={x.ndim}")
     require_finite(x, "logits")
-    m = x[..., :1].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(m, x[..., j : j + 1], out=m)
+    m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     s = e.sum(axis=-1, keepdims=True)
     return e / s, (m + np.log(s))[..., 0]

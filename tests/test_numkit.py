@@ -67,8 +67,8 @@ class TestSoftmax:
         np.testing.assert_allclose(lse, np.log(np.exp(x[0]).sum()), atol=1e-12)
 
     def test_signed_zeros_and_ties_match_two_pass(self):
-        # the column sweep may keep either zero as the row max; every
-        # output must still equal the reduction-based two-pass result
+        # rows of signed zeros and tied logits: every output must equal
+        # the two-pass result (softmax, then a separate log-sum-exp)
         x = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [2.0, 2.0, -50.0]])
         m = x.max(axis=1, keepdims=True)
         e = np.exp(x - m)
