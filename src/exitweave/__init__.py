@@ -6,7 +6,8 @@ Submodules:
   backbone    flat-buffer dense ReLU layers; K-exit MLP with shared trunk
   wpn         weight prediction network and its analytic backward chain
   exitpolicy  budget allocation, threshold calibration, dynamic inference
-  datahub     synthetic and on-disk datasets, imbalancing, batching
+  datahub     datasets (one content check), their loaders, imbalancing,
+              batching, and the run config's dataset section
   trainer     the training loops (full method plus ablation variants)
   evaluate    anytime tables and budget sweeps
   checkpoint  the versioned run checkpoint

@@ -3,8 +3,10 @@
 Runs are described by a JSON config file with four semantic sections
 (dataset, backbone, wpn, train) plus an output section. Unknown keys
 are rejected anywhere in the document, and each section is converted
-once into its config dataclass; relative data paths become absolute
-then. `run_document` collects the converted configs the run used;
+once into its config dataclass. The dataset section is `datahub`'s:
+`datahub.read_dataset` converts it and makes its data paths absolute,
+and `datahub.build_datasets` builds the splits; this module names no
+dataset kind. `run_document` collects the converted configs the run used;
 `train` writes it, with the output section, as resolved_config.json,
 which is itself a run config, and history.json and metrics.json carry
 its hash (`config_hash`). That hash doubles as the run id, so train and
@@ -19,7 +21,7 @@ runtime/numeric failures such as a diverged run.
 
 EXITWEAVE_THREADS caps the BLAS thread pools. It must take effect
 before numpy first loads, which is why this module defers every heavy
-import until after the cap is applied.
+import, `datahub` included, until after the cap is applied.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import fields, make_dataclass, replace
+from dataclasses import make_dataclass, replace
 from pathlib import Path
 
 from .errors import (
@@ -78,34 +81,6 @@ def _read_config_file(p: Path, what: str) -> dict:
     return read_doc(p, CONFIG_FORMAT, header_optional=True)
 
 
-def _absolute(value, base: Path):
-    """A data path made absolute against base, a list of them item by
-    item; any other value as is, for `build_datasets` to reject."""
-    if isinstance(value, list):
-        return [_absolute(v, base) for v in value]
-    return str(base / value) if isinstance(value, str) else value
-
-
-def read_dataset(section, path: Path) -> tuple:
-    """(kind, config) of a dataset section, config its kind's DATASET_KINDS
-    dataclass, read from file path. Every string value of a dataset
-    section names a data file; a relative one is made absolute against
-    path's directory here, once, so the run document records where the
-    data is wherever the run's outputs go."""
-    from .datahub import DATASET_KINDS
-    from .serial import read_config
-
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError(f"{path}: dataset section must be an object with a 'kind' key")
-    kind = section["kind"]
-    if not isinstance(kind, str) or kind not in DATASET_KINDS:
-        raise ConfigError(f"{path}: unknown dataset kind {kind!r}; expected one of {sorted(DATASET_KINDS)}")
-    rest = {k: v for k, v in section.items() if k != "kind"}
-    spec = read_config(DATASET_KINDS[kind], rest, f"{path}: dataset ({kind})")
-    base = path.resolve().parent
-    return kind, replace(spec, **{f.name: _absolute(getattr(spec, f.name), base) for f in fields(spec)})
-
-
 def load_config(path) -> dict:
     """Read a run config file and convert the sections that need no data.
 
@@ -113,6 +88,7 @@ def load_config(path) -> dict:
     TrainConfig and OutputConfig. The backbone and wpn sections stay as
     written until `_model_configs` converts them against the data.
     """
+    from .datahub import read_dataset
     from .serial import read_config
     from .trainer import TrainConfig
 
@@ -187,72 +163,13 @@ def _stamped(digest: str, **body) -> dict:
     return {"run_id": digest[:12], "config_hash": digest, **body}
 
 
-def build_datasets(dataset: tuple, config_path):
-    """Materialize (train, val, test) Datasets from a (kind, config) dataset.
-
-    config_path is the file the section came from, which errors name
-    (`read_dataset` already made its data paths absolute). A data path
-    that is not a string or names no file raises ConfigError naming the
-    key and the path.
-    """
-    from .datahub import gen_synthetic_gaussians, load_cifar_bin, load_dataset, load_idx, longtail_subsample
-    from .numkit import RngStream
-
-    kind, spec = dataset
-    root = RngStream(spec.seed)
-    splits = ("train", "val", "test")
-
-    def path(key: str, value) -> Path:
-        if not isinstance(value, str):
-            raise ConfigError(f"{config_path}: dataset.{key}: expected a file path string, got {value!r}")
-        p = Path(value)
-        if not p.is_file():
-            raise ConfigError(f"{config_path}: dataset.{key}: data file not found: {p}")
-        return p
-
-    if kind == "synthetic":
-        train, val, test = (
-            gen_synthetic_gaussians(
-                spec.classes, spec.dim, getattr(spec, f"{split}_per_class"), spec.spread,
-                root.child(f"synth-{split}"), split=split, radius=spec.radius,
-            )
-            for split in splits
-        )
-    elif kind == "container":
-        train, val, test = (load_dataset(path(split, getattr(spec, split))) for split in splits)
-    elif kind == "idx":
-        train, val, test = (
-            load_idx(*(path(key, getattr(spec, key)) for key in (f"{s}_images", f"{s}_labels")), split=s)
-            for s in splits
-        )
-    else:  # cifar_bin
-        if isinstance(spec.train, str):
-            files = [path("train", spec.train)]
-        else:
-            files = [path(f"train[{i}]", f) for i, f in enumerate(spec.train)]
-        if not files:
-            raise ConfigError(f"{config_path}: dataset.train: at least one batch file is required")
-        full = load_cifar_bin(files, num_classes=spec.num_classes, split="train")
-        holdout = spec.val_holdout
-        if not (0 < holdout < len(full)):
-            raise ConfigError(f"{config_path}: dataset.val_holdout: must lie in (0, {len(full)}), got {holdout}")
-        import numpy as np
-
-        perm = root.child("val-holdout").permutation(len(full))
-        val = full.subset(np.sort(perm[:holdout]), split="val")
-        train = full.subset(np.sort(perm[holdout:]), split="train")
-        test = load_cifar_bin(path("test", spec.test), num_classes=spec.num_classes, split="test")
-    if spec.longtail_factor != 1.0:
-        train = longtail_subsample(train, spec.longtail_factor, root.child("longtail"))
-    return train, val, test
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
     from .checkpoint import save_run_checkpoint
+    from .datahub import build_datasets
     from .serial import CONFIG_FORMAT, HISTORY_FORMAT, config_doc, write_doc
     from .trainer import run_training
 
@@ -282,6 +199,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"q must be finite, got {cell!r}")
+    return value
+
+
 def _parse_q_grid(text: str):
     import numpy as np
 
@@ -290,7 +214,7 @@ def _parse_q_grid(text: str):
         if len(parts) != 3:
             raise ConfigError(f"--q-grid range must be start:stop:count, got {text!r}")
         try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"--q-grid range {text!r}: {exc}") from exc
         if count < 1:
@@ -298,7 +222,7 @@ def _parse_q_grid(text: str):
         grid = np.linspace(start, stop, count)
     else:
         try:
-            grid = np.asarray([float(v) for v in text.split(",") if v != ""], dtype=np.float64)
+            grid = np.asarray([_finite(v) for v in text.split(",") if v != ""], dtype=np.float64)
         except ValueError as exc:
             raise ConfigError(f"--q-grid list {text!r}: {exc}") from exc
     if grid.size == 0 or np.any(grid <= 0):
@@ -310,6 +234,7 @@ def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
     """The (kind, config) dataset eval runs on, and the file it came from:
     --dataset (a run config or a bare dataset section), else the
     resolved_config.json next to the checkpoint, whose header is required."""
+    from .datahub import read_dataset
     from .serial import CONFIG_FORMAT, read_doc
 
     if args.dataset:
@@ -369,6 +294,7 @@ def _write_curves_csv(path, rows, num_exits: int) -> None:
 def cmd_eval(args) -> int:
     from .backbone import count_mul_adds, forward_all
     from .checkpoint import load_run_checkpoint
+    from .datahub import build_datasets
     from .evaluate import default_q_grid, score_anytime, score_sweep
     from .serial import METRICS_FORMAT, write_doc
 

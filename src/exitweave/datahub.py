@@ -1,7 +1,9 @@
 """Datasets: synthetic mixtures, on-disk loaders, imbalancing, batching.
 
-A Dataset is rows of float64 features plus int64 labels. Loaders exist
-for three external formats:
+A Dataset is rows of float64 features plus int64 labels, and building
+one is the only check of its contents. Loaders exist for three external
+formats, and each checks only its own format; a content error becomes
+a FormatError naming the file:
 
   * the classic big-endian IDX tensor format (images + labels as two
     files),
@@ -13,26 +15,28 @@ for three external formats:
 `longtail_subsample` imposes an exponential class-size profile on a
 balanced set, and `make_batches` produces the per-epoch shuffled index
 batches every trainer run consumes. `DATASET_KINDS` holds the schema of
-a run config's dataset section, one config dataclass per `kind`.
+a run config's dataset section, one config dataclass per `kind`;
+`read_dataset` reads a section and `build_datasets` builds its splits.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
 from .numkit import RngStream, require_finite
-from .serial import DATASET_FORMAT, decode_array, encode_array, read_doc, read_value, write_doc
+from .serial import DATASET_FORMAT, decode_array, encode_array, read_config, read_doc, read_value, write_doc
 
 
 @dataclass
 class Dataset:
-    """Feature rows with integer labels; validated on construction."""
+    """Feature rows with integer labels, validated on construction: each error names its field."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -42,20 +46,19 @@ class Dataset:
     def __post_init__(self) -> None:
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ShapeError(f"features must be a nonempty 2-D array, got shape {self.features.shape}")
+            raise ShapeError(f"features: need a nonempty 2-D array, got shape {self.features.shape}")
         require_finite(self.features, "features")
         self.labels = np.asarray(self.labels)
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
-            raise ShapeError(
-                f"labels shape {self.labels.shape} does not match {self.features.shape[0]} rows"
-            )
+            raise ShapeError(f"labels: shape {self.labels.shape} does not match {self.features.shape[0]} rows")
         if not np.issubdtype(self.labels.dtype, np.integer):
-            raise ShapeError("labels must be integers")
+            raise ShapeError(f"labels: need integers, got {self.labels.dtype}")
         self.labels = self.labels.astype(np.int64)
         if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ShapeError(f"labels must lie in [0, {self.num_classes})")
+            raise ConfigError(f"num_classes: need >= 2 classes, got {self.num_classes}")
+        bad = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)]
+        if bad.size:
+            raise ShapeError(f"labels: label {int(bad[0])} out of range [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -86,8 +89,6 @@ def gen_synthetic_gaussians(
     dim == 1); the remaining dimensions carry pure noise, so they make
     the problem harder without adding signal. Deterministic in rng.
     """
-    if num_classes < 2:
-        raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
     if dim < 1 or per_class < 1:
         raise ConfigError("dim and per_class must be >= 1")
     if spread <= 0:
@@ -147,18 +148,25 @@ def read_idx(path) -> np.ndarray:
     return data.reshape(shape).astype(dtype.newbyteorder("="))
 
 
+def _from_file(source: str, features, labels, num_classes: int, split: str) -> Dataset:
+    """Dataset(features, labels, num_classes, split) read from source; a
+    content error becomes a FormatError naming source."""
+    try:
+        return Dataset(features, labels, num_classes, split)
+    except (ShapeError, NumericError, ConfigError) as exc:
+        raise FormatError(f"{source}: {exc}") from exc
+
+
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Pair an IDX image tensor with an IDX label vector.
 
     Image tensors are flattened to one row per sample; integer pixel
-    types are scaled to [0, 1] by 255.
+    types are scaled to [0, 1] by 255; the classes run up to the largest label.
     """
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if images.ndim < 2:
         raise FormatError(f"{images_path}: image tensor must have >= 2 dims, got {images.ndim}")
-    if labels.ndim != 1:
-        raise FormatError(f"{labels_path}: label tensor must be 1-D, got {labels.ndim}")
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]} "
@@ -166,25 +174,12 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
         )
     if images.shape[0] == 0:
         raise FormatError(f"{images_path}: no samples (image count 0)")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise FormatError(f"{labels_path}: labels must be an integer IDX tensor")
     feats = images.reshape(images.shape[0], -1).astype(np.float64)
     if np.issubdtype(images.dtype, np.integer):
         feats /= 255.0
-    require_finite(feats, f"{images_path}: images", FormatError)
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise FormatError(f"{labels_path}: labels must be an integer IDX tensor")
-    labels = labels.astype(np.int64)
-    num_classes = int(labels.max()) + 1
-    _check_labels(labels, num_classes, labels_path)
-    if num_classes < 2:
-        raise FormatError(f"{labels_path}: num_classes: need >= 2 classes, got {num_classes}")
-    return Dataset(feats, labels, num_classes, split)
-
-
-def _check_labels(labels: np.ndarray, num_classes: int, path) -> None:
-    """A label outside [0, num_classes) raises FormatError naming the file."""
-    bad = labels[(labels < 0) | (labels >= num_classes)]
-    if bad.size:
-        raise FormatError(f"{path}: labels: label {int(bad[0])} out of range [0, {num_classes})")
+    return _from_file(f"{images_path} with {labels_path}", feats, labels, int(labels.max()) + 1, split)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +200,7 @@ def load_cifar_bin(paths, num_classes: int = 10, split: str = "train") -> Datase
         paths = [paths]
     if not paths:
         raise ConfigError("at least one batch file is required")
-    feats, labels = [], []
+    parts = []
     for path in paths:
         raw = Path(path).read_bytes()
         if len(raw) == 0 or len(raw) % _CIFAR_RECORD != 0:
@@ -214,10 +209,10 @@ def load_cifar_bin(paths, num_classes: int = 10, split: str = "train") -> Datase
                 f"record; trailing fragment starts at byte {len(raw) - len(raw) % _CIFAR_RECORD}"
             )
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)
-        labels.append(records[:, 0].astype(np.int64))
-        _check_labels(labels[-1], num_classes, path)
-        feats.append(records[:, 1:].astype(np.float64) / 255.0)
-    return Dataset(np.concatenate(feats), np.concatenate(labels), num_classes, split)
+        parts.append(_from_file(str(path), records[:, 1:].astype(np.float64) / 255.0, records[:, 0],
+                                num_classes, split))
+    return Dataset(np.concatenate([p.features for p in parts]), np.concatenate([p.labels for p in parts]),
+                   num_classes, split)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +233,7 @@ def load_dataset(path) -> Dataset:
     missing = [key for key in ("features", "labels", "num_classes") if key not in doc]
     if missing:
         raise FormatError(f"{path}: missing required key(s): {', '.join(missing)}")
-    where = f"{path}: features"
-    features = require_finite(decode_array(doc["features"], where), where, FormatError)
+    features = decode_array(doc["features"], f"{path}: features")
     if not isinstance(doc["labels"], list):
         raise FormatError(f"{path}: labels: expected a list of integers")
     # read as an int config field is: 1.5 and true are errors, not 1
@@ -249,10 +243,7 @@ def load_dataset(path) -> Dataset:
     except OverflowError as exc:
         raise FormatError(f"{path}: labels: {exc}") from exc
     num_classes = read_value(int, doc["num_classes"], f"{path}: num_classes", FormatError)
-    _check_labels(labels, num_classes, path)
-    if num_classes < 2:
-        raise FormatError(f"{path}: num_classes: need >= 2 classes, got {num_classes}")
-    return Dataset(features, labels, num_classes, str(doc.get("split", "train")))
+    return _from_file(str(path), features, labels, num_classes, str(doc.get("split", "train")))
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +306,30 @@ def make_batches(
 # Dataset sections of a run config: one config dataclass per `kind`
 # ---------------------------------------------------------------------------
 
+# The least value of each bounded section field, whichever kinds have it
+_FLOORS = {"classes": 2, "num_classes": 2, "dim": 1, "train_per_class": 1, "val_per_class": 1,
+           "test_per_class": 1, "longtail_factor": 1.0}
+
+
+def _check_bounds(spec) -> None:
+    """A section value no dataset can be built from raises ConfigError
+    naming the key; `read_config` adds the file and the section."""
+    for key, floor in _FLOORS.items():
+        value = getattr(spec, key, floor)
+        if not value >= floor:  # NaN fails too
+            raise ConfigError(f"{key}: must be >= {floor}, got {value}")
+    if not 0.0 < getattr(spec, "spread", 1.0) < math.inf:
+        raise ConfigError(f"spread: must be positive and finite, got {spec.spread}")
+    if not math.isfinite(getattr(spec, "radius", 0.0)):
+        raise ConfigError(f"radius: must be finite, got {spec.radius}")
+
+
 def _source(name: str, required: dict, **defaults) -> type:
     """A frozen config dataclass: the required fields, then the defaults
     (every kind also takes a split seed and a long-tail factor)."""
     defaults = {**defaults, "seed": 0, "longtail_factor": 1.0}
-    fields = [*required.items(), *((key, type(value), value) for key, value in defaults.items())]
-    return make_dataclass(name, fields, frozen=True)
+    entries = [*required.items(), *((key, type(value), value) for key, value in defaults.items())]
+    return make_dataclass(name, entries, frozen=True, namespace={"__post_init__": _check_bounds})
 
 
 _SPLIT_FILES = {f"{split}_{part}": str for split in ("train", "val", "test") for part in ("images", "labels")}
@@ -336,3 +345,83 @@ DATASET_KINDS = {
     # train is one batch file or a list of them
     "cifar_bin": _source("CifarBinSource", dict(train=str | list, test=str, val_holdout=int), num_classes=10),
 }
+
+
+def _absolute(value, base: Path):
+    """A data path made absolute against base, a list of them item by
+    item; any other value as is, for `build_datasets` to reject."""
+    if isinstance(value, list):
+        return [_absolute(v, base) for v in value]
+    return str(base / value) if isinstance(value, str) else value
+
+
+def read_dataset(section, path: Path) -> tuple:
+    """(kind, config) of a dataset section, config its kind's DATASET_KINDS
+    dataclass, read from file path. Every string value of a dataset
+    section names a data file; a relative one is made absolute against
+    path's directory here, once, so the run document records where the
+    data is wherever the run's outputs go."""
+    if not isinstance(section, dict) or "kind" not in section:
+        raise ConfigError(f"{path}: dataset section must be an object with a 'kind' key")
+    kind = section["kind"]
+    if not isinstance(kind, str) or kind not in DATASET_KINDS:
+        raise ConfigError(f"{path}: unknown dataset kind {kind!r}; expected one of {sorted(DATASET_KINDS)}")
+    rest = {k: v for k, v in section.items() if k != "kind"}
+    spec = read_config(DATASET_KINDS[kind], rest, f"{path}: dataset ({kind})")
+    base = path.resolve().parent
+    return kind, replace(spec, **{f.name: _absolute(getattr(spec, f.name), base) for f in fields(spec)})
+
+
+def build_datasets(dataset: tuple, config_path):
+    """Materialize (train, val, test) Datasets from a (kind, config) dataset.
+
+    config_path is the file the section came from, which errors name
+    (`read_dataset` already made its data paths absolute). A data path
+    that is not a string or names no file raises ConfigError naming the
+    key and the path.
+    """
+    kind, spec = dataset
+    root = RngStream(spec.seed)
+    splits = ("train", "val", "test")
+
+    def path(key: str, value) -> Path:
+        if not isinstance(value, str):
+            raise ConfigError(f"{config_path}: dataset.{key}: expected a file path string, got {value!r}")
+        p = Path(value)
+        if not p.is_file():
+            raise ConfigError(f"{config_path}: dataset.{key}: data file not found: {p}")
+        return p
+
+    if kind == "synthetic":
+        train, val, test = (
+            gen_synthetic_gaussians(
+                spec.classes, spec.dim, getattr(spec, f"{split}_per_class"), spec.spread,
+                root.child(f"synth-{split}"), split=split, radius=spec.radius,
+            )
+            for split in splits
+        )
+    elif kind == "container":
+        train, val, test = (load_dataset(path(split, getattr(spec, split))) for split in splits)
+    elif kind == "idx":
+        train, val, test = (
+            load_idx(*(path(key, getattr(spec, key)) for key in (f"{s}_images", f"{s}_labels")), split=s)
+            for s in splits
+        )
+    else:  # cifar_bin
+        if isinstance(spec.train, str):
+            files = [path("train", spec.train)]
+        else:
+            files = [path(f"train[{i}]", f) for i, f in enumerate(spec.train)]
+        if not files:
+            raise ConfigError(f"{config_path}: dataset.train: at least one batch file is required")
+        full = load_cifar_bin(files, num_classes=spec.num_classes, split="train")
+        holdout = spec.val_holdout
+        if not (0 < holdout < len(full)):
+            raise ConfigError(f"{config_path}: dataset.val_holdout: must lie in (0, {len(full)}), got {holdout}")
+        perm = root.child("val-holdout").permutation(len(full))
+        val = full.subset(np.sort(perm[:holdout]), split="val")
+        train = full.subset(np.sort(perm[holdout:]), split="train")
+        test = load_cifar_bin(path("test", spec.test), num_classes=spec.num_classes, split="test")
+    if spec.longtail_factor != 1.0:
+        train = longtail_subsample(train, spec.longtail_factor, root.child("longtail"))
+    return train, val, test

@@ -41,13 +41,22 @@ from .numkit import require_finite
 EMPTY_EXIT_SENTINEL = 1.5
 
 
-def exit_fractions(q: float, num_exits: int) -> np.ndarray:
-    """Budget fractions f[k] = q**(k+1) / sum_j q**(j+1), shape (K,)."""
+def _check_budget(q: float, num_exits: int) -> None:
     if num_exits < 1:
         raise DomainError(f"num_exits must be >= 1, got {num_exits}")
     if not (q > 0.0) or not math.isfinite(q):
         raise DomainError(f"q must be a positive finite number, got {q}")
-    powers = np.power(float(q), np.arange(1, num_exits + 1, dtype=np.float64))
+
+
+def exit_fractions(q: float, num_exits: int) -> np.ndarray:
+    """Budget fractions f[k] = q**(k+1) / sum_j q**(j+1), shape (K,).
+
+    The powers are scaled by the largest, q**K for q > 1 and q otherwise,
+    so every one lies in (0, 1] and none overflows, whatever q.
+    """
+    _check_budget(q, num_exits)
+    k = np.arange(num_exits, dtype=np.float64)
+    powers = np.power(float(q), k - (num_exits - 1) if q > 1.0 else k)
     return powers / powers.sum()
 
 
@@ -60,7 +69,7 @@ def allocation_sizes(q: float, num_exits: int, n: int) -> np.ndarray:
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    exit_fractions(q, num_exits)  # validates q and num_exits
+    _check_budget(q, num_exits)
     qf = Fraction(float(q))
     powers = [qf ** k for k in range(1, num_exits + 1)]
     total = sum(powers)

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from exitweave.cli import main
 from exitweave.errors import FormatError
+from exitweave.serial import encode_array
 
 
 def write_config(path, **overrides):
@@ -205,6 +207,21 @@ class TestEval:
         assert main(base + ["--q-grid=-1.0,0.5"]) == 2
         assert main(base + ["--q-grid", "abc"]) == 2
 
+    @pytest.mark.parametrize("grid", ["nan", "0.5,inf", "0.5:inf:3"])
+    def test_non_finite_grid_names_the_flag(self, trained, tmp_path, capsys, grid):
+        # nan and inf used to pass the flag and fail in exitpolicy, naming no flag
+        rc = main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path / "x"),
+                   "--q-grid", grid])
+        assert rc == 2
+        assert "--q-grid" in capsys.readouterr().err
+
+    def test_huge_q_warns_nothing(self, trained, tmp_path):
+        # q**2 overflowed in exit_fractions: two RuntimeWarnings, exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path / "x"),
+                         "--q-grid", "1e300"]) == 0
+
 
 class TestPreciseFileErrors:
     """Malformed checkpoints and run configs exit 2 naming file, section and key."""
@@ -249,8 +266,13 @@ class TestPreciseFileErrors:
         # np.asarray(..., dtype=np.int64) would read these as 1
         (lambda d: d["labels"].__setitem__(0, 1.5), "labels"),
         (lambda d: d["labels"].__setitem__(0, True), "labels"),
+        # Dataset's own shape errors named no file
+        (lambda d: d.update(features=encode_array(np.zeros((0, 4))), labels=[]), "features"),
+        (lambda d: d["labels"].pop(), "labels"),
+        (lambda d: d.update(features=encode_array(np.zeros(72))), "features"),
     ], ids=["labels-missing", "labels-strings", "num_classes-not-a-number",
-            "labels-fractional", "labels-boolean"])
+            "labels-fractional", "labels-boolean", "features-no-rows", "labels-one-short",
+            "features-1d"])
     def test_container_dataset_payload(self, tmp_path, capsys, edit, key):
         from exitweave.datahub import gen_synthetic_gaussians, save_dataset
         from exitweave.numkit import RngStream
@@ -955,6 +977,31 @@ class TestFileDatasetKinds:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and "dataset.val_holdout" in err
+
+    @pytest.mark.parametrize("dataset, key", [
+        ({"kind": "cifar_bin", "train": "train.bin", "test": "test.bin", "val_holdout": 2, "num_classes": 1},
+         "num_classes"),
+        ({"classes": 1}, "classes"),
+        ({"dim": 0}, "dim"),
+        ({"test_per_class": 0}, "test_per_class"),
+        ({"spread": -1.0}, "spread"),
+        ({"longtail_factor": 0.5}, "longtail_factor"),
+    ], ids=["cifar_bin-num_classes", "classes", "dim", "test_per_class", "spread", "longtail_factor"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_section_value_out_of_range(self, trained, tmp_path, capsys, dataset, key, command):
+        # each exited 2 with a bare message that named neither the file nor the key
+        cfg = tmp_path / "run.json"
+        doc = write_config(cfg)
+        doc["dataset"] = dataset if "kind" in dataset else {**doc["dataset"], **dataset}
+        cfg.write_text(json.dumps(doc))
+        if command == "train":
+            rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        else:
+            rc = main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--dataset", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and f" {key}: must be" in err, err
 
     @pytest.mark.parametrize("dataset, key, name", [
         ({"kind": "container", "train": "train.json", "val": "val.json", "test": "test.json"},

@@ -131,6 +131,15 @@ class TestIdx:
         with pytest.raises(FormatError, match=rf"{lbl_path}: num_classes: need >= 2 classes, got 1"):
             load_idx(img_path, lbl_path)
 
+    def test_label_tensor_shape_names_both_files(self, tmp_path):
+        # a (3, 1) label tensor reaches Dataset, whose error is re-raised naming the pair
+        img_path = tmp_path / "imgs.idx"
+        img_path.write_bytes(idx_bytes(0x08, (3, 2), bytes(6)))
+        lbl_path = tmp_path / "lbls.idx"
+        lbl_path.write_bytes(idx_bytes(0x08, (3, 1), bytes([0, 1, 1])))
+        with pytest.raises(FormatError, match=rf"{img_path} with {lbl_path}: labels: shape \(3, 1\)"):
+            load_idx(img_path, lbl_path)
+
     def test_big_endian_int32_payload(self, tmp_path):
         path = tmp_path / "t.idx"
         path.write_bytes(idx_bytes(0x0C, (2, 2), struct.pack(">4i", 1, -2, 300, 70000)))

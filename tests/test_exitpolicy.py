@@ -8,6 +8,7 @@ random tables.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +131,13 @@ class TestFractions:
         with pytest.raises(DomainError):
             exit_fractions(1.0, 0)
 
+    @pytest.mark.parametrize("q, expected", [(1e300, [1e-300, 1.0]), (1e-300, [1.0, 1e-300])])
+    def test_extreme_q_does_not_overflow(self, q, expected):
+        # q**2 overflowed to inf at q = 1e300, and the fractions read [0, nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(exit_fractions(q, 2), expected, rtol=1e-12)
+
 
 class TestAllocationSizes:
     def test_exact_integer_boundary(self):
@@ -141,6 +149,13 @@ class TestAllocationSizes:
 
     def test_zero_n(self):
         np.testing.assert_array_equal(allocation_sizes(0.7, 3, 0), [0, 0, 0])
+
+    @pytest.mark.parametrize("q", [1e300, 1e-300])
+    def test_extreme_q_warns_nothing(self, q):
+        # validating q through exit_fractions warned of overflow at q = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(allocation_sizes(q, 3, 10), sizes_oracle(q, 3, 10))
 
     @given(
         st.floats(min_value=0.05, max_value=3.0),

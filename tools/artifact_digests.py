@@ -2,11 +2,14 @@
 
     python3 tools/artifact_digests.py --src CHECKOUT/src --out DIR
 
-runs, from the package under --src and inside DIR, nine reference runs
+runs, from the package under --src and inside DIR, twelve reference runs
 (`train` then `eval` on the checkpoint) plus `gradcheck`, with
 EXITWEAVE_THREADS=1 and cwd-relative paths, then prints one
 `sha256  path` line per file in DIR. Run it on two checkouts and diff
-the outputs: equal lines mean byte-identical artifacts.
+the outputs: equal lines mean byte-identical artifacts. The runs on data
+files record the files' absolute paths in resolved_config.json and in
+the run id, so run both checkouts at the same --out path: run one, keep
+its output, remove DIR, then run the other.
 
 The reference runs are the seven variants on a 16x4 trunk (synthetic
 data, 6 classes, dim 16, 150/60/60 rows per class; 3 epochs, batch 32,
@@ -16,18 +19,28 @@ cap 50, `frozen_wpn` loads `learned/checkpoint.json`), `learned` on a
 batch 128), and `baseline` on a 16x4 trunk whose val and test splits
 hold 1,500 rows each (6 classes, dim 16, 250 rows per class in every
 split; 1 epoch, batch 64), so that training's per-epoch validation and
-`eval` run `forward_all` in row blocks.
+`eval` run `forward_all` in row blocks. Last come three `baseline` runs
+on a 16x4 trunk (4 classes; 2 epochs, batch 32), one for each
+file-backed dataset kind, on data files the tool writes into DIR/data
+from a fixed seed, without the package: `container` (dim 8, 200/80/80
+rows), `idx` (3x3 uint8 images, 200/80/80 rows) and `cifar_bin` (one
+120-record train file, 40 of them held out for validation, and a
+40-record test file).
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 VARIANTS = ("learned", "baseline", "fixed_ascending", "fixed_descending",
             "selection", "whole_meta", "frozen_wpn")  # frozen_wpn reads learned's checkpoint
@@ -36,6 +49,45 @@ VARIANTS = ("learned", "baseline", "fixed_ascending", "fixed_descending",
 def _synthetic(classes: int, dim: int, train: int, held_out: int) -> dict:
     return {"kind": "synthetic", "classes": classes, "dim": dim, "train_per_class": train,
             "val_per_class": held_out, "test_per_class": held_out}
+
+
+FILE_ROWS = {"train": 200, "val": 80, "test": 80}
+
+
+def _blobs(rng, rows: int, dim: int, classes: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """Labels, and features drawn around a per-class mean in [0, 1)."""
+    means = np.random.default_rng(0).uniform(0.0, 1.0, (classes, dim))
+    labels = rng.integers(0, classes, rows)
+    return labels, means[labels] + 0.3 * rng.standard_normal((rows, dim))
+
+
+def write_data_files(data: Path) -> None:
+    """The data files of the file-backed runs, in each kind's format."""
+    data.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(2022)
+    for split, rows in FILE_ROWS.items():
+        labels, features = _blobs(rng, rows, 8)
+        doc = {"format": "exitweave-dataset", "version": 1, "split": split, "num_classes": 4,
+               "features": {"shape": list(features.shape),
+                            "data": base64.b64encode(features.astype("<f8").tobytes()).decode("ascii")},
+               "labels": labels.tolist()}
+        (data / f"{split}.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    for split, rows in FILE_ROWS.items():
+        labels, features = _blobs(rng, rows, 9)
+        pixels = np.clip(features * 255.0, 0, 255).astype(np.uint8)
+        (data / f"{split}-images.idx").write_bytes(struct.pack(">4B3i", 0, 0, 0x08, 3, rows, 3, 3)
+                                                   + pixels.tobytes())
+        (data / f"{split}-labels.idx").write_bytes(struct.pack(">4Bi", 0, 0, 0x08, 1, rows)
+                                                   + labels.astype(np.uint8).tobytes())
+    for name, rows in (("train.bin", 120), ("test.bin", 40)):
+        labels, features = _blobs(rng, rows, 3072)
+        records = np.concatenate([labels[:, None], np.clip(features * 255.0, 0, 255)], axis=1)
+        (data / name).write_bytes(records.astype(np.uint8).tobytes())
+
+
+def _file_backed(dataset: dict) -> dict:
+    return {"dataset": dataset, "backbone": {"trunk_widths": [16] * 4},
+            "train": {"epochs": 2, "batch_size": 32, "alpha": 0.1, "variant": "baseline"}}
 
 
 def reference_configs() -> dict[str, dict]:
@@ -64,6 +116,14 @@ def reference_configs() -> dict[str, dict]:
         "backbone": {"trunk_widths": [16] * 4},
         "train": {"epochs": 1, "batch_size": 64, "alpha": 0.1, "variant": "baseline"},
     }
+    configs["baseline_container"] = _file_backed(
+        {"kind": "container", **{split: f"data/{split}.json" for split in FILE_ROWS}})
+    configs["baseline_idx"] = _file_backed(
+        {"kind": "idx", **{f"{split}_{part}": f"data/{split}-{part}.idx"
+                           for split in FILE_ROWS for part in ("images", "labels")}})
+    configs["baseline_cifar_bin"] = _file_backed(
+        {"kind": "cifar_bin", "train": ["data/train.bin"], "test": "data/test.bin", "val_holdout": 40,
+         "num_classes": 4})
     return configs
 
 
@@ -75,6 +135,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()), "EXITWEAVE_THREADS": "1"}
+    write_data_files(out / "data")
 
     def cli(*cmd: str) -> str:
         done = subprocess.run([sys.executable, "-m", "exitweave.cli", *cmd], cwd=out, env=env,
