@@ -22,7 +22,8 @@ reuses one trunk pass; each exit head is one `softmax_lse` pass, with
 the confidence read at the prediction. `forward_all` returns the outputs
 alone and keeps no activations: it runs a large batch (an evaluation
 split) as cache-sized row blocks, with bitwise the outputs of one
-whole-batch pass.
+whole-batch pass. Both check their inputs as a `datahub.Dataset`, the one
+check of a dataset's contents, plus the trunk's input width.
 `batch_weighted_grad` folds a coefficient matrix into one backward sweep
 per exit for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
@@ -41,6 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .datahub import Dataset
 from .errors import ConfigError, ShapeError
 from .numkit import RngStream, require_finite, softmax_lse
 
@@ -261,19 +263,12 @@ class ExitOutputs:
         return self.logits.shape[1]
 
 
-def _validate_batch(config: BackboneConfig, batch: np.ndarray, labels: np.ndarray):
-    batch = np.ascontiguousarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != config.input_dim:
-        raise ShapeError(f"batch shape {batch.shape} does not match input_dim={config.input_dim}")
-    require_finite(batch, "batch")
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != batch.shape[0]:
-        raise ShapeError(f"labels shape {labels.shape} does not match batch rows {batch.shape[0]}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ShapeError("labels must be integers")
-    if labels.size and (labels.min() < 0 or labels.max() >= config.num_classes):
-        raise ShapeError(f"labels must lie in [0, {config.num_classes})")
-    return batch, labels.astype(np.int64)
+def _validate_batch(config: BackboneConfig, batch, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 batch and int64 labels, checked as a `Dataset` plus the input width."""
+    data = Dataset(batch, labels, config.num_classes)
+    if data.dim != config.input_dim:
+        raise ShapeError(f"batch shape {data.features.shape} does not match input_dim={config.input_dim}")
+    return data.features, data.labels
 
 
 @dataclass

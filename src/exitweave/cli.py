@@ -42,7 +42,6 @@ from .errors import (
     ExitweaveError,
     FormatError,
     ShapeError,
-    UsageError,
 )
 
 _THREAD_VARS = (
@@ -305,11 +304,12 @@ def cmd_eval(args) -> int:
     dataset, ds_path = _dataset_for_eval(args, ckpt_path)
     _, val_set, test_set = build_datasets(dataset, ds_path)
     config = state.backbone.config
-    if val_set.dim != config.input_dim or val_set.num_classes != config.num_classes:
-        raise CompatibilityError(
-            f"checkpoint expects dim={config.input_dim}, classes={config.num_classes}; "
-            f"dataset provides dim={val_set.dim}, classes={val_set.num_classes}"
-        )
+    for name, split in (("val", val_set), ("test", test_set)):
+        if split.dim != config.input_dim or split.num_classes != config.num_classes:
+            raise CompatibilityError(
+                f"{ds_path}: the {name} split has dim={split.dim}, classes={split.num_classes}; "
+                f"the checkpoint expects dim={config.input_dim}, classes={config.num_classes}"
+            )
     grid = _parse_q_grid(args.q_grid) if args.q_grid else default_q_grid()
     val_outs = forward_all(state.backbone, val_set.features, val_set.labels)
     test_outs = forward_all(state.backbone, test_set.features, test_set.labels)
@@ -448,7 +448,7 @@ def main(argv=None) -> int:
         _apply_thread_cap()
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, FormatError, CompatibilityError, DomainError, ShapeError, UsageError) as exc:
+    except (ConfigError, FormatError, CompatibilityError, DomainError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExitweaveError as exc:  # TrainingError, NumericError: runtime failures

@@ -89,6 +89,8 @@ def gen_synthetic_gaussians(
     dim == 1); the remaining dimensions carry pure noise, so they make
     the problem harder without adding signal. Deterministic in rng.
     """
+    if num_classes < 2:
+        raise ConfigError(f"num_classes: need >= 2 classes, got {num_classes}")
     if dim < 1 or per_class < 1:
         raise ConfigError("dim and per_class must be >= 1")
     if spread <= 0:

@@ -2,7 +2,7 @@
 
 Everything raised on purpose derives from ExitweaveError so callers can
 catch one base class at the boundary. Validation errors double as
-ValueError, runtime failures as RuntimeError.
+ValueError, and a failed training run (TrainingError) as RuntimeError.
 """
 
 
@@ -36,7 +36,3 @@ class CompatibilityError(ExitweaveError, ValueError):
 
 class TrainingError(ExitweaveError, RuntimeError):
     """Training diverged or hit an invalid state; message carries iteration context."""
-
-
-class UsageError(ExitweaveError, RuntimeError):
-    """API misuse, e.g. a backward pass fed caches from a different forward."""

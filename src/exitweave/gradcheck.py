@@ -151,7 +151,7 @@ def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int)
         if _min_preactivation(backbone, train_x) <= _KINK_MARGIN:
             continue
         train_pass = forward_pass(backbone, train_x, train_y)
-        pseudo = lookahead(train_pass, wpn_weights(wpn_params, train_pass.outputs.losses)[0], inst.alpha)
+        pseudo = lookahead(train_pass, wpn_weights(wpn_params, train_pass.outputs.losses).weights, inst.alpha)
         if _min_preactivation(pseudo, meta_x) > _KINK_MARGIN:
             return inst
     raise ConfigError(
@@ -185,10 +185,11 @@ def run_suites(
     # shared pieces for the meta chain
     train_pass = forward_pass(inst.backbone, inst.train_x, inst.train_y)
     tr_losses = train_pass.outputs.losses
-    weights, fwd_cache, w_cache = wpn_weights(inst.wpn, tr_losses)
+    wpn_pass = wpn_weights(inst.wpn, tr_losses)
+    weights = wpn_pass.weights
     # analytic sides of suites 2 and 4: the chain the trainer runs
     dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, inst.alpha, inst.meta_x, inst.meta_y, q)
-    analytic_e2e = wpn_backward(inst.wpn, fwd_cache, w_cache, dl_dw)
+    analytic_e2e = wpn_backward(wpn_pass, dl_dw)
 
     def meta_loss_for_weights(w: np.ndarray) -> float:
         stepped = pseudo_step(inst.backbone, psg, w, inst.alpha)
@@ -201,11 +202,11 @@ def run_suites(
 
     # 3. weight-network backward for a fixed linear probe sum(c * weights)
     probe = RngStream(seed).child("probe").standard_normal(weights.shape)
-    analytic_wpn = wpn_backward(inst.wpn, fwd_cache, w_cache, probe)
+    analytic_wpn = wpn_backward(wpn_pass, probe)
     flat_g = inst.wpn.flatten()
 
     def weights_at(flat: np.ndarray) -> np.ndarray:
-        return wpn_weights(WpnParams.from_flat(inst.wpn.config, flat), tr_losses)[0]
+        return wpn_weights(WpnParams.from_flat(inst.wpn.config, flat), tr_losses).weights
 
     fd_wpn = central_diff(lambda flat: float(np.sum(probe * weights_at(flat))), flat_g, 1e-5)
     results.append(SuiteResult("wpn_backward", rel_err(analytic_wpn, fd_wpn), 1e-6))

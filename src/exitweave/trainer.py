@@ -62,6 +62,7 @@ from .wpn import (
     AdamState,
     WpnConfig,
     WpnParams,
+    WpnPass,
     adam_step,
     init_wpn,
     wpn_backward,
@@ -231,17 +232,17 @@ def _fixed_weight_row(num_exits: int, ascending: bool) -> np.ndarray:
     return row if ascending else row[::-1].copy()
 
 
-def _meta_step(state: TrainState, train_pass: ForwardPass, weights: np.ndarray, caches, meta,
+def _meta_step(state: TrainState, train_pass: ForwardPass, wpn_pass: WpnPass, meta,
                config: TrainConfig, alpha_t: float, log_scatter: bool) -> dict:
     """One Adam step of the weight network from dL/dw at the train side's
-    weights (caches: their `wpn_weights` caches); mutates state.wpn and
+    weights (wpn_pass: their `wpn_weights` pass); mutates state.wpn and
     state.adam. Returns the record fields it fills: meta_loss and, except
     for whole_meta, alloc_sizes and (with log_scatter) scatter.
     """
     dl_dw, meta_value, alloc, _, meta_outs = meta_chain(
-        train_pass, weights, alpha_t, *meta, config.q, whole_meta=config.variant == "whole_meta"
+        train_pass, wpn_pass.weights, alpha_t, *meta, config.q, whole_meta=config.variant == "whole_meta"
     )
-    wpn_grad = wpn_backward(state.wpn, *caches, dl_dw)
+    wpn_grad = wpn_backward(wpn_pass, dl_dw)
     new_buffer, state.adam = adam_step(state.wpn.buffer, wpn_grad, state.adam, config.beta)
     state.wpn = WpnParams(state.wpn.config, new_buffer)
     fields = {"meta_loss": meta_value}
@@ -249,7 +250,7 @@ def _meta_step(state: TrainState, train_pass: ForwardPass, weights: np.ndarray, 
         fields["alloc_sizes"] = [int(s) for s in alloc.sizes]
         if log_scatter:
             # (loss, weight, claimed): the fresh network's weight per meta sample, and did exit 1 claim it?
-            m_weights = wpn_weights(state.wpn, meta_outs.losses)[0]
+            m_weights = wpn_weights(state.wpn, meta_outs.losses).weights
             claimed = np.zeros(meta_outs.batch_size, dtype=bool)
             claimed[alloc.subsets[0]] = True
             fields["scatter"] = [[float(loss), float(w), int(c)]
@@ -284,10 +285,11 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
             row = _fixed_weight_row(outs.num_exits, config.variant == "fixed_ascending")
             weights = np.broadcast_to(row, outs.losses.shape)
         else:
-            weights, *caches = wpn_weights(state.wpn, outs.losses)
+            wpn_pass = wpn_weights(state.wpn, outs.losses)
             if config.variant != "frozen_wpn" and state.iteration % config.interval == 0:
-                frag.update(_meta_step(state, train_pass, weights, caches, meta, config, alpha_t, log_scatter))
-                weights = wpn_weights(state.wpn, outs.losses)[0]
+                frag.update(_meta_step(state, train_pass, wpn_pass, meta, config, alpha_t, log_scatter))
+                wpn_pass = wpn_weights(state.wpn, outs.losses)
+            weights = wpn_pass.weights
         frag["weights"] = weights
         coeffs = weights / n
     state.backbone, state.velocity = sgd_step(

@@ -12,6 +12,11 @@ so the network can only redistribute emphasis between samples and exits,
 never change the total. With delta = 0 every weight is exactly 1 and the
 whole mechanism degenerates to plain unweighted training.
 
+`wpn_weights` runs the network and the squash at the network's own
+delta and returns one `WpnPass`, the counterpart of
+`backbone.ForwardPass`: the weights plus the activations and sigmoids
+that its backward sweep `wpn_backward` reads.
+
 The backward pass here is hand-derived. Its input is dL/d(weight) for a
 downstream scalar L; the zero-sum normalization is its own transpose
 (g -> g - mean(g)), the squash contributes 2 * delta * s * (1 - s), and
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import FlatParams, accumulate_grads, relu_forward
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError
 from .numkit import RngStream, require_finite, sigmoid_stable
 
 
@@ -71,16 +76,9 @@ def init_wpn(config: WpnConfig, rng: RngStream) -> WpnParams:
     return WpnParams.fan_in_uniform(config, rng)
 
 
-@dataclass
-class WpnForwardCache:
-    """Activations a forward pass leaves behind for the backward pass."""
-
-    inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
-
-
-def wpn_forward(params: WpnParams, loss_matrix) -> tuple[np.ndarray, WpnForwardCache]:
-    """Raw (B, K) scores for a (B, K) matrix of per-exit sample losses."""
+def wpn_forward(params: WpnParams, loss_matrix) -> tuple[np.ndarray, tuple[list, list]]:
+    """Raw (B, K) scores for a (B, K) matrix of per-exit sample losses, and
+    the `relu_forward` activations (hs, zs) of the hidden layers."""
     x = np.ascontiguousarray(loss_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.num_exits:
         raise ShapeError(
@@ -89,7 +87,7 @@ def wpn_forward(params: WpnParams, loss_matrix) -> tuple[np.ndarray, WpnForwardC
     require_finite(x, "loss matrix")
     hs, zs = relu_forward(params.layers[:-1], x)
     last = params.layers[-1]
-    return hs[-1] @ last.weight.T + last.bias, WpnForwardCache(hs, zs)
+    return hs[-1] @ last.weight.T + last.bias, (hs, zs)
 
 
 @dataclass
@@ -97,7 +95,6 @@ class WeightCache:
     """Squash state needed to backpropagate through make_weights."""
 
     sigmoids: np.ndarray
-    delta: float
 
 
 def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, WeightCache]:
@@ -116,14 +113,30 @@ def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, WeightCache
     s = sigmoid_stable(raw)
     pre = delta * (2.0 * s - 1.0)
     ptb = pre - pre.mean()
-    return ptb, 1.0 + ptb, WeightCache(s, delta)
+    return ptb, 1.0 + ptb, WeightCache(s)
 
 
-def wpn_weights(params: WpnParams, loss_matrix) -> tuple[np.ndarray, WpnForwardCache, WeightCache]:
-    """`wpn_forward` then `make_weights` at the network's delta: (weights, fwd_cache, w_cache)."""
-    raw, fwd_cache = wpn_forward(params, loss_matrix)
-    _, weights, w_cache = make_weights(raw, params.config.delta)
-    return weights, fwd_cache, w_cache
+@dataclass
+class WpnPass:
+    """One weight-network pass at one parameter point, kept for its backward sweep.
+
+    The counterpart of `backbone.ForwardPass`: weights is the (B, K)
+    weight matrix, hs/zs the hidden activations from `relu_forward`
+    (hs[0] is the loss matrix) and sigmoids the squashed raw scores.
+    """
+
+    params: WpnParams
+    weights: np.ndarray
+    hs: list[np.ndarray]
+    zs: list[np.ndarray]
+    sigmoids: np.ndarray
+
+
+def wpn_weights(params: WpnParams, loss_matrix) -> WpnPass:
+    """`wpn_forward` then `make_weights` at the network's delta."""
+    raw, (hs, zs) = wpn_forward(params, loss_matrix)
+    _, weights, cache = make_weights(raw, params.config.delta)
+    return WpnPass(params, weights, hs, zs, cache.sigmoids)
 
 
 def meta_weight_grad(psg: np.ndarray, meta_grad: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -147,34 +160,22 @@ def meta_weight_grad(psg: np.ndarray, meta_grad: np.ndarray, alpha: float, n: in
     return -(alpha / n) * np.einsum("bkp,p->bk", psg, meta_grad)
 
 
-def wpn_backward(
-    params: WpnParams,
-    fwd_cache: WpnForwardCache,
-    weight_cache: WeightCache,
-    dl_dweights: np.ndarray,
-) -> np.ndarray:
-    """Flat gradient wrt the network parameters given dL/d(weights).
+def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray) -> np.ndarray:
+    """Flat gradient wrt the network parameters of `wpn_pass` given dL/d(weights).
 
     Chain: weights = 1 + (pre - mean(pre)) with pre = delta*(2*sigmoid(raw)-1),
-    then the MLP. The caches must come from the same forward pass;
-    mismatched batch shapes raise UsageError.
+    then the MLP. dl_dweights must have the shape of the pass's weights.
     """
     g = np.asarray(dl_dweights, dtype=np.float64)
-    if g.ndim != 2:
-        raise ShapeError(f"dl_dweights must be 2-D, got ndim={g.ndim}")
-    if weight_cache.sigmoids.shape != g.shape or fwd_cache.inputs[0].shape[0] != g.shape[0]:
-        raise UsageError(
-            "backward caches do not match the gradient shape; "
-            "wpn_backward must consume caches from the matching forward pass"
-        )
-    if g.shape[1] != params.config.num_exits:
-        raise ShapeError(f"gradient width {g.shape[1]} != num_exits {params.config.num_exits}")
+    if g.shape != wpn_pass.weights.shape:
+        raise ShapeError(f"dl_dweights shape {g.shape} does not match the weights {wpn_pass.weights.shape}")
+    params = wpn_pass.params
     # Zero-sum normalization: J = I - (1/BK) 11^T is symmetric.
     g = g - g.mean()
-    s = weight_cache.sigmoids
-    dz = g * (2.0 * weight_cache.delta) * s * (1.0 - s)
+    s = wpn_pass.sigmoids
+    dz = g * (2.0 * params.config.delta) * s * (1.0 - s)
     grad = WpnParams.zeros(params.config)
-    accumulate_grads(params.layers, fwd_cache.inputs, fwd_cache.preacts, dz, grad.layers)
+    accumulate_grads(params.layers, wpn_pass.hs, wpn_pass.zs, dz, grad.layers)
     return grad.buffer
 
 

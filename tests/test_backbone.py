@@ -225,6 +225,17 @@ class TestForwardAll:
         with pytest.raises(ShapeError):
             forward_all(params, x, bad)
 
+    def test_input_errors_name_the_field(self):
+        # forward inputs are checked as a Dataset: the error names the field and the label
+        config, params, x, y = small_instance()
+        bad = y.copy()
+        bad[1] = 7
+        for forward in (forward_all, forward_pass):
+            with pytest.raises(ShapeError, match=r"labels: label 7 out of range \[0, 3\)"):
+                forward(params, x, bad)
+            with pytest.raises(ShapeError, match="features: need a nonempty 2-D array"):
+                forward(params, x[:0], y[:0])
+
 
     @pytest.mark.parametrize("widths", [(16,) * 4, (128,) * 4], ids=["16x4", "128x4"])
     @pytest.mark.parametrize("n", [1025, 2049, 10000])

@@ -822,6 +822,15 @@ class TestThreadCap:
         assert main(["gradcheck"]) == 2
         assert "EXITWEAVE_THREADS" in capsys.readouterr().err
 
+    def test_cli_import_loads_no_numpy(self):
+        # the cap only works if it is applied before numpy first loads
+        code = "import exitweave, exitweave.cli, sys; print('numpy' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -934,6 +943,29 @@ class TestFileDatasetKinds:
         assert metrics["run_id"] == history["run_id"]
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["dataset"]["train"] == str((tmp_path / "A" / "data" / "train.json").resolve())
+
+    @pytest.mark.parametrize("dim, classes", [(9, 4), (8, 3)], ids=["wider", "fewer-classes"])
+    def test_eval_checks_the_test_split_against_the_model(self, tmp_path, capsys, dim, classes):
+        # the test split is checked against the model as the val split is, and the error names it
+        from exitweave.datahub import gen_synthetic_gaussians, save_dataset
+        from exitweave.numkit import RngStream
+
+        for split, n in (("train", 10), ("val", 5), ("test", 5)):
+            ds = gen_synthetic_gaussians(4, 8, n, 1.0, RngStream(5).child(split), split=split)
+            save_dataset(tmp_path / f"{split}.json", ds)
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "container",
+                                   **{split: f"{split}.json" for split in ("train", "val", "test")}},
+                     train={"epochs": 1, "batch_size": 10, "alpha": 0.1})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        save_dataset(tmp_path / "test.json",
+                     gen_synthetic_gaussians(classes, dim, 15, 1.0, RngStream(6), split="test"))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--q-grid", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "resolved_config.json") in err and "test split" in err, err
+        assert f"dim={dim}, classes={classes}" in err, err
 
     def test_cifar_bin_kind_with_holdout(self, tmp_path):
         rng = np.random.default_rng(9)

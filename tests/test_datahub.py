@@ -80,6 +80,11 @@ class TestSynthetic:
         with pytest.raises(DomainError):
             gen_synthetic_gaussians(3, 2, 5, 0.0, RngStream(0))
 
+    @pytest.mark.parametrize("num_classes", [-1, 0, 1])
+    def test_class_count_below_two(self, num_classes):
+        with pytest.raises(ConfigError, match=rf"num_classes: need >= 2 classes, got {num_classes}"):
+            gen_synthetic_gaussians(num_classes, 2, 5, 1.0, RngStream(0))
+
 
 def idx_bytes(code: int, shape, payload: bytes) -> bytes:
     return bytes([0, 0, code, len(shape)]) + struct.pack(f">{len(shape)}i", *shape) + payload

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitweave.errors import ConfigError, ShapeError, UsageError
+from exitweave.errors import ConfigError, ShapeError
 from exitweave.numkit import RngStream
 from exitweave.wpn import (
     AdamState,
@@ -182,24 +182,20 @@ class TestWpnWeights:
     def test_is_forward_then_make_weights_at_the_config_delta(self):
         config, params = small_wpn(seed=9, delta=0.55)
         losses = RngStream(10).uniform(0.0, 3.0, (5, 3))
-        weights, fwd_cache, w_cache = wpn_weights(params, losses)
-        raw, ref_fwd = wpn_forward(params, losses)
+        wpn_pass = wpn_weights(params, losses)
+        raw, (hs, zs) = wpn_forward(params, losses)
         _, ref_weights, ref_w = make_weights(raw, config.delta)
-        assert weights.tobytes() == ref_weights.tobytes()
-        assert w_cache.delta == ref_w.delta == config.delta
-        assert w_cache.sigmoids.tobytes() == ref_w.sigmoids.tobytes()
-        assert len(fwd_cache.inputs) == len(ref_fwd.inputs) and len(fwd_cache.preacts) == len(ref_fwd.preacts)
-        for got, ref in zip(fwd_cache.inputs + fwd_cache.preacts, ref_fwd.inputs + ref_fwd.preacts):
+        assert wpn_pass.params is params
+        assert wpn_pass.weights.tobytes() == ref_weights.tobytes()
+        assert wpn_pass.sigmoids.tobytes() == ref_w.sigmoids.tobytes()
+        assert len(wpn_pass.hs) == len(hs) and len(wpn_pass.zs) == len(zs)
+        for got, ref in zip(wpn_pass.hs + wpn_pass.zs, hs + zs):
             assert got.tobytes() == ref.tobytes()
-        # the caches drive the backward pass exactly as the reference pair's do
-        probe = RngStream(11).standard_normal(weights.shape)
-        np.testing.assert_array_equal(wpn_backward(params, fwd_cache, w_cache, probe),
-                                      wpn_backward(params, ref_fwd, ref_w, probe))
 
     def test_delta_zero_network_gives_all_ones(self):
         config = WpnConfig(3, hidden_width=6, delta=0.0)
         params = init_wpn(config, RngStream(12))
-        weights, _, _ = wpn_weights(params, RngStream(13).uniform(0.0, 3.0, (4, 3)))
+        weights = wpn_weights(params, RngStream(13).uniform(0.0, 3.0, (4, 3))).weights
         assert np.all(weights == 1.0)
 
 
@@ -235,19 +231,15 @@ class TestMetaWeightGrad:
 
 class TestBackward:
     def test_zero_upstream_gradient(self):
-        config, params = small_wpn(seed=10)
-        losses = RngStream(11).uniform(0.0, 2.0, (4, 3))
-        raw, cache = wpn_forward(params, losses)
-        _, _, w_cache = make_weights(raw, 0.6)
-        grad = wpn_backward(params, cache, w_cache, np.zeros((4, 3)))
+        config, params = small_wpn(seed=10, delta=0.6)
+        wpn_pass = wpn_weights(params, RngStream(11).uniform(0.0, 2.0, (4, 3)))
+        grad = wpn_backward(wpn_pass, np.zeros((4, 3)))
         np.testing.assert_array_equal(grad, np.zeros(params.num_params))
 
     def test_constant_upstream_gradient_is_killed_by_normalization(self):
-        config, params = small_wpn(seed=12)
-        losses = RngStream(13).uniform(0.0, 2.0, (4, 3))
-        raw, cache = wpn_forward(params, losses)
-        _, _, w_cache = make_weights(raw, 0.6)
-        grad = wpn_backward(params, cache, w_cache, np.full((4, 3), 3.21))
+        config, params = small_wpn(seed=12, delta=0.6)
+        wpn_pass = wpn_weights(params, RngStream(13).uniform(0.0, 2.0, (4, 3)))
+        grad = wpn_backward(wpn_pass, np.full((4, 3), 3.21))
         np.testing.assert_allclose(grad, np.zeros(params.num_params), atol=1e-12)
 
     def test_matches_fd_through_linear_probe(self):
@@ -255,14 +247,10 @@ class TestBackward:
             config, params = small_wpn(seed=14, depth=depth, delta=0.7)
             losses = RngStream(15).uniform(0.0, 3.0, (5, 3))
             probe = RngStream(16).standard_normal((5, 3))
-            raw, cache = wpn_forward(params, losses)
-            _, _, w_cache = make_weights(raw, 0.7)
-            analytic = wpn_backward(params, cache, w_cache, probe)
+            analytic = wpn_backward(wpn_weights(params, losses), probe)
 
             def value(flat):
-                r, _ = wpn_forward(WpnParams.from_flat(config, flat), losses)
-                _, w, _ = make_weights(r, 0.7)
-                return float(np.sum(probe * w))
+                return float(np.sum(probe * wpn_weights(WpnParams.from_flat(config, flat), losses).weights))
 
             flat = params.flatten()
             fd = np.empty_like(flat)
@@ -275,23 +263,12 @@ class TestBackward:
             err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), np.linalg.norm(fd))
             assert err <= 1e-6
 
-    def test_stale_cache_raises_usage_error(self):
-        config, params = small_wpn(seed=17)
-        losses_a = RngStream(18).uniform(0.0, 2.0, (4, 3))
-        losses_b = RngStream(19).uniform(0.0, 2.0, (6, 3))
-        raw_a, cache_a = wpn_forward(params, losses_a)
-        raw_b, _ = wpn_forward(params, losses_b)
-        _, _, w_cache_b = make_weights(raw_b, 0.6)
-        with pytest.raises(UsageError):
-            wpn_backward(params, cache_a, w_cache_b, np.zeros((6, 3)))
-
     def test_gradient_shape_validation(self):
         config, params = small_wpn(seed=20)
-        losses = RngStream(21).uniform(0.0, 2.0, (4, 3))
-        raw, cache = wpn_forward(params, losses)
-        _, _, w_cache = make_weights(raw, 0.6)
-        with pytest.raises(ShapeError):
-            wpn_backward(params, cache, w_cache, np.zeros(4))
+        wpn_pass = wpn_weights(params, RngStream(21).uniform(0.0, 2.0, (4, 3)))
+        for shape in [(4,), (6, 3), (4, 2)]:
+            with pytest.raises(ShapeError, match="does not match the weights"):
+                wpn_backward(wpn_pass, np.zeros(shape))
 
 
 class TestAdam:
