@@ -5,9 +5,10 @@ the weight network (if any), each as config + flat parameter vector,
 the optimizer buffers, the training config and the iteration counter:
 enough to evaluate or inspect a finished run, and where a `frozen_wpn`
 run reads its weight network. `serial` writes and checks its header
-(format `exitweave-run`); loads also check that the flat vectors match
-the parameter counts their configs imply, raising CompatibilityError
-rather than producing silently misshapen models.
+(format `exitweave-run`). Each of its configs must carry every field,
+as `config_doc` writes them. Loads also check that the flat vectors
+match the parameter counts their configs imply, raising
+CompatibilityError rather than producing silently misshapen models.
 """
 
 from __future__ import annotations
@@ -18,20 +19,16 @@ from .serial import RUN_FORMAT, config_doc, decode_array, encode_array, read_con
 from .trainer import TrainConfig, TrainState
 from .wpn import AdamState, WpnConfig, WpnParams
 
-# TrainConfig fields added after the first version-1 run checkpoints were
-# written; a checkpoint without them reads their defaults.
-_LATER_TRAIN_FIELDS = ("frozen_wpn_path", "log_weight_scatter", "scatter_cap")
-
 
 def _params_doc(params) -> dict:
     return {"config": config_doc(params.config), "params": encode_array(params.buffer)}
 
 
 def _params_from(doc, path, section: str, params_cls, config_cls):
-    """Params from a {config, params} document; every config key is required."""
+    """Params from a {config, params} document."""
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: {section}: expected a JSON object")
-    config = read_config(config_cls, doc.get("config"), f"{path}: {section}.config", FormatError, fill=())
+    config = read_config(config_cls, doc.get("config"), f"{path}: {section}.config", FormatError, fill=False)
     try:
         return params_cls(config, decode_array(doc.get("params"), f"{path}: {section}.params"))
     except ShapeError as exc:
@@ -60,9 +57,7 @@ def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> N
 
 def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     doc = read_doc(path, RUN_FORMAT)
-    train_config = read_config(
-        TrainConfig, doc.get("train_config"), f"{path}: train_config", FormatError, fill=_LATER_TRAIN_FIELDS
-    )
+    train_config = read_config(TrainConfig, doc.get("train_config"), f"{path}: train_config", FormatError, fill=False)
     backbone = _params_from(doc.get("backbone"), path, "backbone", BackboneParams, BackboneConfig)
     wpn_params = None
     if doc.get("wpn") is not None:

@@ -1,19 +1,20 @@
 """Command line interface: train, eval, gradcheck, allocate.
 
 Runs are described by a JSON config file with four semantic sections
-(dataset, backbone, wpn, train) plus an output section. Unknown keys
-are rejected anywhere in the document, and each section is converted
-once into its config dataclass. The dataset section is `datahub`'s:
-`datahub.read_dataset` converts it and makes its data paths absolute,
-and `datahub.build_datasets` builds the splits; this module names no
-dataset kind. `run_document` collects the converted configs the run used;
-`train` writes it, with the output section, as resolved_config.json,
-which is itself a run config, and history.json and metrics.json carry
-its hash (`config_hash`). That hash doubles as the run id, so train and
-eval of one run share it, and the same config and seed always produce
-the same id and byte-identical history/metrics files. Every document
-goes through `serial.write_doc` and `serial.read_doc`, which own the
-format header; a hand-written config file may omit it.
+(dataset, backbone, wpn, train) plus an output section. Unknown keys are
+rejected anywhere in the document, and each section is converted once
+into its config dataclass. The dataset section is `datahub`'s:
+`datahub.read_dataset` converts it, checks its data paths and makes them
+absolute, and `datahub.build_datasets` builds the splits; this module
+names no dataset kind. `run_document` collects the converted configs the
+run used; `train` writes it, with the output section, as
+resolved_config.json, which is itself a run config, and history.json and
+metrics.json carry its hash (`config_hash`). That hash doubles as the
+run id, so train and eval of one run share it, and the same config and
+seed always produce the same id and byte-identical history/metrics
+files. Every document goes through `serial.write_doc` and
+`serial.read_doc`, which own the format header; a hand-written config
+file may omit it.
 
 Exit codes: 0 success, 2 configuration or file-format problems
 (including a missing config file, which is reported by path), 1
@@ -108,28 +109,38 @@ def load_config(path) -> dict:
     }
 
 
+def _derived(section, key: str, value: int, where: str, what: str):
+    """section without key, a value derived elsewhere: the section may
+    state it (a resolved config does) only as value, which what names."""
+    from .serial import read_value
+
+    if not isinstance(section, dict) or key not in section:
+        return section
+    section = dict(section)
+    if read_value(int, section.pop(key), where) != value:
+        raise ConfigError(f"{where}: must equal {what}")
+    return section
+
+
 def _model_configs(run: dict, path, **widths):
     """Backbone and weight-network configs of a loaded run config.
 
-    widths (input_dim, num_classes) fill the backbone keys the section
-    leaves out; without them the section must state both. The wpn
-    section may state num_exits (a resolved config does) only as the
-    trunk's exit count.
+    widths (input_dim, num_classes) are the data's; without them the
+    backbone section must state both. The wpn section's num_exits is
+    the trunk's. A section may state a derived key only as its value.
     """
     from .backbone import BackboneConfig
-    from .serial import read_config, read_value
+    from .serial import read_config
     from .wpn import WpnConfig
 
-    section, wpn = run["backbone"], run["wpn"]
-    if isinstance(section, dict):
-        section = {**widths, **section}
-    backbone = read_config(BackboneConfig, section, f"{path}: backbone")
-    if isinstance(wpn, dict) and "num_exits" in wpn:
-        wpn = dict(wpn)
-        where = f"{path}: wpn.num_exits"
-        if read_value(int, wpn.pop("num_exits"), where) != backbone.num_exits:
-            raise ConfigError(f"{where}: must equal the trunk's {backbone.num_exits} exits")
-    return backbone, read_config(WpnConfig, wpn, f"{path}: wpn", num_exits=backbone.num_exits)
+    section = run["backbone"]
+    for key, value in widths.items():
+        unit = "features" if key == "input_dim" else "classes"
+        section = _derived(section, key, value, f"{path}: backbone.{key}", f"the data's {value} {unit}")
+    backbone = read_config(BackboneConfig, section, f"{path}: backbone", **widths)
+    exits = backbone.num_exits
+    wpn = _derived(run["wpn"], "num_exits", exits, f"{path}: wpn.num_exits", f"the trunk's {exits} exits")
+    return backbone, read_config(WpnConfig, wpn, f"{path}: wpn", num_exits=exits)
 
 
 def run_document(dataset: tuple, state, train_config) -> dict:
@@ -360,13 +371,14 @@ def cmd_allocate(args) -> int:
 
     from .exitpolicy import allocate_meta, calibrate_thresholds
     from .numkit import require_finite
+    from .serial import read_text
 
     path = Path(args.confidences)
     if not path.is_file():
         raise ConfigError(f"confidence CSV not found: {path}")
     rows = []
     width = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split(",")

@@ -16,15 +16,15 @@ a FormatError naming the file:
 balanced set, and `make_batches` produces the per-epoch shuffled index
 batches every trainer run consumes. `DATASET_KINDS` holds the schema of
 a run config's dataset section, one config dataclass per `kind`;
-`read_dataset` reads a section and `build_datasets` builds its splits.
+`read_dataset` reads a section, data files checked, and `build_datasets`
+builds its splits.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import warnings
-from dataclasses import dataclass, fields, make_dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -320,10 +320,8 @@ def _check_bounds(spec) -> None:
         value = getattr(spec, key, floor)
         if not value >= floor:  # NaN fails too
             raise ConfigError(f"{key}: must be >= {floor}, got {value}")
-    if not 0.0 < getattr(spec, "spread", 1.0) < math.inf:
-        raise ConfigError(f"spread: must be positive and finite, got {spec.spread}")
-    if not math.isfinite(getattr(spec, "radius", 0.0)):
-        raise ConfigError(f"radius: must be finite, got {spec.radius}")
+    if not getattr(spec, "spread", 1.0) > 0.0:
+        raise ConfigError(f"spread: must be positive, got {spec.spread}")
 
 
 def _source(name: str, required: dict, **defaults) -> type:
@@ -349,20 +347,25 @@ DATASET_KINDS = {
 }
 
 
-def _absolute(value, base: Path):
-    """A data path made absolute against base, a list of them item by
-    item; any other value as is, for `build_datasets` to reject."""
-    if isinstance(value, list):
-        return [_absolute(v, base) for v in value]
-    return str(base / value) if isinstance(value, str) else value
+def _data_file(value, key: str, base: Path, path: Path) -> str:
+    """value, a data path of dataset key, made absolute against base; one
+    that is not a string or names no file raises ConfigError naming path,
+    the key and the data path."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: dataset.{key}: expected a file path string, got {value!r}")
+    p = base / value
+    if not p.is_file():
+        raise ConfigError(f"{path}: dataset.{key}: data file not found: {p}")
+    return str(p)
 
 
 def read_dataset(section, path: Path) -> tuple:
     """(kind, config) of a dataset section, config its kind's DATASET_KINDS
     dataclass, read from file path. Every string value of a dataset
-    section names a data file; a relative one is made absolute against
-    path's directory here, once, so the run document records where the
-    data is wherever the run's outputs go."""
+    section, and every item of a list value (cifar_bin's `train`), names
+    a data file. Each is checked here, once, and made absolute against
+    path's directory, so the run document records where the data is
+    wherever the run's outputs go."""
     if not isinstance(section, dict) or "kind" not in section:
         raise ConfigError(f"{path}: dataset section must be an object with a 'kind' key")
     kind = section["kind"]
@@ -371,29 +374,25 @@ def read_dataset(section, path: Path) -> tuple:
     rest = {k: v for k, v in section.items() if k != "kind"}
     spec = read_config(DATASET_KINDS[kind], rest, f"{path}: dataset ({kind})")
     base = path.resolve().parent
-    return kind, replace(spec, **{f.name: _absolute(getattr(spec, f.name), base) for f in fields(spec)})
+    files = {}
+    for key, value in vars(spec).items():
+        if isinstance(value, str):
+            files[key] = _data_file(value, key, base, path)
+        elif isinstance(value, list):
+            if not value:
+                raise ConfigError(f"{path}: dataset.{key}: at least one batch file is required")
+            files[key] = [_data_file(v, f"{key}[{i}]", base, path) for i, v in enumerate(value)]
+    return kind, replace(spec, **files)
 
 
 def build_datasets(dataset: tuple, config_path):
-    """Materialize (train, val, test) Datasets from a (kind, config) dataset.
-
-    config_path is the file the section came from, which errors name
-    (`read_dataset` already made its data paths absolute). A data path
-    that is not a string or names no file raises ConfigError naming the
-    key and the path.
+    """Materialize (train, val, test) Datasets from a (kind, config) dataset
+    as `read_dataset` returns it, its data files checked. config_path is
+    the file the section came from, which errors name.
     """
     kind, spec = dataset
     root = RngStream(spec.seed)
     splits = ("train", "val", "test")
-
-    def path(key: str, value) -> Path:
-        if not isinstance(value, str):
-            raise ConfigError(f"{config_path}: dataset.{key}: expected a file path string, got {value!r}")
-        p = Path(value)
-        if not p.is_file():
-            raise ConfigError(f"{config_path}: dataset.{key}: data file not found: {p}")
-        return p
-
     if kind == "synthetic":
         train, val, test = (
             gen_synthetic_gaussians(
@@ -403,27 +402,20 @@ def build_datasets(dataset: tuple, config_path):
             for split in splits
         )
     elif kind == "container":
-        train, val, test = (load_dataset(path(split, getattr(spec, split))) for split in splits)
+        train, val, test = (load_dataset(getattr(spec, split)) for split in splits)
     elif kind == "idx":
         train, val, test = (
-            load_idx(*(path(key, getattr(spec, key)) for key in (f"{s}_images", f"{s}_labels")), split=s)
-            for s in splits
+            load_idx(getattr(spec, f"{s}_images"), getattr(spec, f"{s}_labels"), split=s) for s in splits
         )
     else:  # cifar_bin
-        if isinstance(spec.train, str):
-            files = [path("train", spec.train)]
-        else:
-            files = [path(f"train[{i}]", f) for i, f in enumerate(spec.train)]
-        if not files:
-            raise ConfigError(f"{config_path}: dataset.train: at least one batch file is required")
-        full = load_cifar_bin(files, num_classes=spec.num_classes, split="train")
+        full = load_cifar_bin(spec.train, num_classes=spec.num_classes, split="train")
         holdout = spec.val_holdout
         if not (0 < holdout < len(full)):
             raise ConfigError(f"{config_path}: dataset.val_holdout: must lie in (0, {len(full)}), got {holdout}")
         perm = root.child("val-holdout").permutation(len(full))
         val = full.subset(np.sort(perm[:holdout]), split="val")
         train = full.subset(np.sort(perm[holdout:]), split="train")
-        test = load_cifar_bin(path("test", spec.test), num_classes=spec.num_classes, split="test")
+        test = load_cifar_bin(spec.test, num_classes=spec.num_classes, split="test")
     if spec.longtail_factor != 1.0:
         train = longtail_subsample(train, spec.longtail_factor, root.child("longtail"))
     return train, val, test

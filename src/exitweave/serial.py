@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -70,10 +71,18 @@ def write_doc(path, fmt: str, body: dict) -> None:
         raise
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a file; undecodable bytes raise FormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_json(path) -> dict:
     p = Path(path)
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(read_text(p))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{p}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -121,6 +130,8 @@ def _convert(hint, value):
         return value
     if hint is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
         raise ValueError("not a whole number")  # int() would read 2.9 as 2 and true as 1
+    if hint is float and not math.isfinite(float(value)):  # json reads NaN and Infinity
+        raise ValueError("not a finite number")
     if origin is None:  # a plain class such as int
         return hint(value)
     # a union such as str | None: keep a value of a member type, else convert to the first
@@ -134,20 +145,20 @@ def read_value(hint, value, where: str, error=ConfigError):
     try:
         return _convert(hint, value)
     except (TypeError, ValueError, OverflowError) as exc:
-        kind = hint.__name__ if isinstance(hint, type) else hint
+        kind = "finite float" if hint is float else hint.__name__ if isinstance(hint, type) else hint
         raise error(f"{where}: cannot read {value!r} as {kind}") from exc
 
 
-def read_config(cls, doc, where: str, error=ConfigError, *, fill=None, **given):
+def read_config(cls, doc, where: str, error=ConfigError, *, fill: bool = True, **given):
     """Build config dataclass cls from the JSON section doc.
 
     Keyword arguments supply fields directly; the keys of doc must name
-    the other fields. A missing key takes its field's default, if it has
-    one and `fill` (when not None) lists it; other missing keys are
-    errors. Values convert to their field's type as int(), float() and
-    str() do, tuples item by item, except that an int field takes no
-    boolean and no fractional number and a bool field takes only true or
-    false; a union field keeps a value of one of its types. A bad key, a
+    the other fields. With fill, a missing key takes its field's default
+    if it has one; other missing keys are errors. Values convert to
+    their field's type as int(), float() and str() do, tuples item by
+    item, except that an int field takes no boolean and no fractional
+    number, a float field no NaN or infinity, and a bool field only true
+    or false; a union field keeps a value of one of its types. A bad key, a
     value that does not convert, or one the dataclass rejects raises
     `error` naming where and the key.
     """
@@ -157,7 +168,7 @@ def read_config(cls, doc, where: str, error=ConfigError, *, fill=None, **given):
     unknown = sorted(set(doc) - set(names))
     if unknown:
         raise error(f"{where}: unknown key(s): {', '.join(unknown)}")
-    defaults = {f.name for f in fields(cls) if f.default is not MISSING and (fill is None or f.name in fill)}
+    defaults = {f.name for f in fields(cls) if fill and f.default is not MISSING}
     missing = [name for name in names if name not in doc and name not in defaults]
     if missing:
         raise error(f"{where}: missing required key(s): {', '.join(missing)}")

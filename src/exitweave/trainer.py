@@ -55,8 +55,8 @@ from .backbone import (
 )
 from .datahub import Dataset, make_batches
 from .errors import CompatibilityError, ConfigError, NumericError, TrainingError
-from .evaluate import score_anytime
-from .exitpolicy import AllocationResult, allocate_meta, calibrate_thresholds, dynamic_infer
+from .evaluate import score_anytime, score_sweep
+from .exitpolicy import AllocationResult, allocate_meta
 from .numkit import RngStream
 from .wpn import (
     AdamState,
@@ -344,17 +344,17 @@ def train_step(
 
 
 def _eval_epoch(state: TrainState, val_set: Dataset, config: TrainConfig, epoch: int, alpha_t: float) -> dict:
+    """The epoch's validation record: anytime accuracy, and the split scored
+    at config.q with thresholds calibrated on the split itself."""
     outs = forward_all(state.backbone, val_set.features, val_set.labels)
-    anytime = score_anytime(outs)
-    thresholds = calibrate_thresholds(outs.confidences, config.q)
-    dyn = dynamic_infer(outs, thresholds)
+    row = score_sweep(state.backbone.config, outs, outs, [config.q])[0]
     return {
         "epoch": epoch,
         "lr": alpha_t,
-        "val_anytime_accuracy": [float(a) for a in anytime],
-        "val_dynamic_accuracy": dyn.accuracy,
-        "val_exit_counts": [int(c) for c in dyn.exit_counts],
-        "val_thresholds": [float(e) for e in thresholds],
+        "val_anytime_accuracy": [float(a) for a in score_anytime(outs)],
+        "val_dynamic_accuracy": row["accuracy"],
+        "val_exit_counts": row["exit_counts"],
+        "val_thresholds": row["thresholds"],
     }
 
 
@@ -372,6 +372,13 @@ def run_training(
     the result. Returns the final state plus the full history; with
     epochs == 0 the initial state and an empty history come back.
     """
+    if config.variant == "frozen_wpn":
+        from .checkpoint import load_run_checkpoint
+
+        frozen = load_run_checkpoint(config.frozen_wpn_path)[0].wpn
+        if frozen is None:
+            raise CompatibilityError(f"{config.frozen_wpn_path}: run checkpoint carries no weight network")
+        wpn_config = frozen.config
     if backbone_config.num_exits < 2:
         raise ConfigError("training requires a backbone with at least 2 exits")
     if wpn_config.num_exits != backbone_config.num_exits:
@@ -387,19 +394,7 @@ def run_training(
     root = RngStream(config.seed)
     backbone = init_params(backbone_config, root.child("init-backbone"))
     if config.variant in _WPN_VARIANTS:
-        if config.variant == "frozen_wpn":
-            from .checkpoint import load_run_checkpoint
-
-            wpn_params = load_run_checkpoint(config.frozen_wpn_path)[0].wpn
-            if wpn_params is None:
-                raise CompatibilityError(f"{config.frozen_wpn_path}: run checkpoint carries no weight network")
-            if wpn_params.config.num_exits != backbone_config.num_exits:
-                raise ConfigError(
-                    f"frozen weight network expects {wpn_params.config.num_exits} exits, "
-                    f"backbone has {backbone_config.num_exits}"
-                )
-        else:
-            wpn_params = init_wpn(wpn_config, root.child("init-wpn"))
+        wpn_params = frozen if config.variant == "frozen_wpn" else init_wpn(wpn_config, root.child("init-wpn"))
         adam = AdamState.zeros(wpn_params.num_params)
     else:
         wpn_params, adam = None, None

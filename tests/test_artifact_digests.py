@@ -1,0 +1,35 @@
+"""The byte-identity tool's reference runs stay loadable.
+
+`tools/artifact_digests.py` runs twelve reference configs on two
+checkouts and compares the artifacts. No run here: each config and the
+tool's data files are only read back through the package, so a schema
+change that breaks the tool's inputs fails this suite, not the next
+digest run.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from exitweave.cli import load_config
+from exitweave.datahub import build_datasets
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("artifact_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reference_configs_load_and_build(tmp_path):
+    tool = load_tool()
+    tool.write_data_files(tmp_path / "data")
+    configs = tool.reference_configs()
+    assert len(configs) == 12
+    for name, config in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config, indent=1) + "\n")
+        build_datasets(load_config(path)["dataset"], path)

@@ -240,10 +240,16 @@ class TestMalformedRunCheckpoint:
         with pytest.raises(CompatibilityError, match="Adam"):
             load_run_checkpoint(path)
 
-    def test_later_train_fields_default_when_absent(self, tmp_path):
+    def test_missing_scatter_cap_names_the_key(self, tmp_path):
+        # every writer wrote every train_config field, so no key reads a default
         path, doc = self.saved(tmp_path)
-        for key in ("frozen_wpn_path", "log_weight_scatter", "scatter_cap"):
-            del doc["train_config"][key]
-        path.write_text(dump_json(doc))
-        _, cfg = load_run_checkpoint(path)
-        assert cfg == TrainConfig(epochs=1, batch_size=4, alpha=0.1)
+        del doc["train_config"]["scatter_cap"]
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "train_config" in msg and "scatter_cap" in msg
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_train_field_names_the_key(self, tmp_path, value):
+        path, doc = self.saved(tmp_path)
+        doc["train_config"]["q"] = value
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "train_config: q" in msg and "finite" in msg

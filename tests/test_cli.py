@@ -491,6 +491,15 @@ class TestResolvedConfigRerun:
         err = capsys.readouterr().err
         assert str(cfg) in err and "wpn.num_exits" in err, err
 
+    @pytest.mark.parametrize("key, value", [("input_dim", 5), ("num_classes", 4)])
+    def test_backbone_width_must_match_the_data(self, tmp_path, capsys, key, value):
+        # the data are 4 features wide with 3 classes; the error used to name no file and no key
+        cfg = tmp_path / "run.json"
+        write_config(cfg, backbone={"trunk_widths": [6, 5], key: value})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: backbone.{key}: must equal the data's" in err, err
+
     def test_header_of_another_format_exits_2(self, trained, tmp_path, capsys):
         doc = json.loads((trained / "resolved_config.json").read_text())
         doc["format"] = "exitweave-history"
@@ -537,6 +546,38 @@ class TestNarrowLateHead:
         for row in metrics["dynamic"]:
             counts = row["exit_counts"]
             assert row["expected_muladds"] == (counts[0] * costs[0] + counts[1] * costs[1]) / sum(counts)
+
+
+class TestNonFiniteConfigValues:
+    """json reads NaN and Infinity; a float field refuses them, naming the file, section and key."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("section, key", [("train", "alpha"), ("train", "q"), ("wpn", "delta"),
+                                              ("dataset", "spread"), ("dataset", "radius")])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "run.json"
+        doc = write_config(cfg)
+        doc[section][key] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and section in err and f": {key}: cannot read" in err, err
+        assert not (tmp_path / "o").exists()
+
+
+class TestUndecodableFiles:
+    """A file that is not UTF-8 text exits 2 naming it; each used to end in a traceback and exit 1."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "allocate"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe{}\n")
+        argv = {"train": ["train", "--config", str(path)],
+                "eval": ["eval", "--checkpoint", str(path)],
+                "allocate": ["allocate", str(path), "--q", "1.0"]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err, err
 
 
 class TestNonFiniteInputs:
@@ -1052,6 +1093,15 @@ class TestFileDatasetKinds:
         err = capsys.readouterr().err
         assert str(cfg) in err and key in err and str(tmp_path / name) in err
         assert not (tmp_path / "o").exists()
+
+    def test_missing_data_file_through_eval_dataset_exits_2(self, trained, tmp_path, capsys):
+        ds = tmp_path / "ds.json"
+        ds.write_text(json.dumps({"kind": "container", "train": "train.json", "val": "val.json",
+                                  "test": "test.json"}))
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--dataset", str(ds),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{ds}: dataset.train: data file not found: {tmp_path / 'train.json'}" in err, err
 
     def test_cifar_bin_train_entry_not_a_string_exits_2(self, tmp_path, capsys):
         # the schema types train as str | list, so [5] reached Path(5): TypeError, exit 1

@@ -551,7 +551,8 @@ class TestVariants:
     def test_frozen_wpn_exit_mismatch(self, tmp_path):
         wpn = init_wpn(WpnConfig(3, hidden_width=4), RngStream(1))
         path = saved_run(tmp_path / "run3.json", wpn, BackboneConfig(4, (5, 4, 3), 3))
-        with pytest.raises(ConfigError, match="exits"):
+        # the loaded network's config meets the one exit-count check
+        with pytest.raises(ConfigError, match="weight network is sized for 3 exits, backbone has 2"):
             self.run(variant="frozen_wpn", frozen_wpn_path=path)
 
     def test_load_from_run_container(self, tmp_path):
