@@ -5,9 +5,10 @@ the weight network (if any), each as config + flat parameter vector,
 the optimizer buffers, the training config and the iteration counter:
 enough to evaluate or inspect a finished run, and where a `frozen_wpn`
 run reads its weight network. `serial` writes and checks its header
-(format `exitweave-run`). Each of its configs must carry every field,
-as `config_doc` writes them. Loads also check that the flat vectors
-match the parameter counts their configs imply, raising
+(format `exitweave-run`). A load requires every key the writer writes:
+the five top-level keys, the four optimizer keys and every field of
+each config, as `config_doc` writes them. Loads also check that the
+flat vectors match the parameter counts their configs imply, raising
 CompatibilityError rather than producing silently misshapen models.
 """
 
@@ -55,24 +56,29 @@ def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> N
     write_doc(path, RUN_FORMAT, doc)
 
 
+def _require(doc: dict, keys: tuple, where: str) -> None:
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise FormatError(f"{where}: missing required key(s): {', '.join(missing)}")
+
+
 def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     doc = read_doc(path, RUN_FORMAT)
-    train_config = read_config(TrainConfig, doc.get("train_config"), f"{path}: train_config", FormatError, fill=False)
-    backbone = _params_from(doc.get("backbone"), path, "backbone", BackboneParams, BackboneConfig)
+    _require(doc, ("iteration", "train_config", "backbone", "wpn", "optimizer"), str(path))
+    train_config = read_config(TrainConfig, doc["train_config"], f"{path}: train_config", FormatError, fill=False)
+    backbone = _params_from(doc["backbone"], path, "backbone", BackboneParams, BackboneConfig)
     wpn_params = None
-    if doc.get("wpn") is not None:
+    if doc["wpn"] is not None:
         wpn_params = _params_from(doc["wpn"], path, "wpn", WpnParams, WpnConfig)
-    opt = doc.get("optimizer", {})
+    opt = doc["optimizer"]
     if not isinstance(opt, dict):
         raise FormatError(f"{path}: optimizer: expected a JSON object")
-    velocity = None if opt.get("velocity") is None else decode_array(opt["velocity"], f"{path}: optimizer.velocity")
+    _require(opt, ("velocity", "adam_m", "adam_v", "adam_step"), f"{path}: optimizer")
+    velocity = None if opt["velocity"] is None else decode_array(opt["velocity"], f"{path}: optimizer.velocity")
     if velocity is not None and velocity.shape != (backbone.num_params,):
         raise CompatibilityError(f"{path}: momentum buffer does not match parameter count")
     adam = None
-    if opt.get("adam_m") is not None:
-        missing = [key for key in ("adam_v", "adam_step") if opt.get(key) is None]
-        if missing:
-            raise FormatError(f"{path}: optimizer: missing required key(s): {', '.join(missing)}")
+    if opt["adam_m"] is not None:
         adam = AdamState(
             decode_array(opt["adam_m"], f"{path}: optimizer.adam_m"),
             decode_array(opt["adam_v"], f"{path}: optimizer.adam_v"),
@@ -80,6 +86,6 @@ def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
         )
         if wpn_params is not None and not adam.m.shape == adam.v.shape == (wpn_params.num_params,):
             raise CompatibilityError(f"{path}: Adam buffers do not match weight-network size")
-    iteration = read_value(int, doc.get("iteration", 0), f"{path}: iteration", FormatError)
+    iteration = read_value(int, doc["iteration"], f"{path}: iteration", FormatError)
     state = TrainState(backbone=backbone, wpn=wpn_params, velocity=velocity, adam=adam, iteration=iteration)
     return state, train_config

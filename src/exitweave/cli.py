@@ -259,34 +259,9 @@ def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
     return read_dataset(read_doc(sibling, CONFIG_FORMAT).get("dataset"), sibling), sibling
 
 
-def _scatter_from_history(checkpoint_path: Path) -> list:
-    """The weight-scatter points of the history.json next to the checkpoint, if any."""
-    from .serial import HISTORY_FORMAT, read_doc
-
-    sibling = checkpoint_path.resolve().parent / "history.json"
-    if not sibling.is_file():
-        return []
-    doc = read_doc(sibling, HISTORY_FORMAT)
-    iterations = doc.get("iterations")
-    if not isinstance(iterations, list) or not all(isinstance(rec, dict) for rec in iterations):
-        raise FormatError(f"{sibling}: iterations: expected a list of objects")
-    points = []
-    for i, rec in enumerate(iterations):
-        scatter = rec.get("weight_scatter", [])
-        if not isinstance(scatter, list):
-            raise FormatError(f"{sibling}: iterations[{i}].weight_scatter: expected a list")
-        for j, point in enumerate(scatter):
-            # (loss, weight, claimed): bool is an int subclass, so compare types exactly
-            if not (isinstance(point, list) and len(point) == 3
-                    and all(type(v) in (int, float) for v in point[:2])
-                    and type(point[2]) is int and point[2] in (0, 1)):
-                raise FormatError(f"{sibling}: iterations[{i}].weight_scatter[{j}]: "
-                                  f"expected [loss, weight, 0 or 1], got {point!r}")
-        points.extend(scatter)
-    return points
-
-
 def _write_curves_csv(path, rows, num_exits: int) -> None:
+    from .serial import write_text
+
     header = (
         ["q", "accuracy", "expected_muladds"]
         + [f"exit_count_{i + 1}" for i in range(num_exits)]
@@ -298,7 +273,7 @@ def _write_curves_csv(path, rows, num_exits: int) -> None:
         cells += [str(c) for c in r["exit_counts"]]
         cells += [repr(t) for t in r["thresholds"]]
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_eval(args) -> int:
@@ -338,7 +313,6 @@ def cmd_eval(args) -> int:
             "exit_muladds": [int(c) for c in count_mul_adds(config)],
         },
         dynamic=rows,
-        weight_scatter=_scatter_from_history(ckpt_path),
     ))
     _write_curves_csv(out_dir / "curves.csv", rows, config.num_exits)
     print(f"evaluated {len(rows)} budget points; outputs in {out_dir}")

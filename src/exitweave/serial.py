@@ -6,8 +6,9 @@ it: the format names, the `VERSIONS` table, the one writer (`write_doc`)
 and the one reader (`read_doc`). Arrays are base64-encoded
 little-endian float64 buffers, and documents are dumped with sorted
 keys and a fixed layout, so rewriting the same content produces
-byte-identical files, which reruns rely on. A write replaces its target
-only once complete, so an interrupted one leaves the old file intact.
+byte-identical files, which reruns rely on. Every write goes through
+`write_text` (documents and eval's `curves.csv`), which replaces its
+target only once complete, so an interrupted one leaves the old file intact.
 
 Config sections (in run config files and in checkpoints) are read and
 written against the config dataclasses themselves: their fields give
@@ -36,7 +37,7 @@ METRICS_FORMAT = "exitweave-metrics"
 DATASET_FORMAT = "exitweave-dataset"
 
 # The version each format's writer stamps and reader requires, one per format
-VERSIONS = {CONFIG_FORMAT: 1, RUN_FORMAT: 1, HISTORY_FORMAT: 1, METRICS_FORMAT: 1, DATASET_FORMAT: 1}
+VERSIONS = {CONFIG_FORMAT: 1, RUN_FORMAT: 1, HISTORY_FORMAT: 1, METRICS_FORMAT: 2, DATASET_FORMAT: 1}
 _HEADER = ("format", "version")
 
 
@@ -59,16 +60,21 @@ def dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def write_doc(path, fmt: str, body: dict) -> None:
-    """Write body under fmt's header, through a temporary file next to path."""
+def write_text(path, text: str) -> None:
+    """Write text to path through a temporary file next to it."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(dump_json({"format": fmt, "version": VERSIONS[fmt], **body}))
+        tmp.write_text(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_doc(path, fmt: str, body: dict) -> None:
+    """Write body under fmt's header, atomically (`write_text`)."""
+    write_text(path, dump_json({"format": fmt, "version": VERSIONS[fmt], **body}))
 
 
 def read_text(path) -> str:
@@ -128,8 +134,10 @@ def _convert(hint, value):
         if not isinstance(value, bool):
             raise TypeError("expected true or false")
         return value
-    if hint is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
-        raise ValueError("not a whole number")  # int() would read 2.9 as 2 and true as 1
+    if hint in (int, float) and isinstance(value, bool):
+        raise TypeError("not a number")  # int() and float() would read true as 1
+    if hint is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")  # int() would read 2.9 as 2
     if hint is float and not math.isfinite(float(value)):  # json reads NaN and Infinity
         raise ValueError("not a finite number")
     if origin is None:  # a plain class such as int
@@ -156,11 +164,11 @@ def read_config(cls, doc, where: str, error=ConfigError, *, fill: bool = True, *
     the other fields. With fill, a missing key takes its field's default
     if it has one; other missing keys are errors. Values convert to
     their field's type as int(), float() and str() do, tuples item by
-    item, except that an int field takes no boolean and no fractional
-    number, a float field no NaN or infinity, and a bool field only true
-    or false; a union field keeps a value of one of its types. A bad key, a
-    value that does not convert, or one the dataclass rejects raises
-    `error` naming where and the key.
+    item, except that a number field takes no boolean, an int field no
+    fractional number, a float field no NaN or infinity, and a bool field
+    only true or false; a union field keeps a value of one of its types.
+    A bad key, a value that does not convert, or one the dataclass
+    rejects raises `error` naming where and the key.
     """
     if not isinstance(doc, dict):
         raise error(f"{where}: expected a JSON object")

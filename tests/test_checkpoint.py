@@ -214,6 +214,26 @@ class TestMalformedRunCheckpoint:
         msg = self.load_error(path, doc)
         assert str(path) in msg and "train_config" in msg and "log_weight_scatter" in msg
 
+    def test_boolean_float_field_names_the_key(self, tmp_path):
+        # float() would read true as 1.0
+        path, doc = self.saved(tmp_path)
+        doc["train_config"]["beta"] = True
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "train_config: beta" in msg
+
+    def test_missing_iteration(self, tmp_path):
+        # every writer wrote the iteration counter, so a missing one is not read as 0
+        path, doc = self.saved(tmp_path)
+        del doc["iteration"]
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "iteration" in msg
+
+    def test_missing_adam_m(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        del doc["optimizer"]["adam_m"]
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "optimizer" in msg and "adam_m" in msg
+
     def test_missing_adam_step(self, tmp_path):
         path, doc = self.saved(tmp_path)
         del doc["optimizer"]["adam_step"]

@@ -308,10 +308,12 @@ class TestPreciseFileErrors:
 
     @pytest.mark.parametrize("key, value", [
         ("epochs", 2.9), ("batch_size", 10.9), ("epochs", True), ("log_weight_scatter", "false"),
+        ("alpha", True),
     ])
     def test_config_value_read_lossily(self, tmp_path, capsys, key, value):
         # int() would train 2 epochs on 2.9, batch 10 on 10.9 and 1 epoch on
-        # true; bool() would turn scatter logging on for "false"
+        # true; bool() would turn scatter logging on for "false"; float()
+        # would train at learning rate 1.0 on true
         cfg = tmp_path / "run.json"
         doc = write_config(cfg)
         doc["train"][key] = value
@@ -330,53 +332,59 @@ class TestPreciseFileErrors:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-def scatter(points):
-    """A history.json edit: one iteration, whose weight_scatter is points."""
-    return lambda text: json.dumps({**json.loads(text), "iterations": [{"weight_scatter": points}]})
+class TestEvalReadsNoHistory:
+    """eval reads the checkpoint and the dataset source only; the weight scatter stays in history.json."""
 
-
-class TestEvalHistory:
-    """eval copies the weight scatter out of the history.json next to the checkpoint."""
-
-    def eval_with_history(self, trained, tmp_path, text):
+    def eval_beside(self, trained, run_dir, history):
+        run_dir.mkdir()
         for name in ("checkpoint.json", "resolved_config.json"):
-            shutil.copy(trained / name, tmp_path / name)
-        if text is not None:
-            (tmp_path / "history.json").write_text(text)
-        return main(["eval", "--checkpoint", str(tmp_path / "checkpoint.json"), "--q-grid", "1.0"])
+            shutil.copy(trained / name, run_dir / name)
+        if history is not None:
+            (run_dir / "history.json").write_text(history)
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--q-grid", "1.0"]) == 0
+        return (run_dir / "metrics.json").read_bytes()
 
-    def test_missing_history_gives_no_scatter(self, trained, tmp_path):
-        assert self.eval_with_history(trained, tmp_path, None) == 0
-        assert json.loads((tmp_path / "metrics.json").read_text())["weight_scatter"] == []
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:40],
+        lambda text: text.replace('"exitweave-history"', '"exitweave-metrics"'),
+        lambda text: json.dumps({**json.loads(text), "version": 2}),
+    ], ids=["corrupt", "other-format", "version-2"])
+    def test_history_beside_the_checkpoint_is_not_read(self, trained, tmp_path, edit):
+        alone = self.eval_beside(trained, tmp_path / "alone", None)
+        history = edit((trained / "history.json").read_text())
+        assert self.eval_beside(trained, tmp_path / "beside", history) == alone
 
-    def test_scatter_copied_from_history(self, trained, tmp_path):
-        doc = json.loads((trained / "history.json").read_text())
-        doc["iterations"][1]["weight_scatter"] = [[0.5, 1.25, 1], [0.75, 0.5, 0]]
-        assert self.eval_with_history(trained, tmp_path, json.dumps(doc)) == 0
-        metrics = json.loads((tmp_path / "metrics.json").read_text())
-        assert metrics["weight_scatter"] == [[0.5, 1.25, 1], [0.75, 0.5, 0]]
+    def test_metrics_body_keys(self, trained, tmp_path):
+        from exitweave.serial import METRICS_FORMAT, read_doc
 
-    @pytest.mark.parametrize("edit, words", [
-        (lambda text: text[:40], ["not valid JSON"]),
-        (lambda text: "[]", ["JSON object"]),
-        (lambda text: text.replace('"exitweave-history"', '"exitweave-metrics"'), ["format"]),
-        (lambda text: json.dumps({**json.loads(text), "iterations": 5}), ["iterations"]),
-        (scatter(5), ["iterations[0].weight_scatter"]),
-        (scatter([5, "x"]), ["iterations[0].weight_scatter[0]"]),
-        (scatter([[0.5, 1.0, 1], [0.5, "x", 0]]), ["iterations[0].weight_scatter[1]"]),
-        (scatter([[0.5, 1.0]]), ["iterations[0].weight_scatter[0]"]),
-        (scatter([[0.5, 1.0, 2]]), ["iterations[0].weight_scatter[0]"]),
-        (scatter([[0.5, 1.0, True]]), ["iterations[0].weight_scatter[0]"]),
-        (scatter([[False, 1.0, 0]]), ["iterations[0].weight_scatter[0]"]),
-    ], ids=["corrupt", "list", "wrong-format", "iterations-not-a-list", "scatter-not-a-list",
-            "point-not-a-list", "weight-a-string", "pair", "claimed-2", "claimed-true", "loss-false"])
-    def test_malformed_history_exits_2(self, trained, tmp_path, capsys, edit, words):
-        text = edit((trained / "history.json").read_text())
-        assert self.eval_with_history(trained, tmp_path, text) == 2
-        err = capsys.readouterr().err
-        assert str(tmp_path / "history.json") in err
-        assert all(w in err for w in words), err
-        assert not (tmp_path / "metrics.json").exists()
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path),
+                     "--q-grid", "1.0"]) == 0
+        body = read_doc(tmp_path / "metrics.json", METRICS_FORMAT)
+        assert set(body) == {"run_id", "config_hash", "iteration", "variant", "anytime", "dynamic"}
+
+    def test_interrupted_curves_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        # the write stops halfway: the old curves.csv must survive whole, with no file left beside it
+        from exitweave.cli import _write_curves_csv
+
+        def rows(q):
+            return [{"q": q, "accuracy": 0.5, "expected_muladds": 12.0, "exit_counts": [3, 1],
+                     "thresholds": [0.75, 0.0]}]
+
+        path = tmp_path / "curves.csv"
+        _write_curves_csv(path, rows(0.5), 2)
+        old = path.read_bytes()
+
+        def half_write(self, text, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        with pytest.raises(OSError, match="disk full"):
+            _write_curves_csv(path, rows(1.5), 2)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]
 
 
 class TestEvalSiblingConfig:
@@ -456,17 +464,20 @@ class TestDocuments:
                 read_doc(path, other)
 
     def test_versions_are_per_format(self, trained, tmp_path, capsys, monkeypatch):
+        # eval reads the run checkpoint and the config it takes the dataset from, never history.json
         from exitweave.checkpoint import load_run_checkpoint
-        from exitweave.serial import CONFIG_FORMAT, HISTORY_FORMAT, VERSIONS, read_doc
+        from exitweave.serial import CONFIG_FORMAT, HISTORY_FORMAT, VERSIONS
 
+        args = ["eval", "--checkpoint", str(trained / "checkpoint.json"), "--q-grid", "1.0"]
         monkeypatch.setitem(VERSIONS, HISTORY_FORMAT, 2)
-        rc = main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path / "ev"),
-                   "--q-grid", "1.0"])
-        assert rc == 2
+        assert main(args + ["--out", str(tmp_path / "history-2")]) == 0
+        monkeypatch.undo()
+        monkeypatch.setitem(VERSIONS, CONFIG_FORMAT, 2)
+        assert main(args + ["--out", str(tmp_path / "config-2")]) == 2
         err = capsys.readouterr().err
-        assert str(trained / "history.json") in err and "version 1, expected 2" in err, err
+        assert str(trained / "resolved_config.json") in err and "version 1, expected 2" in err, err
+        assert not (tmp_path / "config-2").exists()
         load_run_checkpoint(trained / "checkpoint.json")
-        read_doc(trained / "resolved_config.json", CONFIG_FORMAT)
 
 
 class TestResolvedConfigRerun:
