@@ -10,10 +10,12 @@ Parameters live in one flat float64 buffer (all trunk blocks in order,
 then all heads in order; weight before bias within a layer), reached
 through per-layer `Affine` views (`FlatParams`). The weight network
 keeps its parameters the same way: the layout rule, the dense ReLU
-forward pass and the reverse sweep are defined once, here. Gradients
-share the layout, so a backward pass writes into a zero buffer through
-the same views, and SGD and lookahead steps are plain arithmetic on
-buffers.
+forward pass and the reverse sweep are defined once, here. The layout
+of a shape tuple is computed once (`layer_slices`) and shared, immutable,
+by every parameter, gradient and lookahead buffer of those shapes; each
+buffer builds only its own views. Gradients share the layout, so a
+backward pass writes into a zero buffer through the same views, and SGD
+and lookahead steps are plain arithmetic on buffers.
 
 Gradients here are hand-derived reverse-mode passes, not autodiff. They
 start from a `ForwardPass` (`forward_pass`): the exit outputs plus the
@@ -38,7 +40,7 @@ and the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -60,21 +62,26 @@ class Affine:
     bias: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerSlices:
     weight: slice
     bias: slice
 
 
-def layer_slices(shapes: list[tuple[int, int]]) -> tuple[list[LayerSlices], int]:
-    """Slices of each (out, in) layer inside the flat buffer, and its length."""
+@cache
+def layer_slices(shapes: tuple[tuple[int, int], ...]) -> tuple[tuple[LayerSlices, ...], int]:
+    """Slices of each (out, in) layer inside the flat buffer, and its length.
+
+    Computed once per shape tuple: every caller receives the same
+    immutable tuple of frozen slices.
+    """
     slices = []
     offset = 0
     for out_dim, in_dim in shapes:
         end = offset + out_dim * in_dim
         slices.append(LayerSlices(slice(offset, end), slice(end, end + out_dim)))
         offset = end + out_dim
-    return slices, offset
+    return tuple(slices), offset
 
 
 class FlatParams:
@@ -83,7 +90,8 @@ class FlatParams:
     `layers[j]` is an Affine whose weight and bias are views into
     `buffer`, so writing through a view writes the buffer. The
     constructor wraps the buffer it is given; `from_flat` copies first.
-    Subclasses define `layer_shapes(config)`, the (out, in) of each layer.
+    Subclasses define `layer_shapes(config)`, the (out, in) of each
+    layer as a tuple, which keys the cached `layer_slices` layout.
     """
 
     def __init__(self, config, buffer: np.ndarray):
@@ -198,7 +206,7 @@ class BackboneConfig:
         return len(self.trunk_widths)
 
 
-def param_layout(config: BackboneConfig) -> tuple[list[LayerSlices], list[LayerSlices], int]:
+def param_layout(config: BackboneConfig) -> tuple[tuple[LayerSlices, ...], tuple[LayerSlices, ...], int]:
     """Slices of each layer inside the flat parameter vector.
 
     Returns (block_slices, head_slices, total). Order: trunk blocks
@@ -218,10 +226,10 @@ class BackboneParams(FlatParams):
         self.heads = self.layers[config.num_exits :]
 
     @staticmethod
-    def layer_shapes(config: BackboneConfig) -> list[tuple[int, int]]:
-        dims = [config.input_dim, *config.trunk_widths]
-        blocks = [(dims[k + 1], dims[k]) for k in range(config.num_exits)]
-        return blocks + [(config.num_classes, w) for w in config.trunk_widths]
+    def layer_shapes(config: BackboneConfig) -> tuple[tuple[int, int], ...]:
+        dims = (config.input_dim, *config.trunk_widths)
+        blocks = tuple((dims[k + 1], dims[k]) for k in range(config.num_exits))
+        return blocks + tuple((config.num_classes, w) for w in config.trunk_widths)
 
 
 def init_params(config: BackboneConfig, rng: RngStream) -> BackboneParams:
@@ -310,9 +318,11 @@ def _forward(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> F
         logits[:, k, :] = hs[k + 1] @ head.weight.T + head.bias
     probs, lse = softmax_lse(logits.reshape(b * k_exits, c))
     probs = probs.reshape(b, k_exits, c)
-    losses = lse.reshape(b, k_exits) - np.take_along_axis(logits, labels[:, None, None], axis=2)[:, :, 0]
+    # (B, 1) rows broadcast against (1, K) exits: one fancy index per gather
+    rows, exits = np.arange(b)[:, None], np.arange(k_exits)
+    losses = lse.reshape(b, k_exits) - logits[rows, exits, labels[:, None]]
     predictions = probs.argmax(axis=2)
-    confidences = np.take_along_axis(probs, predictions[:, :, None], axis=2)[:, :, 0]
+    confidences = probs[rows, exits, predictions]
     return ForwardPass(params, ExitOutputs(logits, probs, losses, confidences, predictions, labels), hs, zs)
 
 

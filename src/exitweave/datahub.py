@@ -196,13 +196,16 @@ def load_cifar_bin(paths, num_classes: int = 10, split: str = "train") -> Datase
 
     Each record is one label byte followed by 3072 pixel bytes; pixels
     are scaled to [0, 1]. A file whose size is not a whole number of
-    records is rejected with the offending byte offset.
+    records is rejected with the offending byte offset. The records of
+    all files are checked once, as one Dataset; only when that check
+    fails are the files checked one by one, so the error names the first
+    bad file.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     if not paths:
         raise ConfigError("at least one batch file is required")
-    parts = []
+    files = []
     for path in paths:
         raw = Path(path).read_bytes()
         if len(raw) == 0 or len(raw) % _CIFAR_RECORD != 0:
@@ -210,11 +213,17 @@ def load_cifar_bin(paths, num_classes: int = 10, split: str = "train") -> Datase
                 f"{path}: size {len(raw)} is not a multiple of the {_CIFAR_RECORD}-byte "
                 f"record; trailing fragment starts at byte {len(raw) - len(raw) % _CIFAR_RECORD}"
             )
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)
-        parts.append(_from_file(str(path), records[:, 1:].astype(np.float64) / 255.0, records[:, 0],
-                                num_classes, split))
-    return Dataset(np.concatenate([p.features for p in parts]), np.concatenate([p.labels for p in parts]),
-                   num_classes, split)
+        files.append((str(path), np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)))
+
+    def scaled(records):
+        return records[:, 1:].astype(np.float64) / 255.0, records[:, 0]
+
+    try:
+        return Dataset(*scaled(np.concatenate([records for _, records in files])), num_classes, split)
+    except (ShapeError, NumericError, ConfigError):
+        for path, records in files:
+            _from_file(path, *scaled(records), num_classes, split)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,17 @@ q grid (`calibrate_threshold_grid`) share one greedy loop over each
 exit's stable descending order of the table, sorted once per table: an
 exit takes the first rows of its order that no earlier exit claimed.
 
-Floor counts are computed in exact rational arithmetic on the float
-value of q: mathematically-integer boundaries like q=1, K=3, N=6 must
-come out as equal thirds, which naive float multiplication misses.
+Floor counts are exact for the float value of q, which is the ratio of
+two integers (`float.as_integer_ratio`): each floor is one integer
+division, so mathematically-integer boundaries like q=1, K=3, N=6 come
+out as equal thirds, which naive float multiplication misses.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,21 +64,25 @@ def exit_fractions(q: float, num_exits: int) -> np.ndarray:
 def allocation_sizes(q: float, num_exits: int, n: int) -> np.ndarray:
     """Integer quota per exit: floor(f_k * n) for k < K, remainder to exit K.
 
-    Uses Fraction(q) so the floor is exact for the real number the float
-    q denotes. Sizes are nonnegative and sum to n; the last exit's
+    The float q is exactly the ratio a / b of two Python ints, so
+    f_k = a**k * b**(K-k) / sum_j a**j * b**(K-j) and each floor is one
+    exact integer division: exact for the real number the float q
+    denotes. Sizes are nonnegative and sum to n; the last exit's
     remainder is always at least floor(f_K * n).
     """
+    try:
+        n = operator.index(n)  # a Python int: a numpy int times a large term would overflow
+    except TypeError:
+        raise DomainError(f"n must be an integer, got {n!r}") from None
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     _check_budget(q, num_exits)
-    qf = Fraction(float(q))
-    powers = [qf ** k for k in range(1, num_exits + 1)]
-    total = sum(powers)
-    sizes = np.empty(num_exits, dtype=np.int64)
-    for k in range(num_exits - 1):
-        sizes[k] = math.floor(powers[k] * n / total)
-    sizes[num_exits - 1] = n - int(sizes[: num_exits - 1].sum())
-    return sizes
+    a, b = float(q).as_integer_ratio()
+    terms = [a**k * b ** (num_exits - k) for k in range(1, num_exits + 1)]
+    total = sum(terms)
+    sizes = [n * term // total for term in terms[:-1]]
+    sizes.append(n - sum(sizes))
+    return np.array(sizes, dtype=np.int64)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .errors import NumericError, ShapeError
 
 def require_finite(arr: np.ndarray, name: str = "array", error=NumericError) -> np.ndarray:
     """arr, or `error` naming it when an entry is NaN or infinite."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():  # the method skips np.all's dispatch wrapper
         raise error(f"{name} contains non-finite entries")
     return arr
 

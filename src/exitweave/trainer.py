@@ -270,7 +270,7 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
     """
     train_pass = forward_pass(state.backbone, *train)
     outs = train_pass.outputs
-    if not np.all(np.isfinite(outs.losses)):
+    if not np.isfinite(outs.losses).all():
         raise TrainingError(f"non-finite training loss at iteration {state.iteration}; run diverged")
     n = outs.batch_size
     frag = {"loss_sum": outs.losses.sum(axis=0)}

@@ -66,9 +66,9 @@ class WpnParams(FlatParams):
     """Layers K -> width (x depth, ReLU) -> K, as views into one flat buffer."""
 
     @staticmethod
-    def layer_shapes(config: WpnConfig) -> list[tuple[int, int]]:
+    def layer_shapes(config: WpnConfig) -> tuple[tuple[int, int], ...]:
         w, k = config.hidden_width, config.num_exits
-        return [(w, k), *[(w, w)] * (config.hidden_depth - 1), (k, w)]
+        return ((w, k), *((w, w),) * (config.hidden_depth - 1), (k, w))
 
 
 def init_wpn(config: WpnConfig, rng: RngStream) -> WpnParams:

@@ -9,7 +9,7 @@ cross-checked against each other; the dense route must also agree with
 the oracles independently.
 """
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from exitweave.backbone import (
     forward_pass,
     grad_weighted_loss,
     init_params,
+    layer_slices,
     param_layout,
     per_sample_grad_dots,
     per_sample_grads,
@@ -34,7 +35,8 @@ from exitweave.backbone import (
 )
 from exitweave.errors import ConfigError, NumericError, ShapeError
 from exitweave.gradcheck import fd_loss_grads, rel_err
-from exitweave.numkit import RngStream
+from exitweave.numkit import RngStream, softmax_lse
+from exitweave.wpn import WpnConfig, WpnParams
 
 
 def forward_oracle(params: BackboneParams, x_row: np.ndarray, label: int):
@@ -93,7 +95,12 @@ class TestConfigAndLayout:
         # input 2, widths [8, 8], C=3:
         # blocks: 8*2+8 + 8*8+8 = 24 + 72; heads: 2 * (3*8+3) = 54; total 150
         config = BackboneConfig(2, (8, 8), 3)
-        assert param_layout(config)[2] == 150
+        blocks, heads, total = param_layout(config)
+        assert [(sl.weight, sl.bias) for sl in blocks] == [
+            (slice(0, 16), slice(16, 24)), (slice(24, 88), slice(88, 96))]
+        assert [(sl.weight, sl.bias) for sl in heads] == [
+            (slice(96, 120), slice(120, 123)), (slice(123, 147), slice(147, 150))]
+        assert total == 150
         params = init_params(config, RngStream(0))
         assert params.num_params == 150
         assert params.flatten().shape == (150,)
@@ -154,6 +161,50 @@ class TestFlatBuffer:
             assert out.flatten().tobytes() != before
             assert not np.shares_memory(out.buffer, params.buffer)
         assert not np.shares_memory(new_velocity, velocity)
+
+
+class TestLayoutCache:
+    def test_layout_is_computed_once_per_shape_and_immutable(self):
+        config = BackboneConfig(3, (4, 5), 4)
+        shapes = BackboneParams.layer_shapes(config)
+        assert layer_slices(shapes) is layer_slices(BackboneParams.layer_shapes(config))
+        before = param_layout(config)
+        blocks, heads, _ = before
+        assert isinstance(blocks, tuple) and isinstance(heads, tuple)
+        with pytest.raises(FrozenInstanceError):
+            blocks[0].weight = slice(0, 1)
+        with pytest.raises(TypeError):
+            heads[0] = blocks[0]
+        # the layer lists a caller receives belong to its instance alone
+        params = BackboneParams.zeros(config)
+        params.layers.reverse()
+        params.blocks.clear()
+        params.heads[0] = params.heads[1]
+        assert param_layout(config) == before
+        fresh = BackboneParams.zeros(config)
+        assert [layer.weight.shape for layer in fresh.layers] == list(shapes)
+        assert len(fresh.blocks) == len(fresh.heads) == config.num_exits
+
+    @pytest.mark.parametrize(
+        "cls, config",
+        [(BackboneParams, BackboneConfig(3, (4, 5), 4)), (WpnParams, WpnConfig(3, hidden_width=6, hidden_depth=2))],
+        ids=["backbone", "wpn"],
+    )
+    def test_same_config_instances_write_only_their_own_buffers(self, cls, config):
+        # the layout is shared through the layout cache; the views are not
+        total = cls.zeros(config).num_params
+        a_buf, b_buf = np.zeros(total), np.ones(total)
+        a, b = cls(config, a_buf), cls(config, b_buf)
+        for layer in a.layers:
+            layer.weight += 2.0
+            layer.bias -= 3.0
+        last_bias = b.layers[-1].bias
+        last_bias[:] = 9.0
+        assert a.buffer is a_buf and b.buffer is b_buf
+        assert set(np.unique(a_buf)) == {2.0, -3.0}
+        np.testing.assert_array_equal(np.flatnonzero(b_buf != 1.0), np.arange(total - last_bias.size, total))
+        for la, lb in zip(a.layers, b.layers):
+            assert not np.shares_memory(la.weight, b_buf) and not np.shares_memory(lb.bias, a_buf)
 
 
 class TestInit:
@@ -321,6 +372,49 @@ class TestExitHead:
             assert np.array_equal(outs.confidences, confidences)
             assert np.array_equal(outs.predictions, predictions)
             assert np.all(outs.predictions[:, 0] == 0) and np.all(outs.confidences[:, 1] == 1.0)
+
+
+def take_along_axis_gathers(outs: ExitOutputs):
+    """losses and confidences read from outs with np.take_along_axis, the
+    exit head's earlier gathers."""
+    b, k, c = outs.logits.shape
+    _, lse = softmax_lse(outs.logits.reshape(b * k, c))
+    picked = np.take_along_axis(outs.logits, outs.labels[:, None, None], axis=2)[:, :, 0]
+    confidences = np.take_along_axis(outs.probs, outs.predictions[:, :, None], axis=2)[:, :, 0]
+    return lse.reshape(b, k) - picked, confidences
+
+
+class TestGathers:
+    """The exit head's fancy-index gathers must equal take_along_axis bit for bit."""
+
+    @staticmethod
+    def assert_gathers_match(outs: ExitOutputs):
+        losses, confidences = take_along_axis_gathers(outs)
+        for got, want in ((outs.losses, losses), (outs.confidences, confidences)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, widths, classes",
+        [(1, (5, 5), 3), (9, (5,), 4), (9, (5, 5), 2), (64, (16,) * 4, 8)],
+        ids=["one-row", "one-exit", "two-classes", "64-rows"],
+    )
+    def test_forward_pass(self, rows, widths, classes):
+        config = BackboneConfig(6, widths, classes)
+        root = RngStream(rows + classes)
+        params = init_params(config, root.child("params"))
+        x = 3.0 * root.child("x").standard_normal((rows, 6))
+        y = root.child("y").integers(0, classes, rows)
+        self.assert_gathers_match(forward_pass(params, x, y).outputs)
+
+    def test_blocked_forward_all(self):
+        n = FORWARD_BLOCK_ROWS + 1
+        config = BackboneConfig(16, (16,) * 4, 8)
+        root = RngStream(n)
+        params = init_params(config, root.child("params"))
+        x = 3.0 * root.child("x").standard_normal((n, 16))
+        y = root.child("y").integers(0, 8, n)
+        self.assert_gathers_match(forward_all(params, x, y))
 
 
 class TestPerSampleGrads:

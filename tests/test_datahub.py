@@ -6,11 +6,13 @@ against themselves. Container round-trips must be byte-identical.
 """
 
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from exitweave import datahub
 from exitweave.datahub import (
     Dataset,
     gen_synthetic_gaussians,
@@ -229,6 +231,31 @@ class TestCifarBin:
         bad.write_bytes(bytes([1]) + bytes(3072) + bytes([12]) + bytes(3072))
         with pytest.raises(FormatError, match=rf"{bad}: labels: label 12 out of range \[0, 10\)"):
             load_cifar_bin([good, bad], num_classes=10)
+
+    def test_label_error_names_the_middle_file(self, tmp_path):
+        first, bad, last = tmp_path / "first.bin", tmp_path / "bad.bin", tmp_path / "last.bin"
+        first.write_bytes(bytes([3]) + bytes(3072))
+        bad.write_bytes(bytes([1]) + bytes(3072) + bytes([12]) + bytes(3072))
+        last.write_bytes(bytes([4]) + bytes(3072))
+        with pytest.raises(FormatError, match=rf"{re.escape(str(bad))}: labels: label 12 out of range \[0, 10\)"):
+            load_cifar_bin([first, bad, last], num_classes=10)
+
+    def test_good_files_are_checked_once(self, tmp_path, monkeypatch):
+        # the concatenation is the one Dataset built; no file is checked on its own
+        checked = []
+
+        class CountingDataset(datahub.Dataset):
+            def __post_init__(self):
+                checked.append(len(self.labels))
+                super().__post_init__()
+
+        monkeypatch.setattr(datahub, "Dataset", CountingDataset)
+        paths = [tmp_path / f"{i}.bin" for i in range(3)]
+        for i, path in enumerate(paths):
+            path.write_bytes((bytes([i]) + bytes(3072)) * (i + 1))
+        ds = load_cifar_bin(paths, num_classes=10)
+        assert checked == [6]
+        np.testing.assert_array_equal(ds.labels, [0, 1, 1, 2, 2, 2])
 
     def test_requires_at_least_one_file(self):
         with pytest.raises(ConfigError):

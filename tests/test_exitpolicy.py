@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exitweave.backbone import BackboneConfig, ExitOutputs, count_mul_adds, forward_all, init_params
@@ -150,12 +150,18 @@ class TestAllocationSizes:
     def test_zero_n(self):
         np.testing.assert_array_equal(allocation_sizes(0.7, 3, 0), [0, 0, 0])
 
+    def test_float_count_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="n must be an integer, got 10.0"):
+            allocation_sizes(1.0, 3, 10.0)
+
     @pytest.mark.parametrize("q", [1e300, 1e-300])
     def test_extreme_q_warns_nothing(self, q):
         # validating q through exit_fractions warned of overflow at q = 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             np.testing.assert_array_equal(allocation_sizes(q, 3, 10), sizes_oracle(q, 3, 10))
+            # a numpy count must not overflow against the large integer terms
+            np.testing.assert_array_equal(allocation_sizes(q, 3, np.int64(10)), sizes_oracle(q, 3, 10))
 
     @given(
         st.floats(min_value=0.05, max_value=3.0),
@@ -168,6 +174,19 @@ class TestAllocationSizes:
         np.testing.assert_array_equal(sizes, sizes_oracle(q, k, n))
         assert sizes.sum() == n
         assert np.all(sizes >= 0)
+
+    @given(
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @example(1.0, 3, 6)
+    @settings(max_examples=200, deadline=None)
+    def test_integer_floors_match_fraction_oracle(self, q, k, n):
+        # the integer-ratio floors equal the Fraction floors over the whole float range
+        sizes = allocation_sizes(q, k, n)
+        assert sizes.dtype == np.int64
+        np.testing.assert_array_equal(sizes, sizes_oracle(q, k, n))
 
 
 class TestAllocateMeta:
