@@ -25,7 +25,7 @@ the confidence read at the prediction. `forward_all` returns the outputs
 alone and keeps no activations: it runs a large batch (an evaluation
 split) as cache-sized row blocks, with bitwise the outputs of one
 whole-batch pass. Both check their inputs as a `datahub.Dataset`, the one
-check of a dataset's contents, plus the trunk's input width.
+check of a dataset's contents, that fits the model (`require_fit`).
 `batch_weighted_grad` folds a coefficient matrix into one backward sweep
 per exit for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
@@ -271,11 +271,19 @@ class ExitOutputs:
         return self.logits.shape[1]
 
 
+def require_fit(config: BackboneConfig, data: Dataset, where: str, error=ShapeError) -> None:
+    """Raise `error` unless data has config's input width and class count; where names the data."""
+    if data.dim != config.input_dim or data.num_classes != config.num_classes:
+        raise error(
+            f"{where} has feature dim={data.dim}, classes={data.num_classes}; "
+            f"the model expects dim={config.input_dim}, classes={config.num_classes}"
+        )
+
+
 def _validate_batch(config: BackboneConfig, batch, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 batch and int64 labels, checked as a `Dataset` plus the input width."""
+    """The float64 batch and int64 labels, checked as a `Dataset` that fits config."""
     data = Dataset(batch, labels, config.num_classes)
-    if data.dim != config.input_dim:
-        raise ShapeError(f"batch shape {data.features.shape} does not match input_dim={config.input_dim}")
+    require_fit(config, data, "batch")
     return data.features, data.labels
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from .backbone import BackboneConfig, BackboneParams
 from .errors import CompatibilityError, FormatError, ShapeError
-from .serial import RUN_FORMAT, config_doc, decode_array, encode_array, read_config, read_doc, read_value, write_doc
+from .serial import (
+    RUN_FORMAT, config_doc, decode_array, encode_array, read_config, read_doc, read_value, require_keys, write_doc,
+)
 from .trainer import TrainConfig, TrainState
 from .wpn import AdamState, WpnConfig, WpnParams
 
@@ -56,15 +58,9 @@ def save_run_checkpoint(path, state: TrainState, train_config: TrainConfig) -> N
     write_doc(path, RUN_FORMAT, doc)
 
 
-def _require(doc: dict, keys: tuple, where: str) -> None:
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise FormatError(f"{where}: missing required key(s): {', '.join(missing)}")
-
-
 def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     doc = read_doc(path, RUN_FORMAT)
-    _require(doc, ("iteration", "train_config", "backbone", "wpn", "optimizer"), str(path))
+    require_keys(doc, ("iteration", "train_config", "backbone", "wpn", "optimizer"), str(path), FormatError)
     train_config = read_config(TrainConfig, doc["train_config"], f"{path}: train_config", FormatError, fill=False)
     backbone = _params_from(doc["backbone"], path, "backbone", BackboneParams, BackboneConfig)
     wpn_params = None
@@ -73,7 +69,7 @@ def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     opt = doc["optimizer"]
     if not isinstance(opt, dict):
         raise FormatError(f"{path}: optimizer: expected a JSON object")
-    _require(opt, ("velocity", "adam_m", "adam_v", "adam_step"), f"{path}: optimizer")
+    require_keys(opt, ("velocity", "adam_m", "adam_v", "adam_step"), f"{path}: optimizer", FormatError)
     velocity = None if opt["velocity"] is None else decode_array(opt["velocity"], f"{path}: optimizer.velocity")
     if velocity is not None and velocity.shape != (backbone.num_params,):
         raise CompatibilityError(f"{path}: momentum buffer does not match parameter count")

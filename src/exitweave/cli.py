@@ -16,8 +16,7 @@ files. Every document goes through `serial.write_doc` and
 `serial.read_doc`, which own the format header; a hand-written config
 file may omit it.
 
-Exit codes: 0 success, 2 configuration or file-format problems
-(including a missing config file, which is reported by path), 1
+Exit codes: 0 success, 2 configuration or file-format problems, 1
 runtime/numeric failures such as a diverged run.
 
 EXITWEAVE_THREADS caps the BLAS thread pools. It must take effect
@@ -30,7 +29,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import make_dataclass, replace
@@ -72,15 +70,6 @@ def _apply_thread_cap() -> None:
 OutputConfig = make_dataclass("OutputConfig", [("dir", str, "runs/default")], frozen=True)
 
 
-def _read_config_file(p: Path, what: str) -> dict:
-    """A hand-written config file, whose header is optional."""
-    from .serial import CONFIG_FORMAT, read_doc
-
-    if not p.is_file():
-        raise ConfigError(f"{what} file not found: {p}")
-    return read_doc(p, CONFIG_FORMAT, header_optional=True)
-
-
 def load_config(path) -> dict:
     """Read a run config file and convert the sections that need no data.
 
@@ -89,11 +78,11 @@ def load_config(path) -> dict:
     written until `_model_configs` converts them against the data.
     """
     from .datahub import read_dataset
-    from .serial import read_config
+    from .serial import CONFIG_FORMAT, read_config, read_doc
     from .trainer import TrainConfig
 
     p = Path(path)
-    doc = _read_config_file(p, "config")
+    doc = read_doc(p, CONFIG_FORMAT, header_optional=True)
     unknown = sorted(set(doc) - {"dataset", "backbone", "wpn", "train", "output"})
     if unknown:
         raise ConfigError(f"{p}: unknown section(s): {', '.join(unknown)}")
@@ -209,32 +198,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _finite(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"q must be finite, got {cell!r}")
-    return value
-
-
 def _parse_q_grid(text: str):
     import numpy as np
 
+    from .serial import read_value
+
+    where = f"--q-grid {text!r}"
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--q-grid range must be start:stop:count, got {text!r}")
-        try:
-            start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"--q-grid range {text!r}: {exc}") from exc
+        start, stop = (read_value(float, v, where) for v in parts[:2])
+        count = read_value(int, parts[2], f"{where}: count")
         if count < 1:
             raise ConfigError("--q-grid count must be >= 1")
         grid = np.linspace(start, stop, count)
     else:
-        try:
-            grid = np.asarray([_finite(v) for v in text.split(",") if v != ""], dtype=np.float64)
-        except ValueError as exc:
-            raise ConfigError(f"--q-grid list {text!r}: {exc}") from exc
+        grid = np.asarray([read_value(float, v, where) for v in text.split(",") if v != ""], dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0):
         raise ConfigError("--q-grid must contain positive values")
     return grid
@@ -249,7 +229,7 @@ def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
 
     if args.dataset:
         p = Path(args.dataset)
-        doc = _read_config_file(p, "dataset config")
+        doc = read_doc(p, CONFIG_FORMAT, header_optional=True)
         return read_dataset(doc.get("dataset", doc), p), p
     sibling = checkpoint_path.resolve().parent / "resolved_config.json"
     if not sibling.is_file():
@@ -277,7 +257,7 @@ def _write_curves_csv(path, rows, num_exits: int) -> None:
 
 
 def cmd_eval(args) -> int:
-    from .backbone import count_mul_adds, forward_all
+    from .backbone import count_mul_adds, forward_all, require_fit
     from .checkpoint import load_run_checkpoint
     from .datahub import build_datasets
     from .evaluate import default_q_grid, score_anytime, score_sweep
@@ -291,11 +271,7 @@ def cmd_eval(args) -> int:
     _, val_set, test_set = build_datasets(dataset, ds_path)
     config = state.backbone.config
     for name, split in (("val", val_set), ("test", test_set)):
-        if split.dim != config.input_dim or split.num_classes != config.num_classes:
-            raise CompatibilityError(
-                f"{ds_path}: the {name} split has dim={split.dim}, classes={split.num_classes}; "
-                f"the checkpoint expects dim={config.input_dim}, classes={config.num_classes}"
-            )
+        require_fit(config, split, f"{ds_path}: the {name} split", CompatibilityError)
     grid = _parse_q_grid(args.q_grid) if args.q_grid else default_q_grid()
     val_outs = forward_all(state.backbone, val_set.features, val_set.labels)
     test_outs = forward_all(state.backbone, test_set.features, test_set.labels)
@@ -329,8 +305,7 @@ def cmd_gradcheck(args) -> int:
         options = {"q": run["train"].q, "seed": run["train"].seed}
     if args.seed is not None:
         options["seed"] = args.seed
-    sabotage = os.environ.get("EXITWEAVE_GRADCHECK_SABOTAGE", "") not in ("", "0")
-    results = run_suites(backbone_cfg, wpn_cfg, sabotage=sabotage, **options)
+    results = run_suites(backbone_cfg, wpn_cfg, **options)
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -348,8 +323,6 @@ def cmd_allocate(args) -> int:
     from .serial import read_text
 
     path = Path(args.confidences)
-    if not path.is_file():
-        raise ConfigError(f"confidence CSV not found: {path}")
     rows = []
     width = None
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):

@@ -2,8 +2,8 @@
 
 A Dataset is rows of float64 features plus int64 labels, and building
 one is the only check of its contents. Loaders exist for three external
-formats, and each checks only its own format; a content error becomes
-a FormatError naming the file:
+formats. Each reads through `serial` and checks only its own format; a
+content error becomes a FormatError naming the file:
 
   * the classic big-endian IDX tensor format (images + labels as two
     files),
@@ -31,7 +31,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
 from .numkit import RngStream, require_finite
-from .serial import DATASET_FORMAT, decode_array, encode_array, read_config, read_doc, read_value, write_doc
+from .serial import (
+    DATASET_FORMAT, decode_array, encode_array, read_bytes, read_config, read_doc, read_value, require_keys, write_doc,
+)
 
 
 @dataclass
@@ -123,7 +125,7 @@ _IDX_DTYPES = {
 
 def read_idx(path) -> np.ndarray:
     """Parse one IDX tensor file into a native-endian ndarray."""
-    raw = Path(path).read_bytes()
+    raw = read_bytes(path)
     if len(raw) < 4:
         raise FormatError(f"{path}: truncated IDX header at byte {len(raw)}")
     if raw[0] != 0 or raw[1] != 0:
@@ -207,7 +209,7 @@ def load_cifar_bin(paths, num_classes: int = 10, split: str = "train") -> Datase
         raise ConfigError("at least one batch file is required")
     files = []
     for path in paths:
-        raw = Path(path).read_bytes()
+        raw = read_bytes(path)
         if len(raw) == 0 or len(raw) % _CIFAR_RECORD != 0:
             raise FormatError(
                 f"{path}: size {len(raw)} is not a multiple of the {_CIFAR_RECORD}-byte "
@@ -241,9 +243,7 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 def load_dataset(path) -> Dataset:
     doc = read_doc(path, DATASET_FORMAT)
-    missing = [key for key in ("features", "labels", "num_classes") if key not in doc]
-    if missing:
-        raise FormatError(f"{path}: missing required key(s): {', '.join(missing)}")
+    require_keys(doc, ("features", "labels", "num_classes"), str(path), FormatError)
     features = decode_array(doc["features"], f"{path}: features")
     if not isinstance(doc["labels"], list):
         raise FormatError(f"{path}: labels: expected a list of integers")
@@ -270,7 +270,7 @@ def longtail_subsample(dataset: Dataset, factor: float, rng: RngStream) -> Datas
     rows stay in their original order. A class never drops to zero: it
     is clamped to one sample with a warning.
     """
-    if factor < 1.0:
+    if not factor >= 1.0:  # NaN fails too
         raise DomainError(f"imbalance factor must be >= 1, got {factor}")
     if factor == 1.0:
         return dataset

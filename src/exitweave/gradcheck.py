@@ -98,14 +98,6 @@ def fd_loss_grads(params: BackboneParams, batch: np.ndarray, labels: np.ndarray)
     return np.moveaxis(central_diff(losses, params.flatten(), 1e-5), 0, -1)
 
 
-def _flip_largest(arr: np.ndarray) -> np.ndarray:
-    """Sabotage helper: negate the largest-magnitude entry."""
-    out = arr.copy()
-    idx = np.unravel_index(np.argmax(np.abs(out)), out.shape)
-    out[idx] = -out[idx]
-    return out
-
-
 @dataclass
 class _Instance:
     backbone: BackboneParams
@@ -165,20 +157,18 @@ def run_suites(
     wpn_cfg: WpnConfig,
     seed: int = TrainConfig.seed,
     q: float = TrainConfig.q,
-    sabotage: bool = False,
 ) -> list[SuiteResult]:
-    """Run all four FD suites; sabotage flips one sign in the first suite."""
+    """Run all four FD suites."""
     inst = _build_instance(backbone_cfg, wpn_cfg, seed)
     results = []
 
     # 1. per-sample backbone gradients
     psg = per_sample_grads(inst.backbone, inst.train_x, inst.train_y)
-    analytic = _flip_largest(psg) if sabotage else psg
     fd = fd_loss_grads(inst.backbone, inst.train_x, inst.train_y)
     worst = max(
-        rel_err(analytic[i, k], fd[i, k])
-        for i in range(analytic.shape[0])
-        for k in range(analytic.shape[1])
+        rel_err(psg[i, k], fd[i, k])
+        for i in range(psg.shape[0])
+        for k in range(psg.shape[1])
     )
     results.append(SuiteResult("backbone_per_sample", worst, 1e-5))
 

@@ -1,9 +1,11 @@
-"""The document layer: every JSON file format this package writes.
+"""The file layer: every file read, and every JSON format this package writes.
 
-Run config, run checkpoint, history, metrics and dataset container each
-open with a `{"format", "version"}` header, and only this module knows
-it: the format names, the `VERSIONS` table, the one writer (`write_doc`)
-and the one reader (`read_doc`). Arrays are base64-encoded
+Every read goes through `read_bytes`, so a missing or unreadable path
+raises ConfigError naming it whichever reader asked. Run config, run
+checkpoint, history, metrics and dataset container each open with a
+`{"format", "version"}` header, and only this module knows it: the
+format names, the `VERSIONS` table, the one writer (`write_doc`) and
+the one reader (`read_doc`). Arrays are base64-encoded
 little-endian float64 buffers, and documents are dumped with sorted
 keys and a fixed layout, so rewriting the same content produces
 byte-identical files, which reruns rely on. Every write goes through
@@ -77,10 +79,20 @@ def write_doc(path, fmt: str, body: dict) -> None:
     write_text(path, dump_json({"format": fmt, "version": VERSIONS[fmt], **body}))
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of a file; undecodable bytes raise FormatError naming it."""
+def read_bytes(path) -> bytes:
+    """The bytes of a file; a missing or unreadable path raises ConfigError naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{path}: file not found") from exc
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file (`read_bytes`); undecodable bytes raise FormatError naming it."""
+    try:
+        return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -147,6 +159,13 @@ def _convert(hint, value):
     return value if isinstance(value, tuple(get_origin(a) or a for a in args)) else _convert(args[0], value)
 
 
+def require_keys(doc: dict, keys, where: str, error) -> None:
+    """Raise `error` naming where and every one of keys that doc lacks."""
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise error(f"{where}: missing required key(s): {', '.join(missing)}")
+
+
 def read_value(hint, value, where: str, error=ConfigError):
     """value converted to type hint as `read_config` converts a field;
     a value that does not convert raises `error` naming where."""
@@ -177,9 +196,7 @@ def read_config(cls, doc, where: str, error=ConfigError, *, fill: bool = True, *
     if unknown:
         raise error(f"{where}: unknown key(s): {', '.join(unknown)}")
     defaults = {f.name for f in fields(cls) if fill and f.default is not MISSING}
-    missing = [name for name in names if name not in doc and name not in defaults]
-    if missing:
-        raise error(f"{where}: missing required key(s): {', '.join(missing)}")
+    require_keys(doc, [name for name in names if name not in defaults], where, error)
     hints = get_type_hints(cls)
     values = dict(given)
     for name, value in doc.items():

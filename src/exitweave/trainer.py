@@ -51,6 +51,7 @@ from .backbone import (
     forward_pass,
     init_params,
     per_sample_grad_dots,
+    require_fit,
     sgd_step,
 )
 from .datahub import Dataset, make_batches
@@ -120,16 +121,16 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ConfigError(f"batch_size must be even and >= 2, got {self.batch_size}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):  # NaN fails too
+            raise ConfigError(f"alpha and beta must be positive and finite, got {self.alpha} and {self.beta}")
         if self.interval < 1:
             raise ConfigError(f"interval must be >= 1, got {self.interval}")
-        if self.q <= 0:
-            raise ConfigError(f"q must be positive, got {self.q}")
+        if not 0 < self.q < math.inf:
+            raise ConfigError(f"q must be positive and finite, got {self.q}")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigError(f"lr_schedule must be one of {LR_SCHEDULES}, got {self.lr_schedule!r}")
         if self.variant not in VARIANT_NAMES:
@@ -387,10 +388,7 @@ def run_training(
             f"backbone has {backbone_config.num_exits}"
         )
     for ds, name in ((train_set, "train"), (val_set, "val")):
-        if ds.dim != backbone_config.input_dim:
-            raise ConfigError(f"{name} set feature dim {ds.dim} != input_dim {backbone_config.input_dim}")
-        if ds.num_classes != backbone_config.num_classes:
-            raise ConfigError(f"{name} set has {ds.num_classes} classes, model expects {backbone_config.num_classes}")
+        require_fit(backbone_config, ds, f"{name} set", ConfigError)
     root = RngStream(config.seed)
     backbone = init_params(backbone_config, root.child("init-backbone"))
     if config.variant in _WPN_VARIANTS:

@@ -1,13 +1,35 @@
 """Shared pytest wiring for the suite.
 
-The acceptance module records one (number, name, passed, detail) row per
-criterion; the hook below prints them as a compact scoreboard at the end
-of the run so the verdicts are visible even when everything passes.
+`flipped_per_sample_grads` injects the fault the gradcheck tests expect
+the audit to catch. The acceptance module records one (number, name,
+passed, detail) row per criterion; the hook below prints them as a
+compact scoreboard at the end of the run so the verdicts are visible
+even when everything passes.
 """
 
 from __future__ import annotations
 
 import sys
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def flipped_per_sample_grads(monkeypatch):
+    """A gradient fault for gradcheck to catch: its per-sample gradients
+    with the sign of the largest-magnitude entry flipped."""
+    from exitweave import gradcheck
+
+    exact = gradcheck.per_sample_grads
+
+    def flipped(*args):
+        out = exact(*args).copy()
+        idx = np.unravel_index(np.argmax(np.abs(out)), out.shape)
+        out[idx] = -out[idx]
+        return out
+
+    monkeypatch.setattr(gradcheck, "per_sample_grads", flipped)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -24,6 +24,11 @@ from exitweave.errors import FormatError
 from exitweave.serial import encode_array
 
 
+# a train section whose run overflows within its first epoch
+DIVERGENT_TRAIN = {"epochs": 50, "batch_size": 10, "alpha": 1e8, "variant": "baseline",
+                   "momentum": 0.0, "weight_decay": 0.0, "lr_schedule": "constant"}
+
+
 def write_config(path, **overrides):
     doc = {
         "dataset": {
@@ -115,9 +120,7 @@ class TestTrain:
 
     def test_divergent_run_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        write_config(cfg, train={"epochs": 50, "batch_size": 10, "alpha": 1e8,
-                                 "variant": "baseline", "momentum": 0.0,
-                                 "weight_decay": 0.0, "lr_schedule": "constant"})
+        write_config(cfg, train=DIVERGENT_TRAIN)
         with np.errstate(all="ignore"):
             import warnings
 
@@ -753,47 +756,43 @@ class TestFrozenWpn:
 
 
 class TestGradcheck:
-    def test_default_passes(self, capsys, monkeypatch):
-        monkeypatch.delenv("EXITWEAVE_GRADCHECK_SABOTAGE", raising=False)
+    def test_default_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "all suites passed" in out
 
-    def test_sabotage_env_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("EXITWEAVE_GRADCHECK_SABOTAGE", "1")
+    def test_sabotage_env_fails(self, capsys, flipped_per_sample_grads):
         assert main(["gradcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
 
-    def test_seed_flag(self, monkeypatch):
-        monkeypatch.delenv("EXITWEAVE_GRADCHECK_SABOTAGE", raising=False)
+    def test_seed_flag(self):
         assert main(["gradcheck", "--seed", "5"]) == 0
 
-    def gradcheck_config(self, tmp_path, monkeypatch, backbone):
-        monkeypatch.delenv("EXITWEAVE_GRADCHECK_SABOTAGE", raising=False)
+    def gradcheck_config(self, tmp_path, backbone):
         cfg = tmp_path / "tiny.json"
         write_config(cfg, backbone=backbone)
         return main(["gradcheck", "--config", str(cfg)])
 
-    def test_config_stating_widths_passes(self, tmp_path, monkeypatch, capsys):
+    def test_config_stating_widths_passes(self, tmp_path, capsys):
         backbone = {"input_dim": 3, "trunk_widths": [4, 3], "num_classes": 3}
-        assert self.gradcheck_config(tmp_path, monkeypatch, backbone) == 0
+        assert self.gradcheck_config(tmp_path, backbone) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4 and "all suites passed" in out
 
-    def test_config_without_widths_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_config_without_widths_exits_2(self, tmp_path, capsys):
         # no data is loaded, so nothing fills them in
-        assert self.gradcheck_config(tmp_path, monkeypatch, {"trunk_widths": [4, 3]}) == 2
+        assert self.gradcheck_config(tmp_path, {"trunk_widths": [4, 3]}) == 2
         err = capsys.readouterr().err
         assert str(tmp_path / "tiny.json") in err
         assert "backbone: missing required key(s): input_dim, num_classes" in err
 
-    def test_config_above_param_cap_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_config_above_param_cap_exits_2(self, tmp_path, capsys):
         from exitweave.gradcheck import PARAM_CAP
 
         backbone = {"input_dim": 32, "trunk_widths": [32, 32], "num_classes": 10}
-        assert self.gradcheck_config(tmp_path, monkeypatch, backbone) == 2
+        assert self.gradcheck_config(tmp_path, backbone) == 2
         assert str(PARAM_CAP) in capsys.readouterr().err
 
 
@@ -939,9 +938,11 @@ class TestParser:
         missing = run("allocate", str(tmp_path / "none.csv"), "--q", "0.5")
         assert missing.returncode == 2
         assert "not found" in missing.stderr
-        sabotaged = run("gradcheck", EXITWEAVE_GRADCHECK_SABOTAGE="1")
-        assert sabotaged.returncode == 1
-        assert "FAILED" in sabotaged.stdout
+        cfg = tmp_path / "diverge.json"
+        write_config(cfg, train=DIVERGENT_TRAIN)
+        diverged = run("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert diverged.returncode == 1
+        assert "diverged" in diverged.stderr
 
     @pytest.mark.skipif(not distribution_installed(),
                         reason="the exitweave distribution is not installed "

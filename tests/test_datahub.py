@@ -354,6 +354,12 @@ class TestLongtail:
         with pytest.raises(DomainError):
             longtail_subsample(self.balanced(), 0.5, RngStream(12))
 
+    @pytest.mark.parametrize("factor", [float("nan"), -float("inf")])
+    def test_rejects_factor_that_is_not_a_number_at_least_one(self, factor):
+        # NaN passed `factor < 1` and failed later as a bare ValueError
+        with pytest.raises(DomainError, match="imbalance factor"):
+            longtail_subsample(self.balanced(), factor, RngStream(12))
+
 
 class TestMakeBatches:
     @staticmethod

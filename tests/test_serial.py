@@ -1,0 +1,47 @@
+"""The file rule `serial` owns: every read goes through it, and a path
+it cannot read fails as a ConfigError naming that path."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from exitweave.checkpoint import load_run_checkpoint
+from exitweave.datahub import load_cifar_bin, load_dataset, read_idx
+from exitweave.errors import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "exitweave"
+READERS = {f.__name__: f for f in (load_run_checkpoint, load_dataset, read_idx, load_cifar_bin)}
+FILE_CALLS = {"read_text", "read_bytes", "write_text", "write_bytes", "open"}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS)
+def test_reader_names_a_path_it_cannot_read(tmp_path, reader, kind):
+    # each raised a bare FileNotFoundError or IsADirectoryError
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        reader(path)
+
+
+def file_calls(module: Path) -> list[str]:
+    """`module:line name` of each call in module that opens, reads or writes a file itself."""
+    found = []
+    for node in ast.walk(ast.parse(module.read_text(), str(module))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in FILE_CALLS and (isinstance(func, ast.Attribute) or name == "open"):
+            found.append(f"{module.name}:{node.lineno} {ast.unparse(func)}")
+    return found
+
+
+def test_only_serial_touches_files():
+    modules = sorted(SRC.glob("*.py"))
+    assert SRC / "serial.py" in modules
+    assert [call for module in modules if module.name != "serial.py" for call in file_calls(module)] == []
+    assert file_calls(SRC / "serial.py")  # the scan sees serial's own reads and writes

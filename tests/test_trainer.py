@@ -569,6 +569,13 @@ class TestVariants:
             self.run(variant="frozen_wpn", frozen_wpn_path=path)
         assert path in str(err.value)
 
+    def test_missing_run_checkpoint_named(self, tmp_path):
+        # reading it raised a bare FileNotFoundError
+        path = str(tmp_path / "missing.json")
+        with pytest.raises(ConfigError, match="file not found") as err:
+            self.run(variant="frozen_wpn", frozen_wpn_path=path)
+        assert path in str(err.value)
+
 
 class TestDeltaZeroReduction:
     def test_updates_equal_unit_weight_twin(self):
@@ -813,6 +820,13 @@ class TestConfigValidation:
             TrainConfig(**{**good, "variant": "magic"})
         with pytest.raises(ConfigError):
             TrainConfig(**{**good, "scatter_cap": -1})
+
+    @pytest.mark.parametrize("key", ["alpha", "beta", "q", "weight_decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, key, value):
+        # NaN passed every comparison, and inf every positivity check
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{"epochs": 1, "batch_size": 4, "alpha": 0.1, key: value})
 
     def test_baseline_on_separable_data_reaches_full_accuracy(self):
         root = RngStream(70)
