@@ -16,9 +16,9 @@ Submodules:
   serial      the document layer: format names, versions, writer and reader
   errors      the exception hierarchy
 
-Submodules load lazily: the CLI applies the EXITWEAVE_THREADS cap to the
-BLAS thread pools before anything pulls in numpy, which only works if
-importing the package itself stays import-light.
+Submodules load on first use, so a program that uses a few of them (a
+benchmark, a demo) does not pay for importing the rest; `cli` imports
+every other module.
 """
 
 from importlib import import_module

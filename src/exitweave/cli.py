@@ -18,10 +18,6 @@ file may omit it.
 
 Exit codes: 0 success, 2 configuration or file-format problems, 1
 runtime/numeric failures such as a diverged run.
-
-EXITWEAVE_THREADS caps the BLAS thread pools. It must take effect
-before numpy first loads, which is why this module defers every heavy
-import, `datahub` included, until after the cap is applied.
 """
 
 from __future__ import annotations
@@ -29,37 +25,26 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import make_dataclass, replace
 from pathlib import Path
 
-from .errors import (
-    CompatibilityError,
-    ConfigError,
-    DomainError,
-    ExitweaveError,
-    FormatError,
-    ShapeError,
+import numpy as np
+
+from .backbone import BackboneConfig, count_mul_adds, forward_all, require_fit
+from .checkpoint import load_run_checkpoint, save_run_checkpoint
+from .datahub import build_datasets, read_dataset
+from .errors import CompatibilityError, ConfigError, DomainError, ExitweaveError, FormatError, ShapeError
+from .evaluate import default_q_grid, score_anytime, score_sweep
+from .exitpolicy import allocate_meta, calibrate_thresholds
+from .gradcheck import DEFAULT_BACKBONE, DEFAULT_WPN, run_suites
+from .numkit import require_finite
+from .serial import (
+    CONFIG_FORMAT, HISTORY_FORMAT, METRICS_FORMAT, config_doc, output_dir, read_config, read_doc, read_text, read_value,
+    write_doc, write_text,
 )
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("EXITWEAVE_THREADS")
-    if cap is None or cap == "":
-        return
-    if not cap.isdigit() or int(cap) < 1:
-        raise ConfigError(f"EXITWEAVE_THREADS must be a positive integer, got {cap!r}")
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, cap)
+from .trainer import TrainConfig, run_training
+from .wpn import WpnConfig
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +62,6 @@ def load_config(path) -> dict:
     TrainConfig and OutputConfig. The backbone and wpn sections stay as
     written until `_model_configs` converts them against the data.
     """
-    from .datahub import read_dataset
-    from .serial import CONFIG_FORMAT, read_config, read_doc
-    from .trainer import TrainConfig
-
     p = Path(path)
     doc = read_doc(p, CONFIG_FORMAT, header_optional=True)
     unknown = sorted(set(doc) - {"dataset", "backbone", "wpn", "train", "output"})
@@ -101,8 +82,6 @@ def load_config(path) -> dict:
 def _derived(section, key: str, value: int, where: str, what: str):
     """section without key, a value derived elsewhere: the section may
     state it (a resolved config does) only as value, which what names."""
-    from .serial import read_value
-
     if not isinstance(section, dict) or key not in section:
         return section
     section = dict(section)
@@ -118,10 +97,6 @@ def _model_configs(run: dict, path, **widths):
     backbone section must state both. The wpn section's num_exits is
     the trunk's. A section may state a derived key only as its value.
     """
-    from .backbone import BackboneConfig
-    from .serial import read_config
-    from .wpn import WpnConfig
-
     section = run["backbone"]
     for key, value in widths.items():
         unit = "features" if key == "input_dim" else "classes"
@@ -140,8 +115,6 @@ def run_document(dataset: tuple, state, train_config) -> dict:
     network, the loaded one's for frozen_wpn), so `train` and `eval` of
     one run build the same document.
     """
-    from .serial import config_doc
-
     kind, spec = dataset
     return {
         "dataset": {"kind": kind, **config_doc(spec)},
@@ -167,18 +140,13 @@ def _stamped(digest: str, **body) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    from .checkpoint import save_run_checkpoint
-    from .datahub import build_datasets
-    from .serial import CONFIG_FORMAT, HISTORY_FORMAT, config_doc, write_doc
-    from .trainer import run_training
-
     run = load_config(args.config)
     train_cfg = run["train"] if args.seed is None else replace(run["train"], seed=args.seed)
     # a relative path is read from the working directory, as run_training reads it
     frozen = train_cfg.frozen_wpn_path
-    if train_cfg.variant == "frozen_wpn" and not Path(frozen).is_file():
+    if train_cfg.variant == "frozen_wpn" and not Path(frozen).exists():
         raise ConfigError(f"{args.config}: train.frozen_wpn_path: run checkpoint not found: {Path(frozen).absolute()}")
-    out_dir = Path(args.out or run["output"].dir)
+    out_dir = output_dir(args.out or run["output"].dir)
     train_set, val_set, _ = build_datasets(run["dataset"], args.config)
     backbone_cfg, wpn_cfg = _model_configs(
         run, args.config, input_dim=train_set.dim, num_classes=train_set.num_classes
@@ -186,7 +154,6 @@ def cmd_train(args) -> int:
     state, history = run_training(train_cfg, backbone_cfg, wpn_cfg, train_set, val_set)
     doc = run_document(run["dataset"], state, train_cfg)
     digest = config_hash(doc)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_doc(out_dir / "resolved_config.json", CONFIG_FORMAT, {**doc, "output": config_doc(run["output"])})
     save_run_checkpoint(out_dir / "checkpoint.json", state, train_cfg)
     write_doc(out_dir / "history.json", HISTORY_FORMAT,
@@ -199,10 +166,6 @@ def cmd_train(args) -> int:
 
 
 def _parse_q_grid(text: str):
-    import numpy as np
-
-    from .serial import read_value
-
     where = f"--q-grid {text!r}"
     if ":" in text:
         parts = text.split(":")
@@ -224,9 +187,6 @@ def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
     """The (kind, config) dataset eval runs on, and the file it came from:
     --dataset (a run config or a bare dataset section), else the
     resolved_config.json next to the checkpoint, whose header is required."""
-    from .datahub import read_dataset
-    from .serial import CONFIG_FORMAT, read_doc
-
     if args.dataset:
         p = Path(args.dataset)
         doc = read_doc(p, CONFIG_FORMAT, header_optional=True)
@@ -240,8 +200,6 @@ def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
 
 
 def _write_curves_csv(path, rows, num_exits: int) -> None:
-    from .serial import write_text
-
     header = (
         ["q", "accuracy", "expected_muladds"]
         + [f"exit_count_{i + 1}" for i in range(num_exits)]
@@ -257,14 +215,8 @@ def _write_curves_csv(path, rows, num_exits: int) -> None:
 
 
 def cmd_eval(args) -> int:
-    from .backbone import count_mul_adds, forward_all, require_fit
-    from .checkpoint import load_run_checkpoint
-    from .datahub import build_datasets
-    from .evaluate import default_q_grid, score_anytime, score_sweep
-    from .serial import METRICS_FORMAT, write_doc
-
     ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.is_file():
+    if not ckpt_path.exists():
         raise ConfigError(f"checkpoint file not found: {ckpt_path}")
     state, train_cfg = load_run_checkpoint(ckpt_path)
     dataset, ds_path = _dataset_for_eval(args, ckpt_path)
@@ -273,13 +225,12 @@ def cmd_eval(args) -> int:
     for name, split in (("val", val_set), ("test", test_set)):
         require_fit(config, split, f"{ds_path}: the {name} split", CompatibilityError)
     grid = _parse_q_grid(args.q_grid) if args.q_grid else default_q_grid()
+    out_dir = output_dir(args.out or ckpt_path.resolve().parent)
     val_outs = forward_all(state.backbone, val_set.features, val_set.labels)
     test_outs = forward_all(state.backbone, test_set.features, test_set.labels)
     rows = score_sweep(config, val_outs, test_outs, grid)
     anytime = score_anytime(test_outs)
     digest = config_hash(run_document(dataset, state, train_cfg))
-    out_dir = Path(args.out) if args.out else ckpt_path.resolve().parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_doc(out_dir / "metrics.json", METRICS_FORMAT, _stamped(
         digest,
         iteration=state.iteration,
@@ -296,8 +247,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import DEFAULT_BACKBONE, DEFAULT_WPN, run_suites
-
     backbone_cfg, wpn_cfg, options = DEFAULT_BACKBONE, DEFAULT_WPN, {}
     if args.config:
         run = load_config(args.config)
@@ -316,12 +265,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    import numpy as np
-
-    from .exitpolicy import allocate_meta, calibrate_thresholds
-    from .numkit import require_finite
-    from .serial import read_text
-
     path = Path(args.confidences)
     rows = []
     width = None
@@ -404,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, FormatError, CompatibilityError, DomainError, ShapeError) as exc:

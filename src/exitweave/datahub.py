@@ -413,9 +413,10 @@ def build_datasets(dataset: tuple, config_path):
     elif kind == "container":
         train, val, test = (load_dataset(getattr(spec, split)) for split in splits)
     elif kind == "idx":
-        train, val, test = (
-            load_idx(getattr(spec, f"{s}_images"), getattr(spec, f"{s}_labels"), split=s) for s in splits
-        )
+        loaded = [load_idx(getattr(spec, f"{s}_images"), getattr(spec, f"{s}_labels"), split=s) for s in splits]
+        # one class count for the three splits: one more than the largest label of any
+        classes = max(d.num_classes for d in loaded)
+        train, val, test = (replace(d, num_classes=classes) for d in loaded)
     else:  # cifar_bin
         full = load_cifar_bin(spec.train, num_classes=spec.num_classes, split="train")
         holdout = spec.val_holdout

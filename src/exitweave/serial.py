@@ -9,8 +9,10 @@ the one reader (`read_doc`). Arrays are base64-encoded
 little-endian float64 buffers, and documents are dumped with sorted
 keys and a fixed layout, so rewriting the same content produces
 byte-identical files, which reruns rely on. Every write goes through
-`write_text` (documents and eval's `curves.csv`), which replaces its
-target only once complete, so an interrupted one leaves the old file intact.
+`write_text` (documents and eval's `curves.csv`), which creates its
+directory and replaces its target only once complete, so an interrupted
+one leaves the old file intact. `output_dir` checks, before any work, a
+directory such writes will fill.
 
 Config sections (in run config files and in checkpoints) are read and
 written against the config dataclasses themselves: their fields give
@@ -62,11 +64,23 @@ def dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def output_dir(path) -> Path:
+    """path, checked as a directory to write into before any work is
+    done: it, or else its nearest existing ancestor, must be a directory
+    (`write_text` creates the rest). Otherwise ConfigError names path."""
+    p = Path(path)
+    base = next((a for a in (p, *p.parents) if a.exists()), p)
+    if not base.is_dir():
+        raise ConfigError(f"{p}: cannot create directory: {base} is not a directory")
+    return p
+
+
 def write_text(path, text: str) -> None:
-    """Write text to path through a temporary file next to it."""
+    """Write text to path, creating its directory, through a temporary file next to it."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(text)
         os.replace(tmp, path)
     except BaseException:

@@ -204,6 +204,12 @@ class TestEval:
         assert rc == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_checkpoint_directory_exits_2(self, tmp_path, capsys):
+        # the pre-check said "checkpoint file not found" of a directory that exists
+        assert main(["eval", "--checkpoint", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path}: cannot read" in err and "not found" not in err, err
+
     def test_bad_grid_exits_2(self, trained, tmp_path, capsys):
         base = ["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path / "x")]
         assert main(base + ["--q-grid", "0.1:2.0"]) == 2
@@ -527,6 +533,7 @@ class TestResolvedConfigRerun:
 class TestEvalForwardPasses:
     def test_one_forward_pass_per_split(self, trained, tmp_path, monkeypatch):
         import exitweave.backbone
+        import exitweave.cli
         import exitweave.evaluate
 
         calls = []
@@ -536,7 +543,7 @@ class TestEvalForwardPasses:
             calls.append(1)
             return real(*args, **kwargs)
 
-        for module in (exitweave.backbone, exitweave.evaluate):
+        for module in (exitweave.backbone, exitweave.cli, exitweave.evaluate):
             monkeypatch.setattr(module, "forward_all", counted)
         assert main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path),
                      "--q-grid", "0.5,1.0"]) == 0
@@ -754,6 +761,54 @@ class TestFrozenWpn:
         assert str(tmp_path / "missing.json") in err
         assert not (tmp_path / "frozen").exists()
 
+    def test_checkpoint_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the pre-check said "run checkpoint not found" of a directory that exists
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert self.train_frozen(tmp_path, "adir") == 2
+        err = capsys.readouterr().err
+        assert "adir: cannot read" in err and "not found" not in err, err
+        assert not (tmp_path / "frozen").exists()
+
+
+class TestOutputDir:
+    """An --out that cannot be a directory exits 2 naming it, before any work is done."""
+
+    @pytest.fixture
+    def afile(self, tmp_path):
+        path = tmp_path / "afile"
+        path.write_text("")
+        return path
+
+    @staticmethod
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    @pytest.mark.parametrize("child", ["", "sub"], ids=["file", "under-a-file"])
+    def test_train(self, tmp_path, capsys, monkeypatch, afile, child):
+        # the directory was made after training: a FileExistsError traceback and exit 1
+        import exitweave.cli
+
+        monkeypatch.setattr(exitweave.cli, "run_training", self.never)
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        out = afile / child if child else afile
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: cannot create directory: {afile} is not a directory" in err, err
+
+    @pytest.mark.parametrize("child", ["", "sub"], ids=["file", "under-a-file"])
+    def test_eval(self, trained, capsys, monkeypatch, afile, child):
+        # the directory was made after the forward passes: a FileExistsError traceback and exit 1
+        import exitweave.cli
+
+        monkeypatch.setattr(exitweave.cli, "forward_all", self.never)
+        out = afile / child if child else afile
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(out),
+                     "--q-grid", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert f"{out}: cannot create directory: {afile} is not a directory" in err, err
+
 
 class TestGradcheck:
     def test_default_passes(self, capsys):
@@ -840,47 +895,6 @@ class TestAllocate:
         path = tmp_path / "conf.csv"
         self.make_csv(path)
         assert main(["allocate", str(path), "--q", "0.0"]) == 2
-
-
-class TestThreadCap:
-    VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-    def test_cap_applied_to_unset_vars(self, tmp_path, monkeypatch, capsys):
-        import os
-
-        for var in self.VARS:
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("EXITWEAVE_THREADS", "2")
-        path = tmp_path / "conf.csv"
-        TestAllocate().make_csv(path, n=10, k=2)
-        assert main(["allocate", str(path), "--q", "1.0"]) == 0
-        for var in self.VARS:
-            assert os.environ[var] == "2"
-
-    def test_existing_setting_wins(self, tmp_path, monkeypatch, capsys):
-        import os
-
-        monkeypatch.setenv("OMP_NUM_THREADS", "7")
-        monkeypatch.setenv("EXITWEAVE_THREADS", "2")
-        path = tmp_path / "conf.csv"
-        TestAllocate().make_csv(path, n=10, k=2)
-        assert main(["allocate", str(path), "--q", "1.0"]) == 0
-        assert os.environ["OMP_NUM_THREADS"] == "7"
-
-    def test_invalid_value_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("EXITWEAVE_THREADS", "many")
-        assert main(["gradcheck"]) == 2
-        assert "EXITWEAVE_THREADS" in capsys.readouterr().err
-
-    def test_cli_import_loads_no_numpy(self):
-        # the cap only works if it is applied before numpy first loads
-        code = "import exitweave, exitweave.cli, sys; print('numpy' in sys.modules)"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -1158,3 +1172,41 @@ class TestFileDatasetKinds:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["backbone"]["input_dim"] == 6
+
+    @pytest.mark.parametrize("short", ["val", "test"])
+    def test_idx_splits_share_one_class_count(self, tmp_path, short):
+        # each split counted its own classes: a test split without the top class
+        # failed eval, and a val split without it failed train
+        import struct
+
+        rng = np.random.default_rng(6)
+        for split, n in (("train", 24), ("val", 9), ("test", 9)):
+            labels = (np.arange(n) % (2 if split == short else 3)).astype(np.uint8)
+            pixels = rng.integers(0, 256, n * 4).astype(np.uint8).tobytes()
+            (tmp_path / f"{split}-images.idx").write_bytes(struct.pack(">4B3i", 0, 0, 0x08, 3, n, 2, 2) + pixels)
+            (tmp_path / f"{split}-labels.idx").write_bytes(struct.pack(">4Bi", 0, 0, 0x08, 1, n) + labels.tobytes())
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "idx", **{f"{s}_{part}": f"{s}-{part}.idx"
+                                                     for s in ("train", "val", "test") for part in ("images", "labels")}})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "resolved_config.json").read_text())["backbone"]["num_classes"] == 3
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--q-grid", "1.0"]) == 0
+
+    def test_longtail_factor_subsamples_the_train_split(self, tmp_path):
+        from exitweave.datahub import build_datasets, read_dataset
+
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset={"kind": "synthetic", "classes": 3, "dim": 4, "train_per_class": 40,
+                                   "val_per_class": 8, "test_per_class": 8, "seed": 1, "longtail_factor": 4})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        resolved = out / "resolved_config.json"
+        section = json.loads(resolved.read_text())["dataset"]
+        assert section["longtail_factor"] == 4.0
+        train, val, test = build_datasets(read_dataset(section, resolved), resolved)
+        # class c keeps round(40 * 4 ** (-c / 2)) rows: class 0 whole, the last a quarter
+        assert np.bincount(train.labels).tolist() == [40, 20, 10]
+        assert np.bincount(val.labels).tolist() == np.bincount(test.labels).tolist() == [8, 8, 8]
+        # 70 train rows in batches of 10, two epochs
+        assert len(json.loads((out / "history.json").read_text())["iterations"]) == 14

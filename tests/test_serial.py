@@ -1,5 +1,6 @@
-"""The file rule `serial` owns: every read goes through it, and a path
-it cannot read fails as a ConfigError naming that path."""
+"""The file rule `serial` owns: every read and write goes through it, and
+a path it cannot read fails as a ConfigError naming that path. No module
+reads the environment."""
 
 import ast
 import re
@@ -13,7 +14,8 @@ from exitweave.errors import ConfigError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "exitweave"
 READERS = {f.__name__: f for f in (load_run_checkpoint, load_dataset, read_idx, load_cifar_bin)}
-FILE_CALLS = {"read_text", "read_bytes", "write_text", "write_bytes", "open"}
+FILE_CALLS = {"read_text", "read_bytes", "write_text", "write_bytes", "open", "mkdir"}
+ENVIRONMENT = {"environ", "getenv", "putenv"}
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -45,3 +47,26 @@ def test_only_serial_touches_files():
     assert SRC / "serial.py" in modules
     assert [call for module in modules if module.name != "serial.py" for call in file_calls(module)] == []
     assert file_calls(SRC / "serial.py")  # the scan sees serial's own reads and writes
+
+
+def environment_reads(module: Path) -> list[str]:
+    """`module:line name` of each use of os.environ, os.getenv or os.putenv in module."""
+    found = []
+    for node in ast.walk(ast.parse(module.read_text(), str(module))):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT and getattr(node.value, "id", None) == "os":
+            found.append(f"{module.name}:{node.lineno} {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{module.name}:{node.lineno} os.{a.name}" for a in node.names if a.name in ENVIRONMENT]
+    return found
+
+
+def test_no_module_reads_the_environment():
+    # a setting belongs in the run config or on the command line, where a run records it
+    assert [read for module in sorted(SRC.glob("*.py")) for read in environment_reads(module)] == []
+
+
+def test_write_text_creates_its_directory(tmp_path):
+    from exitweave.serial import write_text
+
+    write_text(tmp_path / "a" / "b" / "out.txt", "x\n")
+    assert (tmp_path / "a" / "b" / "out.txt").read_text() == "x\n"

@@ -3,8 +3,9 @@
     python3 tools/artifact_digests.py --src CHECKOUT/src --out DIR
 
 runs, from the package under --src and inside DIR, twelve reference runs
-(`train` then `eval` on the checkpoint) plus `gradcheck`, with
-EXITWEAVE_THREADS=1 and cwd-relative paths, then prints one
+(`train` then `eval` on the checkpoint) plus `gradcheck`, with the BLAS
+thread pools capped at 1 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
+MKL_NUM_THREADS) and cwd-relative paths, then prints one
 `sha256  path` line per file in DIR. Run it on two checkouts and diff
 the outputs: equal lines mean byte-identical artifacts. The runs on data
 files record the files' absolute paths in resolved_config.json and in
@@ -134,7 +135,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()), "EXITWEAVE_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
+           **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
     write_data_files(out / "data")
 
     def cli(*cmd: str) -> str:
