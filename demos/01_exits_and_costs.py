@@ -8,7 +8,7 @@ and the cumulative multiply-add cost of stopping there.
 
 import numpy as np
 
-from exitweave.backbone import BackboneConfig, count_mul_adds, forward_all, init_params
+from exitweave.backbone import BackboneConfig, count_mul_adds, forward_pass, init_params
 from exitweave.datahub import gen_synthetic_gaussians
 from exitweave.numkit import RngStream
 
@@ -26,12 +26,13 @@ print("\ncumulative multiply-adds per exit (strictly increasing):")
 for k, c in enumerate(costs):
     print(f"  exit {k + 1}: {int(c):5d}")
 
-outs = forward_all(params, data.features, data.labels)
+fp = forward_pass(params, data.features, data.labels)
+outs = fp.outputs
 print(f"\nbatch of {outs.batch_size}; per-sample view, one row per exit:")
 for i in range(outs.batch_size):
     print(f"sample {i} (label {data.labels[i]}):")
     for k in range(outs.num_exits):
-        logits = np.array2string(outs.logits[i, k], precision=3)
+        logits = np.array2string(fp.logits[i, k], precision=3)
         print(f"  exit {k + 1}: logits {logits}  "
               f"confidence {outs.confidences[i, k]:.3f}  "
               f"loss {outs.losses[i, k]:.3f}  "

@@ -45,8 +45,6 @@ print("(the last exit's threshold is always 0: it accepts whatever remains)")
 from exitweave.backbone import ExitOutputs
 
 replay = ExitOutputs(
-    logits=np.zeros((12, 3, 2)),
-    probs=np.zeros((12, 3, 2)),
     losses=np.zeros((12, 3)),
     confidences=table,
     predictions=np.zeros((12, 3), dtype=np.int64),

@@ -18,14 +18,18 @@ backward pass writes into a zero buffer through the same views, and SGD
 and lookahead steps are plain arithmetic on buffers.
 
 Gradients here are hand-derived reverse-mode passes, not autodiff. They
-start from a `ForwardPass` (`forward_pass`): the exit outputs plus the
-trunk activations at one parameter point, so every gradient at that point
-reuses one trunk pass; each exit head is one `softmax_lse` pass, with
-the confidence read at the prediction. `forward_all` returns the outputs
-alone and keeps no activations: it runs a large batch (an evaluation
-split) as cache-sized row blocks, with bitwise the outputs of one
-whole-batch pass. Both check their inputs as a `datahub.Dataset`, the one
-check of a dataset's contents, that fits the model (`require_fit`).
+start from a `ForwardPass` (`forward_pass`): the exit outputs, the
+(B, K, C) logits and probabilities and the trunk activations at one
+parameter point, so every gradient at that point reuses one trunk pass.
+One exit-head step serves both forward functions: one `softmax_lse` pass
+over all exits, with the confidence read at the prediction. `forward_all`
+returns only what scoring reads, the (B, K) `ExitOutputs`, and keeps no
+logits or activations: it runs a batch (an evaluation split) as
+cache-sized row blocks through one workspace reused by every block, and
+writes each block's rows of the outputs in place, with bitwise the
+outputs of one whole-batch pass. Both check their inputs as a
+`datahub.Dataset`, the one check of a dataset's contents, that fits the
+model (`require_fit`).
 `batch_weighted_grad` folds a coefficient matrix into one backward sweep
 per exit for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
@@ -248,15 +252,13 @@ def _exit_path(layers: list, k: int) -> list:
 
 @dataclass
 class ExitOutputs:
-    """Everything the K exits say about a batch.
+    """What the K exits say about a batch: all that scoring reads.
 
-    logits/probs: (B, K, C); losses/confidences: (B, K); predictions:
-    (B, K) ints. confidence = max softmax probability. The label vector
-    rides along so downstream inference can score correctness.
+    losses/confidences: (B, K); predictions: (B, K) ints. confidence =
+    max softmax probability. The label vector rides along so downstream
+    inference can score correctness.
     """
 
-    logits: np.ndarray
-    probs: np.ndarray
     losses: np.ndarray
     confidences: np.ndarray
     predictions: np.ndarray
@@ -264,11 +266,11 @@ class ExitOutputs:
 
     @property
     def batch_size(self) -> int:
-        return self.logits.shape[0]
+        return self.losses.shape[0]
 
     @property
     def num_exits(self) -> int:
-        return self.logits.shape[1]
+        return self.losses.shape[1]
 
 
 def require_fit(config: BackboneConfig, data: Dataset, where: str, error=ShapeError) -> None:
@@ -291,13 +293,16 @@ def _validate_batch(config: BackboneConfig, batch, labels) -> tuple[np.ndarray, 
 class ForwardPass:
     """One forward pass at one parameter point, kept for backward sweeps.
 
-    hs/zs are the trunk activations from `relu_forward` (hs[0] is the
-    validated batch). Every gradient at these parameters on this batch
-    reuses them, so the trunk runs once per parameter point.
+    logits/probs: (B, K, C), each exit's logits and softmax. hs/zs are
+    the trunk activations from `relu_forward` (hs[0] is the validated
+    batch). Every gradient at these parameters on this batch reuses
+    them, so the trunk runs once per parameter point.
     """
 
     params: BackboneParams
     outputs: ExitOutputs
+    logits: np.ndarray
+    probs: np.ndarray
     hs: list[np.ndarray]
     zs: list[np.ndarray]
 
@@ -307,53 +312,85 @@ class ForwardPass:
         labels = self.outputs.labels
         onehot = np.zeros((labels.shape[0], self.params.config.num_classes))
         onehot[np.arange(labels.shape[0]), labels] = 1.0
-        return [self.outputs.probs[:, k] - onehot for k in range(self.outputs.num_exits)]
+        return [self.probs[:, k] - onehot for k in range(self.outputs.num_exits)]
 
 
-def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
-    """Evaluate every exit on a batch in one shared-trunk pass, keeping
-    the trunk activations for gradients at the same parameters."""
-    return _forward(params, *_validate_batch(params.config, batch, labels))
+def _empty_outputs(labels: np.ndarray, num_exits: int) -> ExitOutputs:
+    shape = (labels.shape[0], num_exits)
+    return ExitOutputs(np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp), labels)
 
 
-def _forward(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> ForwardPass:
-    """`forward_pass` on a batch and labels `_validate_batch` already returned."""
-    config = params.config
-    b, k_exits, c = batch.shape[0], config.num_exits, config.num_classes
-    hs, zs = relu_forward(params.blocks, batch)
-    logits = np.empty((b, k_exits, c))
-    for k, head in enumerate(params.heads):
-        logits[:, k, :] = hs[k + 1] @ head.weight.T + head.bias
+def _exit_head(heads: list[Affine], hidden: list[np.ndarray], logits: np.ndarray, out: ExitOutputs) -> np.ndarray:
+    """Run the K exit heads on one batch, writing in place.
+
+    hidden[k] is trunk block k's output. Head k's logits fill
+    logits[:, k], (B, K, C), and out's losses, confidences and
+    predictions, (B, K) arrays or views, receive the scores against
+    out.labels. Returns the softmax of logits, (B, K, C).
+    """
+    b, k_exits, c = logits.shape
+    for k, head in enumerate(heads):
+        np.add(hidden[k] @ head.weight.T, head.bias, out=logits[:, k])
     probs, lse = softmax_lse(logits.reshape(b * k_exits, c))
     probs = probs.reshape(b, k_exits, c)
     # (B, 1) rows broadcast against (1, K) exits: one fancy index per gather
     rows, exits = np.arange(b)[:, None], np.arange(k_exits)
-    losses = lse.reshape(b, k_exits) - logits[rows, exits, labels[:, None]]
-    predictions = probs.argmax(axis=2)
-    confidences = probs[rows, exits, predictions]
-    return ForwardPass(params, ExitOutputs(logits, probs, losses, confidences, predictions, labels), hs, zs)
+    np.subtract(lse.reshape(b, k_exits), logits[rows, exits, out.labels[:, None]], out=out.losses)
+    probs.argmax(axis=2, out=out.predictions)
+    out.confidences[...] = probs[rows, exits, out.predictions]
+    return probs
+
+
+def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
+    """Evaluate every exit on a batch in one shared-trunk pass, keeping
+    the logits, probabilities and trunk activations for gradients at the
+    same parameters."""
+    config = params.config
+    batch, labels = _validate_batch(config, batch, labels)
+    hs, zs = relu_forward(params.blocks, batch)
+    logits = np.empty((batch.shape[0], config.num_exits, config.num_classes))
+    outputs = _empty_outputs(labels, config.num_exits)
+    probs = _exit_head(params.heads, hs[1:], logits, outputs)
+    return ForwardPass(params, outputs, logits, probs, hs, zs)
 
 
 def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
-    """Evaluate every exit on a batch, keeping no trunk activations.
+    """Evaluate every exit on a batch, keeping no logits or activations.
 
-    A batch of more than FORWARD_BLOCK_ROWS rows runs as ceil(n / FORWARD_BLOCK_ROWS)
-    near-equal row blocks whose outputs are concatenated, so the
-    activations of one block stay cache-sized and are freed before the
-    next. The outputs are bitwise those of one whole-batch pass. A
-    matmul over a few rows may take another BLAS kernel and round
-    differently, so the blocks are near-equal: each holds more than
-    FORWARD_BLOCK_ROWS / 2 rows, never a sliver left over.
+    The batch runs as ceil(n / FORWARD_BLOCK_ROWS) near-equal row blocks
+    through one workspace allocated per call: a (rows, width) buffer per
+    trunk block, written in place by each block's matmul, bias and ReLU,
+    and one (rows, K, C) logits buffer. Each block writes its rows of
+    the (n, K) outputs in place, so no array grows with n times the class
+    count. The outputs are bitwise those of one whole-batch
+    `forward_pass`. A matmul over a few rows may take another BLAS
+    kernel and round differently, so the blocks are near-equal, split as
+    np.array_split splits: each holds more than FORWARD_BLOCK_ROWS / 2
+    rows, never a sliver left over.
     """
-    batch, labels = _validate_batch(params.config, batch, labels)
-    blocks = -(-batch.shape[0] // FORWARD_BLOCK_ROWS)
-    if blocks <= 1:
-        return _forward(params, batch, labels).outputs
-    parts = [
-        _forward(params, x, y).outputs
-        for x, y in zip(np.array_split(batch, blocks), np.array_split(labels, blocks))
-    ]
-    return ExitOutputs(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(ExitOutputs)))
+    config = params.config
+    batch, labels = _validate_batch(config, batch, labels)
+    n = batch.shape[0]
+    outputs = _empty_outputs(labels, config.num_exits)
+    blocks = -(-n // FORWARD_BLOCK_ROWS)
+    # as np.array_split: the first `extra` blocks hold one row more
+    size, extra = divmod(n, blocks)
+    most = size + (extra > 0)
+    hidden = [np.empty((most, width)) for width in config.trunk_widths]
+    logits = np.empty((most, config.num_exits, config.num_classes))
+    stop = 0
+    for i in range(blocks):
+        start, stop = stop, stop + size + (i < extra)
+        rows = stop - start
+        h = batch[start:stop]
+        for layer, buf in zip(params.blocks, hidden):
+            z = buf[:rows]
+            np.matmul(h, layer.weight.T, out=z)
+            z += layer.bias  # rounds as `+` does
+            h = np.maximum(z, 0.0, out=z)
+        part = ExitOutputs(*(getattr(outputs, f.name)[start:stop] for f in fields(ExitOutputs)))
+        _exit_head(params.heads, [buf[:rows] for buf in hidden], logits[:rows], part)
+    return outputs
 
 
 def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:

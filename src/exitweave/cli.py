@@ -59,8 +59,10 @@ def load_config(path) -> dict:
     """Read a run config file and convert the sections that need no data.
 
     dataset becomes (kind, config) and train and output their
-    TrainConfig and OutputConfig. The backbone and wpn sections stay as
-    written until `_model_configs` converts them against the data.
+    TrainConfig and OutputConfig; train's frozen_wpn_path is made
+    absolute against the working directory. The backbone and wpn
+    sections stay as written until `_model_configs` converts them
+    against the data.
     """
     p = Path(path)
     doc = read_doc(p, CONFIG_FORMAT, header_optional=True)
@@ -70,11 +72,14 @@ def load_config(path) -> dict:
     missing = sorted({"dataset", "backbone", "train"} - set(doc))
     if missing:
         raise ConfigError(f"{p}: missing required section(s): {', '.join(missing)}")
+    train = read_config(TrainConfig, doc["train"], f"{p}: train")
+    if train.frozen_wpn_path:  # recorded absolute, so resolved_config.json reruns from anywhere
+        train = replace(train, frozen_wpn_path=str(Path(train.frozen_wpn_path).absolute()))
     return {
         "dataset": read_dataset(doc["dataset"], p),
         "backbone": doc["backbone"],
         "wpn": {} if doc.get("wpn") is None else doc["wpn"],  # a baseline run's resolved config has null
-        "train": read_config(TrainConfig, doc["train"], f"{p}: train"),
+        "train": train,
         "output": read_config(OutputConfig, doc.get("output", {}), f"{p}: output"),
     }
 
@@ -142,10 +147,9 @@ def _stamped(digest: str, **body) -> dict:
 def cmd_train(args) -> int:
     run = load_config(args.config)
     train_cfg = run["train"] if args.seed is None else replace(run["train"], seed=args.seed)
-    # a relative path is read from the working directory, as run_training reads it
     frozen = train_cfg.frozen_wpn_path
     if train_cfg.variant == "frozen_wpn" and not Path(frozen).exists():
-        raise ConfigError(f"{args.config}: train.frozen_wpn_path: run checkpoint not found: {Path(frozen).absolute()}")
+        raise ConfigError(f"{args.config}: train.frozen_wpn_path: run checkpoint not found: {frozen}")
     out_dir = output_dir(args.out or run["output"].dir)
     train_set, val_set, _ = build_datasets(run["dataset"], args.config)
     backbone_cfg, wpn_cfg = _model_configs(

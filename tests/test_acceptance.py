@@ -235,8 +235,7 @@ def test_criterion_05_perturbation_contract():
 
 def _outputs_from_confidences(conf: np.ndarray) -> ExitOutputs:
     b, k = conf.shape
-    zeros = np.zeros((b, k, 2))
-    return ExitOutputs(zeros, zeros, np.zeros((b, k)), conf,
+    return ExitOutputs(np.zeros((b, k)), conf,
                        np.zeros((b, k), dtype=np.int64), np.zeros(b, dtype=np.int64))
 
 

@@ -9,6 +9,7 @@ cross-checked against each other; the dense route must also agree with
 the oracles independently.
 """
 
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -20,6 +21,7 @@ from exitweave.backbone import (
     BackboneConfig,
     BackboneParams,
     ExitOutputs,
+    ForwardPass,
     batch_weighted_grad,
     count_mul_adds,
     forward_all,
@@ -226,6 +228,14 @@ class TestInit:
             np.testing.assert_array_equal(layer.bias, np.zeros_like(layer.bias))
 
 
+def assert_same_outputs(got: ExitOutputs, want: ExitOutputs):
+    """Every field of got is bitwise want's, with its dtype and shape."""
+    for f in fields(ExitOutputs):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
 class TestForwardAll:
     def test_matches_straight_line_oracle(self):
         config, params, x, y = small_instance(seed=4)
@@ -235,12 +245,17 @@ class TestForwardAll:
             np.testing.assert_allclose(outs.losses[i], losses, atol=1e-12)
             np.testing.assert_allclose(outs.confidences[i], confs, atol=1e-12)
 
+    def test_outputs_hold_only_what_is_scored(self):
+        assert [f.name for f in fields(ExitOutputs)] == ["losses", "confidences", "predictions", "labels"]
+
     def test_probability_structure(self):
         config, params, x, y = small_instance(seed=5, batch=8)
+        fp = forward_pass(params, x, y)
         outs = forward_all(params, x, y)
-        np.testing.assert_allclose(outs.probs.sum(axis=2), np.ones((8, config.num_exits)), atol=1e-9)
-        np.testing.assert_allclose(outs.confidences, outs.probs.max(axis=2), atol=0)
-        np.testing.assert_array_equal(outs.predictions, outs.probs.argmax(axis=2))
+        assert_same_outputs(outs, fp.outputs)
+        np.testing.assert_allclose(fp.probs.sum(axis=2), np.ones((8, config.num_exits)), atol=1e-9)
+        np.testing.assert_allclose(outs.confidences, fp.probs.max(axis=2), atol=0)
+        np.testing.assert_array_equal(outs.predictions, fp.probs.argmax(axis=2))
         assert outs.batch_size == 8 and outs.num_exits == config.num_exits
         np.testing.assert_array_equal(outs.labels, y)
 
@@ -249,9 +264,11 @@ class TestForwardAll:
         for head in params.heads:
             head.weight[:] = 0.0
             head.bias[:] = 0.0
+        fp = forward_pass(params, x, y)
         outs = forward_all(params, x, y)
+        assert_same_outputs(outs, fp.outputs)
         c = config.num_classes
-        np.testing.assert_allclose(outs.probs, np.full_like(outs.probs, 1.0 / c), atol=1e-12)
+        np.testing.assert_allclose(fp.probs, np.full_like(fp.probs, 1.0 / c), atol=1e-12)
         np.testing.assert_allclose(outs.losses, np.full_like(outs.losses, np.log(c)), atol=1e-12)
         np.testing.assert_allclose(outs.confidences, np.full_like(outs.confidences, 1.0 / c), atol=1e-12)
 
@@ -259,9 +276,11 @@ class TestForwardAll:
         config, params, x, y = small_instance(seed=7, batch=2)
         xx = np.vstack([x[0], x[0]])
         yy = np.array([y[0], y[0]])
+        fp = forward_pass(params, xx, yy)
         outs = forward_all(params, xx, yy)
+        assert_same_outputs(outs, fp.outputs)
         np.testing.assert_array_equal(outs.losses[0], outs.losses[1])
-        np.testing.assert_array_equal(outs.logits[0], outs.logits[1])
+        np.testing.assert_array_equal(fp.logits[0], fp.logits[1])
 
     def test_shape_errors(self):
         config, params, x, y = small_instance()
@@ -299,12 +318,46 @@ class TestForwardAll:
         rng = RngStream(n).child("data")
         x = 3.0 * rng.standard_normal((n, 16))
         y = rng.integers(0, 8, n)
-        blocked = forward_all(params, x, y)
-        whole = forward_pass(params, x, y).outputs
-        for f in fields(ExitOutputs):
-            got, want = getattr(blocked, f.name), getattr(whole, f.name)
-            assert got.dtype == want.dtype and got.shape == want.shape, f.name
-            assert got.tobytes() == want.tobytes(), f.name
+        assert_same_outputs(forward_all(params, x, y), forward_pass(params, x, y).outputs)
+
+    @pytest.mark.parametrize(
+        "n", [1, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1, 3 * FORWARD_BLOCK_ROWS + 77],
+        ids=["one-row", "one-block", "two-blocks", "four-blocks"],
+    )
+    def test_block_boundaries_match_forward_pass(self, n):
+        # unequal widths give the workspace buffers several shapes, and
+        # the last of four near-equal blocks holds one row fewer
+        config = BackboneConfig(5, (12, 7, 9), 4)
+        root = RngStream(n)
+        params = init_params(config, root.child("params"))
+        x = 3.0 * root.child("x").standard_normal((n, 5))
+        y = root.child("y").integers(0, 4, n)
+        assert_same_outputs(forward_all(params, x, y), forward_pass(params, x, y).outputs)
+
+    def test_peak_memory_holds_no_class_sized_outputs(self):
+        # the (n, K, C) logits and probs of 8,192 rows at 100 classes take
+        # 26 MB each; forward_all may hold only its one-block workspace,
+        # the softmax temporaries of one block and the (n, K) outputs
+        n, widths, classes = 8 * FORWARD_BLOCK_ROWS, (64,) * 4, 100
+        config = BackboneConfig(16, widths, classes)
+        root = RngStream(11)
+        params = init_params(config, root.child("params"))
+        x = root.child("x").standard_normal((n, 16))
+        y = root.child("y").integers(0, classes, n)
+        k, f64 = config.num_exits, 8
+        trunk = FORWARD_BLOCK_ROWS * sum(widths) * f64
+        block_logits = FORWARD_BLOCK_ROWS * k * classes * f64
+        outputs = 3 * n * k * f64
+        bound = trunk + 3 * block_logits + outputs + 2**20  # 1 MiB for small temporaries
+        assert bound < 14e6 < 2 * n * k * classes * f64
+        forward_all(params, x, y)  # first call: imports and caches settle outside the trace
+        tracemalloc.start()
+        try:
+            forward_all(params, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
     def test_row_blocks_validate_the_whole_batch(self):
         config = BackboneConfig(4, (5, 5), 3)
@@ -360,27 +413,29 @@ class TestExitHead:
         # exit 3: all-zero logits
         zero.weight[:] = 0.0
         zero.bias[:] = 0.0
-        for outs in (forward_pass(params, x, y).outputs, forward_all(params, x, y)):
-            lg = outs.logits
-            assert np.all(lg[:, 0, 0] == lg[:, 0, 1]) and np.all(lg[:, 0, 0] == lg[:, 0].max(axis=1))
-            top2 = np.sort(lg[:, 1], axis=1)[:, -2:]
-            assert np.all(top2[:, 1] - top2[:, 0] >= 40.0)
-            assert np.all(lg[:, 2] == 0.0)
-            probs, losses, confidences, predictions = two_pass_head(lg, y)
-            assert np.array_equal(outs.probs, probs)
-            assert np.array_equal(outs.losses, losses)
-            assert np.array_equal(outs.confidences, confidences)
-            assert np.array_equal(outs.predictions, predictions)
-            assert np.all(outs.predictions[:, 0] == 0) and np.all(outs.confidences[:, 1] == 1.0)
+        fp = forward_pass(params, x, y)
+        assert_same_outputs(forward_all(params, x, y), fp.outputs)
+        lg, outs = fp.logits, fp.outputs
+        assert np.all(lg[:, 0, 0] == lg[:, 0, 1]) and np.all(lg[:, 0, 0] == lg[:, 0].max(axis=1))
+        top2 = np.sort(lg[:, 1], axis=1)[:, -2:]
+        assert np.all(top2[:, 1] - top2[:, 0] >= 40.0)
+        assert np.all(lg[:, 2] == 0.0)
+        probs, losses, confidences, predictions = two_pass_head(lg, y)
+        assert np.array_equal(fp.probs, probs)
+        assert np.array_equal(outs.losses, losses)
+        assert np.array_equal(outs.confidences, confidences)
+        assert np.array_equal(outs.predictions, predictions)
+        assert np.all(outs.predictions[:, 0] == 0) and np.all(outs.confidences[:, 1] == 1.0)
 
 
-def take_along_axis_gathers(outs: ExitOutputs):
-    """losses and confidences read from outs with np.take_along_axis, the
-    exit head's earlier gathers."""
-    b, k, c = outs.logits.shape
-    _, lse = softmax_lse(outs.logits.reshape(b * k, c))
-    picked = np.take_along_axis(outs.logits, outs.labels[:, None, None], axis=2)[:, :, 0]
-    confidences = np.take_along_axis(outs.probs, outs.predictions[:, :, None], axis=2)[:, :, 0]
+def take_along_axis_gathers(fp: ForwardPass):
+    """losses and confidences read from the pass's logits and probs with
+    np.take_along_axis, the exit head's earlier gathers."""
+    outs = fp.outputs
+    b, k, c = fp.logits.shape
+    _, lse = softmax_lse(fp.logits.reshape(b * k, c))
+    picked = np.take_along_axis(fp.logits, outs.labels[:, None, None], axis=2)[:, :, 0]
+    confidences = np.take_along_axis(fp.probs, outs.predictions[:, :, None], axis=2)[:, :, 0]
     return lse.reshape(b, k) - picked, confidences
 
 
@@ -388,8 +443,8 @@ class TestGathers:
     """The exit head's fancy-index gathers must equal take_along_axis bit for bit."""
 
     @staticmethod
-    def assert_gathers_match(outs: ExitOutputs):
-        losses, confidences = take_along_axis_gathers(outs)
+    def assert_gathers_match(fp: ForwardPass, outs: ExitOutputs):
+        losses, confidences = take_along_axis_gathers(fp)
         for got, want in ((outs.losses, losses), (outs.confidences, confidences)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -405,7 +460,8 @@ class TestGathers:
         params = init_params(config, root.child("params"))
         x = 3.0 * root.child("x").standard_normal((rows, 6))
         y = root.child("y").integers(0, classes, rows)
-        self.assert_gathers_match(forward_pass(params, x, y).outputs)
+        fp = forward_pass(params, x, y)
+        self.assert_gathers_match(fp, fp.outputs)
 
     def test_blocked_forward_all(self):
         n = FORWARD_BLOCK_ROWS + 1
@@ -414,7 +470,10 @@ class TestGathers:
         params = init_params(config, root.child("params"))
         x = 3.0 * root.child("x").standard_normal((n, 16))
         y = root.child("y").integers(0, 8, n)
-        self.assert_gathers_match(forward_all(params, x, y))
+        fp = forward_pass(params, x, y)
+        outs = forward_all(params, x, y)
+        assert_same_outputs(outs, fp.outputs)
+        self.assert_gathers_match(fp, outs)
 
 
 class TestPerSampleGrads:

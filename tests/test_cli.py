@@ -738,9 +738,21 @@ class TestFrozenWpn:
         assert self.train_frozen(tmp_path, "learned/checkpoint.json") == 0
         source, _ = load_run_checkpoint(tmp_path / "learned" / "checkpoint.json")
         frozen, cfg = load_run_checkpoint(tmp_path / "frozen" / "checkpoint.json")
-        assert cfg.frozen_wpn_path == "learned/checkpoint.json"
+        assert cfg.frozen_wpn_path == str(Path.cwd() / "learned" / "checkpoint.json")
         assert frozen.wpn.buffer.tobytes() == source.wpn.buffer.tobytes()
         assert frozen.adam.step == 0
+
+    def test_resolved_config_reruns_from_a_sibling_directory(self, tmp_path, monkeypatch):
+        # the relative path is recorded absolute, so the rerun finds the source checkpoint
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "learned.json")
+        assert main(["train", "--config", "learned.json", "--out", "learned"]) == 0
+        assert self.train_frozen(tmp_path, "learned/checkpoint.json") == 0
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["train", "--config", "../frozen/resolved_config.json", "--out", "rerun"]) == 0
+        rerun = tmp_path / "elsewhere" / "rerun" / "checkpoint.json"
+        assert rerun.read_bytes() == (tmp_path / "frozen" / "checkpoint.json").read_bytes()
 
     def test_baseline_checkpoint_exits_2(self, tmp_path, capsys):
         train = {"epochs": 1, "batch_size": 10, "alpha": 0.1, "variant": "baseline"}

@@ -320,9 +320,8 @@ class TestDynamicInference:
         n, k = conf.shape
         labels = np.zeros(n, dtype=np.int64) if labels is None else labels
         predictions = np.zeros((n, k), dtype=np.int64) if predictions is None else predictions
-        dummy = np.zeros((n, k, 2))
         losses = np.zeros((n, k))
-        return ExitOutputs(dummy, dummy, losses, np.asarray(conf, dtype=np.float64), predictions, labels)
+        return ExitOutputs(losses, np.asarray(conf, dtype=np.float64), predictions, labels)
 
     def test_zero_thresholds_exit_first(self):
         conf = RngStream(8).uniform(0.0, 1.0, (5, 3))

@@ -326,8 +326,7 @@ class TestMetaObjectives:
         from exitweave.backbone import ExitOutputs
 
         b, k = losses.shape
-        dummy = np.zeros((b, k, 2))
-        return ExitOutputs(dummy, dummy, losses, np.zeros((b, k)), np.zeros((b, k), dtype=np.int64),
+        return ExitOutputs(losses, np.zeros((b, k)), np.zeros((b, k), dtype=np.int64),
                            np.zeros(b, dtype=np.int64))
 
     def test_matches_literal_transcription(self):

@@ -8,9 +8,10 @@ thread pools capped at 1 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
 MKL_NUM_THREADS) and cwd-relative paths, then prints one
 `sha256  path` line per file in DIR. Run it on two checkouts and diff
 the outputs: equal lines mean byte-identical artifacts. The runs on data
-files record the files' absolute paths in resolved_config.json and in
-the run id, so run both checkouts at the same --out path: run one, keep
-its output, remove DIR, then run the other.
+files record the files' absolute paths, and `frozen_wpn` the absolute
+path of the checkpoint it loads, in resolved_config.json and in the run
+id, so run both checkouts at the same --out path: run one, keep its
+output, remove DIR, then run the other.
 
 The reference runs are the seven variants on a 16x4 trunk (synthetic
 data, 6 classes, dim 16, 150/60/60 rows per class; 3 epochs, batch 32,
