@@ -22,8 +22,8 @@ for delta in (0.8, 0.3, 0.0):
     config = WpnConfig(num_exits, hidden_width=16, hidden_depth=1, delta=delta)
     params = init_wpn(config, root.child("wpn"))
     raw, _ = wpn_forward(params, losses)
-    ptb, weights, cache = make_weights(raw, delta)
-    pre = delta * (2.0 * cache.sigmoids - 1.0)
+    ptb, weights, sigmoids = make_weights(raw, delta)
+    pre = delta * (2.0 * sigmoids - 1.0)
     print(f"\ndelta = {delta}")
     print(f"  raw score range     [{raw.min():+.3f}, {raw.max():+.3f}]")
     print(f"  squashed range      [{pre.min():+.3f}, {pre.max():+.3f}]  (open interval +-{delta})")

@@ -10,7 +10,12 @@ Parameters live in one flat float64 buffer (all trunk blocks in order,
 then all heads in order; weight before bias within a layer), reached
 through per-layer `Affine` views (`FlatParams`). The weight network
 keeps its parameters the same way: the layout rule, the dense ReLU
-forward pass and the reverse sweep are defined once, here. The layout
+forward pass and the reverse sweep are defined once, here. One
+rectifier step (`_relu_layer`: matmul, bias and ReLU in place in one
+buffer) runs every layer of the trunk, of the weight network and of
+`forward_all`'s workspace. A pass keeps only each layer's output: the
+reverse sweep reads the ReLU mask from it, since max(z, 0) > 0 exactly
+where z > 0. The layout
 of a shape tuple is computed once (`layer_slices`) and shared, immutable,
 by every parameter, gradient and lookahead buffer of those shapes; each
 buffer builds only its own views. Gradients share the layout, so a
@@ -141,45 +146,47 @@ class FlatParams:
         return type(self).from_flat(self.config, self.buffer)
 
 
-def relu_forward(layers: list[Affine], x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _relu_layer(h: np.ndarray, layer: Affine, out: np.ndarray) -> np.ndarray:
+    """The one rectifier step: out = max(h @ weight.T + bias, 0), in place in out."""
+    np.matmul(h, layer.weight.T, out=out)
+    out += layer.bias  # rounds as `+` does
+    return np.maximum(out, 0.0, out=out)
+
+
+def relu_forward(layers: list[Affine], x: np.ndarray) -> list[np.ndarray]:
     """Pass x through affine layers, each followed by a ReLU.
 
-    Returns (hs, zs): hs[j] is the input of layer j (hs[-1] the last
-    output) and zs[j] the pre-activation of layer j.
+    Returns hs: hs[j] is the input of layer j (hs[0] is x) and hs[-1]
+    the last output, one new array per layer.
     """
     hs = [x]
-    zs = []
     for layer in layers:
-        z = hs[-1] @ layer.weight.T
-        z += layer.bias  # in place: rounds as `+` does, without a second array
-        zs.append(z)
-        hs.append(np.maximum(z, 0.0))
-    return hs, zs
+        hs.append(_relu_layer(hs[-1], layer, np.empty((x.shape[0], layer.weight.shape[0]))))
+    return hs
 
 
-def output_errors(layers: list[Affine], zs: list[np.ndarray], dz: np.ndarray):
+def output_errors(layers: list[Affine], hs: list[np.ndarray], dz: np.ndarray):
     """Reverse sweep: yield (j, dz_j) from the top layer down to layer 0.
 
     dz is the loss gradient with respect to the top layer's affine
-    output. Below it every layer is a ReLU layer with pre-activation
-    zs[j], so dz_j = (dz_{j+1} @ W_{j+1}) * (zs[j] > 0).
+    output. Below it every layer is a ReLU layer whose output hs[j] is
+    positive exactly where its pre-activation is (for 0.0, -0.0 and NaN
+    alike), so dz_{j-1} = (dz_j @ W_j) * (hs[j] > 0).
     """
     for j in range(len(layers) - 1, -1, -1):
         yield j, dz
         if j:
-            dz = (dz @ layers[j].weight) * (zs[j - 1] > 0)
+            dz = (dz @ layers[j].weight) * (hs[j] > 0)
 
 
-def accumulate_grads(
-    layers: list[Affine], hs: list[np.ndarray], zs: list[np.ndarray], dz: np.ndarray, grads: list[Affine]
-) -> None:
+def accumulate_grads(layers: list[Affine], hs: list[np.ndarray], dz: np.ndarray, grads: list[Affine]) -> None:
     """Add the parameter gradient of one reverse sweep into grads.
 
     grads are Affine views of a gradient buffer matching layers; hs[j]
     is the input of layer j. Layer j receives dz_j^T hs[j] and the
     column sums of dz_j.
     """
-    for j, dz_j in output_errors(layers, zs, dz):
+    for j, dz_j in output_errors(layers, hs, dz):
         grads[j].weight += dz_j.T @ hs[j]
         grads[j].bias += dz_j.sum(axis=0)
 
@@ -293,7 +300,7 @@ def _validate_batch(config: BackboneConfig, batch, labels) -> tuple[np.ndarray, 
 class ForwardPass:
     """One forward pass at one parameter point, kept for backward sweeps.
 
-    logits/probs: (B, K, C), each exit's logits and softmax. hs/zs are
+    logits/probs: (B, K, C), each exit's logits and softmax. hs are
     the trunk activations from `relu_forward` (hs[0] is the validated
     batch). Every gradient at these parameters on this batch reuses
     them, so the trunk runs once per parameter point.
@@ -304,7 +311,6 @@ class ForwardPass:
     logits: np.ndarray
     probs: np.ndarray
     hs: list[np.ndarray]
-    zs: list[np.ndarray]
 
     @cached_property
     def logit_errors(self) -> list[np.ndarray]:
@@ -347,11 +353,11 @@ def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
     same parameters."""
     config = params.config
     batch, labels = _validate_batch(config, batch, labels)
-    hs, zs = relu_forward(params.blocks, batch)
+    hs = relu_forward(params.blocks, batch)
     logits = np.empty((batch.shape[0], config.num_exits, config.num_classes))
     outputs = _empty_outputs(labels, config.num_exits)
     probs = _exit_head(params.heads, hs[1:], logits, outputs)
-    return ForwardPass(params, outputs, logits, probs, hs, zs)
+    return ForwardPass(params, outputs, logits, probs, hs)
 
 
 def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
@@ -384,10 +390,7 @@ def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
         rows = stop - start
         h = batch[start:stop]
         for layer, buf in zip(params.blocks, hidden):
-            z = buf[:rows]
-            np.matmul(h, layer.weight.T, out=z)
-            z += layer.bias  # rounds as `+` does
-            h = np.maximum(z, 0.0, out=z)
+            h = _relu_layer(h, layer, buf[:rows])
         part = ExitOutputs(*(getattr(outputs, f.name)[start:stop] for f in fields(ExitOutputs)))
         _exit_head(params.heads, [buf[:rows] for buf in hidden], logits[:rows], part)
     return outputs
@@ -406,7 +409,7 @@ def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:
     out = np.zeros((b, params.config.num_exits, total))
     for k, dlog in enumerate(fp.logit_errors):
         path = _exit_path([*block_sl, *head_sl], k)
-        for j, dz in output_errors(_exit_path(params.layers, k), fp.zs, dlog):
+        for j, dz in output_errors(_exit_path(params.layers, k), fp.hs, dlog):
             out[:, k, path[j].weight] = np.einsum("bo,bi->boi", dz, fp.hs[j]).reshape(b, -1)
             out[:, k, path[j].bias] = dz
     return out
@@ -426,9 +429,7 @@ def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray) -> np.ndarray:
         raise ShapeError(f"coeffs shape {coeffs.shape}, expected {expected}")
     grad = BackboneParams.zeros(params.config)
     for k, dlog in enumerate(dlogs):
-        accumulate_grads(
-            _exit_path(params.layers, k), fp.hs, fp.zs, coeffs[:, k : k + 1] * dlog, _exit_path(grad.layers, k)
-        )
+        accumulate_grads(_exit_path(params.layers, k), fp.hs, coeffs[:, k : k + 1] * dlog, _exit_path(grad.layers, k))
     return grad.buffer
 
 
@@ -449,7 +450,7 @@ def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
     for k, dlog in enumerate(dlogs):
         terms = [*proj[: k + 1], hs[k + 1] @ v.heads[k].weight.T + v.heads[k].bias]
         path = _exit_path(fp.params.layers, k)
-        out[:, k] = sum(np.einsum("bo,bo->b", dz, terms[j]) for j, dz in output_errors(path, fp.zs, dlog))
+        out[:, k] = sum(np.einsum("bo,bo->b", dz, terms[j]) for j, dz in output_errors(path, hs, dlog))
     return out
 
 

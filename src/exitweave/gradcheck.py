@@ -113,9 +113,9 @@ _KINK_MARGIN = 1e-3
 
 
 def _min_preactivation(params: BackboneParams, batch: np.ndarray) -> float:
-    """Smallest |z| over every rectifier input in the trunk."""
-    _, zs = relu_forward(params.blocks, batch)
-    return min(float(np.min(np.abs(z))) for z in zs)
+    """Smallest |z| over every rectifier input z = h @ W.T + b in the trunk."""
+    hs = relu_forward(params.blocks, batch)
+    return min(float(np.min(np.abs(h @ layer.weight.T + layer.bias))) for h, layer in zip(hs, params.blocks))
 
 
 def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int) -> _Instance:

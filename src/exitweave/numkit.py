@@ -36,9 +36,11 @@ def softmax_lse(logits) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"logits must be 1-D or 2-D, got ndim={x.ndim}")
     require_finite(x, "logits")
     m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
+    e = np.subtract(x, m)  # the one array of x's shape: exp and division run in place
+    np.exp(e, out=e)
     s = e.sum(axis=-1, keepdims=True)
-    return e / s, (m + np.log(s))[..., 0]
+    e /= s
+    return e, (m + np.log(s))[..., 0]
 
 
 def softmax_stable(logits) -> np.ndarray:

@@ -14,8 +14,9 @@ whole mechanism degenerates to plain unweighted training.
 
 `wpn_weights` runs the network and the squash at the network's own
 delta and returns one `WpnPass`, the counterpart of
-`backbone.ForwardPass`: the weights plus the activations and sigmoids
-that its backward sweep `wpn_backward` reads.
+`backbone.ForwardPass`: the weights plus what its backward sweep
+`wpn_backward` reads, the hidden layers' outputs (the ReLU mask comes
+from them, as in the trunk) and the sigmoids `make_weights` returns.
 
 The backward pass here is hand-derived. Its input is dL/d(weight) for a
 downstream scalar L; the zero-sum normalization is its own transpose
@@ -76,32 +77,26 @@ def init_wpn(config: WpnConfig, rng: RngStream) -> WpnParams:
     return WpnParams.fan_in_uniform(config, rng)
 
 
-def wpn_forward(params: WpnParams, loss_matrix) -> tuple[np.ndarray, tuple[list, list]]:
+def wpn_forward(params: WpnParams, loss_matrix) -> tuple[np.ndarray, list[np.ndarray]]:
     """Raw (B, K) scores for a (B, K) matrix of per-exit sample losses, and
-    the `relu_forward` activations (hs, zs) of the hidden layers."""
+    the `relu_forward` activations hs of the hidden layers."""
     x = np.ascontiguousarray(loss_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.config.num_exits:
         raise ShapeError(
             f"loss matrix shape {x.shape} does not match num_exits={params.config.num_exits}"
         )
     require_finite(x, "loss matrix")
-    hs, zs = relu_forward(params.layers[:-1], x)
+    hs = relu_forward(params.layers[:-1], x)
     last = params.layers[-1]
-    return hs[-1] @ last.weight.T + last.bias, (hs, zs)
+    return hs[-1] @ last.weight.T + last.bias, hs
 
 
-@dataclass
-class WeightCache:
-    """Squash state needed to backpropagate through make_weights."""
-
-    sigmoids: np.ndarray
-
-
-def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, WeightCache]:
+def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Turn raw scores into zero-sum perturbations and mean-one weights.
 
-    Returns (perturbation, weights, cache): perturbation sums to zero
-    over the whole matrix, weights = 1 + perturbation. Weights stay
+    Returns (perturbation, weights, sigmoids): perturbation sums to zero
+    over the whole matrix, weights = 1 + perturbation, and sigmoids =
+    sigmoid(raw) is what the backward sweep reads. Weights stay
     positive whenever delta < 0.5; larger delta admits negative weights.
     """
     raw = np.asarray(raw, dtype=np.float64)
@@ -113,7 +108,7 @@ def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, WeightCache
     s = sigmoid_stable(raw)
     pre = delta * (2.0 * s - 1.0)
     ptb = pre - pre.mean()
-    return ptb, 1.0 + ptb, WeightCache(s)
+    return ptb, 1.0 + ptb, s
 
 
 @dataclass
@@ -121,22 +116,21 @@ class WpnPass:
     """One weight-network pass at one parameter point, kept for its backward sweep.
 
     The counterpart of `backbone.ForwardPass`: weights is the (B, K)
-    weight matrix, hs/zs the hidden activations from `relu_forward`
+    weight matrix, hs the hidden activations from `relu_forward`
     (hs[0] is the loss matrix) and sigmoids the squashed raw scores.
     """
 
     params: WpnParams
     weights: np.ndarray
     hs: list[np.ndarray]
-    zs: list[np.ndarray]
     sigmoids: np.ndarray
 
 
 def wpn_weights(params: WpnParams, loss_matrix) -> WpnPass:
     """`wpn_forward` then `make_weights` at the network's delta."""
-    raw, (hs, zs) = wpn_forward(params, loss_matrix)
-    _, weights, cache = make_weights(raw, params.config.delta)
-    return WpnPass(params, weights, hs, zs, cache.sigmoids)
+    raw, hs = wpn_forward(params, loss_matrix)
+    _, weights, sigmoids = make_weights(raw, params.config.delta)
+    return WpnPass(params, weights, hs, sigmoids)
 
 
 def meta_weight_grad(psg: np.ndarray, meta_grad: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -175,7 +169,7 @@ def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray) -> np.ndarray:
     s = wpn_pass.sigmoids
     dz = g * (2.0 * params.config.delta) * s * (1.0 - s)
     grad = WpnParams.zeros(params.config)
-    accumulate_grads(params.layers, wpn_pass.hs, wpn_pass.zs, dz, grad.layers)
+    accumulate_grads(params.layers, wpn_pass.hs, dz, grad.layers)
     return grad.buffer
 
 

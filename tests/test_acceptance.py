@@ -221,8 +221,8 @@ def test_criterion_05_perturbation_contract():
         params = init_wpn(cfg, draw.child("init"))
         losses = draw.uniform(0.0, 8.0, (b, k))
         raw, _ = wpn_forward(params, losses)
-        ptb, weights, cache = make_weights(raw, cfg.delta)
-        pre = cfg.delta * (2.0 * cache.sigmoids - 1.0)
+        ptb, weights, sigmoids = make_weights(raw, cfg.delta)
+        pre = cfg.delta * (2.0 * sigmoids - 1.0)
         worst_sum = max(worst_sum, abs(float(ptb.sum())))
         worst_mean = max(worst_mean, abs(float(weights.mean()) - 1.0))
         range_ok = range_ok and bool(np.all(np.abs(pre) < cfg.delta))

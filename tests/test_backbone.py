@@ -9,8 +9,10 @@ cross-checked against each other; the dense route must also agree with
 the oracles independently.
 """
 
+import ast
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from exitweave.backbone import (
 from exitweave.errors import ConfigError, NumericError, ShapeError
 from exitweave.gradcheck import fd_loss_grads, rel_err
 from exitweave.numkit import RngStream, softmax_lse
-from exitweave.wpn import WpnConfig, WpnParams
+from exitweave.wpn import WpnConfig, WpnParams, init_wpn, wpn_backward, wpn_weights
 
 
 def forward_oracle(params: BackboneParams, x_row: np.ndarray, label: int):
@@ -337,7 +339,7 @@ class TestForwardAll:
     def test_peak_memory_holds_no_class_sized_outputs(self):
         # the (n, K, C) logits and probs of 8,192 rows at 100 classes take
         # 26 MB each; forward_all may hold only its one-block workspace,
-        # the softmax temporaries of one block and the (n, K) outputs
+        # one block's softmax array and the (n, K) outputs
         n, widths, classes = 8 * FORWARD_BLOCK_ROWS, (64,) * 4, 100
         config = BackboneConfig(16, widths, classes)
         root = RngStream(11)
@@ -348,7 +350,7 @@ class TestForwardAll:
         trunk = FORWARD_BLOCK_ROWS * sum(widths) * f64
         block_logits = FORWARD_BLOCK_ROWS * k * classes * f64
         outputs = 3 * n * k * f64
-        bound = trunk + 3 * block_logits + outputs + 2**20  # 1 MiB for small temporaries
+        bound = trunk + 2 * block_logits + outputs + 2**20  # 1 MiB for small temporaries
         assert bound < 14e6 < 2 * n * k * classes * f64
         forward_all(params, x, y)  # first call: imports and caches settle outside the trace
         tracemalloc.start()
@@ -372,6 +374,33 @@ class TestForwardAll:
         x[-1, 0] = np.nan
         with pytest.raises(NumericError):
             forward_all(params, x, y)
+
+
+class TestForwardPass:
+    def test_memory_held_is_the_activations_and_the_exit_arrays(self):
+        # the pass keeps one array per trunk layer, its output; the ReLU
+        # mask of a backward sweep is read from it, so no pre-activation
+        # of 4,096 rows x 256 units (8.4 MB a layer) stays alive
+        n, widths, classes = 4096, (256,) * 4, 8
+        config = BackboneConfig(16, widths, classes)
+        root = RngStream(12)
+        params = init_params(config, root.child("params"))
+        x = root.child("x").standard_normal((n, 16))
+        y = root.child("y").integers(0, classes, n)
+        k, f64 = config.num_exits, 8
+        hs = n * (config.input_dim + sum(widths)) * f64
+        logits_probs = 2 * n * k * classes * f64
+        bound = hs + logits_probs + 2**20  # 1 MiB for the (n, K) outputs and labels
+        assert bound < hs + n * sum(widths) * f64  # below what keeping pre-activations too would hold
+        forward_pass(params, x, y)  # first call: imports and caches settle outside the trace
+        tracemalloc.start()
+        try:
+            fp = forward_pass(params, x, y)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fp.hs) == config.num_exits + 1
+        assert held <= bound, f"held {held / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 def two_pass_head(logits: np.ndarray, labels: np.ndarray):
@@ -660,6 +689,120 @@ class TestPerSampleGradDots:
         for bad in (np.zeros(total - 1), np.zeros(total + 1), np.zeros((total, 1))):
             with pytest.raises(ShapeError):
                 per_sample_grad_dots(fp, bad)
+
+
+def forward_with_preactivations(layers: list[Affine], x: np.ndarray):
+    """hs and the explicit pre-activations zs of a dense ReLU stack."""
+    hs, zs = [x], []
+    for layer in layers:
+        zs.append(hs[-1] @ layer.weight.T + layer.bias)
+        hs.append(np.maximum(zs[-1], 0.0))
+    return hs, zs
+
+
+def masked_sweep(layers: list[Affine], zs: list[np.ndarray], dz: np.ndarray):
+    """The reverse sweep with the ReLU mask taken from the pre-activations, zs[j - 1] > 0."""
+    for j in range(len(layers) - 1, -1, -1):
+        yield j, dz
+        if j:
+            dz = (dz @ layers[j].weight) * (zs[j - 1] > 0)
+
+
+def sweep_into(layers, hs, zs, dz, grads):
+    """Add one masked sweep's parameter gradient into grads, as `accumulate_grads` does."""
+    for j, dz_j in masked_sweep(layers, zs, dz):
+        grads[j].weight += dz_j.T @ hs[j]
+        grads[j].bias += dz_j.sum(axis=0)
+
+
+def zero_unit(layer: Affine, unit: int) -> None:
+    """Make one unit's pre-activation exactly zero on every row."""
+    layer.weight[unit] = 0.0
+    layer.bias[unit] = -0.0
+
+
+class TestRectifierMask:
+    """The mask read from a layer's output, hs > 0, is the mask of its
+    pre-activation, z > 0, where z is exactly 0.0 or -0.0 too."""
+
+    def backbone_instance(self):
+        config = BackboneConfig(4, (5, 4, 3), 3)
+        _, params, x, y = small_instance(seed=60, config=config, batch=8)
+        random_biases(params, np.random.default_rng(60))
+        zero_unit(params.blocks[0], 1)
+        zero_unit(params.blocks[1], 2)
+        x[0] = -0.0
+        x[:, 2] = -0.0
+        hs, zs = forward_with_preactivations(params.blocks, x)
+        assert np.all(zs[0][:, 1] == 0.0) and np.all(zs[1][:, 2] == 0.0)
+        fp = forward_pass(params, x, y)
+        assert all(got.tobytes() == want.tobytes() for got, want in zip(fp.hs, hs))
+        return params, fp, hs, zs
+
+    def test_batch_weighted_grad(self):
+        params, fp, hs, zs = self.backbone_instance()
+        coeffs = np.random.default_rng(61).uniform(0.1, 1.0, (8, 3))
+        want = BackboneParams.zeros(params.config)
+        for k, dlog in enumerate(fp.logit_errors):
+            path = [*params.blocks[: k + 1], params.heads[k]]
+            grads = [*want.blocks[: k + 1], want.heads[k]]
+            sweep_into(path, hs, zs, coeffs[:, k : k + 1] * dlog, grads)
+        assert batch_weighted_grad(fp, coeffs).tobytes() == want.buffer.tobytes()
+
+    def test_per_sample_grad_dots(self):
+        params, fp, hs, zs = self.backbone_instance()
+        v = BackboneParams(params.config, np.random.default_rng(62).standard_normal(params.num_params))
+        proj = [hs[j] @ layer.weight.T + layer.bias for j, layer in enumerate(v.blocks)]
+        want = np.empty((8, 3))
+        for k, dlog in enumerate(fp.logit_errors):
+            terms = [*proj[: k + 1], hs[k + 1] @ v.heads[k].weight.T + v.heads[k].bias]
+            path = [*params.blocks[: k + 1], params.heads[k]]
+            want[:, k] = sum(np.einsum("bo,bo->b", dz, terms[j]) for j, dz in masked_sweep(path, zs, dlog))
+        assert per_sample_grad_dots(fp, v.buffer).tobytes() == want.tobytes()
+
+    def test_wpn_backward(self):
+        config = WpnConfig(3, hidden_width=6, hidden_depth=2, delta=0.6)
+        params = init_wpn(config, RngStream(63))
+        rng = np.random.default_rng(63)
+        for layer in params.layers:
+            layer.bias[:] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+        zero_unit(params.layers[0], 4)
+        zero_unit(params.layers[1], 0)
+        losses = rng.uniform(0.0, 3.0, (7, 3))
+        losses[0] = -0.0
+        losses[:, 1] = -0.0
+        hs, zs = forward_with_preactivations(params.layers[:-1], losses)
+        assert np.all(zs[0][:, 4] == 0.0) and np.all(zs[1][:, 0] == 0.0)
+        wpn_pass = wpn_weights(params, losses)
+        probe = rng.standard_normal((7, 3))
+        g = probe - probe.mean()
+        s = wpn_pass.sigmoids
+        want = WpnParams.zeros(config)
+        sweep_into(params.layers, hs, zs, g * (2.0 * config.delta) * s * (1.0 - s), want.layers)
+        assert wpn_backward(wpn_pass, probe).tobytes() == want.buffer.tobytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "exitweave"
+
+
+def maximum_calls(module: Path) -> list[str]:
+    """`module:function` of each use of np.maximum in module."""
+    tree = ast.parse(module.read_text(), str(module))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "maximum" and getattr(node.value, "id", None) == "np":
+            inner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            found.append(f"{module.name}:{inner[-1] if inner else '<module>'}")
+    return found
+
+
+def test_one_rectifier_step():
+    # every dense ReLU layer, in the trunk, the weight network and the
+    # blocked evaluation, runs through backbone._relu_layer
+    assert [call for module in sorted(SRC.glob("*.py")) for call in maximum_calls(module)] == [
+        "backbone.py:_relu_layer"
+    ]
 
 
 class TestUpdates:

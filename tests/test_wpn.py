@@ -183,13 +183,13 @@ class TestWpnWeights:
         config, params = small_wpn(seed=9, delta=0.55)
         losses = RngStream(10).uniform(0.0, 3.0, (5, 3))
         wpn_pass = wpn_weights(params, losses)
-        raw, (hs, zs) = wpn_forward(params, losses)
-        _, ref_weights, ref_w = make_weights(raw, config.delta)
+        raw, hs = wpn_forward(params, losses)
+        _, ref_weights, ref_sigmoids = make_weights(raw, config.delta)
         assert wpn_pass.params is params
         assert wpn_pass.weights.tobytes() == ref_weights.tobytes()
-        assert wpn_pass.sigmoids.tobytes() == ref_w.sigmoids.tobytes()
-        assert len(wpn_pass.hs) == len(hs) and len(wpn_pass.zs) == len(zs)
-        for got, ref in zip(wpn_pass.hs + wpn_pass.zs, hs + zs):
+        assert wpn_pass.sigmoids.tobytes() == ref_sigmoids.tobytes()
+        assert len(wpn_pass.hs) == len(hs)
+        for got, ref in zip(wpn_pass.hs, hs):
             assert got.tobytes() == ref.tobytes()
 
     def test_delta_zero_network_gives_all_ones(self):
