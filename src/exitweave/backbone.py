@@ -35,15 +35,17 @@ writes each block's rows of the outputs in place, with bitwise the
 outputs of one whole-batch pass. Both check their inputs as a
 `datahub.Dataset`, the one check of a dataset's contents, that fits the
 model (`require_fit`).
-`batch_weighted_grad` folds a coefficient matrix into one backward sweep
-per exit for the "weighted sum of losses" case, and `per_sample_grad_dots`
+`batch_weighted_grad` folds a coefficient matrix into the logit errors
+for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
 chain needs, layer by layer (dz_i . (h_i @ V_W.T + v_b) for a layer with
 input h_i and error dz_i), without forming any per-sample gradient.
-Training uses only these two. `per_sample_grads` materializes the dense
-(B, K, P) tensor of per-sample per-exit gradients; it, `grad_weighted_loss`
-and `pseudo_step` are the dense reference the finite-difference audits
-and the tests compare against.
+Training uses only these two. Both run one top-down sweep whose (K - j,
+B, w_j) stack at block j carries exits j..K-1 (`_block_errors`), bitwise
+one sweep per exit in O(K) numpy calls. `per_sample_grads` materializes
+the dense (B, K, P) tensor of per-sample per-exit gradients; it,
+`grad_weighted_loss` and `pseudo_step` are the dense reference the
+finite-difference audits and the tests compare against.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class FlatParams:
     `buffer`, so writing through a view writes the buffer. The
     constructor wraps the buffer it is given; `from_flat` copies first.
     Subclasses define `layer_shapes(config)`, the (out, in) of each
-    layer as a tuple, which keys the cached `layer_slices` layout.
+    layer as a tuple cached per config, which keys `layer_slices`.
     """
 
     def __init__(self, config, buffer: np.ndarray):
@@ -237,6 +239,7 @@ class BackboneParams(FlatParams):
         self.heads = self.layers[config.num_exits :]
 
     @staticmethod
+    @cache
     def layer_shapes(config: BackboneConfig) -> tuple[tuple[int, int], ...]:
         dims = (config.input_dim, *config.trunk_widths)
         blocks = tuple((dims[k + 1], dims[k]) for k in range(config.num_exits))
@@ -303,7 +306,8 @@ class ForwardPass:
     logits/probs: (B, K, C), each exit's logits and softmax. hs are
     the trunk activations from `relu_forward` (hs[0] is the validated
     batch). Every gradient at these parameters on this batch reuses
-    them, so the trunk runs once per parameter point.
+    them, and the logit errors and masks cached from them, so the trunk
+    runs once per parameter point.
     """
 
     params: BackboneParams
@@ -313,12 +317,17 @@ class ForwardPass:
     hs: list[np.ndarray]
 
     @cached_property
-    def logit_errors(self) -> list[np.ndarray]:
-        """Each exit's loss gradient wrt its logits, softmax - onehot, (B, C)."""
+    def logit_errors(self) -> np.ndarray:
+        """Each exit's loss gradient wrt its logits, softmax - onehot, (K, B, C)."""
         labels = self.outputs.labels
         onehot = np.zeros((labels.shape[0], self.params.config.num_classes))
         onehot[np.arange(labels.shape[0]), labels] = 1.0
-        return [self.probs[:, k] - onehot for k in range(self.outputs.num_exits)]
+        return np.subtract(self.probs.transpose(1, 0, 2), onehot, order="C")
+
+    @cached_property
+    def masks(self) -> list[np.ndarray]:
+        """masks[j] = hs[j + 1] > 0: where trunk block j's rectifier passes an error."""
+        return [h > 0 for h in self.hs[1:]]
 
 
 def _empty_outputs(labels: np.ndarray, num_exits: int) -> ExitOutputs:
@@ -415,21 +424,49 @@ def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:
     return out
 
 
+def _block_errors(fp: ForwardPass, tops: np.ndarray):
+    """Yield (j, stack) for j = K-1 .. 0: one sweep that carries every exit.
+
+    stack[m], (K - j, B, w_j), is exit j + m's error at block j's output,
+    from tops[k], exit k's error at its logits. numpy runs a 3-D matmul
+    as one 2-D product per slice, so each exit's rows get exactly the
+    products and masks of its own `output_errors` sweep.
+    """
+    blocks, heads = fp.params.blocks, fp.params.heads
+    stack = None
+    for j in range(len(blocks) - 1, -1, -1):
+        below = np.empty((len(tops) - j, *fp.hs[j + 1].shape))
+        np.matmul(tops[j], heads[j].weight, out=below[0])
+        if stack is not None:
+            np.matmul(stack, blocks[j + 1].weight, out=below[1:])
+        stack = np.multiply(below, fp.masks[j], out=below)
+        yield j, stack
+
+
 def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray) -> np.ndarray:
     """Gradient of sum_{i,k} coeffs[i,k] * loss_i^(k) at the pass's params, flat (P,).
 
     Same math as contracting `per_sample_grads` with coeffs, but the
-    coefficients are folded into the logit error before the backward
-    sweep, so the (B, K, P) tensor is never built.
+    coefficients are folded into the logit errors before the backward
+    sweep, so the (B, K, P) tensor is never built. Each layer's exit
+    terms are added in exit order from 0.0, as per-exit sweeps into a
+    zero buffer add them (numpy sums a one-entry slice pairwise, so a
+    width-1 layer that 8 or more exits reach may differ in a last bit).
     """
-    params, dlogs = fp.params, fp.logit_errors
+    params, dlogs, hs = fp.params, fp.logit_errors, fp.hs
     coeffs = np.asarray(coeffs, dtype=np.float64)
     expected = (fp.outputs.batch_size, len(dlogs))
     if coeffs.shape != expected:
         raise ShapeError(f"coeffs shape {coeffs.shape}, expected {expected}")
-    grad = BackboneParams.zeros(params.config)
-    for k, dlog in enumerate(dlogs):
-        accumulate_grads(_exit_path(params.layers, k), fp.hs, coeffs[:, k : k + 1] * dlog, _exit_path(grad.layers, k))
+    grad = BackboneParams(params.config, np.empty(params.num_params))
+    tops = coeffs.T[:, :, None] * dlogs
+    for k, head in enumerate(grad.heads):
+        np.add(0.0, tops[k].T @ hs[k + 1], out=head.weight)
+        np.add(0.0, tops[k].sum(axis=0), out=head.bias)
+    for j, stack in _block_errors(fp, tops):
+        block = grad.blocks[j]
+        np.add.reduce(np.matmul(stack.transpose(0, 2, 1), hs[j]), axis=0, initial=0.0, out=block.weight)
+        np.add.reduce(stack.sum(axis=1), axis=0, initial=0.0, out=block.bias)
     return grad.buffer
 
 
@@ -441,17 +478,18 @@ def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
     output error dz is the outer product dz h^T (plus dz for the bias),
     so its inner product with vec's slice (V_W, v_b) is
     dz . (h @ V_W.T + v_b). Each layer input is projected onto vec once
-    and shared by every exit whose backward sweep passes through it.
+    and shared by every exit whose error reaches it in the one backward
+    sweep; exit k adds its head term, then blocks k .. 0, from 0.0.
     """
     hs, dlogs = fp.hs, fp.logit_errors
     v = BackboneParams(fp.params.config, np.asarray(vec, dtype=np.float64))
-    proj = [hs[j] @ layer.weight.T + layer.bias for j, layer in enumerate(v.blocks)]
-    out = np.empty((fp.outputs.batch_size, len(dlogs)))
-    for k, dlog in enumerate(dlogs):
-        terms = [*proj[: k + 1], hs[k + 1] @ v.heads[k].weight.T + v.heads[k].bias]
-        path = _exit_path(fp.params.layers, k)
-        out[:, k] = sum(np.einsum("bo,bo->b", dz, terms[j]) for j, dz in output_errors(path, hs, dlog))
-    return out
+    acc = np.zeros(dlogs.shape[:2])
+    for k, head in enumerate(v.heads):
+        acc[k] += np.einsum("bo,bo->b", dlogs[k], hs[k + 1] @ head.weight.T + head.bias)
+    for j, stack in _block_errors(fp, dlogs):
+        block = v.blocks[j]
+        acc[j:] += np.einsum("mbo,bo->mb", stack, hs[j] @ block.weight.T + block.bias)
+    return np.ascontiguousarray(acc.T)
 
 
 def grad_weighted_loss(psg: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -29,13 +29,16 @@ def softmax_lse(logits) -> tuple[np.ndarray, np.ndarray]:
 
     One row max m serves both halves: with e = exp(x - m) and
     s = e.sum(-1), probs = e / s and lse = m + log(s). Large logits never
-    overflow; rows of probs sum to 1 and every entry is > 0.
+    overflow and rows of probs sum to 1, but an entry is exactly 0.0 once
+    its logit trails the row max by more than about 745. m is read at
+    the argmax, x.max(-1) up to the sign of a zero max, which neither
+    x - m nor the log-sum-exp depends on.
     """
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ShapeError(f"logits must be 1-D or 2-D, got ndim={x.ndim}")
     require_finite(x, "logits")
-    m = x.max(axis=-1, keepdims=True)
+    m = np.take_along_axis(x, x.argmax(axis=-1)[..., None], axis=-1)
     e = np.subtract(x, m)  # the one array of x's shape: exp and division run in place
     np.exp(e, out=e)
     s = e.sum(axis=-1, keepdims=True)

@@ -2,8 +2,8 @@
 
 Every variant trains through one `substep`: a forward pass at the current
 backbone over the train side gives the losses, a (B, K) coefficient
-matrix c is chosen, and one coefficient-folded backward sweep per exit
-on that same pass gives the gradient of sum c[i,k] * loss_i^(k) for an
+matrix c is chosen, and one coefficient-folded backward sweep over all
+exits on that same pass gives the gradient of sum c[i,k] * loss_i^(k) for an
 SGD(momentum, weight decay) step. The variants differ only in c:
 
   baseline            1/n, one substep on the full batch;

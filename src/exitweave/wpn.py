@@ -33,6 +33,7 @@ Training takes those inner products layer by layer
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -67,6 +68,7 @@ class WpnParams(FlatParams):
     """Layers K -> width (x depth, ReLU) -> K, as views into one flat buffer."""
 
     @staticmethod
+    @cache
     def layer_shapes(config: WpnConfig) -> tuple[tuple[int, int], ...]:
         w, k = config.hidden_width, config.num_exits
         return ((w, k), *((w, w),) * (config.hidden_depth - 1), (k, w))

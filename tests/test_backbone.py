@@ -171,6 +171,10 @@ class TestLayoutCache:
     def test_layout_is_computed_once_per_shape_and_immutable(self):
         config = BackboneConfig(3, (4, 5), 4)
         shapes = BackboneParams.layer_shapes(config)
+        # equal configs share one shape tuple, and that tuple one layout
+        assert BackboneParams.layer_shapes(BackboneConfig(3, [4, 5], 4)) is shapes
+        wpn_config = WpnConfig(3, hidden_width=6, hidden_depth=2)
+        assert WpnParams.layer_shapes(WpnConfig(3, hidden_width=6, hidden_depth=2)) is WpnParams.layer_shapes(wpn_config)
         assert layer_slices(shapes) is layer_slices(BackboneParams.layer_shapes(config))
         before = param_layout(config)
         blocks, heads, _ = before
@@ -715,6 +719,28 @@ def sweep_into(layers, hs, zs, dz, grads):
         grads[j].bias += dz_j.sum(axis=0)
 
 
+def per_exit_weighted_grad(params, fp, hs, zs, coeffs):
+    """`batch_weighted_grad` as one masked sweep per exit, added into a zero buffer in exit order."""
+    want = BackboneParams.zeros(params.config)
+    for k, dlog in enumerate(fp.logit_errors):
+        path = [*params.blocks[: k + 1], params.heads[k]]
+        grads = [*want.blocks[: k + 1], want.heads[k]]
+        sweep_into(path, hs, zs, coeffs[:, k : k + 1] * dlog, grads)
+    return want.buffer
+
+
+def per_exit_grad_dots(params, fp, hs, zs, vec):
+    """`per_sample_grad_dots` as one masked sweep per exit, each summing its layers' terms from the head down."""
+    v = BackboneParams(params.config, vec)
+    proj = [hs[j] @ layer.weight.T + layer.bias for j, layer in enumerate(v.blocks)]
+    want = np.empty((fp.outputs.batch_size, params.config.num_exits))
+    for k, dlog in enumerate(fp.logit_errors):
+        terms = [*proj[: k + 1], hs[k + 1] @ v.heads[k].weight.T + v.heads[k].bias]
+        path = [*params.blocks[: k + 1], params.heads[k]]
+        want[:, k] = sum(np.einsum("bo,bo->b", dz, terms[j]) for j, dz in masked_sweep(path, zs, dlog))
+    return want
+
+
 def zero_unit(layer: Affine, unit: int) -> None:
     """Make one unit's pre-activation exactly zero on every row."""
     layer.weight[unit] = 0.0
@@ -742,23 +768,13 @@ class TestRectifierMask:
     def test_batch_weighted_grad(self):
         params, fp, hs, zs = self.backbone_instance()
         coeffs = np.random.default_rng(61).uniform(0.1, 1.0, (8, 3))
-        want = BackboneParams.zeros(params.config)
-        for k, dlog in enumerate(fp.logit_errors):
-            path = [*params.blocks[: k + 1], params.heads[k]]
-            grads = [*want.blocks[: k + 1], want.heads[k]]
-            sweep_into(path, hs, zs, coeffs[:, k : k + 1] * dlog, grads)
-        assert batch_weighted_grad(fp, coeffs).tobytes() == want.buffer.tobytes()
+        want = per_exit_weighted_grad(params, fp, hs, zs, coeffs)
+        assert batch_weighted_grad(fp, coeffs).tobytes() == want.tobytes()
 
     def test_per_sample_grad_dots(self):
         params, fp, hs, zs = self.backbone_instance()
-        v = BackboneParams(params.config, np.random.default_rng(62).standard_normal(params.num_params))
-        proj = [hs[j] @ layer.weight.T + layer.bias for j, layer in enumerate(v.blocks)]
-        want = np.empty((8, 3))
-        for k, dlog in enumerate(fp.logit_errors):
-            terms = [*proj[: k + 1], hs[k + 1] @ v.heads[k].weight.T + v.heads[k].bias]
-            path = [*params.blocks[: k + 1], params.heads[k]]
-            want[:, k] = sum(np.einsum("bo,bo->b", dz, terms[j]) for j, dz in masked_sweep(path, zs, dlog))
-        assert per_sample_grad_dots(fp, v.buffer).tobytes() == want.tobytes()
+        vec = np.random.default_rng(62).standard_normal(params.num_params)
+        assert per_sample_grad_dots(fp, vec).tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
 
     def test_wpn_backward(self):
         config = WpnConfig(3, hidden_width=6, hidden_depth=2, delta=0.6)
@@ -782,7 +798,74 @@ class TestRectifierMask:
         assert wpn_backward(wpn_pass, probe).tobytes() == want.buffer.tobytes()
 
 
+# one unequal-width trunk per exit count, a 2-wide bottleneck from K = 2 on
+SWEEP_TRUNKS = {1: (5,), 2: (6, 2), 4: (9, 2, 7, 5), 6: (9, 2, 7, 5, 3, 6)}
+
+
+class TestBlockSweep:
+    """The one top-down sweep over all exits is bitwise the per-exit sweeps."""
+
+    @staticmethod
+    def instance(k, c, b, seed):
+        config = BackboneConfig(4, SWEEP_TRUNKS[k], c)
+        _, params, x, y = small_instance(seed=seed, config=config, batch=b)
+        random_biases(params, np.random.default_rng(seed))
+        hs, zs = forward_with_preactivations(params.blocks, x)
+        return params, x, y, hs, zs
+
+    @pytest.mark.parametrize("b", [1, 33, 64])
+    @pytest.mark.parametrize("c", [2, 100])
+    @pytest.mark.parametrize("k", sorted(SWEEP_TRUNKS))
+    def test_matches_per_exit_sweeps(self, k, c, b):
+        params, x, y, hs, zs = self.instance(k, c, b, seed=70 + 10 * k + c + b)
+        rng = np.random.default_rng(k * c * b)
+        coeffs = rng.uniform(-1.0, 1.0, (b, k))
+        vec = rng.standard_normal(params.num_params)
+        fp = forward_pass(params, x, y)
+        assert batch_weighted_grad(fp, coeffs).tobytes() == per_exit_weighted_grad(params, fp, hs, zs, coeffs).tobytes()
+        dots = per_sample_grad_dots(fp, vec)
+        assert dots.flags.c_contiguous
+        assert dots.tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
+
+    def test_selection_coefficients_on_one_label(self):
+        # as a selection substep: each row picks some exits, no row picks
+        # exit 1, and every row has the same label, so exit 1's weighted
+        # logit errors are zeros of both signs (0.0 times the label's
+        # negative error is -0.0); its head gradient must be +0.0, as the
+        # per-exit sum into a zero buffer gives it
+        params, x, _, hs, zs = self.instance(4, 3, 33, seed=90)
+        y = np.full(33, 2)
+        coeffs = (np.random.default_rng(90).uniform(size=(33, 4)) < 0.5) / 33.0
+        coeffs[:, 1] = 0.0
+        fp = forward_pass(params, x, y)
+        want = per_exit_weighted_grad(params, fp, hs, zs, coeffs)
+        got = batch_weighted_grad(fp, coeffs)
+        assert got.tobytes() == want.tobytes()
+        head = BackboneParams(params.config, got).heads[1]
+        assert not np.signbit(head.weight).any() and not np.signbit(head.bias).any()
+        assert np.all(head.weight == 0.0) and np.all(head.bias == 0.0)
+        vec = np.random.default_rng(91).standard_normal(params.num_params)
+        assert per_sample_grad_dots(fp, vec).tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
+
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "exitweave"
+
+
+def names_used(module: Path, function: str) -> set[str]:
+    """Every bare or attribute name read inside one top-level function of module."""
+    tree = ast.parse(module.read_text(), str(module))
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("function", ["batch_weighted_grad", "per_sample_grad_dots"])
+def test_one_sweep_carries_every_exit(function):
+    # both run the one top-down sweep, never a sweep per exit
+    used = names_used(SRC / "backbone.py", function)
+    assert "_block_errors" in used
+    assert not used & {"_exit_path", "output_errors", "accumulate_grads"}
 
 
 def maximum_calls(module: Path) -> list[str]:

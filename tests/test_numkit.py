@@ -66,15 +66,42 @@ class TestSoftmax:
         assert lse.shape == ()
         np.testing.assert_allclose(lse, np.log(np.exp(x[0]).sum()), atol=1e-12)
 
+    @staticmethod
+    def edge_rows(c: int) -> np.ndarray:
+        """Rows of signed zeros, tied maxima and +-1e300, c columns each."""
+        rng = np.random.default_rng(c)
+        signs = rng.choice([-1.0, 1.0], (3, c))
+        zeros = signs * 0.0
+        zeros[1] = -0.0
+        ties = np.full((2, c), 2.0)
+        ties[0, ::2] = -50.0
+        ties[1, 0] = -0.0
+        huge = signs * 1e300
+        huge[0, :] = -1e300
+        huge[1, -1] = 0.0
+        mixed = rng.standard_normal((2, c))
+        mixed[0, -1] = mixed[0].max()  # a tie at a nonzero max
+        mixed[1, : c // 2] = -0.0
+        return np.vstack([zeros, ties, huge, mixed])
+
     def test_signed_zeros_and_ties_match_two_pass(self):
-        # rows of signed zeros and tied logits: every output must equal
-        # the two-pass result (softmax, then a separate log-sum-exp)
-        x = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [2.0, 2.0, -50.0]])
-        m = x.max(axis=1, keepdims=True)
-        e = np.exp(x - m)
-        probs, lse = softmax_lse(x)
-        assert probs.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
-        assert lse.tobytes() == (m[:, 0] + np.log(np.exp(x - m).sum(axis=1))).tobytes()
+        # rows of signed zeros, tied logits and +-1e300: every output must
+        # equal the two-pass result (softmax, then a separate log-sum-exp)
+        # from x.max, whichever entry the row max is read from
+        batches = [self.edge_rows(c) for c in (2, 3, 100)]
+        for x in [row for batch in batches for row in (batch, *batch)]:  # 2-D, then each row 1-D
+            m = x.max(axis=-1, keepdims=True)
+            e = np.exp(x - m)
+            probs, lse = softmax_lse(x)
+            assert probs.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+            assert lse.tobytes() == (m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))).tobytes()
+
+    def test_entries_far_below_the_max_underflow_to_zero(self):
+        # exp(-805) is below the smallest subnormal: the entry is exactly
+        # 0.0 while the row's log-sum-exp stays finite
+        probs, lse = softmax_lse([[0.0, -800.0, 5.0]])
+        assert probs[0, 1] == 0.0 and probs[0, 0] > 0.0
+        assert np.isfinite(lse[0]) and lse[0] > 5.0
 
 
 class TestSigmoid:
