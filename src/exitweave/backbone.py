@@ -9,18 +9,18 @@ pass, and the training objective sums per-exit cross-entropy terms.
 Parameters live in one flat float64 buffer (all trunk blocks in order,
 then all heads in order; weight before bias within a layer), reached
 through per-layer `Affine` views (`FlatParams`). The weight network
-keeps its parameters the same way: the layout rule, the dense ReLU
-forward pass and the reverse sweep are defined once, here. One
-rectifier step (`_relu_layer`: matmul, bias and ReLU in place in one
-buffer) runs every layer of the trunk, of the weight network and of
-`forward_all`'s workspace. A pass keeps only each layer's output: the
-reverse sweep reads the ReLU mask from it, since max(z, 0) > 0 exactly
-where z > 0. The layout
-of a shape tuple is computed once (`layer_slices`) and shared, immutable,
-by every parameter, gradient and lookahead buffer of those shapes; each
-buffer builds only its own views. Gradients share the layout, so a
-backward pass writes into a zero buffer through the same views, and SGD
-and lookahead steps are plain arithmetic on buffers.
+keeps its parameters the same way, as ReLU `blocks` plus linear `heads`
+(a one-exit trunk): the layout rule, the dense ReLU forward pass and
+the reverse sweep are defined once, here. One rectifier step
+(`_relu_layer`: matmul, bias and ReLU in place in one buffer) runs every
+layer of the trunk, of the weight network and of `forward_all`'s
+workspace. A pass keeps only each layer's output: the reverse sweep
+reads the ReLU mask from it, since max(z, 0) > 0 exactly where z > 0.
+The layout of a shape tuple is computed once (`layer_slices`) and
+shared, immutable, by every parameter, gradient and lookahead buffer of
+those shapes; each buffer builds only its own views. Gradients share the
+layout, so a backward pass writes its buffer through the same views, and
+SGD and lookahead steps are plain arithmetic on buffers.
 
 Gradients here are hand-derived reverse-mode passes, not autodiff. They
 start from a `ForwardPass` (`forward_pass`): the exit outputs, the
@@ -40,10 +40,11 @@ for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
 chain needs, layer by layer (dz_i . (h_i @ V_W.T + v_b) for a layer with
 input h_i and error dz_i), without forming any per-sample gradient.
-Training uses only these two. Both run one top-down sweep whose (K - j,
-B, w_j) stack at block j carries exits j..K-1 (`_block_errors`), bitwise
-one sweep per exit in O(K) numpy calls. `per_sample_grads` materializes
-the dense (B, K, P) tensor of per-sample per-exit gradients; it,
+Training uses only these two and `wpn.wpn_backward`, all through one
+top-down sweep whose stack at block j carries every head at or above it
+(`_block_errors`), bitwise one sweep per head in O(blocks) numpy calls.
+`per_sample_grads` builds the dense (B, K, P) tensor of per-sample
+per-exit gradients by its own per-exit chain rule; it,
 `grad_weighted_loss` and `pseudo_step` are the dense reference the
 finite-difference audits and the tests compare against.
 """
@@ -167,32 +168,6 @@ def relu_forward(layers: list[Affine], x: np.ndarray) -> list[np.ndarray]:
     return hs
 
 
-def output_errors(layers: list[Affine], hs: list[np.ndarray], dz: np.ndarray):
-    """Reverse sweep: yield (j, dz_j) from the top layer down to layer 0.
-
-    dz is the loss gradient with respect to the top layer's affine
-    output. Below it every layer is a ReLU layer whose output hs[j] is
-    positive exactly where its pre-activation is (for 0.0, -0.0 and NaN
-    alike), so dz_{j-1} = (dz_j @ W_j) * (hs[j] > 0).
-    """
-    for j in range(len(layers) - 1, -1, -1):
-        yield j, dz
-        if j:
-            dz = (dz @ layers[j].weight) * (hs[j] > 0)
-
-
-def accumulate_grads(layers: list[Affine], hs: list[np.ndarray], dz: np.ndarray, grads: list[Affine]) -> None:
-    """Add the parameter gradient of one reverse sweep into grads.
-
-    grads are Affine views of a gradient buffer matching layers; hs[j]
-    is the input of layer j. Layer j receives dz_j^T hs[j] and the
-    column sums of dz_j.
-    """
-    for j, dz_j in output_errors(layers, hs, dz):
-        grads[j].weight += dz_j.T @ hs[j]
-        grads[j].bias += dz_j.sum(axis=0)
-
-
 # -- the multi-exit backbone
 
 @dataclass(frozen=True)
@@ -253,11 +228,6 @@ def init_params(config: BackboneConfig, rng: RngStream) -> BackboneParams:
     produces the same parameter vector.
     """
     return BackboneParams.fan_in_uniform(config, rng)
-
-
-def _exit_path(layers: list, k: int) -> list:
-    """The layers exit k's loss runs through: trunk blocks 0..k, then head k."""
-    return [*layers[: k + 1], layers[(len(layers) // 2) + k]]
 
 
 @dataclass
@@ -413,34 +383,60 @@ def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:
     are exactly zero (exit k's loss never touches them).
     """
     fp = forward_pass(params, batch, labels)
-    b = fp.outputs.batch_size
+    hs, b = fp.hs, fp.outputs.batch_size
     block_sl, head_sl, total = param_layout(params.config)
     out = np.zeros((b, params.config.num_exits, total))
-    for k, dlog in enumerate(fp.logit_errors):
-        path = _exit_path([*block_sl, *head_sl], k)
-        for j, dz in output_errors(_exit_path(params.layers, k), fp.hs, dlog):
-            out[:, k, path[j].weight] = np.einsum("bo,bi->boi", dz, fp.hs[j]).reshape(b, -1)
-            out[:, k, path[j].bias] = dz
+    for k, dz in enumerate(fp.logit_errors):
+        path = [*zip(params.blocks, block_sl[: k + 1]), (params.heads[k], head_sl[k])]
+        for j in range(k + 1, -1, -1):
+            layer, sl = path[j]
+            out[:, k, sl.weight] = np.einsum("bo,bi->boi", dz, hs[j]).reshape(b, -1)
+            out[:, k, sl.bias] = dz
+            if j:
+                dz = (dz @ layer.weight) * (hs[j] > 0)
     return out
 
 
-def _block_errors(fp: ForwardPass, tops: np.ndarray):
-    """Yield (j, stack) for j = K-1 .. 0: one sweep that carries every exit.
+def _block_errors(params: FlatParams, masks: list[np.ndarray], tops: np.ndarray):
+    """Yield (j, stack) from the top block down: one sweep that carries every head.
 
-    stack[m], (K - j, B, w_j), is exit j + m's error at block j's output,
-    from tops[k], exit k's error at its logits. numpy runs a 3-D matmul
-    as one 2-D product per slice, so each exit's rows get exactly the
-    products and masks of its own `output_errors` sweep.
+    Head k, with error tops[k] at its output, reads block f + k, f =
+    len(blocks) - len(heads). stack[m] is head max(j - f, 0) + m's error
+    at block j's output, masked by masks[j]. numpy runs a 3-D matmul as
+    one 2-D product per slice, so each head's rows get exactly the
+    products and masks of a sweep of its own.
     """
-    blocks, heads = fp.params.blocks, fp.params.heads
+    blocks, heads = params.blocks, params.heads
+    f = len(blocks) - len(heads)
     stack = None
     for j in range(len(blocks) - 1, -1, -1):
-        below = np.empty((len(tops) - j, *fp.hs[j + 1].shape))
-        np.matmul(tops[j], heads[j].weight, out=below[0])
+        below = np.empty((len(heads) - max(j - f, 0), *masks[j].shape))
+        if j >= f:
+            np.matmul(tops[j - f], heads[j - f].weight, out=below[0])
         if stack is not None:
-            np.matmul(stack, blocks[j + 1].weight, out=below[1:])
-        stack = np.multiply(below, fp.masks[j], out=below)
+            np.matmul(stack, blocks[j + 1].weight, out=below[int(j >= f) :])
+        stack = np.multiply(below, masks[j], out=below)
         yield j, stack
+
+
+def _tops_grad(params: FlatParams, hs: list[np.ndarray], masks: list[np.ndarray], tops: np.ndarray) -> np.ndarray:
+    """Flat gradient of a blocks-and-heads network from its heads' output errors.
+
+    hs[j] is block j's input. Each layer's head terms are added in head
+    order from 0.0, as one sweep per head into a zero buffer adds them
+    (numpy sums a one-entry slice pairwise, so a width-1 layer that 8 or
+    more heads reach may differ in a last bit).
+    """
+    grad = type(params)(params.config, np.empty(params.num_params))
+    f = len(grad.blocks) - len(grad.heads)
+    for k, head in enumerate(grad.heads):
+        np.add(0.0, tops[k].T @ hs[f + k + 1], out=head.weight)
+        np.add(0.0, tops[k].sum(axis=0), out=head.bias)
+    for j, stack in _block_errors(params, masks, tops):
+        block = grad.blocks[j]
+        np.add.reduce(np.matmul(stack.transpose(0, 2, 1), hs[j]), axis=0, initial=0.0, out=block.weight)
+        np.add.reduce(stack.sum(axis=1), axis=0, initial=0.0, out=block.bias)
+    return grad.buffer
 
 
 def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray) -> np.ndarray:
@@ -448,26 +444,13 @@ def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray) -> np.ndarray:
 
     Same math as contracting `per_sample_grads` with coeffs, but the
     coefficients are folded into the logit errors before the backward
-    sweep, so the (B, K, P) tensor is never built. Each layer's exit
-    terms are added in exit order from 0.0, as per-exit sweeps into a
-    zero buffer add them (numpy sums a one-entry slice pairwise, so a
-    width-1 layer that 8 or more exits reach may differ in a last bit).
+    sweep (`_tops_grad`), so the (B, K, P) tensor is never built.
     """
-    params, dlogs, hs = fp.params, fp.logit_errors, fp.hs
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    expected = (fp.outputs.batch_size, len(dlogs))
+    expected = (fp.outputs.batch_size, len(fp.logit_errors))
     if coeffs.shape != expected:
         raise ShapeError(f"coeffs shape {coeffs.shape}, expected {expected}")
-    grad = BackboneParams(params.config, np.empty(params.num_params))
-    tops = coeffs.T[:, :, None] * dlogs
-    for k, head in enumerate(grad.heads):
-        np.add(0.0, tops[k].T @ hs[k + 1], out=head.weight)
-        np.add(0.0, tops[k].sum(axis=0), out=head.bias)
-    for j, stack in _block_errors(fp, tops):
-        block = grad.blocks[j]
-        np.add.reduce(np.matmul(stack.transpose(0, 2, 1), hs[j]), axis=0, initial=0.0, out=block.weight)
-        np.add.reduce(stack.sum(axis=1), axis=0, initial=0.0, out=block.bias)
-    return grad.buffer
+    return _tops_grad(fp.params, fp.hs, fp.masks, coeffs.T[:, :, None] * fp.logit_errors)
 
 
 def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
@@ -486,7 +469,7 @@ def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
     acc = np.zeros(dlogs.shape[:2])
     for k, head in enumerate(v.heads):
         acc[k] += np.einsum("bo,bo->b", dlogs[k], hs[k + 1] @ head.weight.T + head.bias)
-    for j, stack in _block_errors(fp, dlogs):
+    for j, stack in _block_errors(fp.params, fp.masks, dlogs):
         block = v.blocks[j]
         acc[j:] += np.einsum("mbo,bo->mb", stack, hs[j] @ block.weight.T + block.bias)
     return np.ascontiguousarray(acc.T)
@@ -550,5 +533,5 @@ def count_mul_adds(config: BackboneConfig) -> np.ndarray:
     costs in_dim * out_dim per sample. Returns int64 (K,).
     """
     shapes = BackboneParams.layer_shapes(config)
-    costs = [sum(o * i for o, i in _exit_path(shapes, k)) for k in range(config.num_exits)]
-    return np.array(costs, dtype=np.int64)
+    blocks = np.cumsum([o * i for o, i in shapes[: config.num_exits]], dtype=np.int64)
+    return blocks + np.array([o * i for o, i in shapes[config.num_exits :]], dtype=np.int64)

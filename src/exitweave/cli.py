@@ -220,8 +220,6 @@ def _write_curves_csv(path, rows, num_exits: int) -> None:
 
 def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.exists():
-        raise ConfigError(f"checkpoint file not found: {ckpt_path}")
     state, train_cfg = load_run_checkpoint(ckpt_path)
     dataset, ds_path = _dataset_for_eval(args, ckpt_path)
     _, val_set, test_set = build_datasets(dataset, ds_path)

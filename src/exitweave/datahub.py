@@ -22,6 +22,7 @@ builds its splits.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, make_dataclass, replace
@@ -142,13 +143,13 @@ def read_idx(path) -> np.ndarray:
     if any(d < 0 for d in shape):
         raise FormatError(f"{path}: negative IDX dimension {shape}")
     dtype = _IDX_DTYPES[code]
-    expected = header_end + int(np.prod(shape)) * dtype.itemsize
+    expected = header_end + math.prod(shape) * dtype.itemsize
     if len(raw) != expected:
         raise FormatError(
             f"{path}: IDX payload length mismatch at byte {min(len(raw), expected)}: "
             f"have {len(raw)} bytes, header promises {expected}"
         )
-    data = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape)), offset=header_end)
+    data = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=header_end)
     return data.reshape(shape).astype(dtype.newbyteorder("="))
 
 

@@ -21,9 +21,10 @@ from them, as in the trunk) and the sigmoids `make_weights` returns.
 The backward pass here is hand-derived. Its input is dL/d(weight) for a
 downstream scalar L; the zero-sum normalization is its own transpose
 (g -> g - mean(g)), the squash contributes 2 * delta * s * (1 - s), and
-the rest is a standard MLP backward. Its input for the lookahead
-objective is exact with no second-order terms: the lookahead step is
-affine in the weights, so dL/dw[i,k] = -(alpha/n) * <meta_grad, g[i,k]>.
+the network, a one-exit trunk, runs the backbone's sweep. Its input for
+the lookahead objective is exact with no second-order terms: the
+lookahead step is affine in the weights, so
+dL/dw[i,k] = -(alpha/n) * <meta_grad, g[i,k]>.
 Training takes those inner products layer by layer
 (`trainer.meta_chain` via `backbone.per_sample_grad_dots`);
 `meta_weight_grad` here is the dense reference that contracts a stored
@@ -37,7 +38,7 @@ from functools import cache
 
 import numpy as np
 
-from .backbone import FlatParams, accumulate_grads, relu_forward
+from .backbone import FlatParams, _tops_grad, relu_forward
 from .errors import ConfigError, ShapeError
 from .numkit import RngStream, require_finite, sigmoid_stable
 
@@ -65,7 +66,13 @@ class WpnConfig:
 
 
 class WpnParams(FlatParams):
-    """Layers K -> width (x depth, ReLU) -> K, as views into one flat buffer."""
+    """Layers K -> width (x depth, ReLU) -> K, as views into one flat buffer:
+    a one-exit trunk, the hidden layers its `blocks`, the last its `head`."""
+
+    def __init__(self, config: WpnConfig, buffer: np.ndarray):
+        super().__init__(config, buffer)
+        self.blocks = self.layers[:-1]
+        self.heads = self.layers[-1:]
 
     @staticmethod
     @cache
@@ -88,9 +95,9 @@ def wpn_forward(params: WpnParams, loss_matrix) -> tuple[np.ndarray, list[np.nda
             f"loss matrix shape {x.shape} does not match num_exits={params.config.num_exits}"
         )
     require_finite(x, "loss matrix")
-    hs = relu_forward(params.layers[:-1], x)
-    last = params.layers[-1]
-    return hs[-1] @ last.weight.T + last.bias, hs
+    hs = relu_forward(params.blocks, x)
+    (head,) = params.heads
+    return hs[-1] @ head.weight.T + head.bias, hs
 
 
 def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,9 +177,7 @@ def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray) -> np.ndarray:
     g = g - g.mean()
     s = wpn_pass.sigmoids
     dz = g * (2.0 * params.config.delta) * s * (1.0 - s)
-    grad = WpnParams.zeros(params.config)
-    accumulate_grads(params.layers, wpn_pass.hs, dz, grad.layers)
-    return grad.buffer
+    return _tops_grad(params, wpn_pass.hs, [h > 0 for h in wpn_pass.hs[1:]], dz[None])
 
 
 @dataclass

@@ -713,7 +713,7 @@ def masked_sweep(layers: list[Affine], zs: list[np.ndarray], dz: np.ndarray):
 
 
 def sweep_into(layers, hs, zs, dz, grads):
-    """Add one masked sweep's parameter gradient into grads, as `accumulate_grads` does."""
+    """Add one masked sweep's parameter gradient into grads: layer j gets dz_j^T hs[j] and dz_j's column sums."""
     for j, dz_j in masked_sweep(layers, zs, dz):
         grads[j].weight += dz_j.T @ hs[j]
         grads[j].bias += dz_j.sum(axis=0)
@@ -776,21 +776,30 @@ class TestRectifierMask:
         vec = np.random.default_rng(62).standard_normal(params.num_params)
         assert per_sample_grad_dots(fp, vec).tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
 
-    def test_wpn_backward(self):
-        config = WpnConfig(3, hidden_width=6, hidden_depth=2, delta=0.6)
-        params = init_wpn(config, RngStream(63))
-        rng = np.random.default_rng(63)
+    @pytest.mark.parametrize("b", [1, 7])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("width", [1, 6, 500])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_wpn_backward(self, depth, width, k, b):
+        # the weight network as a one-exit trunk: its head reads the last
+        # hidden layer, and the layers below carry that one exit's error
+        config = WpnConfig(k, hidden_width=width, hidden_depth=depth, delta=0.6)
+        seed = 63 + 100 * depth + width + 10 * k + b
+        params = init_wpn(config, RngStream(seed))
+        rng = np.random.default_rng(seed)
         for layer in params.layers:
             layer.bias[:] = rng.uniform(-0.5, 0.5, layer.bias.shape)
-        zero_unit(params.layers[0], 4)
-        zero_unit(params.layers[1], 0)
-        losses = rng.uniform(0.0, 3.0, (7, 3))
+        # one exactly-zero unit per hidden layer, unless that is its only unit
+        units = [(4 + 2 * j) % width for j in range(depth)] if width > 1 else []
+        for j, unit in enumerate(units):
+            zero_unit(params.layers[j], unit)
+        losses = rng.uniform(0.0, 3.0, (b, k))
         losses[0] = -0.0
-        losses[:, 1] = -0.0
+        losses[:, 1:2] = -0.0
         hs, zs = forward_with_preactivations(params.layers[:-1], losses)
-        assert np.all(zs[0][:, 4] == 0.0) and np.all(zs[1][:, 0] == 0.0)
+        assert all(np.all(z[:, unit] == 0.0) for z, unit in zip(zs, units))
         wpn_pass = wpn_weights(params, losses)
-        probe = rng.standard_normal((7, 3))
+        probe = rng.standard_normal((b, k))
         g = probe - probe.mean()
         s = wpn_pass.sigmoids
         want = WpnParams.zeros(config)
@@ -860,12 +869,23 @@ def names_used(module: Path, function: str) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("function", ["batch_weighted_grad", "per_sample_grad_dots"])
+# each production gradient of a dense ReLU network, and the module that defines it
+SWEEP_USERS = {"batch_weighted_grad": "backbone.py", "per_sample_grad_dots": "backbone.py", "wpn_backward": "wpn.py"}
+
+
+@pytest.mark.parametrize("function", list(SWEEP_USERS))
 def test_one_sweep_carries_every_exit(function):
-    # both run the one top-down sweep, never a sweep per exit
-    used = names_used(SRC / "backbone.py", function)
-    assert "_block_errors" in used
-    assert not used & {"_exit_path", "output_errors", "accumulate_grads"}
+    # each runs the one top-down sweep, directly or through the one
+    # gradient writer, never a sweep per exit
+    used = names_used(SRC / SWEEP_USERS[function], function)
+    assert "_block_errors" in used or "_tops_grad" in used
+    assert "_block_errors" in names_used(SRC / "backbone.py", "_tops_grad")
+    # and the per-chain sweep is gone: only per_sample_grads, the dense
+    # reference, keeps a chain rule of its own
+    assert not names_used(SRC / "backbone.py", "per_sample_grads") & {"_block_errors", "_tops_grad"}
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        assert not [name for name in ("output_errors", "accumulate_grads", "_exit_path") if name in text], path
 
 
 def maximum_calls(module: Path) -> list[str]:

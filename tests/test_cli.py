@@ -200,9 +200,9 @@ class TestEval:
         assert "dim" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
-        rc = main(["eval", "--checkpoint", str(tmp_path / "none.json")])
-        assert rc == 2
-        assert "checkpoint" in capsys.readouterr().err
+        path = tmp_path / "none.json"
+        assert main(["eval", "--checkpoint", str(path)]) == 2
+        assert f"{path}: file not found" in capsys.readouterr().err
 
     def test_checkpoint_directory_exits_2(self, tmp_path, capsys):
         # the pre-check said "checkpoint file not found" of a directory that exists

@@ -192,6 +192,15 @@ class TestIdx:
         with pytest.raises(FormatError, match="image count 2 != label count 3"):
             load_idx(img, lbl)
 
+    def test_element_count_past_int64_names_the_file(self, tmp_path):
+        # 65536**4 = 2**64 elements wrapped to 0 in an int64 product, so a
+        # header with no payload passed the length check and reshape raised
+        # a bare ValueError
+        path = tmp_path / "huge.idx"
+        path.write_bytes(idx_bytes(0x08, (65536,) * 4, b""))
+        with pytest.raises(FormatError, match=rf"{path}: IDX payload length mismatch at byte 20"):
+            read_idx(path)
+
 
 class TestCifarBin:
     def test_hand_built_records(self, tmp_path):

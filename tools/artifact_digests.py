@@ -2,7 +2,7 @@
 
     python3 tools/artifact_digests.py --src CHECKOUT/src --out DIR
 
-runs, from the package under --src and inside DIR, twelve reference runs
+runs, from the package under --src and inside DIR, thirteen reference runs
 (`train` then `eval` on the checkpoint) plus `gradcheck`, with the BLAS
 thread pools capped at 1 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
 MKL_NUM_THREADS) and cwd-relative paths, then prints one
@@ -16,7 +16,9 @@ output, remove DIR, then run the other.
 The reference runs are the seven variants on a 16x4 trunk (synthetic
 data, 6 classes, dim 16, 150/60/60 rows per class; 3 epochs, batch 32,
 weight-network hidden width 32; `learned` logs its weight scatter with
-cap 50, `frozen_wpn` loads `learned/checkpoint.json`), `learned` on a
+cap 50, `frozen_wpn` loads `learned/checkpoint.json`), `learned` on the
+same data and trunk with a three-hidden-layer weight network (width 32),
+so that its backward sweep reaches blocks below its head, `learned` on a
 128x4 trunk (10 classes, dim 32, 100/50/50 rows per class; 2 epochs,
 batch 128), and `baseline` on a 16x4 trunk whose val and test splits
 hold 1,500 rows each (6 classes, dim 16, 250 rows per class in every
@@ -107,6 +109,12 @@ def reference_configs() -> dict[str, dict]:
             "wpn": {"hidden_width": 32},
             "train": train,
         }
+    configs["learned_deep"] = {
+        "dataset": _synthetic(6, 16, 150, 60),
+        "backbone": {"trunk_widths": [16] * 4},
+        "wpn": {"hidden_width": 32, "hidden_depth": 3},
+        "train": {"epochs": 3, "batch_size": 32, "alpha": 0.1, "variant": "learned"},
+    }
     configs["learned_wide"] = {
         "dataset": _synthetic(10, 32, 100, 50),
         "backbone": {"trunk_widths": [128] * 4},
