@@ -2,8 +2,9 @@
 """Walk through a multi-exit forward pass.
 
 Builds a small shared-trunk classifier with three exits, pushes a batch
-through it, and prints what each exit sees: logits, confidence, loss,
-and the cumulative multiply-add cost of stopping there.
+through it, and prints what each exit sees: class probabilities,
+confidence, loss, and the cumulative multiply-add cost of stopping
+there.
 """
 
 import numpy as np
@@ -32,8 +33,8 @@ print(f"\nbatch of {outs.batch_size}; per-sample view, one row per exit:")
 for i in range(outs.batch_size):
     print(f"sample {i} (label {data.labels[i]}):")
     for k in range(outs.num_exits):
-        logits = np.array2string(fp.logits[i, k], precision=3)
-        print(f"  exit {k + 1}: logits {logits}  "
+        probs = np.array2string(fp.probs[i, k], precision=3)
+        print(f"  exit {k + 1}: probabilities {probs}  "
               f"confidence {outs.confidences[i, k]:.3f}  "
               f"loss {outs.losses[i, k]:.3f}  "
               f"prediction {outs.predictions[i, k]}")

@@ -10,12 +10,12 @@ Parameters live in one flat float64 buffer (all trunk blocks in order,
 then all heads in order; weight before bias within a layer), reached
 through per-layer `Affine` views (`FlatParams`). The weight network
 keeps its parameters the same way, as ReLU `blocks` plus linear `heads`
-(a one-exit trunk): the layout rule, the dense ReLU forward pass and
-the reverse sweep are defined once, here. One rectifier step
-(`_relu_layer`: matmul, bias and ReLU in place in one buffer) runs every
-layer of the trunk, of the weight network and of `forward_all`'s
-workspace. A pass keeps only each layer's output: the reverse sweep
-reads the ReLU mask from it, since max(z, 0) > 0 exactly where z > 0.
+(a one-exit trunk): the layout rule, the dense ReLU forward pass
+(`relu_forward`, whose matmul, bias and ReLU run in place in one new
+array per layer), the pass record (`LayerPass`) and the reverse sweep
+are defined once, here. A pass keeps only each layer's output: the
+reverse sweep reads the ReLU mask from it, since max(z, 0) > 0 exactly
+where z > 0.
 The layout of a shape tuple is computed once (`layer_slices`) and
 shared, immutable, by every parameter, gradient and lookahead buffer of
 those shapes; each buffer builds only its own views. Gradients share the
@@ -24,15 +24,14 @@ SGD and lookahead steps are plain arithmetic on buffers.
 
 Gradients here are hand-derived reverse-mode passes, not autodiff. They
 start from a `ForwardPass` (`forward_pass`): the exit outputs, the
-(B, K, C) logits and probabilities and the trunk activations at one
-parameter point, so every gradient at that point reuses one trunk pass.
-One exit-head step serves both forward functions: one `softmax_lse` pass
-over all exits, with the confidence read at the prediction. `forward_all`
-returns only what scoring reads, the (B, K) `ExitOutputs`, and keeps no
-logits or activations: it runs a batch (an evaluation split) as
-cache-sized row blocks through one workspace reused by every block, and
-writes each block's rows of the outputs in place, with bitwise the
-outputs of one whole-batch pass. Both check their inputs as a
+(B, K, C) probabilities and the trunk activations at one parameter
+point, so every gradient at that point reuses one trunk pass. One pass
+core (`_forward`) serves both forward functions: the trunk, then one
+`softmax_lse` pass over all exits, with the confidence read at the
+prediction. `forward_all` returns only what scoring reads, the (B, K)
+`ExitOutputs`: it runs a batch (an evaluation split) through the core as
+cache-sized row blocks and keeps only each block's outputs, bitwise
+those of one whole-batch pass. Both check their inputs once, as a
 `datahub.Dataset`, the one check of a dataset's contents, that fits the
 model (`require_fit`).
 `batch_weighted_grad` folds a coefficient matrix into the logit errors
@@ -51,7 +50,7 @@ finite-difference audits and the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -103,7 +102,9 @@ class FlatParams:
     `buffer`, so writing through a view writes the buffer. The
     constructor wraps the buffer it is given; `from_flat` copies first.
     Subclasses define `layer_shapes(config)`, the (out, in) of each
-    layer as a tuple cached per config, which keys `layer_slices`.
+    layer as a tuple cached per config, which keys `layer_slices`, and
+    `num_heads(config)`: the last that many layers are the linear
+    `heads`, the rest the ReLU `blocks`.
     """
 
     def __init__(self, config, buffer: np.ndarray):
@@ -116,6 +117,8 @@ class FlatParams:
         self.layers = [
             Affine(buffer[sl.weight].reshape(shape), buffer[sl.bias]) for shape, sl in zip(shapes, slices)
         ]
+        split = len(shapes) - self.num_heads(config)
+        self.blocks, self.heads = self.layers[:split], self.layers[split:]
 
     @classmethod
     def from_flat(cls, config, flat):
@@ -149,23 +152,37 @@ class FlatParams:
         return type(self).from_flat(self.config, self.buffer)
 
 
-def _relu_layer(h: np.ndarray, layer: Affine, out: np.ndarray) -> np.ndarray:
-    """The one rectifier step: out = max(h @ weight.T + bias, 0), in place in out."""
-    np.matmul(h, layer.weight.T, out=out)
-    out += layer.bias  # rounds as `+` does
-    return np.maximum(out, 0.0, out=out)
-
-
 def relu_forward(layers: list[Affine], x: np.ndarray) -> list[np.ndarray]:
     """Pass x through affine layers, each followed by a ReLU.
 
     Returns hs: hs[j] is the input of layer j (hs[0] is x) and hs[-1]
-    the last output, one new array per layer.
+    the last output, one new array per layer, in which the matmul, the
+    bias and the ReLU run in place.
     """
     hs = [x]
     for layer in layers:
-        hs.append(_relu_layer(hs[-1], layer, np.empty((x.shape[0], layer.weight.shape[0]))))
+        h = np.matmul(hs[-1], layer.weight.T)
+        h += layer.bias  # rounds as `+` does
+        hs.append(np.maximum(h, 0.0, out=h))
     return hs
+
+
+@dataclass
+class LayerPass:
+    """One pass of a blocks-and-heads network at one parameter point, kept
+    for its backward sweep.
+
+    hs are the blocks' activations from `relu_forward` (hs[0] is the
+    network's input); the sweep reads each block's ReLU mask from them.
+    """
+
+    params: FlatParams
+    hs: list[np.ndarray]
+
+    @cached_property
+    def masks(self) -> list[np.ndarray]:
+        """masks[j] = hs[j + 1] > 0: where block j's rectifier passes an error."""
+        return [h > 0 for h in self.hs[1:]]
 
 
 # -- the multi-exit backbone
@@ -208,10 +225,9 @@ def param_layout(config: BackboneConfig) -> tuple[tuple[LayerSlices, ...], tuple
 class BackboneParams(FlatParams):
     """Trunk blocks then exit heads, as views into one flat buffer."""
 
-    def __init__(self, config: BackboneConfig, buffer: np.ndarray):
-        super().__init__(config, buffer)
-        self.blocks = self.layers[: config.num_exits]
-        self.heads = self.layers[config.num_exits :]
+    @staticmethod
+    def num_heads(config: BackboneConfig) -> int:
+        return config.num_exits
 
     @staticmethod
     @cache
@@ -270,21 +286,18 @@ def _validate_batch(config: BackboneConfig, batch, labels) -> tuple[np.ndarray, 
 
 
 @dataclass
-class ForwardPass:
+class ForwardPass(LayerPass):
     """One forward pass at one parameter point, kept for backward sweeps.
 
-    logits/probs: (B, K, C), each exit's logits and softmax. hs are
-    the trunk activations from `relu_forward` (hs[0] is the validated
-    batch). Every gradient at these parameters on this batch reuses
-    them, and the logit errors and masks cached from them, so the trunk
-    runs once per parameter point.
+    probs: (B, K, C), each exit's softmax. hs are the trunk activations
+    (hs[0] is the validated batch). Every gradient at these parameters
+    on this batch reuses them, and the logit errors and masks cached
+    from them, so the trunk runs once per parameter point.
     """
 
     params: BackboneParams
     outputs: ExitOutputs
-    logits: np.ndarray
     probs: np.ndarray
-    hs: list[np.ndarray]
 
     @cached_property
     def logit_errors(self) -> np.ndarray:
@@ -294,85 +307,54 @@ class ForwardPass:
         onehot[np.arange(labels.shape[0]), labels] = 1.0
         return np.subtract(self.probs.transpose(1, 0, 2), onehot, order="C")
 
-    @cached_property
-    def masks(self) -> list[np.ndarray]:
-        """masks[j] = hs[j + 1] > 0: where trunk block j's rectifier passes an error."""
-        return [h > 0 for h in self.hs[1:]]
 
-
-def _empty_outputs(labels: np.ndarray, num_exits: int) -> ExitOutputs:
-    shape = (labels.shape[0], num_exits)
-    return ExitOutputs(np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp), labels)
-
-
-def _exit_head(heads: list[Affine], hidden: list[np.ndarray], logits: np.ndarray, out: ExitOutputs) -> np.ndarray:
-    """Run the K exit heads on one batch, writing in place.
-
-    hidden[k] is trunk block k's output. Head k's logits fill
-    logits[:, k], (B, K, C), and out's losses, confidences and
-    predictions, (B, K) arrays or views, receive the scores against
-    out.labels. Returns the softmax of logits, (B, K, C).
-    """
-    b, k_exits, c = logits.shape
-    for k, head in enumerate(heads):
-        np.add(hidden[k] @ head.weight.T, head.bias, out=logits[:, k])
+def _forward(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> ForwardPass:
+    """The one forward pass, on a validated batch: the trunk, then the K
+    exit heads scored by one `softmax_lse` pass over all exits, with the
+    confidence read at the prediction."""
+    config = params.config
+    hs = relu_forward(params.blocks, batch)
+    b, k_exits, c = batch.shape[0], config.num_exits, config.num_classes
+    logits = np.empty((b, k_exits, c))
+    for k, head in enumerate(params.heads):
+        np.add(hs[k + 1] @ head.weight.T, head.bias, out=logits[:, k])
     probs, lse = softmax_lse(logits.reshape(b * k_exits, c))
     probs = probs.reshape(b, k_exits, c)
+    shape = (b, k_exits)
+    out = ExitOutputs(np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp), labels)
     # (B, 1) rows broadcast against (1, K) exits: one fancy index per gather
     rows, exits = np.arange(b)[:, None], np.arange(k_exits)
-    np.subtract(lse.reshape(b, k_exits), logits[rows, exits, out.labels[:, None]], out=out.losses)
+    np.subtract(lse.reshape(b, k_exits), logits[rows, exits, labels[:, None]], out=out.losses)
     probs.argmax(axis=2, out=out.predictions)
     out.confidences[...] = probs[rows, exits, out.predictions]
-    return probs
+    return ForwardPass(params, hs, out, probs)
 
 
 def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
     """Evaluate every exit on a batch in one shared-trunk pass, keeping
-    the logits, probabilities and trunk activations for gradients at the
-    same parameters."""
-    config = params.config
-    batch, labels = _validate_batch(config, batch, labels)
-    hs = relu_forward(params.blocks, batch)
-    logits = np.empty((batch.shape[0], config.num_exits, config.num_classes))
-    outputs = _empty_outputs(labels, config.num_exits)
-    probs = _exit_head(params.heads, hs[1:], logits, outputs)
-    return ForwardPass(params, outputs, logits, probs, hs)
+    the probabilities and trunk activations for gradients at the same
+    parameters."""
+    return _forward(params, *_validate_batch(params.config, batch, labels))
 
 
 def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
-    """Evaluate every exit on a batch, keeping no logits or activations.
+    """Evaluate every exit on a batch, keeping no probabilities or activations.
 
-    The batch runs as ceil(n / FORWARD_BLOCK_ROWS) near-equal row blocks
-    through one workspace allocated per call: a (rows, width) buffer per
-    trunk block, written in place by each block's matmul, bias and ReLU,
-    and one (rows, K, C) logits buffer. Each block writes its rows of
-    the (n, K) outputs in place, so no array grows with n times the class
-    count. The outputs are bitwise those of one whole-batch
-    `forward_pass`. A matmul over a few rows may take another BLAS
-    kernel and round differently, so the blocks are near-equal, split as
-    np.array_split splits: each holds more than FORWARD_BLOCK_ROWS / 2
-    rows, never a sliver left over.
+    The batch is validated once, then runs through `_forward` as
+    ceil(n / FORWARD_BLOCK_ROWS) near-equal row blocks, each dropped
+    once its (rows, K) outputs are copied into the (n, K) outputs, so no
+    array grows with n times the class count. The outputs are bitwise
+    those of one whole-batch `forward_pass`. A matmul over a few rows
+    may take another BLAS kernel and round differently, so the blocks
+    are split as np.array_split splits: each holds more than
+    FORWARD_BLOCK_ROWS / 2 rows, never a sliver left over.
     """
-    config = params.config
-    batch, labels = _validate_batch(config, batch, labels)
-    n = batch.shape[0]
-    outputs = _empty_outputs(labels, config.num_exits)
-    blocks = -(-n // FORWARD_BLOCK_ROWS)
-    # as np.array_split: the first `extra` blocks hold one row more
-    size, extra = divmod(n, blocks)
-    most = size + (extra > 0)
-    hidden = [np.empty((most, width)) for width in config.trunk_widths]
-    logits = np.empty((most, config.num_exits, config.num_classes))
-    stop = 0
-    for i in range(blocks):
-        start, stop = stop, stop + size + (i < extra)
-        rows = stop - start
-        h = batch[start:stop]
-        for layer, buf in zip(params.blocks, hidden):
-            h = _relu_layer(h, layer, buf[:rows])
-        part = ExitOutputs(*(getattr(outputs, f.name)[start:stop] for f in fields(ExitOutputs)))
-        _exit_head(params.heads, [buf[:rows] for buf in hidden], logits[:rows], part)
-    return outputs
+    batch, labels = _validate_batch(params.config, batch, labels)
+    blocks = -(-batch.shape[0] // FORWARD_BLOCK_ROWS)
+    parts = [_forward(params, x, y).outputs
+             for x, y in zip(np.array_split(batch, blocks), np.array_split(labels, blocks))]
+    scores = ("losses", "confidences", "predictions")
+    return ExitOutputs(*(np.concatenate([getattr(part, name) for part in parts]) for name in scores), labels)
 
 
 def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:
@@ -397,16 +379,16 @@ def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:
     return out
 
 
-def _block_errors(params: FlatParams, masks: list[np.ndarray], tops: np.ndarray):
+def _block_errors(lp: LayerPass, tops: np.ndarray):
     """Yield (j, stack) from the top block down: one sweep that carries every head.
 
     Head k, with error tops[k] at its output, reads block f + k, f =
     len(blocks) - len(heads). stack[m] is head max(j - f, 0) + m's error
-    at block j's output, masked by masks[j]. numpy runs a 3-D matmul as
-    one 2-D product per slice, so each head's rows get exactly the
+    at block j's output, masked by lp.masks[j]. numpy runs a 3-D matmul
+    as one 2-D product per slice, so each head's rows get exactly the
     products and masks of a sweep of its own.
     """
-    blocks, heads = params.blocks, params.heads
+    blocks, heads, masks = lp.params.blocks, lp.params.heads, lp.masks
     f = len(blocks) - len(heads)
     stack = None
     for j in range(len(blocks) - 1, -1, -1):
@@ -419,20 +401,21 @@ def _block_errors(params: FlatParams, masks: list[np.ndarray], tops: np.ndarray)
         yield j, stack
 
 
-def _tops_grad(params: FlatParams, hs: list[np.ndarray], masks: list[np.ndarray], tops: np.ndarray) -> np.ndarray:
-    """Flat gradient of a blocks-and-heads network from its heads' output errors.
+def _tops_grad(lp: LayerPass, tops: np.ndarray) -> np.ndarray:
+    """Flat gradient of a blocks-and-heads network at lp from its heads' output errors.
 
-    hs[j] is block j's input. Each layer's head terms are added in head
-    order from 0.0, as one sweep per head into a zero buffer adds them
-    (numpy sums a one-entry slice pairwise, so a width-1 layer that 8 or
-    more heads reach may differ in a last bit).
+    Each layer's head terms are added in head order from 0.0, as one
+    sweep per head into a zero buffer adds them (numpy sums a one-entry
+    slice pairwise, so a width-1 layer that 8 or more heads reach may
+    differ in a last bit).
     """
+    params, hs = lp.params, lp.hs
     grad = type(params)(params.config, np.empty(params.num_params))
     f = len(grad.blocks) - len(grad.heads)
     for k, head in enumerate(grad.heads):
         np.add(0.0, tops[k].T @ hs[f + k + 1], out=head.weight)
         np.add(0.0, tops[k].sum(axis=0), out=head.bias)
-    for j, stack in _block_errors(params, masks, tops):
+    for j, stack in _block_errors(lp, tops):
         block = grad.blocks[j]
         np.add.reduce(np.matmul(stack.transpose(0, 2, 1), hs[j]), axis=0, initial=0.0, out=block.weight)
         np.add.reduce(stack.sum(axis=1), axis=0, initial=0.0, out=block.bias)
@@ -450,7 +433,7 @@ def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray) -> np.ndarray:
     expected = (fp.outputs.batch_size, len(fp.logit_errors))
     if coeffs.shape != expected:
         raise ShapeError(f"coeffs shape {coeffs.shape}, expected {expected}")
-    return _tops_grad(fp.params, fp.hs, fp.masks, coeffs.T[:, :, None] * fp.logit_errors)
+    return _tops_grad(fp, coeffs.T[:, :, None] * fp.logit_errors)
 
 
 def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
@@ -469,7 +452,7 @@ def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
     acc = np.zeros(dlogs.shape[:2])
     for k, head in enumerate(v.heads):
         acc[k] += np.einsum("bo,bo->b", dlogs[k], hs[k + 1] @ head.weight.T + head.bias)
-    for j, stack in _block_errors(fp.params, fp.masks, dlogs):
+    for j, stack in _block_errors(fp, dlogs):
         block = v.blocks[j]
         acc[j:] += np.einsum("mbo,bo->mb", stack, hs[j] @ block.weight.T + block.bias)
     return np.ascontiguousarray(acc.T)

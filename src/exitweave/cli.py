@@ -311,6 +311,13 @@ def cmd_allocate(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value: a whole number >= 0, as train.seed is."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exitweave",
@@ -321,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model from a JSON config")
     p_train.add_argument("--config", required=True, help="path to the run config file")
     p_train.add_argument("--out", default=None, help="output directory (default: config's output.dir)")
-    p_train.add_argument("--seed", type=int, default=None, help="override train.seed")
+    p_train.add_argument("--seed", type=_seed, default=None, help="override train.seed")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint across a budget grid")
@@ -335,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference audit of the gradient chain")
     p_grad.add_argument("--config", default=None, help="optional config naming a tiny architecture")
-    p_grad.add_argument("--seed", type=int, default=None, help="override the audit seed")
+    p_grad.add_argument("--seed", type=_seed, default=None, help="override the audit seed")
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_alloc = sub.add_parser("allocate", help="greedy budget allocation for a confidence CSV")

@@ -320,7 +320,7 @@ def make_batches(
 
 # The least value of each bounded section field, whichever kinds have it
 _FLOORS = {"classes": 2, "num_classes": 2, "dim": 1, "train_per_class": 1, "val_per_class": 1,
-           "test_per_class": 1, "longtail_factor": 1.0}
+           "test_per_class": 1, "longtail_factor": 1.0, "seed": 0}
 
 
 def _check_bounds(spec) -> None:

@@ -4,13 +4,13 @@ All heavy math in this package runs on C-contiguous float64 ndarrays.
 The helpers here pin down the conventions the rest of the code relies on:
 explicit errors for non-finite values, an overflow-safe softmax and
 log-sum-exp in one pass (`softmax_lse`) and sigmoid, and a reproducible
-RNG tree where every consumer draws from its own labeled child stream.
+RNG tree (`RngStream`, numpy's PCG64 `Generator` plus labeled children)
+where every consumer draws from its own child stream.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,33 +68,18 @@ def _child_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-@dataclass
-class RngStream:
+class RngStream(np.random.Generator):
     """A seeded random stream with labeled, independently-seeded children.
 
-    Streams wrap numpy's PCG64 generator: the same seed always replays the
-    same draw sequence. `child(label)` derives a new stream whose seed is a
-    hash of (seed, label), so adding a consumer never shifts the draws of
-    existing ones.
+    A numpy Generator over PCG64(seed): the same seed always replays the
+    same draw sequence. `child(label)` derives a new stream whose seed is
+    a hash of (seed, label), so adding a consumer never shifts the draws
+    of existing ones.
     """
 
-    seed: int
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+    def __init__(self, seed: int):
+        super().__init__(np.random.PCG64(seed))
+        self.seed = seed
 
     def child(self, label: str) -> "RngStream":
         return RngStream(_child_seed(self.seed, label))
-
-    def standard_normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(shape)
-
-    def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)

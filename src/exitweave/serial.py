@@ -155,6 +155,8 @@ def config_doc(config) -> dict:
 def _convert(hint, value):
     origin = get_origin(hint)
     if origin is tuple:
+        if not isinstance(value, list):  # a string or an object would read item by item
+            raise TypeError("expected a JSON list")
         return tuple(_convert(get_args(hint)[0], v) for v in value)
     if hint is bool:  # bool("false") is True, so only JSON true/false count
         if not isinstance(value, bool):
@@ -196,8 +198,8 @@ def read_config(cls, doc, where: str, error=ConfigError, *, fill: bool = True, *
     Keyword arguments supply fields directly; the keys of doc must name
     the other fields. With fill, a missing key takes its field's default
     if it has one; other missing keys are errors. Values convert to
-    their field's type as int(), float() and str() do, tuples item by
-    item, except that a number field takes no boolean, an int field no
+    their field's type as int(), float() and str() do, a tuple from a
+    JSON list item by item, except that a number field takes no boolean, an int field no
     fractional number, a float field no NaN or infinity, and a bool field
     only true or false; a union field keeps a value of one of its types.
     A bad key, a value that does not convert, or one the dataclass

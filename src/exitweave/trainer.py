@@ -139,6 +139,8 @@ class TrainConfig:
             raise ConfigError("frozen_wpn variant requires frozen_wpn_path")
         if self.scatter_cap < 0:
             raise ConfigError(f"scatter_cap must be >= 0, got {self.scatter_cap}")
+        if self.seed < 0:  # PCG64 takes no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

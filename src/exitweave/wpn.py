@@ -13,10 +13,10 @@ never change the total. With delta = 0 every weight is exactly 1 and the
 whole mechanism degenerates to plain unweighted training.
 
 `wpn_weights` runs the network and the squash at the network's own
-delta and returns one `WpnPass`, the counterpart of
-`backbone.ForwardPass`: the weights plus what its backward sweep
-`wpn_backward` reads, the hidden layers' outputs (the ReLU mask comes
-from them, as in the trunk) and the sigmoids `make_weights` returns.
+delta and returns one `WpnPass`, a `backbone.LayerPass` as
+`backbone.ForwardPass` is: the weights plus what its backward sweep
+`wpn_backward` reads, the hidden layers' outputs with the ReLU masks
+the pass caches from them, and the sigmoids `make_weights` returns.
 
 The backward pass here is hand-derived. Its input is dL/d(weight) for a
 downstream scalar L; the zero-sum normalization is its own transpose
@@ -38,7 +38,7 @@ from functools import cache
 
 import numpy as np
 
-from .backbone import FlatParams, _tops_grad, relu_forward
+from .backbone import FlatParams, LayerPass, _tops_grad, relu_forward
 from .errors import ConfigError, ShapeError
 from .numkit import RngStream, require_finite, sigmoid_stable
 
@@ -69,10 +69,9 @@ class WpnParams(FlatParams):
     """Layers K -> width (x depth, ReLU) -> K, as views into one flat buffer:
     a one-exit trunk, the hidden layers its `blocks`, the last its `head`."""
 
-    def __init__(self, config: WpnConfig, buffer: np.ndarray):
-        super().__init__(config, buffer)
-        self.blocks = self.layers[:-1]
-        self.heads = self.layers[-1:]
+    @staticmethod
+    def num_heads(config: WpnConfig) -> int:
+        return 1
 
     @staticmethod
     @cache
@@ -121,17 +120,16 @@ def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
-class WpnPass:
+class WpnPass(LayerPass):
     """One weight-network pass at one parameter point, kept for its backward sweep.
 
-    The counterpart of `backbone.ForwardPass`: weights is the (B, K)
-    weight matrix, hs the hidden activations from `relu_forward`
-    (hs[0] is the loss matrix) and sigmoids the squashed raw scores.
+    The counterpart of `backbone.ForwardPass`: hs are the hidden
+    activations (hs[0] is the loss matrix), weights is the (B, K)
+    weight matrix and sigmoids the squashed raw scores.
     """
 
     params: WpnParams
     weights: np.ndarray
-    hs: list[np.ndarray]
     sigmoids: np.ndarray
 
 
@@ -139,7 +137,7 @@ def wpn_weights(params: WpnParams, loss_matrix) -> WpnPass:
     """`wpn_forward` then `make_weights` at the network's delta."""
     raw, hs = wpn_forward(params, loss_matrix)
     _, weights, sigmoids = make_weights(raw, params.config.delta)
-    return WpnPass(params, weights, hs, sigmoids)
+    return WpnPass(params, hs, weights, sigmoids)
 
 
 def meta_weight_grad(psg: np.ndarray, meta_grad: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -172,12 +170,11 @@ def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray) -> np.ndarray:
     g = np.asarray(dl_dweights, dtype=np.float64)
     if g.shape != wpn_pass.weights.shape:
         raise ShapeError(f"dl_dweights shape {g.shape} does not match the weights {wpn_pass.weights.shape}")
-    params = wpn_pass.params
     # Zero-sum normalization: J = I - (1/BK) 11^T is symmetric.
     g = g - g.mean()
     s = wpn_pass.sigmoids
-    dz = g * (2.0 * params.config.delta) * s * (1.0 - s)
-    return _tops_grad(params, wpn_pass.hs, [h > 0 for h in wpn_pass.hs[1:]], dz[None])
+    dz = g * (2.0 * wpn_pass.params.config.delta) * s * (1.0 - s)
+    return _tops_grad(wpn_pass, dz[None])
 
 
 @dataclass

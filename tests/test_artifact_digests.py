@@ -1,6 +1,6 @@
 """The byte-identity tool's reference runs stay loadable.
 
-`tools/artifact_digests.py` runs thirteen reference configs on two
+`tools/artifact_digests.py` runs fourteen reference configs on two
 checkouts and compares the artifacts. No run here: each config and the
 tool's data files are only read back through the package, so a schema
 change that breaks the tool's inputs fails this suite, not the next
@@ -28,7 +28,7 @@ def test_reference_configs_load_and_build(tmp_path):
     tool = load_tool()
     tool.write_data_files(tmp_path / "data")
     configs = tool.reference_configs()
-    assert len(configs) == 13
+    assert len(configs) == 14
     for name, config in configs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config, indent=1) + "\n")

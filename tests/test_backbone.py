@@ -234,6 +234,12 @@ class TestInit:
             np.testing.assert_array_equal(layer.bias, np.zeros_like(layer.bias))
 
 
+def pass_logits(fp: ForwardPass) -> np.ndarray:
+    """The pass's (B, K, C) logits, from its trunk activations and heads
+    by the exit head's own np.add(h @ W.T, b)."""
+    return np.stack([np.add(h @ head.weight.T, head.bias) for h, head in zip(fp.hs[1:], fp.params.heads)], axis=1)
+
+
 def assert_same_outputs(got: ExitOutputs, want: ExitOutputs):
     """Every field of got is bitwise want's, with its dtype and shape."""
     for f in fields(ExitOutputs):
@@ -286,7 +292,8 @@ class TestForwardAll:
         outs = forward_all(params, xx, yy)
         assert_same_outputs(outs, fp.outputs)
         np.testing.assert_array_equal(outs.losses[0], outs.losses[1])
-        np.testing.assert_array_equal(fp.logits[0], fp.logits[1])
+        logits = pass_logits(fp)
+        np.testing.assert_array_equal(logits[0], logits[1])
 
     def test_shape_errors(self):
         config, params, x, y = small_instance()
@@ -331,7 +338,7 @@ class TestForwardAll:
         ids=["one-row", "one-block", "two-blocks", "four-blocks"],
     )
     def test_block_boundaries_match_forward_pass(self, n):
-        # unequal widths give the workspace buffers several shapes, and
+        # unequal widths give each block's layers several shapes, and
         # the last of four near-equal blocks holds one row fewer
         config = BackboneConfig(5, (12, 7, 9), 4)
         root = RngStream(n)
@@ -342,8 +349,8 @@ class TestForwardAll:
 
     def test_peak_memory_holds_no_class_sized_outputs(self):
         # the (n, K, C) logits and probs of 8,192 rows at 100 classes take
-        # 26 MB each; forward_all may hold only its one-block workspace,
-        # one block's softmax array and the (n, K) outputs
+        # 26 MB each; forward_all may hold only one block's activations,
+        # logits and softmax, and the (n, K) outputs
         n, widths, classes = 8 * FORWARD_BLOCK_ROWS, (64,) * 4, 100
         config = BackboneConfig(16, widths, classes)
         root = RngStream(11)
@@ -448,7 +455,7 @@ class TestExitHead:
         zero.bias[:] = 0.0
         fp = forward_pass(params, x, y)
         assert_same_outputs(forward_all(params, x, y), fp.outputs)
-        lg, outs = fp.logits, fp.outputs
+        lg, outs = pass_logits(fp), fp.outputs
         assert np.all(lg[:, 0, 0] == lg[:, 0, 1]) and np.all(lg[:, 0, 0] == lg[:, 0].max(axis=1))
         top2 = np.sort(lg[:, 1], axis=1)[:, -2:]
         assert np.all(top2[:, 1] - top2[:, 0] >= 40.0)
@@ -464,10 +471,10 @@ class TestExitHead:
 def take_along_axis_gathers(fp: ForwardPass):
     """losses and confidences read from the pass's logits and probs with
     np.take_along_axis, the exit head's earlier gathers."""
-    outs = fp.outputs
-    b, k, c = fp.logits.shape
-    _, lse = softmax_lse(fp.logits.reshape(b * k, c))
-    picked = np.take_along_axis(fp.logits, outs.labels[:, None, None], axis=2)[:, :, 0]
+    outs, logits = fp.outputs, pass_logits(fp)
+    b, k, c = logits.shape
+    _, lse = softmax_lse(logits.reshape(b * k, c))
+    picked = np.take_along_axis(logits, outs.labels[:, None, None], axis=2)[:, :, 0]
     confidences = np.take_along_axis(fp.probs, outs.predictions[:, :, None], axis=2)[:, :, 0]
     return lse.reshape(b, k) - picked, confidences
 
@@ -860,10 +867,16 @@ class TestBlockSweep:
 SRC = Path(__file__).resolve().parents[1] / "src" / "exitweave"
 
 
-def names_used(module: Path, function: str) -> set[str]:
-    """Every bare or attribute name read inside one top-level function of module."""
+def function_node(module: Path, function: str) -> ast.FunctionDef:
+    """The one top-level function of module named function."""
     tree = ast.parse(module.read_text(), str(module))
     (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return node
+
+
+def names_used(module: Path, function: str) -> set[str]:
+    """Every bare or attribute name read inside one top-level function of module."""
+    node = function_node(module, function)
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
     }
@@ -902,10 +915,27 @@ def maximum_calls(module: Path) -> list[str]:
 
 def test_one_rectifier_step():
     # every dense ReLU layer, in the trunk, the weight network and the
-    # blocked evaluation, runs through backbone._relu_layer
+    # blocked evaluation, runs through backbone.relu_forward
     assert [call for module in sorted(SRC.glob("*.py")) for call in maximum_calls(module)] == [
-        "backbone.py:_relu_layer"
+        "backbone.py:relu_forward"
     ]
+
+
+def test_one_forward_path():
+    # both forward functions validate a batch once and run one pass core,
+    # which validates nothing; forward_all adds no layer math of its own
+    for function in ("forward_pass", "forward_all"):
+        node = function_node(SRC / "backbone.py", function)
+        calls = [n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+        assert calls.count("_validate_batch") == 1 and calls.count("_forward") == 1, function
+    assert "_validate_batch" not in names_used(SRC / "backbone.py", "_forward")
+    forward_all_node = function_node(SRC / "backbone.py", "forward_all")
+    assert not [n for n in ast.walk(forward_all_node) if isinstance(n, ast.MatMult)]
+    assert not {"matmul", "relu_forward", "softmax_lse"} & names_used(SRC / "backbone.py", "forward_all")
+    # the weight network's sweep reads the masks its pass caches
+    assert not [n for n in ast.walk(function_node(SRC / "wpn.py", "wpn_backward")) if isinstance(n, ast.Gt)]
+    for path in SRC.glob("*.py"):
+        assert "_relu_layer" not in path.read_text(), path
 
 
 class TestUpdates:

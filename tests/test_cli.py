@@ -586,6 +586,59 @@ class TestNonFiniteConfigValues:
         assert not (tmp_path / "o").exists()
 
 
+def exit_code(argv) -> int:
+    """main's exit code, argparse's own exits included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNegativeSeeds:
+    """PCG64 takes no negative seed; each path used to end in numpy's ValueError traceback and exit 1."""
+
+    @pytest.mark.parametrize("section, key, value", [("train", "seed", -1), ("dataset", "seed", -5)])
+    def test_config_seed_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "run.json"
+        doc = write_config(cfg)
+        doc[section][key] = value
+        cfg.write_text(json.dumps(doc))
+        assert exit_code(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and section in err and key in err, err
+        assert f"must be >= 0, got {value}" in err, err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    def test_train_flag_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        assert exit_code(["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-2"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be a whole number >= 0, got '-2'" in err and "Traceback" not in err, err
+        assert not (tmp_path / "o").exists()
+
+    def test_gradcheck_flag_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert exit_code(["gradcheck", "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "argument --seed: must be a whole number >= 0, got '-3'" in captured.err
+        assert "Traceback" not in captured.err
+        assert not captured.out and list(tmp_path.iterdir()) == []
+
+
+class TestTupleFields:
+    """A tuple field takes only a JSON list: a string or an object used to read item by item."""
+
+    @pytest.mark.parametrize("value", ["64", {"16": 1, "8": 2}], ids=["string", "object"])
+    def test_trunk_widths_not_a_list_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, backbone={"trunk_widths": value})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: backbone: trunk_widths: cannot read {value!r}" in err, err
+        assert not (tmp_path / "o").exists()
+
+
 class TestUndecodableFiles:
     """A file that is not UTF-8 text exits 2 naming it; each used to end in a traceback and exit 1."""
 

@@ -133,9 +133,21 @@ class TestRngStream:
         np.testing.assert_array_equal(a, b)
 
     def test_matches_pcg64_reference(self):
-        ours = RngStream(123).standard_normal(8)
-        ref = np.random.Generator(np.random.PCG64(123)).standard_normal(8)
-        np.testing.assert_array_equal(ours, ref)
+        # every draw the package makes is numpy's own, bitwise, in sequence
+        ours = RngStream(123)
+        ref = np.random.Generator(np.random.PCG64(123))
+        assert isinstance(ours, np.random.Generator) and ours.seed == 123
+        for draw, args in (("standard_normal", ((4, 3),)), ("uniform", (-0.5, 0.5, (5,))),
+                           ("permutation", (9,)), ("integers", (0, 7, 6))):
+            got, want = getattr(ours, draw)(*args), getattr(ref, draw)(*args)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), draw
+
+    def test_child_seeds_are_pinned(self):
+        # a changed child seed would change every run's parameters and shuffles
+        assert RngStream(0).child("init-backbone").seed == 9637191323178027541
+        assert RngStream(7).child("shuffle-3").seed == 1639013218715289087
+        assert RngStream(2022).child("").seed == 7215782770689459022
+        assert RngStream(0).child("a").child("b").seed == 16970518209865361828
 
     def test_children_are_stable_and_distinct(self):
         root = RngStream(7)

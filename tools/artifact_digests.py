@@ -2,7 +2,7 @@
 
     python3 tools/artifact_digests.py --src CHECKOUT/src --out DIR
 
-runs, from the package under --src and inside DIR, thirteen reference runs
+runs, from the package under --src and inside DIR, fourteen reference runs
 (`train` then `eval` on the checkpoint) plus `gradcheck`, with the BLAS
 thread pools capped at 1 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
 MKL_NUM_THREADS) and cwd-relative paths, then prints one
@@ -23,7 +23,10 @@ so that its backward sweep reaches blocks below its head, `learned` on a
 batch 128), and `baseline` on a 16x4 trunk whose val and test splits
 hold 1,500 rows each (6 classes, dim 16, 250 rows per class in every
 split; 1 epoch, batch 64), so that training's per-epoch validation and
-`eval` run `forward_all` in row blocks. Last come three `baseline` runs
+`eval` run `forward_all` in row blocks, and `baseline` on a 16x4 trunk
+whose val and test splits hold 2,051 rows each (7 classes, dim 16,
+150/293/293 rows per class; 1 epoch, batch 64), which split unevenly
+into blocks of 684, 684 and 683 rows. Last come three `baseline` runs
 on a 16x4 trunk (4 classes; 2 epochs, batch 32), one for each
 file-backed dataset kind, on data files the tool writes into DIR/data
 from a fixed seed, without the package: `container` (dim 8, 200/80/80
@@ -123,6 +126,11 @@ def reference_configs() -> dict[str, dict]:
     }
     configs["baseline_blocks"] = {
         "dataset": _synthetic(6, 16, 250, 250),
+        "backbone": {"trunk_widths": [16] * 4},
+        "train": {"epochs": 1, "batch_size": 64, "alpha": 0.1, "variant": "baseline"},
+    }
+    configs["baseline_uneven_blocks"] = {
+        "dataset": _synthetic(7, 16, 150, 293),
         "backbone": {"trunk_widths": [16] * 4},
         "train": {"epochs": 1, "batch_size": 64, "alpha": 0.1, "variant": "baseline"},
     }
