@@ -7,7 +7,7 @@ exits on that same pass gives the gradient of sum c[i,k] * loss_i^(k) for an
 SGD(momentum, weight decay) step. The variants differ only in c:
 
   baseline            1/n, one substep on the full batch;
-  fixed_*             a constant per-exit weight row / n;
+  fixed               the configured per-exit weight row exit_weights / n;
   selection           the allocation mask (1/|subset_k| on allocated cells);
   learned, whole_meta,
   frozen_wpn          the weight network's weight matrix w / n
@@ -73,8 +73,7 @@ from .wpn import (
 VARIANT_NAMES = (
     "learned",
     "baseline",
-    "fixed_ascending",
-    "fixed_descending",
+    "fixed",
     "selection",
     "frozen_wpn",
     "whole_meta",
@@ -85,9 +84,6 @@ LR_SCHEDULES = ("constant", "cosine")
 # Variants that carry a weight prediction network.
 _WPN_VARIANTS = ("learned", "whole_meta", "frozen_wpn")
 
-FIXED_WEIGHT_LOW = 0.6
-FIXED_WEIGHT_HIGH = 1.4
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -97,8 +93,10 @@ class TrainConfig:
     beta the Adam rate for the weight network, interval the WPN update
     period in iterations, q the budget knob used for meta allocation.
     batch_size must be even because every batch is split into two
-    halves that exchange train and meta roles. frozen_wpn_path names the
-    run checkpoint whose weight network a frozen_wpn run applies.
+    halves that exchange train and meta roles. frozen_wpn_path (variant
+    frozen_wpn only) names the run checkpoint whose weight network the run
+    applies; exit_weights (fixed only) is the per-exit weight row, mean 1.
+    scatter_cap > 0 logs up to that many weight scatter points per epoch.
     """
 
     epochs: int
@@ -113,8 +111,8 @@ class TrainConfig:
     lr_schedule: str = "cosine"
     seed: int = 0
     frozen_wpn_path: str | None = None
-    log_weight_scatter: bool = False
-    scatter_cap: int = 2000
+    exit_weights: tuple[float, ...] | None = None
+    scatter_cap: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -135,8 +133,14 @@ class TrainConfig:
             raise ConfigError(f"lr_schedule must be one of {LR_SCHEDULES}, got {self.lr_schedule!r}")
         if self.variant not in VARIANT_NAMES:
             raise ConfigError(f"variant must be one of {VARIANT_NAMES}, got {self.variant!r}")
-        if self.variant == "frozen_wpn" and not self.frozen_wpn_path:
-            raise ConfigError("frozen_wpn variant requires frozen_wpn_path")
+        row = None if self.exit_weights is None else tuple(map(float, self.exit_weights))
+        object.__setattr__(self, "exit_weights", row)
+        for variant, name in (("frozen_wpn", "frozen_wpn_path"), ("fixed", "exit_weights")):
+            if (self.variant == variant) != (getattr(self, name) not in (None, "")):  # "" is missing
+                raise ConfigError(f"variant {variant!r} requires {name}" if self.variant == variant
+                                  else f"{name} applies only to variant {variant!r}, not {self.variant!r}")
+        if row is not None and not (row and abs(sum(row) / len(row) - 1.0) <= 1e-12):  # NaN and inf fail too
+            raise ConfigError(f"exit_weights must be finite with mean 1 (within 1e-12), got {list(row)}")
         if self.scatter_cap < 0:
             raise ConfigError(f"scatter_cap must be >= 0, got {self.scatter_cap}")
         if self.seed < 0:  # PCG64 takes no negative seed
@@ -230,11 +234,6 @@ def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
     return dl_dw, value, alloc, mask, outs
 
 
-def _fixed_weight_row(num_exits: int, ascending: bool) -> np.ndarray:
-    row = np.linspace(FIXED_WEIGHT_LOW, FIXED_WEIGHT_HIGH, num_exits)
-    return row if ascending else row[::-1].copy()
-
-
 def _meta_step(state: TrainState, train_pass: ForwardPass, wpn_pass: WpnPass, meta,
                config: TrainConfig, alpha_t: float, log_scatter: bool) -> dict:
     """One Adam step of the weight network from dL/dw at the train side's
@@ -285,8 +284,7 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
         frag["alloc_sizes"] = [int(s) for s in alloc.sizes]
     else:
         if config.variant not in _WPN_VARIANTS:
-            row = _fixed_weight_row(outs.num_exits, config.variant == "fixed_ascending")
-            weights = np.broadcast_to(row, outs.losses.shape)
+            weights = np.broadcast_to(np.asarray(config.exit_weights), outs.losses.shape)
         else:
             wpn_pass = wpn_weights(state.wpn, outs.losses)
             if config.variant != "frozen_wpn" and state.iteration % config.interval == 0:
@@ -389,6 +387,8 @@ def run_training(
             f"weight network is sized for {wpn_config.num_exits} exits, "
             f"backbone has {backbone_config.num_exits}"
         )
+    if config.exit_weights is not None and len(config.exit_weights) != backbone_config.num_exits:
+        raise ConfigError(f"exit_weights has {len(config.exit_weights)} entries for {backbone_config.num_exits} exits")
     for ds, name in ((train_set, "train"), (val_set, "val")):
         require_fit(backbone_config, ds, f"{name} set", ConfigError)
     root = RngStream(config.seed)
@@ -402,7 +402,7 @@ def run_training(
     history = History()
     for epoch in range(config.epochs):
         alpha_t = lr_at(config, epoch)
-        budget = config.scatter_cap if config.log_weight_scatter else 0
+        budget = config.scatter_cap
         for idx in make_batches(train_set, config.batch_size, epoch, config.seed, drop_last=True):
             try:
                 record = train_step(

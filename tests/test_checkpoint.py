@@ -209,10 +209,11 @@ class TestMalformedRunCheckpoint:
         assert "learning_rate" in self.load_error(path, doc)
 
     def test_train_field_read_lossily(self, tmp_path):
+        # int() would read an interval of 2.5 as 2
         path, doc = self.saved(tmp_path)
-        doc["train_config"]["log_weight_scatter"] = "false"
+        doc["train_config"]["interval"] = 2.5
         msg = self.load_error(path, doc)
-        assert str(path) in msg and "train_config" in msg and "log_weight_scatter" in msg
+        assert str(path) in msg and "train_config: interval" in msg and "2.5" in msg
 
     def test_boolean_float_field_names_the_key(self, tmp_path):
         # float() would read true as 1.0

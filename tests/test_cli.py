@@ -9,6 +9,7 @@ way an installed `exitweave` wrapper runs it.
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -316,13 +317,11 @@ class TestPreciseFileErrors:
         assert str(cfg) in err and "wpn" in err and "hidden_width" in err
 
     @pytest.mark.parametrize("key, value", [
-        ("epochs", 2.9), ("batch_size", 10.9), ("epochs", True), ("log_weight_scatter", "false"),
-        ("alpha", True),
+        ("epochs", 2.9), ("batch_size", 10.9), ("epochs", True), ("alpha", True),
     ])
     def test_config_value_read_lossily(self, tmp_path, capsys, key, value):
         # int() would train 2 epochs on 2.9, batch 10 on 10.9 and 1 epoch on
-        # true; bool() would turn scatter logging on for "false"; float()
-        # would train at learning rate 1.0 on true
+        # true; float() would train at learning rate 1.0 on true
         cfg = tmp_path / "run.json"
         doc = write_config(cfg)
         doc["train"][key] = value
@@ -624,6 +623,51 @@ class TestNegativeSeeds:
         assert "argument --seed: must be a whole number >= 0, got '-3'" in captured.err
         assert "Traceback" not in captured.err
         assert not captured.out and list(tmp_path.iterdir()) == []
+
+
+class TestExitWeights:
+    """exit_weights is the row of a fixed run: given with that variant only, finite, mean 1, one entry per exit."""
+
+    def train_err(self, tmp_path, capsys, **train) -> str:
+        """stderr of a train run that must exit 2 before writing anything."""
+        cfg = tmp_path / "run.json"
+        write_config(cfg, train={"epochs": 1, "batch_size": 10, "alpha": 0.1, **train})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("train, message", [
+        ({"variant": "fixed"}, "variant 'fixed' requires exit_weights"),
+        ({"exit_weights": [1.0, 1.0]}, "exit_weights applies only to variant 'fixed', not 'learned'"),
+        ({"variant": "baseline", "frozen_wpn_path": "learned/checkpoint.json"},
+         "frozen_wpn_path applies only to variant 'frozen_wpn', not 'baseline'"),
+        ({"variant": "fixed", "exit_weights": [1.0, 1.0 + 2e-9]}, "exit_weights must be finite with mean 1"),
+    ], ids=["fixed-without-row", "row-with-learned", "path-with-baseline", "mean-off-by-1e-9"])
+    def test_config_error_names_the_key(self, tmp_path, capsys, train, message):
+        # a frozen_wpn_path beside another variant used to be ignored, yet it entered the run id
+        err = self.train_err(tmp_path, capsys, **train)
+        assert f"{tmp_path / 'run.json'}: train: {message}" in err, err
+
+    def test_non_finite_entry_in_the_file_exits_2(self, tmp_path, capsys):
+        err = self.train_err(tmp_path, capsys, variant="fixed", exit_weights=[math.nan, 1.0])  # json writes NaN
+        assert f"{tmp_path / 'run.json'}: train: exit_weights: cannot read [nan, 1.0]" in err, err
+
+    def test_row_of_the_wrong_length_exits_2(self, tmp_path, capsys):
+        err = self.train_err(tmp_path, capsys, variant="fixed", exit_weights=[0.5, 1.0, 1.5])  # the trunk has 2 exits
+        assert "exit_weights has 3 entries for 2 exits" in err, err
+
+    def test_resolved_config_records_the_row_and_reruns(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, train={"epochs": 1, "batch_size": 10, "alpha": 0.1, "variant": "fixed",
+                                 "exit_weights": [1.4, 0.6]})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        resolved = tmp_path / "a" / "resolved_config.json"
+        assert json.loads(resolved.read_text())["train"]["exit_weights"] == [1.4, 0.6]
+        assert main(["train", "--config", str(resolved), "--out", str(tmp_path / "b")]) == 0
+        for name in ("resolved_config.json", "checkpoint.json", "history.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestTupleFields:

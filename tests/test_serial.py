@@ -1,6 +1,6 @@
 """The file rule `serial` owns: every read and write goes through it, and
 a path it cannot read fails as a ConfigError naming that path. No module
-reads the environment."""
+reads the environment. A bool field reads only JSON true or false."""
 
 import ast
 import re
@@ -11,6 +11,7 @@ import pytest
 from exitweave.checkpoint import load_run_checkpoint
 from exitweave.datahub import load_cifar_bin, load_dataset, read_idx
 from exitweave.errors import ConfigError
+from exitweave.serial import read_value
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "exitweave"
 READERS = {f.__name__: f for f in (load_run_checkpoint, load_dataset, read_idx, load_cifar_bin)}
@@ -70,3 +71,14 @@ def test_write_text_creates_its_directory(tmp_path):
 
     write_text(tmp_path / "a" / "b" / "out.txt", "x\n")
     assert (tmp_path / "a" / "b" / "out.txt").read_text() == "x\n"
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_bool_reads_only_true_or_false(value):
+    # bool("false") is True, so a string would switch a flag on
+    with pytest.raises(ConfigError, match=re.escape(f"train: flag: cannot read {value!r} as bool")):
+        read_value(bool, value, "train: flag")
+
+
+def test_bool_keeps_true_and_false():
+    assert read_value(bool, True, "flag") is True and read_value(bool, False, "flag") is False

@@ -11,6 +11,7 @@ cover schedules, variants, interval gating, determinism and failure
 modes.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -32,6 +33,7 @@ from exitweave.datahub import gen_synthetic_gaussians
 from exitweave.errors import CompatibilityError, ConfigError, TrainingError
 from exitweave.exitpolicy import allocate_meta
 from exitweave.numkit import RngStream
+from exitweave.serial import config_doc, read_config
 from exitweave.trainer import (
     TrainConfig,
     TrainState,
@@ -375,6 +377,19 @@ def quick_sets(seed=30, classes=3, dim=4, train_n=30, val_n=12):
 BB = BackboneConfig(4, (5, 4), 3)
 WPN = WpnConfig(2, hidden_width=8, hidden_depth=1, delta=0.8)
 
+# The two constant rows the `fixed` control has run with on BB's two
+# exits: evenly spaced over [0.6, 1.4], ascending and descending.
+FIXED_ROWS = {"fixed_ascending": (0.6, 1.4), "fixed_descending": (1.4, 0.6)}
+
+
+def case_config(case: str, frozen_path: str) -> TrainConfig:
+    """A one-epoch config with interval 2 for a variant, or for a
+    FIXED_ROWS name, which runs `fixed` with that row."""
+    owned = {"frozen_wpn_path": frozen_path} if case == "frozen_wpn" else {}
+    if case in FIXED_ROWS:
+        case, owned = "fixed", {"exit_weights": FIXED_ROWS[case]}
+    return TrainConfig(epochs=1, batch_size=10, alpha=0.1, variant=case, interval=2, **owned)
+
 
 def saved_run(path, wpn, backbone_config=BB) -> str:
     """Write a run checkpoint carrying wpn (None: no network), as frozen_wpn_path reads it."""
@@ -396,7 +411,7 @@ class TestRunTraining:
 
     def test_determinism_across_reruns(self):
         train, val = quick_sets()
-        cfg = TrainConfig(epochs=2, batch_size=10, alpha=0.1, seed=3, log_weight_scatter=True, scatter_cap=10)
+        cfg = TrainConfig(epochs=2, batch_size=10, alpha=0.1, seed=3, scatter_cap=10)
         s1, h1 = run_training(cfg, BB, WPN, train, val)
         s2, h2 = run_training(cfg, BB, WPN, train, val)
         np.testing.assert_array_equal(s1.backbone.flatten(), s2.backbone.flatten())
@@ -486,18 +501,23 @@ class TestVariants:
         assert state.wpn is None and state.adam is None
 
     def test_fixed_weight_rows(self):
-        _, hist_up = self.run(variant="fixed_ascending")
+        _, hist_up = self.run(variant="fixed", exit_weights=FIXED_ROWS["fixed_ascending"])
         rec = hist_up.iterations[0]
         np.testing.assert_allclose(rec["weight_mean"], [0.6, 1.4], atol=1e-12)
         np.testing.assert_allclose(rec["weight_min"], rec["weight_max"], atol=1e-12)
-        _, hist_dn = self.run(variant="fixed_descending")
+        _, hist_dn = self.run(variant="fixed", exit_weights=FIXED_ROWS["fixed_descending"])
         np.testing.assert_allclose(hist_dn.iterations[0]["weight_mean"], [1.4, 0.6], atol=1e-12)
 
-    def test_fixed_weight_row_is_linspace_for_k5(self):
-        from exitweave.trainer import _fixed_weight_row
-
-        np.testing.assert_allclose(_fixed_weight_row(5, True), [0.6, 0.8, 1.0, 1.2, 1.4], atol=1e-12)
-        np.testing.assert_allclose(_fixed_weight_row(5, False), [1.4, 1.2, 1.0, 0.8, 0.6], atol=1e-12)
+    def test_linspace_rows_survive_a_json_round_trip(self):
+        # the rows the old fixed_ascending and fixed_descending variants
+        # built in code, written to and read from a config file unchanged
+        for k in range(2, 10):
+            for row in (np.linspace(0.6, 1.4, k), np.linspace(0.6, 1.4, k)[::-1]):
+                cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.1, variant="fixed", exit_weights=tuple(row))
+                read = read_config(TrainConfig, json.loads(json.dumps(config_doc(cfg))), "train", fill=False)
+                assert read == cfg
+                assert np.asarray(read.exit_weights).tobytes() == row.tobytes(), k
+                assert abs(np.mean(row) - 1.0) <= 1e-12, k
 
     def test_selection_masks_gradient_to_allocated_samples(self):
         state, history = self.run(variant="selection", q=0.5)
@@ -602,6 +622,29 @@ class TestDeltaZeroReduction:
         np.testing.assert_allclose(state.backbone.flatten(), twin.flatten(), rtol=0, atol=1e-12)
 
 
+class TestFixedRowOfOnes:
+    """The positive control: `fixed` with a row of ones scales every loss
+    by 1/n, as `learned` does when delta 0 pins its weights to 1."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trains_as_learned_at_delta_zero(self, seed):
+        root = RngStream(80 + seed)
+        train = gen_synthetic_gaussians(8, 16, 40, 1.0, root.child("tr"))
+        val = gen_synthetic_gaussians(8, 16, 10, 1.0, root.child("va"), split="val")
+        backbone_cfg, wpn_cfg = BackboneConfig(16, (16,) * 4, 8), WpnConfig(4, delta=0.0)
+        runs = [run_training(TrainConfig(epochs=5, batch_size=64, alpha=0.1, seed=seed, **kw),
+                             backbone_cfg, wpn_cfg, train, val)
+                for kw in ({"variant": "fixed", "exit_weights": (1.0,) * 4}, {"variant": "learned"})]
+        (fixed, fixed_history), (learned, learned_history) = runs
+        assert learned.adam.step > 0 and fixed.wpn is None
+        assert fixed.backbone.buffer.tobytes() == learned.backbone.buffer.tobytes()
+        assert fixed.velocity.tobytes() == learned.velocity.tobytes()
+        assert fixed_history.epochs == learned_history.epochs
+        for f, le in zip(fixed_history.iterations, learned_history.iterations, strict=True):
+            assert f["train_loss_per_exit"] == le["train_loss_per_exit"]
+            assert f["weight_mean"] == le["weight_mean"] == [1.0] * 4
+
+
 class TestFactoredMetaChain:
     def test_matches_dense_reference(self):
         # the trainer's lookahead and dL/dw against the stored-tensor route
@@ -688,8 +731,7 @@ class TestPassSharing:
         root = RngStream(73)
         wpn = init_wpn(WPN, root.child("init-wpn"))
         path = saved_run(tmp_path / "run.json", wpn)
-        cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.1, variant=variant, interval=2,
-                          frozen_wpn_path=path if variant == "frozen_wpn" else None)
+        cfg = case_config(variant, path)
         state = TrainState(backbone=init_params(BB, root.child("init-backbone")), wpn=wpn,
                            velocity=None, adam=AdamState.zeros(wpn.num_params), iteration=iteration)
         data = root.child("data")
@@ -711,7 +753,7 @@ _ALWAYS = {"iteration", "lr", "train_loss_per_exit"}
 _WEIGHT_STATS = {"weight_mean", "weight_min", "weight_max"}
 
 
-# (variant, iteration, fields not None besides _ALWAYS); with interval 2,
+# (variant or FIXED_ROWS name, iteration, fields not None besides _ALWAYS); with interval 2,
 # iteration 0 is an update iteration and iteration 1 is not
 _RECORD_CASES = [
     ("baseline", 0, set()),
@@ -740,8 +782,7 @@ class TestRecordFields:
         root = RngStream(74)
         wpn = init_wpn(WPN, root.child("init-wpn"))
         path = saved_run(tmp_path / "run.json", wpn)
-        cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.1, variant=variant, interval=2,
-                          frozen_wpn_path=path if variant == "frozen_wpn" else None)
+        cfg = case_config(variant, path)
         with_wpn = variant in ("learned", "whole_meta", "frozen_wpn")
         state = TrainState(backbone=init_params(BB, root.child("init-backbone")),
                            wpn=wpn if with_wpn else None, velocity=None,
@@ -757,8 +798,7 @@ class TestRecordFields:
 class TestScatterLogging:
     def test_cap_and_shape(self):
         train, val = quick_sets(seed=60)
-        cfg = TrainConfig(epochs=2, batch_size=10, alpha=0.05, seed=2,
-                          log_weight_scatter=True, scatter_cap=7)
+        cfg = TrainConfig(epochs=2, batch_size=10, alpha=0.05, seed=2, scatter_cap=7)
         _, history = run_training(cfg, BB, WPN, train, val)
         per_epoch = [0, 0]
         for rec in history.iterations:
@@ -777,8 +817,7 @@ class TestScatterLogging:
         train, val = quick_sets(seed=62)
         runs = []
         for cap in (7, 10_000):
-            cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.05, seed=2,
-                              log_weight_scatter=True, scatter_cap=cap)
+            cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.05, seed=2, scatter_cap=cap)
             runs.append(run_training(cfg, BB, WPN, train, val))
         (capped, capped_history), (full, full_history) = runs
         first = full_history.iterations[0]["weight_scatter"]
@@ -819,6 +858,17 @@ class TestConfigValidation:
             TrainConfig(**{**good, "variant": "magic"})
         with pytest.raises(ConfigError):
             TrainConfig(**{**good, "scatter_cap": -1})
+
+    @pytest.mark.parametrize("row", [(math.nan, 1.0), (1.0, math.inf), (math.inf, -math.inf)],
+                             ids=["nan", "inf", "inf-minus-inf"])
+    def test_rejects_non_finite_exit_weights(self, row):
+        # a NaN never reaches the mean check's comparison as true
+        with pytest.raises(ConfigError, match="exit_weights must be finite with mean 1"):
+            TrainConfig(epochs=1, batch_size=4, alpha=0.1, variant="fixed", exit_weights=row)
+
+    def test_stores_exit_weights_as_a_tuple_of_floats(self):
+        cfg = TrainConfig(epochs=1, batch_size=4, alpha=0.1, variant="fixed", exit_weights=np.array([1, 1]))
+        assert cfg.exit_weights == (1.0, 1.0) and all(type(w) is float for w in cfg.exit_weights)
 
     @pytest.mark.parametrize("key", ["alpha", "beta", "q", "weight_decay"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -13,10 +13,12 @@ path of the checkpoint it loads, in resolved_config.json and in the run
 id, so run both checkouts at the same --out path: run one, keep its
 output, remove DIR, then run the other.
 
-The reference runs are the seven variants on a 16x4 trunk (synthetic
+The reference runs are the six variants on a 16x4 trunk (synthetic
 data, 6 classes, dim 16, 150/60/60 rows per class; 3 epochs, batch 32,
 weight-network hidden width 32; `learned` logs its weight scatter with
-cap 50, `frozen_wpn` loads `learned/checkpoint.json`), `learned` on the
+`scatter_cap` 50, `frozen_wpn` loads `learned/checkpoint.json`), with
+`fixed` run twice, as `fixed_ascending` and `fixed_descending`, on the
+row `np.linspace(0.6, 1.4, 4)` and on its reverse, `learned` on the
 same data and trunk with a three-hidden-layer weight network (width 32),
 so that its backward sweep reaches blocks below its head, `learned` on a
 128x4 trunk (10 classes, dim 32, 100/50/50 rows per class; 2 epochs,
@@ -49,8 +51,17 @@ from pathlib import Path
 
 import numpy as np
 
-VARIANTS = ("learned", "baseline", "fixed_ascending", "fixed_descending",
-            "selection", "whole_meta", "frozen_wpn")  # frozen_wpn reads learned's checkpoint
+# run name -> the train keys beyond epochs, batch size and alpha; frozen_wpn reads learned's checkpoint
+ROW = [float(w) for w in np.linspace(0.6, 1.4, 4)]
+VARIANTS = {
+    "learned": {"variant": "learned", "scatter_cap": 50},
+    "baseline": {"variant": "baseline"},
+    "fixed_ascending": {"variant": "fixed", "exit_weights": ROW},
+    "fixed_descending": {"variant": "fixed", "exit_weights": ROW[::-1]},
+    "selection": {"variant": "selection"},
+    "whole_meta": {"variant": "whole_meta"},
+    "frozen_wpn": {"variant": "frozen_wpn", "frozen_wpn_path": "learned/checkpoint.json"},
+}
 
 
 def _synthetic(classes: int, dim: int, train: int, held_out: int) -> dict:
@@ -100,17 +111,12 @@ def _file_backed(dataset: dict) -> dict:
 def reference_configs() -> dict[str, dict]:
     """Run name -> run config, in the order the runs must go."""
     configs = {}
-    for variant in VARIANTS:
-        train = {"epochs": 3, "batch_size": 32, "alpha": 0.1, "variant": variant}
-        if variant == "learned":
-            train.update(log_weight_scatter=True, scatter_cap=50)
-        if variant == "frozen_wpn":
-            train["frozen_wpn_path"] = "learned/checkpoint.json"
-        configs[variant] = {
+    for name, train in VARIANTS.items():
+        configs[name] = {
             "dataset": _synthetic(6, 16, 150, 60),
             "backbone": {"trunk_widths": [16] * 4},
             "wpn": {"hidden_width": 32},
-            "train": train,
+            "train": {"epochs": 3, "batch_size": 32, "alpha": 0.1, **train},
         }
     configs["learned_deep"] = {
         "dataset": _synthetic(6, 16, 150, 60),
