@@ -9,9 +9,9 @@ there.
 
 import numpy as np
 
-from exitweave.backbone import BackboneConfig, count_mul_adds, forward_pass, init_params
+from exitweave.backbone import BackboneConfig, count_mul_adds, forward_pass, head_forward, init_params
 from exitweave.datahub import gen_synthetic_gaussians
-from exitweave.numkit import RngStream
+from exitweave.numkit import RngStream, softmax_lse
 
 root = RngStream(7)
 config = BackboneConfig(input_dim=4, trunk_widths=(8, 6, 5), num_classes=3)
@@ -29,12 +29,14 @@ for k, c in enumerate(costs):
 
 fp = forward_pass(params, data.features, data.labels)
 outs = fp.outputs
+# the pass keeps its logit errors, not its probabilities: each exit's
+# softmax is recomputed from its head's logits on the trunk activations
+probs = [softmax_lse(logits)[0] for logits in head_forward(params, fp.hs)]
 print(f"\nbatch of {outs.batch_size}; per-sample view, one row per exit:")
 for i in range(outs.batch_size):
     print(f"sample {i} (label {data.labels[i]}):")
     for k in range(outs.num_exits):
-        probs = np.array2string(fp.probs[i, k], precision=3)
-        print(f"  exit {k + 1}: probabilities {probs}  "
+        print(f"  exit {k + 1}: probabilities {np.array2string(probs[k][i], precision=3)}  "
               f"confidence {outs.confidences[i, k]:.3f}  "
               f"loss {outs.losses[i, k]:.3f}  "
               f"prediction {outs.predictions[i, k]}")

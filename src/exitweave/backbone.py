@@ -12,10 +12,10 @@ through per-layer `Affine` views (`FlatParams`). The weight network
 keeps its parameters the same way, as ReLU `blocks` plus linear `heads`
 (a one-exit trunk): the layout rule, the dense ReLU forward pass
 (`relu_forward`, whose matmul, bias and ReLU run in place in one new
-array per layer), the pass record (`LayerPass`) and the reverse sweep
-are defined once, here. A pass keeps only each layer's output: the
-reverse sweep reads the ReLU mask from it, since max(z, 0) > 0 exactly
-where z > 0.
+array per layer), the head pass (`head_forward`), the pass record
+(`LayerPass`) and the reverse sweep are defined once, here. A pass
+keeps only each layer's output: the reverse sweep reads the ReLU mask
+from it, since max(z, 0) > 0 exactly where z > 0.
 The layout of a shape tuple is computed once (`layer_slices`) and
 shared, immutable, by every parameter, gradient and lookahead buffer of
 those shapes; each buffer builds only its own views. Gradients share the
@@ -24,16 +24,16 @@ SGD and lookahead steps are plain arithmetic on buffers.
 
 Gradients here are hand-derived reverse-mode passes, not autodiff. They
 start from a `ForwardPass` (`forward_pass`): the exit outputs, the
-(B, K, C) probabilities and the trunk activations at one parameter
+(K, B, C) logit errors and the trunk activations at one parameter
 point, so every gradient at that point reuses one trunk pass. One pass
-core (`_forward`) serves both forward functions: the trunk, then one
-`softmax_lse` pass over all exits, with the confidence read at the
-prediction. `forward_all` returns only what scoring reads, the (B, K)
-`ExitOutputs`: it runs a batch (an evaluation split) through the core as
-cache-sized row blocks and keeps only each block's outputs, bitwise
-those of one whole-batch pass. Both check their inputs once, as a
-`datahub.Dataset`, the one check of a dataset's contents, that fits the
-model (`require_fit`).
+core (`_forward`) serves both forward functions: the trunk, the heads,
+then one `softmax_lse` pass over all exits, with the confidence read at
+the prediction. `forward_all` returns only what scoring reads, the
+(B, K) `ExitOutputs`: it runs a batch (an evaluation split) through the
+core as cache-sized row blocks and keeps only each block's outputs,
+bitwise those of one whole-batch pass. Both check their inputs once, as
+a `datahub.Dataset`, the one check of a dataset's contents, that fits
+the model (`require_fit`).
 `batch_weighted_grad` folds a coefficient matrix into the logit errors
 for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
@@ -289,52 +289,56 @@ def _validate_batch(config: BackboneConfig, batch, labels) -> tuple[np.ndarray, 
 class ForwardPass(LayerPass):
     """One forward pass at one parameter point, kept for backward sweeps.
 
-    probs: (B, K, C), each exit's softmax. hs are the trunk activations
-    (hs[0] is the validated batch). Every gradient at these parameters
-    on this batch reuses them, and the logit errors and masks cached
-    from them, so the trunk runs once per parameter point.
+    logit_errors: (K, B, C), softmax - onehot, each exit's loss gradient
+    wrt its logits. hs are the trunk activations (hs[0] is the validated
+    batch). Every gradient at these parameters on this batch reuses them
+    and the masks cached from them, so the trunk runs once per point.
     """
 
     params: BackboneParams
     outputs: ExitOutputs
-    probs: np.ndarray
-
-    @cached_property
-    def logit_errors(self) -> np.ndarray:
-        """Each exit's loss gradient wrt its logits, softmax - onehot, (K, B, C)."""
-        labels = self.outputs.labels
-        onehot = np.zeros((labels.shape[0], self.params.config.num_classes))
-        onehot[np.arange(labels.shape[0]), labels] = 1.0
-        return np.subtract(self.probs.transpose(1, 0, 2), onehot, order="C")
+    logit_errors: np.ndarray
 
 
-def _forward(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> ForwardPass:
-    """The one forward pass, on a validated batch: the trunk, then the K
-    exit heads scored by one `softmax_lse` pass over all exits, with the
-    confidence read at the prediction."""
-    config = params.config
-    hs = relu_forward(params.blocks, batch)
-    b, k_exits, c = batch.shape[0], config.num_exits, config.num_classes
-    logits = np.empty((b, k_exits, c))
+def head_forward(params: FlatParams, hs: list[np.ndarray]) -> np.ndarray:
+    """Every head's output, (heads, B, out): head k reads hs[f + k + 1],
+    f = len(blocks) - len(heads). Each head's matmul writes its own
+    slot, and its bias is added in place (rounds as `+` does)."""
+    f = len(params.blocks) - len(params.heads)
+    out = np.empty((len(params.heads), hs[0].shape[0], params.heads[0].weight.shape[0]))
     for k, head in enumerate(params.heads):
-        np.add(hs[k + 1] @ head.weight.T, head.bias, out=logits[:, k])
-    probs, lse = softmax_lse(logits.reshape(b * k_exits, c))
-    probs = probs.reshape(b, k_exits, c)
+        np.matmul(hs[f + k + 1], head.weight.T, out=out[k])
+        out[k] += head.bias
+    return out
+
+
+def _forward(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> tuple[list, ExitOutputs, np.ndarray]:
+    """The one forward pass, on a validated batch: the trunk, the heads,
+    one `softmax_lse` pass over all exits and the confidence read at the
+    prediction. Returns hs, the outputs and the (K, B, C) softmax."""
+    hs = relu_forward(params.blocks, batch)
+    logits = head_forward(params, hs)
+    k_exits, b, c = logits.shape
+    probs, lse = softmax_lse(logits.reshape(k_exits * b, c))
+    probs = probs.reshape(k_exits, b, c)
     shape = (b, k_exits)
     out = ExitOutputs(np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp), labels)
-    # (B, 1) rows broadcast against (1, K) exits: one fancy index per gather
-    rows, exits = np.arange(b)[:, None], np.arange(k_exits)
-    np.subtract(lse.reshape(b, k_exits), logits[rows, exits, labels[:, None]], out=out.losses)
-    probs.argmax(axis=2, out=out.predictions)
-    out.confidences[...] = probs[rows, exits, out.predictions]
-    return ForwardPass(params, hs, out, probs)
+    # (K, 1) exits by (B,) rows, written through (K, B) views of the C-contiguous (B, K) outputs
+    exits, rows = np.arange(k_exits)[:, None], np.arange(b)
+    np.subtract(lse.reshape(k_exits, b), logits[exits, rows, labels], out=out.losses.T)
+    probs.argmax(axis=2, out=out.predictions.T)
+    out.confidences.T[...] = probs[exits, rows, out.predictions.T]
+    return hs, out, probs
 
 
 def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
     """Evaluate every exit on a batch in one shared-trunk pass, keeping
-    the probabilities and trunk activations for gradients at the same
-    parameters."""
-    return _forward(params, *_validate_batch(params.config, batch, labels))
+    the logit errors and trunk activations for gradients at the same
+    parameters. The probabilities turn into the errors in place."""
+    batch, labels = _validate_batch(params.config, batch, labels)
+    hs, outputs, errors = _forward(params, batch, labels)
+    errors[:, np.arange(labels.shape[0]), labels] -= 1.0
+    return ForwardPass(params, hs, outputs, errors)
 
 
 def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
@@ -351,7 +355,7 @@ def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
     """
     batch, labels = _validate_batch(params.config, batch, labels)
     blocks = -(-batch.shape[0] // FORWARD_BLOCK_ROWS)
-    parts = [_forward(params, x, y).outputs
+    parts = [_forward(params, x, y)[1]
              for x, y in zip(np.array_split(batch, blocks), np.array_split(labels, blocks))]
     scores = ("losses", "confidences", "predictions")
     return ExitOutputs(*(np.concatenate([getattr(part, name) for part in parts]) for name in scores), labels)
@@ -449,9 +453,7 @@ def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
     """
     hs, dlogs = fp.hs, fp.logit_errors
     v = BackboneParams(fp.params.config, np.asarray(vec, dtype=np.float64))
-    acc = np.zeros(dlogs.shape[:2])
-    for k, head in enumerate(v.heads):
-        acc[k] += np.einsum("bo,bo->b", dlogs[k], hs[k + 1] @ head.weight.T + head.bias)
+    acc = np.add(0.0, np.einsum("kbo,kbo->kb", dlogs, head_forward(v, hs)))
     for j, stack in _block_errors(fp, dlogs):
         block = v.blocks[j]
         acc[j:] += np.einsum("mbo,bo->mb", stack, hs[j] @ block.weight.T + block.bias)

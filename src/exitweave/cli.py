@@ -155,7 +155,10 @@ def cmd_train(args) -> int:
     backbone_cfg, wpn_cfg = _model_configs(
         run, args.config, input_dim=train_set.dim, num_classes=train_set.num_classes
     )
-    state, history = run_training(train_cfg, backbone_cfg, wpn_cfg, train_set, val_set)
+    try:
+        state, history = run_training(train_cfg, backbone_cfg, wpn_cfg, train_set, val_set)
+    except ConfigError as exc:  # its checks name the key; the file is this one
+        raise ConfigError(f"{args.config}: {exc}") from exc
     doc = run_document(run["dataset"], state, train_cfg)
     digest = config_hash(doc)
     write_doc(out_dir / "resolved_config.json", CONFIG_FORMAT, {**doc, "output": config_doc(run["output"])})

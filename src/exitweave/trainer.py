@@ -380,15 +380,14 @@ def run_training(
         if frozen is None:
             raise CompatibilityError(f"{config.frozen_wpn_path}: run checkpoint carries no weight network")
         wpn_config = frozen.config
-    if backbone_config.num_exits < 2:
-        raise ConfigError("training requires a backbone with at least 2 exits")
-    if wpn_config.num_exits != backbone_config.num_exits:
-        raise ConfigError(
-            f"weight network is sized for {wpn_config.num_exits} exits, "
-            f"backbone has {backbone_config.num_exits}"
-        )
-    if config.exit_weights is not None and len(config.exit_weights) != backbone_config.num_exits:
-        raise ConfigError(f"exit_weights has {len(config.exit_weights)} entries for {backbone_config.num_exits} exits")
+    exits = backbone_config.num_exits
+    if exits < 2:
+        raise ConfigError(f"backbone.trunk_widths: training requires at least 2 exits, got {exits}")
+    if wpn_config.num_exits != exits:
+        key = "train.frozen_wpn_path" if config.variant == "frozen_wpn" else "wpn.num_exits"
+        raise ConfigError(f"{key}: weight network is sized for {wpn_config.num_exits} exits, backbone has {exits}")
+    if config.exit_weights is not None and len(config.exit_weights) != exits:
+        raise ConfigError(f"train.exit_weights has {len(config.exit_weights)} entries for {exits} exits")
     for ds, name in ((train_set, "train"), (val_set, "val")):
         require_fit(backbone_config, ds, f"{name} set", ConfigError)
     root = RngStream(config.seed)

@@ -17,6 +17,7 @@ delta and returns one `WpnPass`, a `backbone.LayerPass` as
 `backbone.ForwardPass` is: the weights plus what its backward sweep
 `wpn_backward` reads, the hidden layers' outputs with the ReLU masks
 the pass caches from them, and the sigmoids `make_weights` returns.
+Its layers run as a one-exit trunk's: `relu_forward`, then `head_forward`.
 
 The backward pass here is hand-derived. Its input is dL/d(weight) for a
 downstream scalar L; the zero-sum normalization is its own transpose
@@ -38,9 +39,11 @@ from functools import cache
 
 import numpy as np
 
-from .backbone import FlatParams, LayerPass, _tops_grad, relu_forward
+from .backbone import FlatParams, LayerPass, _tops_grad, head_forward, relu_forward
 from .errors import ConfigError, ShapeError
 from .numkit import RngStream, require_finite, sigmoid_stable
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,7 @@ def wpn_forward(params: WpnParams, loss_matrix) -> tuple[np.ndarray, list[np.nda
         )
     require_finite(x, "loss matrix")
     hs = relu_forward(params.blocks, x)
-    (head,) = params.heads
-    return hs[-1] @ head.weight.T + head.bias, hs
+    return head_forward(params, hs)[0], hs
 
 
 def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,25 +192,18 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def adam_step(
-    flat_params: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[np.ndarray, AdamState]:
-    """Standard bias-corrected Adam on a flat parameter vector."""
+def adam_step(flat_params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> tuple[np.ndarray, AdamState]:
+    """Standard bias-corrected Adam on a flat parameter vector, at the
+    usual moment decay rates ADAM_BETA1, ADAM_BETA2 and guard ADAM_EPS."""
     flat_params = np.asarray(flat_params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != flat_params.shape:
         raise ShapeError(f"grad shape {grad.shape} does not match params {flat_params.shape}")
     require_finite(grad, "grad")
     t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new = flat_params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new = flat_params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new, AdamState(m, v, t)

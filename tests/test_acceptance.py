@@ -19,6 +19,7 @@ from exitweave.backbone import (
     BackboneConfig,
     ExitOutputs,
     batch_weighted_grad,
+    forward_all,
     forward_pass,
     init_params,
     param_layout,
@@ -27,7 +28,7 @@ from exitweave.backbone import (
 )
 from exitweave.cli import main as cli_main
 from exitweave.datahub import Dataset, gen_synthetic_gaussians, longtail_subsample, make_batches
-from exitweave.evaluate import anytime_accuracy, default_q_grid, dynamic_sweep
+from exitweave.evaluate import default_q_grid, score_anytime, score_sweep
 from exitweave.exitpolicy import allocate_meta, calibrate_thresholds, dynamic_infer, exit_fractions
 from exitweave.gradcheck import fd_loss_grads, rel_err, run_suites
 from exitweave.numkit import RngStream
@@ -310,9 +311,11 @@ def test_criterion_08_desk_scale_efficacy():
             cfg = TrainConfig(epochs=100, batch_size=128, alpha=0.1, variant=variant,
                               seed=seed, q=0.75, interval=1)
             state, _ = run_training(cfg, backbone_cfg, wpn_cfg, train, val)
-            rows = dynamic_sweep(state.backbone, val, test, grid)
+            # one forward pass per split scores both the budget sweep and exit 1
+            val_outs, test_outs = (forward_all(state.backbone, split.features, split.labels) for split in (val, test))
+            rows = score_sweep(backbone_cfg, val_outs, test_outs, grid)
             acc[variant].append([row["accuracy"] for row in rows])
-            exit1[variant].append(float(anytime_accuracy(state.backbone, test)[0]))
+            exit1[variant].append(float(score_anytime(test_outs)[0]))
     mean_base = np.mean(acc["baseline"], axis=0)
     mean_learn = np.mean(acc["learned"], axis=0)
     wins = int(np.sum(mean_learn >= mean_base))

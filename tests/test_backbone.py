@@ -12,6 +12,7 @@ the oracles independently.
 import ast
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -236,8 +237,15 @@ class TestInit:
 
 def pass_logits(fp: ForwardPass) -> np.ndarray:
     """The pass's (B, K, C) logits, from its trunk activations and heads
-    by the exit head's own np.add(h @ W.T, b)."""
+    by np.add(h @ W.T, b), which rounds as `head_forward` does."""
     return np.stack([np.add(h @ head.weight.T, head.bias) for h, head in zip(fp.hs[1:], fp.params.heads)], axis=1)
+
+
+def pass_probs(fp: ForwardPass) -> np.ndarray:
+    """The pass's (B, K, C) probabilities: the softmax of `pass_logits`."""
+    logits = pass_logits(fp)
+    b, k, c = logits.shape
+    return softmax_lse(logits.reshape(b * k, c))[0].reshape(b, k, c)
 
 
 def assert_same_outputs(got: ExitOutputs, want: ExitOutputs):
@@ -265,9 +273,10 @@ class TestForwardAll:
         fp = forward_pass(params, x, y)
         outs = forward_all(params, x, y)
         assert_same_outputs(outs, fp.outputs)
-        np.testing.assert_allclose(fp.probs.sum(axis=2), np.ones((8, config.num_exits)), atol=1e-9)
-        np.testing.assert_allclose(outs.confidences, fp.probs.max(axis=2), atol=0)
-        np.testing.assert_array_equal(outs.predictions, fp.probs.argmax(axis=2))
+        probs = pass_probs(fp)
+        np.testing.assert_allclose(probs.sum(axis=2), np.ones((8, config.num_exits)), atol=1e-9)
+        np.testing.assert_allclose(outs.confidences, probs.max(axis=2), atol=0)
+        np.testing.assert_array_equal(outs.predictions, probs.argmax(axis=2))
         assert outs.batch_size == 8 and outs.num_exits == config.num_exits
         np.testing.assert_array_equal(outs.labels, y)
 
@@ -280,7 +289,8 @@ class TestForwardAll:
         outs = forward_all(params, x, y)
         assert_same_outputs(outs, fp.outputs)
         c = config.num_classes
-        np.testing.assert_allclose(fp.probs, np.full_like(fp.probs, 1.0 / c), atol=1e-12)
+        probs = pass_probs(fp)
+        np.testing.assert_allclose(probs, np.full_like(probs, 1.0 / c), atol=1e-12)
         np.testing.assert_allclose(outs.losses, np.full_like(outs.losses, np.log(c)), atol=1e-12)
         np.testing.assert_allclose(outs.confidences, np.full_like(outs.confidences, 1.0 / c), atol=1e-12)
 
@@ -403,15 +413,54 @@ class TestForwardPass:
         logits_probs = 2 * n * k * classes * f64
         bound = hs + logits_probs + 2**20  # 1 MiB for the (n, K) outputs and labels
         assert bound < hs + n * sum(widths) * f64  # below what keeping pre-activations too would hold
-        forward_pass(params, x, y)  # first call: imports and caches settle outside the trace
+        # a backward sweep adds the cached ReLU masks (one byte a unit) and
+        # no second class-sized array: the pass keeps the logit errors alone
+        masks, exit_array = n * sum(widths), n * k * classes * f64
+        swept_bound = hs + masks + exit_array + 2**19  # 0.5 MiB for the (n, K) outputs and labels
+        coeffs = np.full((n, k), 1.0 / n)
+        batch_weighted_grad(forward_pass(params, x, y), coeffs)  # imports and caches settle outside the trace
         tracemalloc.start()
         try:
             fp = forward_pass(params, x, y)
             held, _ = tracemalloc.get_traced_memory()
+            batch_weighted_grad(fp, coeffs)
+            swept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(fp.hs) == config.num_exits + 1
         assert held <= bound, f"held {held / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+        assert swept <= swept_bound, f"held {swept / 1e6:.2f} MB after a sweep, bound {swept_bound / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize(
+        "rows, widths, classes",
+        [(1, (5, 5), 3), (9, (5,), 4), (33, (7, 6, 5), 2), (64, (16,) * 4, 8)],
+        ids=["one-row", "one-exit", "two-classes", "64-rows"],
+    )
+    def test_logit_errors_are_the_probabilities_minus_the_one_hot(self, rows, widths, classes):
+        # exit-major softmax - onehot, bit for bit, signed zeros included: the
+        # last exit's last class leads by hundreds, so its other probabilities
+        # are exactly 0.0 and its rows labelled with that class have error 0.0
+        config = BackboneConfig(6, widths, classes)
+        root = RngStream(rows * classes)
+        params = init_params(config, root.child("params"))
+        params.heads[-1].bias[-1] = 1000.0
+        x = 3.0 * root.child("x").standard_normal((rows, 6))
+        y = root.child("y").integers(0, classes, rows)
+        y[0] = classes - 1
+        fp = forward_pass(params, x, y)
+        onehot = np.zeros((rows, classes))
+        onehot[np.arange(rows), y] = 1.0
+        probs = pass_probs(fp)
+        want = np.subtract(probs.transpose(1, 0, 2), onehot)
+        assert np.all(probs[:, -1, :-1] == 0.0) and want[-1, 0, -1] == 0.0
+        errors = fp.logit_errors
+        assert errors.dtype == want.dtype and errors.shape == want.shape and errors.flags.c_contiguous
+        assert errors.tobytes() == want.tobytes()
+
+    def test_pass_keeps_no_probabilities(self):
+        names = [f.name for f in fields(ForwardPass)]
+        assert names == ["params", "hs", "outputs", "logit_errors"]
+        assert not [name for name, value in vars(ForwardPass).items() if isinstance(value, cached_property)]
 
 
 def two_pass_head(logits: np.ndarray, labels: np.ndarray):
@@ -461,7 +510,7 @@ class TestExitHead:
         assert np.all(top2[:, 1] - top2[:, 0] >= 40.0)
         assert np.all(lg[:, 2] == 0.0)
         probs, losses, confidences, predictions = two_pass_head(lg, y)
-        assert np.array_equal(fp.probs, probs)
+        assert np.array_equal(pass_probs(fp), probs)
         assert np.array_equal(outs.losses, losses)
         assert np.array_equal(outs.confidences, confidences)
         assert np.array_equal(outs.predictions, predictions)
@@ -475,7 +524,7 @@ def take_along_axis_gathers(fp: ForwardPass):
     b, k, c = logits.shape
     _, lse = softmax_lse(logits.reshape(b * k, c))
     picked = np.take_along_axis(logits, outs.labels[:, None, None], axis=2)[:, :, 0]
-    confidences = np.take_along_axis(fp.probs, outs.predictions[:, :, None], axis=2)[:, :, 0]
+    confidences = np.take_along_axis(pass_probs(fp), outs.predictions[:, :, None], axis=2)[:, :, 0]
     return lse.reshape(b, k) - picked, confidences
 
 
@@ -919,6 +968,53 @@ def test_one_rectifier_step():
     assert [call for module in sorted(SRC.glob("*.py")) for call in maximum_calls(module)] == [
         "backbone.py:relu_forward"
     ]
+
+
+def head_weight_reads(module: Path) -> list[tuple[str, bool]]:
+    """(`module:function`, transposed) of each read of a head's weight in module.
+
+    A head is `heads[...]`, `x.heads[...]`, or a name that a loop over
+    heads or an assignment from them binds; transposed marks
+    `.weight.T`, the weight applied in a forward pass (x @ W.T).
+    """
+    tree = ast.parse(module.read_text(), str(module))
+
+    def is_heads(node):
+        return getattr(node, "id", None) == "heads" or getattr(node, "attr", None) == "heads"
+
+    found = []
+    for function in [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]:
+        bound = set()
+        for node in ast.walk(function):
+            if isinstance(node, (ast.For, ast.comprehension)) and any(map(is_heads, ast.walk(node.iter))):
+                bound |= {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+            elif isinstance(node, ast.Assign) and (is_heads(node.value) or is_heads(getattr(node.value, "value", None))):
+                bound |= {n.id for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+        def is_head(node):
+            return getattr(node, "id", None) in bound or (isinstance(node, ast.Subscript) and is_heads(node.value))
+
+        transposed = {id(node.value) for node in ast.walk(function) if isinstance(node, ast.Attribute) and node.attr == "T"}
+        found += [
+            (f"{module.name}:{function.name}", id(node) in transposed)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr == "weight" and is_head(node.value)
+        ]
+    return found
+
+
+def test_one_head_pass():
+    # head_forward is the one place a head's weight is applied forward, for
+    # both networks' heads and for a vector's head slices; besides it only
+    # the backward sweep and its writer and the dense reference read one
+    reads = [read for module in sorted(SRC.glob("*.py")) for read in head_weight_reads(module)]
+    assert sorted({function for function, transposed in reads if transposed}) == ["backbone.py:head_forward"]
+    readers = {"backbone.py:head_forward", "backbone.py:per_sample_grads", "backbone.py:_block_errors",
+               "backbone.py:_tops_grad"}
+    assert {function for function, _ in reads} <= readers
+    for module, function in (("backbone.py", "_forward"), ("backbone.py", "per_sample_grad_dots"),
+                             ("wpn.py", "wpn_forward")):
+        assert "head_forward" in names_used(SRC / module, function), function
 
 
 def test_one_forward_path():

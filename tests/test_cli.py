@@ -625,6 +625,35 @@ class TestNegativeSeeds:
         assert not captured.out and list(tmp_path.iterdir()) == []
 
 
+class TestTrainingChecksNameTheFile:
+    """The checks that need the trunk's exit count run in training; their errors used to name no file."""
+
+    TRAIN = {"epochs": 1, "batch_size": 10, "alpha": 0.1}
+
+    def train_err(self, tmp_path, capsys, **overrides) -> tuple[Path, str]:
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **overrides)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return cfg, err
+
+    def test_exit_weights_of_the_wrong_length(self, tmp_path, capsys):
+        cfg, err = self.train_err(tmp_path, capsys, train={**self.TRAIN, "variant": "fixed",
+                                                           "exit_weights": [0.5, 1.0, 1.5]})
+        assert f"{cfg}: train.exit_weights has 3 entries for 2 exits" in err, err
+
+    def test_one_block_trunk(self, tmp_path, capsys):
+        cfg, err = self.train_err(tmp_path, capsys, backbone={"trunk_widths": [6]}, train=self.TRAIN)
+        assert f"{cfg}: backbone.trunk_widths: training requires at least 2 exits, got 1" in err, err
+
+    def test_frozen_network_of_another_exit_count(self, trained, tmp_path, capsys):
+        train = {**self.TRAIN, "variant": "frozen_wpn", "frozen_wpn_path": str(trained / "checkpoint.json")}
+        cfg, err = self.train_err(tmp_path, capsys, backbone={"trunk_widths": [6, 5, 4]}, train=train)
+        assert f"{cfg}: train.frozen_wpn_path: weight network is sized for 2 exits, backbone has 3" in err, err
+
+
 class TestExitWeights:
     """exit_weights is the row of a fixed run: given with that variant only, finite, mean 1, one entry per exit."""
 

@@ -294,7 +294,7 @@ class TestAdam:
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
         for t in range(1, 11):
             grad = rng.standard_normal(n)
-            params, state = adam_step(params, grad, state, lr, b1, b2, eps)
+            params, state = adam_step(params, grad, state, lr)
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad**2
             mhat = m / (1 - b1**t)
