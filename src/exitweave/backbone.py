@@ -42,10 +42,10 @@ input h_i and error dz_i), without forming any per-sample gradient.
 Training uses only these two and `wpn.wpn_backward`, all through one
 top-down sweep whose stack at block j carries every head at or above it
 (`_block_errors`), bitwise one sweep per head in O(blocks) numpy calls.
-`per_sample_grads` builds the dense (B, K, P) tensor of per-sample
-per-exit gradients by its own per-exit chain rule; it,
-`grad_weighted_loss` and `pseudo_step` are the dense reference the
-finite-difference audits and the tests compare against.
+`per_sample_grads` builds the dense (B, K, P) per-sample gradient
+tensor by its own per-exit chain rule; it, `grad_weighted_loss`,
+`pseudo_step` and `param_layout` are a dense reference only the tests
+and the benchmark tracer call (`gradcheck` audits the sweep above).
 """
 
 from __future__ import annotations

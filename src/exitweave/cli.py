@@ -147,9 +147,6 @@ def _stamped(digest: str, **body) -> dict:
 def cmd_train(args) -> int:
     run = load_config(args.config)
     train_cfg = run["train"] if args.seed is None else replace(run["train"], seed=args.seed)
-    frozen = train_cfg.frozen_wpn_path
-    if train_cfg.variant == "frozen_wpn" and not Path(frozen).exists():
-        raise ConfigError(f"{args.config}: train.frozen_wpn_path: run checkpoint not found: {frozen}")
     out_dir = output_dir(args.out or run["output"].dir)
     train_set, val_set, _ = build_datasets(run["dataset"], args.config)
     backbone_cfg, wpn_cfg = _model_configs(
@@ -157,8 +154,8 @@ def cmd_train(args) -> int:
     )
     try:
         state, history = run_training(train_cfg, backbone_cfg, wpn_cfg, train_set, val_set)
-    except ConfigError as exc:  # its checks name the key; the file is this one
-        raise ConfigError(f"{args.config}: {exc}") from exc
+    except (ConfigError, FormatError, CompatibilityError) as exc:  # its checks name the key; the file is this one
+        raise type(exc)(f"{args.config}: {exc}") from exc
     doc = run_document(run["dataset"], state, train_cfg)
     digest = config_hash(doc)
     write_doc(out_dir / "resolved_config.json", CONFIG_FORMAT, {**doc, "output": config_doc(run["output"])})

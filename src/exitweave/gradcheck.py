@@ -11,14 +11,13 @@ on a deliberately tiny instance:
   4. end_to_end: d(meta objective)/d(weight network parameters) through
      squash, normalization, pseudo step and allocated meta loss.
 
-Suite 1 audits the dense per-sample tensor, which also serves as the
-reference elsewhere. The analytic sides of suites 2 and 4 come from the
-chain training runs (`trainer.meta_chain`, whose weight gradient is
-factored layer by layer, then `wpn_backward`); their finite-difference
-sides step the dense `pseudo_step`, an independent route to the same
-lookahead. The meta allocation is held fixed at the base point in
-suites 2 and 4, as `meta_chain` chose it: it is a discrete selection,
-constant under infinitesimal perturbation.
+Every suite audits the route training runs: suite 1 runs
+`batch_weighted_grad` under each (row, exit) cell's one-hot coefficient
+matrix, and suites 2 and 4 take their analytic sides from
+`trainer.meta_chain` and `wpn_backward` and step `trainer.lookahead` for
+their finite differences. The meta allocation is held fixed at the base
+point in suites 2 and 4, as `meta_chain` chose it: it is a discrete
+selection, constant under infinitesimal perturbation.
 Relative errors are vector-norm based, so isolated zero crossings do
 not blow up the score.
 """
@@ -32,12 +31,11 @@ import numpy as np
 from .backbone import (
     BackboneConfig,
     BackboneParams,
+    batch_weighted_grad,
     forward_all,
     forward_pass,
     init_params,
-    param_layout,
-    per_sample_grads,
-    pseudo_step,
+    layer_slices,
     relu_forward,
 )
 from .errors import ConfigError
@@ -119,7 +117,7 @@ def _min_preactivation(params: BackboneParams, batch: np.ndarray) -> float:
 
 
 def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int) -> _Instance:
-    total = param_layout(backbone_cfg)[2]
+    total = layer_slices(BackboneParams.layer_shapes(backbone_cfg))[1]
     if total > PARAM_CAP:
         raise ConfigError(
             f"gradcheck refuses configurations above {PARAM_CAP} backbone parameters "
@@ -162,18 +160,16 @@ def run_suites(
     inst = _build_instance(backbone_cfg, wpn_cfg, seed)
     results = []
 
-    # 1. per-sample backbone gradients
-    psg = per_sample_grads(inst.backbone, inst.train_x, inst.train_y)
+    # 1. per-sample backbone gradients: the training sweep under each
+    # (row, exit) cell's one-hot coefficients
+    train_pass = forward_pass(inst.backbone, inst.train_x, inst.train_y)
     fd = fd_loss_grads(inst.backbone, inst.train_x, inst.train_y)
-    worst = max(
-        rel_err(psg[i, k], fd[i, k])
-        for i in range(psg.shape[0])
-        for k in range(psg.shape[1])
-    )
+    cells = np.eye(fd.shape[0] * fd.shape[1]).reshape(-1, *fd.shape[:2])
+    fd_rows = fd.reshape(len(cells), -1)
+    worst = max(rel_err(batch_weighted_grad(train_pass, c), g) for c, g in zip(cells, fd_rows))
     results.append(SuiteResult("backbone_per_sample", worst, 1e-5))
 
     # shared pieces for the meta chain
-    train_pass = forward_pass(inst.backbone, inst.train_x, inst.train_y)
     tr_losses = train_pass.outputs.losses
     wpn_pass = wpn_weights(inst.wpn, tr_losses)
     weights = wpn_pass.weights
@@ -182,8 +178,7 @@ def run_suites(
     analytic_e2e = wpn_backward(wpn_pass, dl_dw)
 
     def meta_loss_for_weights(w: np.ndarray) -> float:
-        stepped = pseudo_step(inst.backbone, psg, w, inst.alpha)
-        outs = forward_all(stepped, inst.meta_x, inst.meta_y)
+        outs = forward_all(lookahead(train_pass, w, inst.alpha), inst.meta_x, inst.meta_y)
         return float(np.sum(mask * outs.losses))
 
     # 2. weight gradient through the pseudo step (allocation fixed)

@@ -55,7 +55,7 @@ from .backbone import (
     sgd_step,
 )
 from .datahub import Dataset, make_batches
-from .errors import CompatibilityError, ConfigError, NumericError, TrainingError
+from .errors import CompatibilityError, ConfigError, ExitweaveError, NumericError, TrainingError
 from .evaluate import score_anytime, score_sweep
 from .exitpolicy import AllocationResult, allocate_meta
 from .numkit import RngStream
@@ -376,9 +376,12 @@ def run_training(
     if config.variant == "frozen_wpn":
         from .checkpoint import load_run_checkpoint
 
-        frozen = load_run_checkpoint(config.frozen_wpn_path)[0].wpn
-        if frozen is None:
-            raise CompatibilityError(f"{config.frozen_wpn_path}: run checkpoint carries no weight network")
+        try:
+            frozen = load_run_checkpoint(config.frozen_wpn_path)[0].wpn
+            if frozen is None:
+                raise CompatibilityError(f"{config.frozen_wpn_path}: run checkpoint carries no weight network")
+        except ExitweaveError as exc:  # the path names the file; the key names its source
+            raise type(exc)(f"train.frozen_wpn_path: {exc}") from exc
         wpn_config = frozen.config
     exits = backbone_config.num_exits
     if exits < 2:
@@ -402,7 +405,11 @@ def run_training(
     for epoch in range(config.epochs):
         alpha_t = lr_at(config, epoch)
         budget = config.scatter_cap
-        for idx in make_batches(train_set, config.batch_size, epoch, config.seed, drop_last=True):
+        try:
+            batches = make_batches(train_set, config.batch_size, epoch, config.seed, drop_last=True)
+        except ConfigError as exc:  # make_batches owns the bound; the key is train's
+            raise ConfigError(f"train.{exc}") from exc
+        for idx in batches:
             try:
                 record = train_step(
                     state, train_set.features[idx], train_set.labels[idx], config, alpha_t, budget

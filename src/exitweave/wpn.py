@@ -26,10 +26,10 @@ the network, a one-exit trunk, runs the backbone's sweep. Its input for
 the lookahead objective is exact with no second-order terms: the
 lookahead step is affine in the weights, so
 dL/dw[i,k] = -(alpha/n) * <meta_grad, g[i,k]>.
-Training takes those inner products layer by layer
+Training and `gradcheck` take those inner products layer by layer
 (`trainer.meta_chain` via `backbone.per_sample_grad_dots`);
-`meta_weight_grad` here is the dense reference that contracts a stored
-(B, K, P) per-sample gradient tensor.
+`meta_weight_grad` here contracts a stored (B, K, P) per-sample gradient
+tensor, a dense reference only the tests and the benchmark tracer call.
 """
 
 from __future__ import annotations

@@ -1,35 +1,47 @@
 """Shared pytest wiring for the suite.
 
-`flipped_per_sample_grads` injects the fault the gradcheck tests expect
-the audit to catch. The acceptance module records one (number, name,
-passed, detail) row per criterion; the hook below prints them as a
-compact scoreboard at the end of the run so the verdicts are visible
-even when everything passes.
+`flipped_weighted_grad` injects the fault the gradcheck tests expect
+the audit to catch, in every module `package_modules` lists. The
+acceptance module records one (number, name, passed, detail) row per
+criterion; the hook below prints them as a compact scoreboard at the
+end of the run so the verdicts are visible even when everything passes.
 """
 
 from __future__ import annotations
 
+import pkgutil
 import sys
+from importlib import import_module
 
 import numpy as np
 import pytest
 
+import exitweave
+
 
 @pytest.fixture
-def flipped_per_sample_grads(monkeypatch):
-    """A gradient fault for gradcheck to catch: its per-sample gradients
-    with the sign of the largest-magnitude entry flipped."""
-    from exitweave import gradcheck
+def package_modules():
+    """(name, module) for every module of the package, each imported."""
+    return [(m.name, import_module(f"exitweave.{m.name}")) for m in pkgutil.iter_modules(exitweave.__path__)]
 
-    exact = gradcheck.per_sample_grads
+
+@pytest.fixture
+def flipped_weighted_grad(monkeypatch, package_modules):
+    """A gradient fault for gradcheck to catch: the coefficient-folded
+    backward sweep training runs, with the sign of its largest-magnitude
+    entry flipped in every module that binds it, as a real defect in it
+    would reach them all."""
+    exact = exitweave.backbone.batch_weighted_grad
 
     def flipped(*args):
-        out = exact(*args).copy()
-        idx = np.unravel_index(np.argmax(np.abs(out)), out.shape)
+        out = exact(*args)
+        idx = np.argmax(np.abs(out))
         out[idx] = -out[idx]
         return out
 
-    monkeypatch.setattr(gradcheck, "per_sample_grads", flipped)
+    for _, module in package_modules:
+        if getattr(module, "batch_weighted_grad", None) is exact:
+            monkeypatch.setattr(module, "batch_weighted_grad", flipped)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

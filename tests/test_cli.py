@@ -653,6 +653,16 @@ class TestTrainingChecksNameTheFile:
         cfg, err = self.train_err(tmp_path, capsys, backbone={"trunk_widths": [6, 5, 4]}, train=train)
         assert f"{cfg}: train.frozen_wpn_path: weight network is sized for 2 exits, backbone has 3" in err, err
 
+    def test_batch_larger_than_the_train_split(self, tmp_path, capsys):
+        # 3 classes x 20 rows: the message named no section
+        cfg, err = self.train_err(tmp_path, capsys, train={**self.TRAIN, "batch_size": 64})
+        assert f"{cfg}: train.batch_size must lie in [1, 60], got 64" in err, err
+
+    def test_batch_larger_than_the_train_split_without_epochs(self, tmp_path):
+        # no epoch draws a batch, so nothing is checked, as before
+        write_config(tmp_path / "run.json", train={**self.TRAIN, "epochs": 0, "batch_size": 64})
+        assert main(["train", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "o")]) == 0
+
 
 class TestExitWeights:
     """exit_weights is the row of a fixed run: given with that variant only, finite, mean 1, one entry per exit."""
@@ -888,6 +898,8 @@ class TestFrozenWpn:
         assert self.train_frozen(tmp_path, source) == 2
         err = capsys.readouterr().err
         assert source in err and "carries no weight network" in err
+        # the message named the checkpoint alone, not the config file or the key that points at it
+        assert f"{tmp_path / 'frozen.json'}: train.frozen_wpn_path: {source}: run checkpoint" in err, err
         assert not (tmp_path / "frozen").exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -906,6 +918,18 @@ class TestFrozenWpn:
         assert self.train_frozen(tmp_path, "adir") == 2
         err = capsys.readouterr().err
         assert "adir: cannot read" in err and "not found" not in err, err
+        assert not (tmp_path / "frozen").exists()
+
+    def test_malformed_checkpoint_names_the_config_and_key(self, tmp_path, capsys):
+        from exitweave.serial import RUN_FORMAT, write_doc
+
+        source = tmp_path / "bad.json"
+        write_doc(source, RUN_FORMAT, {})  # a header and nothing else
+        assert self.train_frozen(tmp_path, str(source)) == 2
+        err = capsys.readouterr().err
+        expected = f"{tmp_path / 'frozen.json'}: train.frozen_wpn_path: {source}: missing required key(s): iteration"
+        assert expected in err, err
+        assert "Traceback" not in err
         assert not (tmp_path / "frozen").exists()
 
 
@@ -955,7 +979,7 @@ class TestGradcheck:
         assert out.count("PASS") == 4
         assert "all suites passed" in out
 
-    def test_sabotage_env_fails(self, capsys, flipped_per_sample_grads):
+    def test_sabotage_env_fails(self, capsys, flipped_weighted_grad):
         assert main(["gradcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out

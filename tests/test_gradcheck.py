@@ -27,7 +27,7 @@ class TestRunSuites:
             results = run_suites(TINY_BB, TINY_WPN, seed=seed, q=0.5)
             assert all(r.passed for r in results)
 
-    def test_sabotage_flips_per_sample_suite(self, flipped_per_sample_grads):
+    def test_sabotage_flips_per_sample_suite(self, flipped_weighted_grad):
         results = run_suites(TINY_BB, TINY_WPN, seed=0, q=0.75)
         assert not results[0].passed
         assert results[0].max_rel_err > results[0].tolerance

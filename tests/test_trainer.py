@@ -18,7 +18,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import exitweave.trainer as trainer_module
 from exitweave.backbone import (
     BackboneConfig,
     batch_weighted_grad,
@@ -683,9 +682,13 @@ class TestFactoredMetaChain:
         assert pseudo.flatten().tobytes() != before
         assert not np.shares_memory(pseudo.buffer, backbone.buffer)
 
-    def test_trainer_binds_no_dense_route(self):
-        for name in ("per_sample_grads", "grad_weighted_loss", "pseudo_step", "meta_weight_grad"):
-            assert not hasattr(trainer_module, name), name
+    def test_trainer_binds_no_dense_route(self, package_modules):
+        # backbone and wpn define the dense reference; no other module, trainer and gradcheck included, binds it
+        dense = ("per_sample_grads", "grad_weighted_loss", "pseudo_step", "param_layout", "meta_weight_grad")
+        for module_name, module in package_modules:
+            if module_name not in ("backbone", "wpn"):
+                for name in dense:
+                    assert not hasattr(module, name), f"{module_name}.{name}"
 
     def test_learned_step_memory_at_128x4(self):
         # the dense (64, 4, 55840) per-sample tensor alone is 114 MB
