@@ -58,11 +58,11 @@ OutputConfig = make_dataclass("OutputConfig", [("dir", str, "runs/default")], fr
 def load_config(path) -> dict:
     """Read a run config file and convert the sections that need no data.
 
-    dataset becomes (kind, config) and train and output their
-    TrainConfig and OutputConfig; train's frozen_wpn_path is made
-    absolute against the working directory. The backbone and wpn
-    sections stay as written until `_model_configs` converts them
-    against the data.
+    dataset becomes one config (`read_dataset`), train and output their
+    TrainConfig and OutputConfig (frozen_wpn_path made absolute against
+    the working directory); an absent or null wpn or output reads as
+    the defaults. backbone and wpn stay as written until
+    `_model_configs` converts them against the data.
     """
     p = Path(path)
     doc = read_doc(p, CONFIG_FORMAT, header_optional=True)
@@ -75,24 +75,14 @@ def load_config(path) -> dict:
     train = read_config(TrainConfig, doc["train"], f"{p}: train")
     if train.frozen_wpn_path:  # recorded absolute, so resolved_config.json reruns from anywhere
         train = replace(train, frozen_wpn_path=str(Path(train.frozen_wpn_path).absolute()))
+    wpn, output = ({} if doc.get(key) is None else doc[key] for key in ("wpn", "output"))
     return {
         "dataset": read_dataset(doc["dataset"], p),
         "backbone": doc["backbone"],
-        "wpn": {} if doc.get("wpn") is None else doc["wpn"],  # a baseline run's resolved config has null
+        "wpn": wpn,
         "train": train,
-        "output": read_config(OutputConfig, doc.get("output", {}), f"{p}: output"),
+        "output": read_config(OutputConfig, output, f"{p}: output"),
     }
-
-
-def _derived(section, key: str, value: int, where: str, what: str):
-    """section without key, a value derived elsewhere: the section may
-    state it (a resolved config does) only as value, which what names."""
-    if not isinstance(section, dict) or key not in section:
-        return section
-    section = dict(section)
-    if read_value(int, section.pop(key), where) != value:
-        raise ConfigError(f"{where}: must equal {what}")
-    return section
 
 
 def _model_configs(run: dict, path, **widths):
@@ -100,29 +90,23 @@ def _model_configs(run: dict, path, **widths):
 
     widths (input_dim, num_classes) are the data's; without them the
     backbone section must state both. The wpn section's num_exits is
-    the trunk's. A section may state a derived key only as its value.
+    the trunk's. A section may state them (a resolved config does) only
+    as these values, which `read_config` checks.
     """
-    section = run["backbone"]
-    for key, value in widths.items():
-        unit = "features" if key == "input_dim" else "classes"
-        section = _derived(section, key, value, f"{path}: backbone.{key}", f"the data's {value} {unit}")
-    backbone = read_config(BackboneConfig, section, f"{path}: backbone", **widths)
-    exits = backbone.num_exits
-    wpn = _derived(run["wpn"], "num_exits", exits, f"{path}: wpn.num_exits", f"the trunk's {exits} exits")
-    return backbone, read_config(WpnConfig, wpn, f"{path}: wpn", num_exits=exits)
+    backbone = read_config(BackboneConfig, run["backbone"], f"{path}: backbone", **widths)
+    return backbone, read_config(WpnConfig, run["wpn"], f"{path}: wpn", num_exits=backbone.num_exits)
 
 
-def run_document(dataset: tuple, state, train_config) -> dict:
+def run_document(dataset, state, train_config) -> dict:
     """The semantic sections of one run: what resolved_config.json holds.
 
-    Every value is a converted config field. The backbone and
-    weight-network configs are read off the state (wpn None without a
-    network, the loaded one's for frozen_wpn), so `train` and `eval` of
-    one run build the same document.
+    Every value is a converted config field, dataset with its kind. The
+    backbone and weight-network configs are read off the state (wpn None
+    without a network, the loaded one's for frozen_wpn), so `train` and
+    `eval` of one run build the same document.
     """
-    kind, spec = dataset
     return {
-        "dataset": {"kind": kind, **config_doc(spec)},
+        "dataset": {"kind": dataset.kind, **config_doc(dataset)},
         "backbone": config_doc(state.backbone.config),
         "wpn": None if state.wpn is None else config_doc(state.wpn.config),
         "train": config_doc(train_config),
@@ -187,8 +171,8 @@ def _parse_q_grid(text: str):
     return grid
 
 
-def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
-    """The (kind, config) dataset eval runs on, and the file it came from:
+def _dataset_for_eval(args, checkpoint_path: Path) -> tuple:
+    """The dataset config eval runs on, and the file it came from:
     --dataset (a run config or a bare dataset section), else the
     resolved_config.json next to the checkpoint, whose header is required."""
     if args.dataset:
@@ -197,9 +181,7 @@ def _dataset_for_eval(args, checkpoint_path: Path) -> tuple[tuple, Path]:
         return read_dataset(doc.get("dataset", doc), p), p
     sibling = checkpoint_path.resolve().parent / "resolved_config.json"
     if not sibling.is_file():
-        raise ConfigError(
-            "no dataset available: pass --dataset or keep resolved_config.json next to the checkpoint"
-        )
+        raise ConfigError(f"no dataset available: {sibling}: file not found; pass --dataset")
     return read_dataset(read_doc(sibling, CONFIG_FORMAT).get("dataset"), sibling), sibling
 
 
@@ -363,6 +345,9 @@ def main(argv=None) -> int:
         return 2
     except ExitweaveError as exc:  # TrainingError, NumericError: runtime failures
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a grid or a network too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -15,9 +15,9 @@ content error becomes a FormatError naming the file:
 `longtail_subsample` imposes an exponential class-size profile on a
 balanced set, and `make_batches` produces the per-epoch shuffled index
 batches every trainer run consumes. `DATASET_KINDS` holds the schema of
-a run config's dataset section, one config dataclass per `kind`;
-`read_dataset` reads a section, data files checked, and `build_datasets`
-builds its splits.
+a run config's dataset section, one config dataclass per `kind` (its
+`kind` attribute); `read_dataset` reads a section into one such config,
+data files checked, and `build_datasets` builds its splits.
 """
 
 from __future__ import annotations
@@ -334,27 +334,28 @@ def _check_bounds(spec) -> None:
         raise ConfigError(f"spread: must be positive, got {spec.spread}")
 
 
-def _source(name: str, required: dict, **defaults) -> type:
-    """A frozen config dataclass: the required fields, then the defaults
-    (every kind also takes a split seed and a long-tail factor)."""
+def _source(kind: str, name: str, required: dict, **defaults) -> type:
+    """A frozen config dataclass for dataset kind, its class attribute
+    `kind` (not a field): the required fields, then the defaults (every
+    kind also takes a split seed and a long-tail factor)."""
     defaults = {**defaults, "seed": 0, "longtail_factor": 1.0}
     entries = [*required.items(), *((key, type(value), value) for key, value in defaults.items())]
-    return make_dataclass(name, entries, frozen=True, namespace={"__post_init__": _check_bounds})
+    return make_dataclass(name, entries, frozen=True, namespace={"kind": kind, "__post_init__": _check_bounds})
 
 
 _SPLIT_FILES = {f"{split}_{part}": str for split in ("train", "val", "test") for part in ("images", "labels")}
 
-DATASET_KINDS = {
-    "synthetic": _source(
-        "SyntheticSource",
+DATASET_KINDS = {source.kind: source for source in (
+    _source(
+        "synthetic", "SyntheticSource",
         dict(classes=int, dim=int, train_per_class=int, val_per_class=int, test_per_class=int),
         spread=1.0, radius=3.0,
     ),
-    "container": _source("ContainerSource", dict(train=str, val=str, test=str)),
-    "idx": _source("IdxSource", _SPLIT_FILES),
+    _source("container", "ContainerSource", dict(train=str, val=str, test=str)),
+    _source("idx", "IdxSource", _SPLIT_FILES),
     # train is one batch file or a list of them
-    "cifar_bin": _source("CifarBinSource", dict(train=str | list, test=str, val_holdout=int), num_classes=10),
-}
+    _source("cifar_bin", "CifarBinSource", dict(train=str | list, test=str, val_holdout=int), num_classes=10),
+)}
 
 
 def _data_file(value, key: str, base: Path, path: Path) -> str:
@@ -369,13 +370,13 @@ def _data_file(value, key: str, base: Path, path: Path) -> str:
     return str(p)
 
 
-def read_dataset(section, path: Path) -> tuple:
-    """(kind, config) of a dataset section, config its kind's DATASET_KINDS
-    dataclass, read from file path. Every string value of a dataset
-    section, and every item of a list value (cifar_bin's `train`), names
-    a data file. Each is checked here, once, and made absolute against
-    path's directory, so the run document records where the data is
-    wherever the run's outputs go."""
+def read_dataset(section, path: Path):
+    """The config of a dataset section, read from file path: one value,
+    an instance of its kind's DATASET_KINDS dataclass, which carries the
+    kind. Every string value of a dataset section, and every item of a
+    list value (cifar_bin's `train`), names a data file. Each is checked
+    here, once, and made absolute against path's directory, so the run
+    document records where the data is wherever the run's outputs go."""
     if not isinstance(section, dict) or "kind" not in section:
         raise ConfigError(f"{path}: dataset section must be an object with a 'kind' key")
     kind = section["kind"]
@@ -392,18 +393,17 @@ def read_dataset(section, path: Path) -> tuple:
             if not value:
                 raise ConfigError(f"{path}: dataset.{key}: at least one batch file is required")
             files[key] = [_data_file(v, f"{key}[{i}]", base, path) for i, v in enumerate(value)]
-    return kind, replace(spec, **files)
+    return replace(spec, **files)
 
 
-def build_datasets(dataset: tuple, config_path):
-    """Materialize (train, val, test) Datasets from a (kind, config) dataset
-    as `read_dataset` returns it, its data files checked. config_path is
-    the file the section came from, which errors name.
+def build_datasets(spec, config_path):
+    """Materialize (train, val, test) Datasets from a dataset config of
+    any kind as `read_dataset` returns it, its data files checked.
+    config_path is the file the section came from, which errors name.
     """
-    kind, spec = dataset
     root = RngStream(spec.seed)
     splits = ("train", "val", "test")
-    if kind == "synthetic":
+    if spec.kind == "synthetic":
         train, val, test = (
             gen_synthetic_gaussians(
                 spec.classes, spec.dim, getattr(spec, f"{split}_per_class"), spec.spread,
@@ -411,9 +411,9 @@ def build_datasets(dataset: tuple, config_path):
             )
             for split in splits
         )
-    elif kind == "container":
+    elif spec.kind == "container":
         train, val, test = (load_dataset(getattr(spec, split)) for split in splits)
-    elif kind == "idx":
+    elif spec.kind == "idx":
         loaded = [load_idx(getattr(spec, f"{s}_images"), getattr(spec, f"{s}_labels"), split=s) for s in splits]
         # one class count for the three splits: one more than the largest label of any
         classes = max(d.num_classes for d in loaded)

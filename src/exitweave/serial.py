@@ -195,28 +195,31 @@ def read_value(hint, value, where: str, error=ConfigError):
 def read_config(cls, doc, where: str, error=ConfigError, *, fill: bool = True, **given):
     """Build config dataclass cls from the JSON section doc.
 
-    Keyword arguments supply fields directly; the keys of doc must name
-    the other fields. With fill, a missing key takes its field's default
-    if it has one; other missing keys are errors. Values convert to
-    their field's type as int(), float() and str() do, a tuple from a
-    JSON list item by item, except that a number field takes no boolean, an int field no
-    fractional number, a float field no NaN or infinity, and a bool field
-    only true or false; a union field keeps a value of one of its types.
-    A bad key, a value that does not convert, or one the dataclass
-    rejects raises `error` naming where and the key.
+    Keyword arguments supply fields derived elsewhere, which doc may
+    state only as their given values. With fill, a missing key takes its
+    field's default if it has one; other missing keys are errors. Values
+    convert to their field's type as int(), float() and str() do, a tuple
+    from a JSON list item by item, except that a number field takes no
+    boolean, an int field no fractional number, a float field no NaN or
+    infinity, and a bool field only true or false; a union field keeps a
+    value of one of its types. A bad key, a value that does not convert
+    or that differs from its given value, or one the dataclass rejects
+    raises `error` naming where and the key (and both values if given).
     """
     if not isinstance(doc, dict):
         raise error(f"{where}: expected a JSON object")
-    names = [f.name for f in fields(cls) if f.name not in given]
+    names = [f.name for f in fields(cls)]
     unknown = sorted(set(doc) - set(names))
     if unknown:
         raise error(f"{where}: unknown key(s): {', '.join(unknown)}")
-    defaults = {f.name for f in fields(cls) if fill and f.default is not MISSING}
-    require_keys(doc, [name for name in names if name not in defaults], where, error)
+    optional = {*given, *(f.name for f in fields(cls) if fill and f.default is not MISSING)}
+    require_keys(doc, [name for name in names if name not in optional], where, error)
     hints = get_type_hints(cls)
     values = dict(given)
     for name, value in doc.items():
         values[name] = read_value(hints[name], value, f"{where}: {name}", error)
+        if name in given and values[name] != given[name]:
+            raise error(f"{where}: {name}: must equal the derived value {given[name]!r}, got {value!r}")
     try:
         return cls(**values)
     except ConfigError as exc:

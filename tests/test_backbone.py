@@ -1044,6 +1044,12 @@ class TestUpdates:
         np.testing.assert_array_equal(same2.flatten(), flat)
         assert vel is None and vel2 is None
 
+    def test_sgd_grad_of_the_wrong_length(self):
+        _, params, _, _ = small_instance(seed=17)
+        count = params.num_params
+        with pytest.raises(ShapeError, match=rf"grad shape \(3,\) does not match parameter count \({count},\)"):
+            sgd_step(params, np.zeros(3), lr=0.1)
+
     def test_sgd_scalar_example(self):
         # theta=1, grad=2, lr=0.1, no momentum -> 0.8
         config = BackboneConfig(1, (1,), 2)

@@ -248,6 +248,11 @@ class TestMalformedRunCheckpoint:
         msg = self.load_error(path, doc)
         assert str(path) in msg and where in msg and "abc" in msg
 
+    def test_backbone_not_an_object(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        doc["backbone"] = []
+        assert f"{path}: backbone: expected a JSON object" in self.load_error(path, doc)
+
     def test_optimizer_not_an_object(self, tmp_path):
         path, doc = self.saved(tmp_path)
         doc["optimizer"] = []

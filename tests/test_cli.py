@@ -131,6 +131,42 @@ class TestTrain:
         assert rc == 1
         assert "diverged" in capsys.readouterr().err
 
+    def test_network_too_large_to_allocate_exits_1(self, tmp_path, capsys):
+        # a 10**15-wide block lies past any address space, so numpy refuses at once
+        cfg = tmp_path / "run.json"
+        write_config(cfg, backbone={"trunk_widths": [8, 10**15]})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+
+    def test_unknown_section_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, extra=1)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{cfg}: unknown section(s): extra" in capsys.readouterr().err
+
+    def test_missing_section_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, dataset=None)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{cfg}: missing required section(s): dataset" in capsys.readouterr().err
+
+    def test_section_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, wpn=[])
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{cfg}: wpn: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["wpn", "output"])
+    def test_null_optional_section_reads_as_the_defaults(self, tmp_path, section):
+        # "output": null exited 2 with "output: expected a JSON object"
+        absent, null = tmp_path / "absent.json", tmp_path / "null.json"
+        doc = write_config(absent, **{section: None})
+        null.write_text(json.dumps({**doc, section: None}))
+        for cfg in (absent, null):
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+        resolved = [(tmp_path / name / "resolved_config.json").read_bytes() for name in ("absent", "null")]
+        assert resolved[0] == resolved[1]
+
     def test_config_hash_ignores_output_section(self, tmp_path):
         # output.dir says where a run goes, not what it is
         cfg = tmp_path / "run.json"
@@ -216,6 +252,23 @@ class TestEval:
         assert main(base + ["--q-grid", "0.1:2.0"]) == 2
         assert main(base + ["--q-grid=-1.0,0.5"]) == 2
         assert main(base + ["--q-grid", "abc"]) == 2
+        assert main(base + ["--q-grid", "1:2:0"]) == 2
+        assert "--q-grid count must be >= 1" in capsys.readouterr().err
+
+    def test_checkpoint_without_resolved_config_names_the_file(self, trained, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.json"
+        shutil.copy(trained / "checkpoint.json", ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path.resolve() / 'resolved_config.json'}: file not found" in err, err
+        assert "--dataset" in err
+
+    def test_grid_too_large_to_allocate_exits_1(self, trained, tmp_path, capsys):
+        # 10**15 float64 values lie past any address space, so numpy refuses at once
+        rc = main(["eval", "--checkpoint", str(trained / "checkpoint.json"), "--out", str(tmp_path / "x"),
+                   "--q-grid", f"1:2:{10**15}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
 
     @pytest.mark.parametrize("grid", ["nan", "0.5,inf", "0.5:inf:3"])
     def test_non_finite_grid_names_the_flag(self, trained, tmp_path, capsys, grid):
@@ -497,6 +550,11 @@ class TestResolvedConfigRerun:
         write_config(cfg, train={"epochs": 2, "batch_size": 10, "alpha": 0.1, "seed": 3, "variant": variant})
         first, second = tmp_path / "o1", tmp_path / "o2"
         assert main(["train", "--config", str(cfg), "--out", str(first)]) == 0
+        resolved = json.loads((first / "resolved_config.json").read_text())
+        # the rerun's config states every derived key, as the data and the trunk give it
+        assert (resolved["backbone"]["input_dim"], resolved["backbone"]["num_classes"]) == (4, 3)
+        if variant == "learned":
+            assert resolved["wpn"]["num_exits"] == 2
         assert main(["train", "--config", str(first / "resolved_config.json"), "--out", str(second)]) == 0
         for name in ("checkpoint.json", "history.json", "resolved_config.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
@@ -508,7 +566,7 @@ class TestResolvedConfigRerun:
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert str(cfg) in err and "wpn.num_exits" in err, err
+        assert f"{cfg}: wpn: num_exits: must equal the derived value 2, got 3" in err, err
 
     @pytest.mark.parametrize("key, value", [("input_dim", 5), ("num_classes", 4)])
     def test_backbone_width_must_match_the_data(self, tmp_path, capsys, key, value):
@@ -517,7 +575,8 @@ class TestResolvedConfigRerun:
         write_config(cfg, backbone={"trunk_widths": [6, 5], key: value})
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert f"{cfg}: backbone.{key}: must equal the data's" in err, err
+        derived = {"input_dim": 4, "num_classes": 3}[key]
+        assert f"{cfg}: backbone: {key}: must equal the derived value {derived}, got {value}" in err, err
 
     def test_header_of_another_format_exits_2(self, trained, tmp_path, capsys):
         doc = json.loads((trained / "resolved_config.json").read_text())

@@ -8,6 +8,7 @@ against themselves. Container round-trips must be byte-identical.
 import json
 import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -81,6 +82,10 @@ class TestSynthetic:
             gen_synthetic_gaussians(1, 2, 5, 1.0, RngStream(0))
         with pytest.raises(DomainError):
             gen_synthetic_gaussians(3, 2, 5, 0.0, RngStream(0))
+
+    def test_zero_dim(self):
+        with pytest.raises(ConfigError, match="dim and per_class must be >= 1"):
+            gen_synthetic_gaussians(3, 0, 5, 1.0, RngStream(0))
 
     @pytest.mark.parametrize("num_classes", [-1, 0, 1])
     def test_class_count_below_two(self, num_classes):
@@ -177,6 +182,39 @@ class TestIdx:
         path.write_bytes(bytes([0, 0, 0x42, 1]) + struct.pack(">i", 0))
         with pytest.raises(FormatError, match="0x42"):
             read_idx(path)
+
+    def test_zero_ndim(self, tmp_path):
+        path = tmp_path / "scalar.idx"
+        path.write_bytes(bytes([0, 0, 0x08, 0]) + bytes(1))
+        with pytest.raises(FormatError, match=rf"{path}: IDX ndim must be >= 1, got 0"):
+            read_idx(path)
+
+    def test_header_cut_inside_its_dims(self, tmp_path):
+        # ndim 2 promises 8 bytes of dims after the magic; 6 are there
+        path = tmp_path / "dims.idx"
+        path.write_bytes(bytes([0, 0, 0x08, 2]) + struct.pack(">i", 3) + bytes(2))
+        with pytest.raises(FormatError, match=rf"{path}: truncated IDX dims at byte 10"):
+            read_idx(path)
+
+    def test_negative_dim(self, tmp_path):
+        path = tmp_path / "neg.idx"
+        path.write_bytes(idx_bytes(0x08, (2, -1), b""))
+        with pytest.raises(FormatError, match=rf"{path}: negative IDX dimension \(2, -1\)"):
+            read_idx(path)
+
+    def test_one_dimensional_images(self, tmp_path):
+        img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+        img.write_bytes(idx_bytes(0x08, (3,), bytes(3)))
+        lbl.write_bytes(idx_bytes(0x08, (3,), bytes([0, 1, 1])))
+        with pytest.raises(FormatError, match=rf"{img}: image tensor must have >= 2 dims, got 1"):
+            load_idx(img, lbl)
+
+    def test_float_labels(self, tmp_path):
+        img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+        img.write_bytes(idx_bytes(0x08, (2, 2), bytes(4)))
+        lbl.write_bytes(idx_bytes(0x0D, (2,), struct.pack(">2f", 0.0, 1.0)))
+        with pytest.raises(FormatError, match=rf"{lbl}: labels must be an integer IDX tensor"):
+            load_idx(img, lbl)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "hdr.idx"
@@ -312,6 +350,24 @@ class TestContainer:
         with pytest.raises(FormatError, match=rf"{path}: num_classes: need >= 2 classes, got 1"):
             load_dataset(path)
 
+    def test_labels_not_a_list(self, tmp_path):
+        path = tmp_path / "ds.json"
+        save_dataset(path, gen_synthetic_gaussians(3, 4, 2, 1.0, RngStream(6)))
+        doc = json.loads(path.read_text())
+        doc["labels"] = {"0": 1}
+        path.write_text(dump_json(doc))
+        with pytest.raises(FormatError, match=rf"{path}: labels: expected a list of integers"):
+            load_dataset(path)
+
+    def test_label_beyond_int64(self, tmp_path):
+        path = tmp_path / "ds.json"
+        save_dataset(path, gen_synthetic_gaussians(3, 4, 2, 1.0, RngStream(6)))
+        doc = json.loads(path.read_text())
+        doc["labels"][0] = 2**63
+        path.write_text(dump_json(doc))
+        with pytest.raises(FormatError, match=rf"{path}: labels: "):
+            load_dataset(path)
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{nope")
@@ -409,3 +465,10 @@ class TestMakeBatches:
             make_batches(ds, 0, epoch=0, seed=0)
         with pytest.raises(ConfigError):
             make_batches(ds, 11, epoch=0, seed=0)
+
+
+def test_each_dataset_kind_carries_its_kind():
+    # kind is a class attribute, not a field: the section's other keys are the whole config document
+    for kind, source in datahub.DATASET_KINDS.items():
+        assert source.kind == kind
+        assert "kind" not in {f.name for f in fields(source)}

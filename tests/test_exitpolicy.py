@@ -150,6 +150,10 @@ class TestAllocationSizes:
     def test_zero_n(self):
         np.testing.assert_array_equal(allocation_sizes(0.7, 3, 0), [0, 0, 0])
 
+    def test_negative_count_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="n must be >= 0, got -1"):
+            allocation_sizes(1.0, 3, -1)
+
     def test_float_count_is_a_domain_error(self):
         with pytest.raises(DomainError, match="n must be an integer, got 10.0"):
             allocation_sizes(1.0, 3, 10.0)
@@ -343,6 +347,10 @@ class TestDynamicInference:
         conf = np.array([[0.1, 0.1]])
         decided = exit_decisions(conf, [0.9, 0.9])
         assert decided[0] == 1
+
+    def test_misaligned_thresholds_are_a_shape_error(self):
+        with pytest.raises(ShapeError, match=r"confidences \(1, 2\) and thresholds \(3,\) do not align"):
+            exit_decisions(np.array([[0.1, 0.1]]), [0.9, 0.9, 0.0])
 
     def test_accuracy_and_predictions_route_correctly(self):
         conf = np.array([[0.95, 0.5], [0.1, 0.5]])

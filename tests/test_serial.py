@@ -1,6 +1,7 @@
 """The file rule `serial` owns: every read and write goes through it, and
 a path it cannot read fails as a ConfigError naming that path. No module
-reads the environment. A bool field reads only JSON true or false."""
+reads the environment. A bool field reads only JSON true or false, and a
+config section may state a derived field only as its derived value."""
 
 import ast
 import re
@@ -11,7 +12,8 @@ import pytest
 from exitweave.checkpoint import load_run_checkpoint
 from exitweave.datahub import load_cifar_bin, load_dataset, read_idx
 from exitweave.errors import ConfigError
-from exitweave.serial import read_value
+from exitweave.serial import read_config, read_value
+from exitweave.wpn import WpnConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "exitweave"
 READERS = {f.__name__: f for f in (load_run_checkpoint, load_dataset, read_idx, load_cifar_bin)}
@@ -82,3 +84,13 @@ def test_bool_reads_only_true_or_false(value):
 
 def test_bool_keeps_true_and_false():
     assert read_value(bool, True, "flag") is True and read_value(bool, False, "flag") is False
+
+
+@pytest.mark.parametrize("stated", [{}, {"num_exits": 3}, {"num_exits": "3"}, {"num_exits": 3.0}])
+def test_a_derived_field_may_be_stated_as_its_value(stated):
+    assert read_config(WpnConfig, stated, "run.json: wpn", num_exits=3).num_exits == 3
+
+
+def test_a_derived_field_stated_otherwise_names_both_values():
+    with pytest.raises(ConfigError, match=re.escape("run.json: wpn: num_exits: must equal the derived value 3, got 4")):
+        read_config(WpnConfig, {"num_exits": 4}, "run.json: wpn", num_exits=3)

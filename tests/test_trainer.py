@@ -42,6 +42,7 @@ from exitweave.trainer import (
     meta_objective,
     run_training,
     split_batch,
+    substep,
     train_step,
 )
 from exitweave.wpn import AdamState, WpnConfig, init_wpn, make_weights, meta_weight_grad, wpn_forward
@@ -482,6 +483,19 @@ class TestRunTraining:
         # the message names the array the overflow reached, then the iteration
         with pytest.raises(TrainingError, match=r"contains non-finite entries at iteration \d+; run diverged"):
             run_training(cfg, BB, WPN, train, val)
+
+
+class TestSubstepFailures:
+    def test_finite_logits_whose_loss_overflows(self):
+        # logits of +-1e308 are finite, but the loss of the -1e308 class is 2e308
+        params = init_params(BackboneConfig(2, (3, 3), 2), RngStream(0))
+        for head in params.heads:
+            head.bias[:] = [1e308, -1e308]
+        state = TrainState(backbone=params, wpn=None, velocity=None, adam=None)
+        config = TrainConfig(epochs=1, batch_size=2, alpha=0.1, variant="baseline")
+        batch = (RngStream(1).standard_normal((2, 2)), np.array([0, 1]))
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite training loss at iteration 0"):
+            substep(state, batch, None, config, 0.1)
 
 
 class TestVariants:

@@ -11,7 +11,8 @@ the outputs: equal lines mean byte-identical artifacts. The runs on data
 files record the files' absolute paths, and `frozen_wpn` the absolute
 path of the checkpoint it loads, in resolved_config.json and in the run
 id, so run both checkouts at the same --out path: run one, keep its
-output, remove DIR, then run the other.
+output, remove DIR, then run the other. A DIR that is not empty is
+refused before any run.
 
 The reference runs are the six variants on a 16x4 trunk (synthetic
 data, 6 classes, dim 16, 150/60/60 rows per class; 3 epochs, batch 32,
@@ -157,6 +158,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="empty or new directory for the runs")
     args = parser.parse_args(argv)
     out = Path(args.out)
+    # every file under --out gets a digest line, so a leftover one could hide an artifact a run stopped writing
+    if out.is_dir() and any(out.iterdir()):
+        sys.exit(f"{out}: not empty; remove it or pass an empty or new --out")
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve()),
            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
