@@ -19,8 +19,10 @@ from it, since max(z, 0) > 0 exactly where z > 0.
 The layout of a shape tuple is computed once (`layer_slices`) and
 shared, immutable, by every parameter, gradient and lookahead buffer of
 those shapes; each buffer builds only its own views. Gradients share the
-layout, so a backward pass writes its buffer through the same views, and
-SGD and lookahead steps are plain arithmetic on buffers.
+layout, so a backward pass writes its buffer through the same views,
+into a caller's buffer when given one (`out`). `sgd_step` updates the
+parameter buffer and the velocity in place, so a training run keeps one
+parameter buffer per network from start to end.
 
 Gradients here are hand-derived reverse-mode passes, not autodiff. They
 start from a `ForwardPass` (`forward_pass`): the exit outputs, the
@@ -293,6 +295,9 @@ class ForwardPass(LayerPass):
     wrt its logits. hs are the trunk activations (hs[0] is the validated
     batch). Every gradient at these parameters on this batch reuses them
     and the masks cached from them, so the trunk runs once per point.
+    params is the live parameter object, not a copy: once a step updates
+    it in place, the pass no longer describes it, so take every gradient
+    of a point before stepping.
     """
 
     params: BackboneParams
@@ -405,39 +410,46 @@ def _block_errors(lp: LayerPass, tops: np.ndarray):
         yield j, stack
 
 
-def _tops_grad(lp: LayerPass, tops: np.ndarray) -> np.ndarray:
+def _tops_grad(lp: LayerPass, tops: np.ndarray, out: FlatParams | None = None) -> np.ndarray:
     """Flat gradient of a blocks-and-heads network at lp from its heads' output errors.
 
     Each layer's head terms are added in head order from 0.0, as one
     sweep per head into a zero buffer adds them (numpy sums a one-entry
     slice pairwise, so a width-1 layer that 8 or more heads reach may
-    differ in a last bit).
+    differ in a last bit). Every entry is written, through the views of
+    out (a FlatParams of lp's layout, whose buffer is returned) or, with
+    no out, of a new buffer.
     """
     params, hs = lp.params, lp.hs
-    grad = type(params)(params.config, np.empty(params.num_params))
-    f = len(grad.blocks) - len(grad.heads)
-    for k, head in enumerate(grad.heads):
+    if out is None:
+        out = type(params)(params.config, np.empty(params.num_params))
+    elif out.config != params.config:
+        raise ShapeError(f"gradient buffer is laid out for {out.config}, the pass for {params.config}")
+    f = len(out.blocks) - len(out.heads)
+    for k, head in enumerate(out.heads):
         np.add(0.0, tops[k].T @ hs[f + k + 1], out=head.weight)
         np.add(0.0, tops[k].sum(axis=0), out=head.bias)
     for j, stack in _block_errors(lp, tops):
-        block = grad.blocks[j]
+        block = out.blocks[j]
         np.add.reduce(np.matmul(stack.transpose(0, 2, 1), hs[j]), axis=0, initial=0.0, out=block.weight)
         np.add.reduce(stack.sum(axis=1), axis=0, initial=0.0, out=block.bias)
-    return grad.buffer
+    return out.buffer
 
 
-def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray) -> np.ndarray:
+def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray, out: BackboneParams | None = None) -> np.ndarray:
     """Gradient of sum_{i,k} coeffs[i,k] * loss_i^(k) at the pass's params, flat (P,).
 
     Same math as contracting `per_sample_grads` with coeffs, but the
     coefficients are folded into the logit errors before the backward
-    sweep (`_tops_grad`), so the (B, K, P) tensor is never built.
+    sweep (`_tops_grad`), so the (B, K, P) tensor is never built. Given
+    out, a BackboneParams of the pass's config, the gradient is written
+    into it and out.buffer is returned; otherwise into a new buffer.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     expected = (fp.outputs.batch_size, len(fp.logit_errors))
     if coeffs.shape != expected:
         raise ShapeError(f"coeffs shape {coeffs.shape}, expected {expected}")
-    return _tops_grad(fp, coeffs.T[:, :, None] * fp.logit_errors)
+    return _tops_grad(fp, coeffs.T[:, :, None] * fp.logit_errors, out)
 
 
 def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
@@ -477,26 +489,37 @@ def sgd_step(
     weight_decay: float = 0.0,
     velocity: np.ndarray | None = None,
 ) -> tuple[BackboneParams, np.ndarray | None]:
-    """One SGD step with optional momentum buffer; L2 decay is folded
-    into the gradient before the momentum update:
+    """One SGD step with optional momentum buffer, in place; L2 decay is
+    folded into the gradient before the momentum update:
 
         g = grad + weight_decay * theta
         v = momentum * v_prev + g        (v_prev = 0 on first use)
         theta' = theta - lr * v          (theta - lr * g when momentum == 0)
 
-    Returns (new params, new velocity); velocity is None when momentum is 0.
+    params.buffer and a given velocity are overwritten with theta' and
+    v, and grad is left untouched. Returns (params, velocity): the same
+    params object, and the velocity (a new buffer on first use; None
+    when momentum is 0). A non-finite grad raises NumericError before
+    anything is written.
     """
     theta = params.buffer
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != theta.shape:
         raise ShapeError(f"grad shape {grad.shape} does not match parameter count {theta.shape}")
     require_finite(grad, "grad")
-    g = grad + weight_decay * theta if weight_decay != 0.0 else grad
-    v = None
-    if momentum != 0.0:
-        v = momentum * velocity + g if velocity is not None else g.copy()
-        g = v
-    return BackboneParams(params.config, theta - lr * g), v
+    g = grad
+    if weight_decay != 0.0:
+        g = np.multiply(weight_decay, theta)
+        np.add(grad, g, out=g)
+    if momentum == 0.0:
+        velocity = None
+    elif velocity is None:
+        velocity = g.copy() if g is grad else g
+    else:
+        np.multiply(momentum, velocity, out=velocity)
+        velocity += g
+    theta -= lr * (g if velocity is None else velocity)
+    return params, velocity
 
 
 def pseudo_step(

@@ -73,6 +73,8 @@ def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     velocity = None if opt["velocity"] is None else decode_array(opt["velocity"], f"{path}: optimizer.velocity")
     if velocity is not None and velocity.shape != (backbone.num_params,):
         raise CompatibilityError(f"{path}: momentum buffer does not match parameter count")
+    if wpn_params is None and any(opt[key] is not None for key in ("adam_m", "adam_v", "adam_step")):
+        raise CompatibilityError(f"{path}: optimizer: Adam state in a run checkpoint with no weight network")
     adam = None
     if opt["adam_m"] is not None:
         adam = AdamState(

@@ -58,7 +58,7 @@ from .datahub import Dataset, make_batches
 from .errors import CompatibilityError, ConfigError, ExitweaveError, NumericError, TrainingError
 from .evaluate import score_anytime, score_sweep
 from .exitpolicy import AllocationResult, allocate_meta
-from .numkit import RngStream
+from .numkit import RngStream, require_finite
 from .wpn import (
     AdamState,
     WpnConfig,
@@ -149,13 +149,23 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Everything that evolves across iterations."""
+    """Everything that evolves across iterations.
+
+    The steps update the backbone, the weight network, the velocity and
+    the Adam moments in place, so each is one buffer for the whole run.
+    The state also owns the run's gradient buffers, allocated at their
+    first use and never saved: `grad`, which a substep's lookahead, meta
+    and real-step gradients each write and consume in turn, and
+    `wpn_grad` for the weight network's meta steps.
+    """
 
     backbone: BackboneParams
     wpn: WpnParams | None
     velocity: np.ndarray | None
     adam: AdamState | None
     iteration: int = 0
+    grad: BackboneParams | None = field(default=None, init=False, repr=False, compare=False)
+    wpn_grad: WpnParams | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -203,18 +213,25 @@ def meta_objective(outputs: ExitOutputs, allocation: AllocationResult | None = N
     return float(np.sum(mask * outputs.losses)), mask
 
 
-def lookahead(train_pass: ForwardPass, weights: np.ndarray, alpha: float) -> BackboneParams:
+def lookahead(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
+              out: BackboneParams | None = None) -> BackboneParams:
     """Momentum-free pseudo step from the train pass's params against the
     w-weighted train-half loss: theta_hat = theta - (alpha/n) * sum w[i,k] g[i,k].
     Kept plain (no momentum, no decay) so theta_hat is affine in the weight
     matrix, which makes the analytic weight gradient in `meta_chain` exact.
+    Returns new parameters and leaves the pass's untouched; the gradient
+    goes into out when given (see `batch_weighted_grad`). A non-finite
+    gradient raises NumericError.
     """
-    grad = batch_weighted_grad(train_pass, weights / train_pass.outputs.batch_size)
-    return sgd_step(train_pass.params, grad, alpha)[0]
+    grad = batch_weighted_grad(train_pass, weights / train_pass.outputs.batch_size, out)
+    require_finite(grad, "grad")
+    params = train_pass.params
+    return BackboneParams(params.config, params.buffer - alpha * grad)
 
 
 def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
-               meta_x: np.ndarray, meta_y: np.ndarray, q: float, whole_meta: bool = False):
+               meta_x: np.ndarray, meta_y: np.ndarray, q: float, whole_meta: bool = False,
+               out: BackboneParams | None = None):
     """Analytic gradient of the meta objective wrt the weight matrix.
 
     Takes the lookahead of the train pass under weights, then makes one
@@ -223,13 +240,14 @@ def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
     meta_outputs); allocation is None for whole_meta. The allocation
     (and hence the mask) is treated as constant: it is a discrete
     selection, so the objective's dependence on parameters flows only
-    through the allocated losses.
+    through the allocated losses. Given out, the lookahead and meta
+    gradients are written into it in turn, each consumed before the next.
     """
-    meta_pass = forward_pass(lookahead(train_pass, weights, alpha), meta_x, meta_y)
+    meta_pass = forward_pass(lookahead(train_pass, weights, alpha, out), meta_x, meta_y)
     outs = meta_pass.outputs
     alloc = None if whole_meta else allocate_meta(outs.confidences, q)
     value, mask = meta_objective(outs, alloc)
-    meta_grad = batch_weighted_grad(meta_pass, mask)
+    meta_grad = batch_weighted_grad(meta_pass, mask, out)
     dl_dw = -(alpha / train_pass.outputs.batch_size) * per_sample_grad_dots(train_pass, meta_grad)
     return dl_dw, value, alloc, mask, outs
 
@@ -237,16 +255,18 @@ def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
 def _meta_step(state: TrainState, train_pass: ForwardPass, wpn_pass: WpnPass, meta,
                config: TrainConfig, alpha_t: float, log_scatter: bool) -> dict:
     """One Adam step of the weight network from dL/dw at the train side's
-    weights (wpn_pass: their `wpn_weights` pass); mutates state.wpn and
-    state.adam. Returns the record fields it fills: meta_loss and, except
-    for whole_meta, alloc_sizes and (with log_scatter) scatter.
+    weights (wpn_pass: their `wpn_weights` pass); steps state.wpn and
+    state.adam in place, with the gradients in the state's buffers.
+    Returns the record fields it fills: meta_loss and, except for
+    whole_meta, alloc_sizes and (with log_scatter) scatter.
     """
     dl_dw, meta_value, alloc, _, meta_outs = meta_chain(
-        train_pass, wpn_pass.weights, alpha_t, *meta, config.q, whole_meta=config.variant == "whole_meta"
+        train_pass, wpn_pass.weights, alpha_t, *meta, config.q,
+        whole_meta=config.variant == "whole_meta", out=state.grad,
     )
-    wpn_grad = wpn_backward(wpn_pass, dl_dw)
-    new_buffer, state.adam = adam_step(state.wpn.buffer, wpn_grad, state.adam, config.beta)
-    state.wpn = WpnParams(state.wpn.config, new_buffer)
+    if state.wpn_grad is None:
+        state.wpn_grad = WpnParams.zeros(state.wpn.config)
+    adam_step(state.wpn.buffer, wpn_backward(wpn_pass, dl_dw, state.wpn_grad), state.adam, config.beta)
     fields = {"meta_loss": meta_value}
     if alloc is not None:
         fields["alloc_sizes"] = [int(s) for s in alloc.sizes]
@@ -268,8 +288,11 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
     gives the losses, the coefficient matrix and the gradient; the
     variant only chooses the coefficients. The fragment holds loss_sum
     plus only the fields the variant fills. Non-finite training losses
-    raise TrainingError: the run diverged.
+    raise TrainingError: the run diverged. Every gradient goes into the
+    state's buffers, and the steps update the state's networks in place.
     """
+    if state.grad is None:
+        state.grad = BackboneParams.zeros(state.backbone.config)
     train_pass = forward_pass(state.backbone, *train)
     outs = train_pass.outputs
     if not np.isfinite(outs.losses).all():
@@ -294,7 +317,7 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
         frag["weights"] = weights
         coeffs = weights / n
     state.backbone, state.velocity = sgd_step(
-        state.backbone, batch_weighted_grad(train_pass, coeffs), alpha_t,
+        state.backbone, batch_weighted_grad(train_pass, coeffs, state.grad), alpha_t,
         config.momentum, config.weight_decay, state.velocity,
     )
     return frag

@@ -163,11 +163,13 @@ def meta_weight_grad(psg: np.ndarray, meta_grad: np.ndarray, alpha: float, n: in
     return -(alpha / n) * np.einsum("bkp,p->bk", psg, meta_grad)
 
 
-def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray) -> np.ndarray:
+def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray, out: WpnParams | None = None) -> np.ndarray:
     """Flat gradient wrt the network parameters of `wpn_pass` given dL/d(weights).
 
     Chain: weights = 1 + (pre - mean(pre)) with pre = delta*(2*sigmoid(raw)-1),
     then the MLP. dl_dweights must have the shape of the pass's weights.
+    Given out, a WpnParams of the pass's config, the gradient is written
+    into it and out.buffer is returned; otherwise into a new buffer.
     """
     g = np.asarray(dl_dweights, dtype=np.float64)
     if g.shape != wpn_pass.weights.shape:
@@ -176,7 +178,7 @@ def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray) -> np.ndarray:
     g = g - g.mean()
     s = wpn_pass.sigmoids
     dz = g * (2.0 * wpn_pass.params.config.delta) * s * (1.0 - s)
-    return _tops_grad(wpn_pass, dz[None])
+    return _tops_grad(wpn_pass, dz[None], out)
 
 
 @dataclass
@@ -193,17 +195,35 @@ class AdamState:
 
 
 def adam_step(flat_params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> tuple[np.ndarray, AdamState]:
-    """Standard bias-corrected Adam on a flat parameter vector, at the
-    usual moment decay rates ADAM_BETA1, ADAM_BETA2 and guard ADAM_EPS."""
+    """Standard bias-corrected Adam on a flat parameter vector, in place,
+    at the usual moment decay rates ADAM_BETA1, ADAM_BETA2 and guard ADAM_EPS:
+
+        m = b1 * m + (1 - b1) * g,  v = b2 * v + (1 - b2) * g * g
+        theta -= lr * m_hat / (sqrt(v_hat) + eps),  m_hat = m / (1 - b1^t),  v_hat = v / (1 - b2^t)
+
+    flat_params, state.m and state.v are overwritten and state.step
+    advances to t; returns (flat_params, state), the same objects. A
+    non-finite grad raises NumericError before anything is written.
+    """
     flat_params = np.asarray(flat_params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != flat_params.shape:
         raise ShapeError(f"grad shape {grad.shape} does not match params {flat_params.shape}")
     require_finite(grad, "grad")
     t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    new = flat_params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new, AdamState(m, v, t)
+    term = np.multiply(1.0 - ADAM_BETA1, grad)
+    np.multiply(ADAM_BETA1, state.m, out=state.m)
+    state.m += term
+    np.multiply(1.0 - ADAM_BETA2, grad, out=term)
+    term *= grad
+    np.multiply(ADAM_BETA2, state.v, out=state.v)
+    state.v += term
+    denom = np.divide(state.v, 1.0 - ADAM_BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(state.m, 1.0 - ADAM_BETA1**t, out=term)
+    np.multiply(lr, term, out=term)
+    term /= denom
+    flat_params -= term
+    state.step = t
+    return flat_params, state

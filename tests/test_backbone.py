@@ -153,19 +153,50 @@ class TestFlatBuffer:
         np.testing.assert_array_equal(params.flatten(), before)
 
     def test_steps_leave_their_inputs_untouched(self):
+        # sgd_step writes only params and the velocity, in place; pseudo_step writes nothing it is given
         config, params, x, y = small_instance(seed=4)
-        before = params.flatten().tobytes()
+        buffer, theta = params.buffer, params.flatten()
         grad = batch_weighted_grad(forward_pass(params, x, y), np.full((x.shape[0], config.num_exits), 0.2))
+        grad_before = grad.copy()
         velocity = np.ones_like(grad)
         stepped, new_velocity = sgd_step(params, grad, 0.1, momentum=0.9, weight_decay=0.01, velocity=velocity)
-        plain, _ = sgd_step(params, grad, 0.1)
+        assert stepped is params and params.buffer is buffer and new_velocity is velocity
+        v = 0.9 * np.ones_like(grad) + (grad_before + 0.01 * theta)
+        np.testing.assert_allclose(velocity, v, atol=0)
+        np.testing.assert_allclose(params.flatten(), theta - 0.1 * v, atol=0)
+        assert np.shares_memory(params.blocks[0].weight, buffer)
+        theta = params.flatten()
+        plain, no_velocity = sgd_step(params, grad, 0.1)
+        assert plain is params and no_velocity is None
+        np.testing.assert_allclose(params.flatten(), theta - 0.1 * grad_before, atol=0)
+        assert grad.tobytes() == grad_before.tobytes()
+        before = params.flatten().tobytes()
         pseudo = pseudo_step(params, per_sample_grads(params, x, y), np.ones((x.shape[0], config.num_exits)), 0.1)
         assert params.flatten().tobytes() == before
-        assert np.all(velocity == 1.0)
-        for out in (stepped, plain, pseudo):
-            assert out.flatten().tobytes() != before
-            assert not np.shares_memory(out.buffer, params.buffer)
-        assert not np.shares_memory(new_velocity, velocity)
+        assert pseudo.flatten().tobytes() != before
+        assert not np.shares_memory(pseudo.buffer, params.buffer)
+
+    @pytest.mark.parametrize("config", [BackboneConfig(3, (4, 3), 3), BackboneConfig(2, (5, 1, 4), 4)])
+    def test_gradients_into_a_given_buffer_match_the_allocating_ones(self, config):
+        # written through out's views over stale contents: bitwise the fresh buffer's gradient
+        _, params, x, y = small_instance(seed=6, config=config, batch=7)
+        fp = forward_pass(params, x, y)
+        coeffs = RngStream(6).child("c").standard_normal((7, config.num_exits))
+        out = BackboneParams(config, np.full(params.num_params, np.nan))
+        got = batch_weighted_grad(fp, coeffs, out)
+        assert got is out.buffer
+        assert got.tobytes() == batch_weighted_grad(fp, coeffs).tobytes()
+        wpn = init_wpn(WpnConfig(config.num_exits, hidden_width=5, hidden_depth=2), RngStream(6).child("w"))
+        wpn_pass = wpn_weights(wpn, fp.outputs.losses)
+        probe = RngStream(6).child("p").standard_normal(wpn_pass.weights.shape)
+        wpn_out = WpnParams(wpn.config, np.full(wpn.num_params, np.inf))
+        got = wpn_backward(wpn_pass, probe, wpn_out)
+        assert got is wpn_out.buffer
+        assert got.tobytes() == wpn_backward(wpn_pass, probe).tobytes()
+        with pytest.raises(ShapeError, match="gradient buffer is laid out for"):
+            batch_weighted_grad(fp, coeffs, BackboneParams.zeros(BackboneConfig(3, (4, 3), 5)))
+        with pytest.raises(ShapeError, match="gradient buffer is laid out for"):
+            wpn_backward(wpn_pass, probe, WpnParams.zeros(WpnConfig(config.num_exits, hidden_width=6)))
 
 
 class TestLayoutCache:
@@ -1069,12 +1100,14 @@ class TestUpdates:
         g = grad + wd * flat
         np.testing.assert_allclose(v1, g, atol=0)
         np.testing.assert_allclose(p1.flatten(), flat - lr * g, atol=0)
-        # second step accumulates the velocity
+        # second step accumulates the velocity; it steps p1 and v1 in
+        # place, so the expected values come from copies taken before it
+        flat1, vel1 = p1.flatten(), v1.copy()
         grad2 = rng.standard_normal(flat.shape)
         p2, v2 = sgd_step(p1, grad2, lr, mom, wd, v1)
-        g2 = grad2 + wd * p1.flatten()
-        np.testing.assert_allclose(v2, mom * v1 + g2, atol=0)
-        np.testing.assert_allclose(p2.flatten(), p1.flatten() - lr * v2, atol=0)
+        g2 = grad2 + wd * flat1
+        np.testing.assert_allclose(v2, mom * vel1 + g2, atol=0)
+        np.testing.assert_allclose(p2.flatten(), flat1 - lr * v2, atol=0)
 
     def test_pseudo_step_matches_momentum_free_sgd_on_ones(self):
         config, params, x, y = small_instance(seed=19)

@@ -177,7 +177,10 @@ class TestMalformedRunCheckpoint:
         (None, FormatError, ["not valid JSON"]),
         # the weight network alone, as its own container: a run checkpoint is the only model document
         (lambda d: {"format": "exitweave-wpn", "version": 1, **d["wpn"]}, FormatError, ["exitweave-wpn"]),
-    ], ids=["wrong-format", "future-version", "backbone-params-length", "invalid-json", "standalone-wpn"])
+        # Adam moments with nothing to step: the writer never writes them without a weight network
+        (lambda d: d.update(wpn=None), CompatibilityError, ["optimizer", "Adam", "no weight network"]),
+    ], ids=["wrong-format", "future-version", "backbone-params-length", "invalid-json", "standalone-wpn",
+            "adam-without-wpn"])
     def test_rejected_container(self, tmp_path, edit, error, words):
         path, doc = self.saved(tmp_path)
         path.write_text("{not json" if edit is None else dump_json(edit(doc) or doc))

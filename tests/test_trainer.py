@@ -20,16 +20,19 @@ import pytest
 
 from exitweave.backbone import (
     BackboneConfig,
+    BackboneParams,
+    FlatParams,
     batch_weighted_grad,
     forward_all,
     forward_pass,
     init_params,
     per_sample_grads,
     pseudo_step,
+    sgd_step,
 )
 from exitweave.checkpoint import save_run_checkpoint
 from exitweave.datahub import gen_synthetic_gaussians
-from exitweave.errors import CompatibilityError, ConfigError, TrainingError
+from exitweave.errors import CompatibilityError, ConfigError, NumericError, TrainingError
 from exitweave.exitpolicy import allocate_meta
 from exitweave.numkit import RngStream
 from exitweave.serial import config_doc, read_config
@@ -45,7 +48,7 @@ from exitweave.trainer import (
     substep,
     train_step,
 )
-from exitweave.wpn import AdamState, WpnConfig, init_wpn, make_weights, meta_weight_grad, wpn_forward
+from exitweave.wpn import AdamState, WpnConfig, adam_step, init_wpn, make_weights, meta_weight_grad, wpn_forward
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +767,100 @@ class TestPassSharing:
         record = train_step(state, x, y, cfg, alpha_t=cfg.alpha)
         assert len(calls) == passes, calls
         assert (record["meta_loss"] is not None) == (passes == 4)
+
+
+class TestStateBuffers:
+    """One parameter buffer per network for the whole run, stepped in
+    place, and gradients in buffers the state allocates once."""
+
+    def make(self, tmp_path, case):
+        root = RngStream(75)
+        wpn = init_wpn(WPN, root.child("init-wpn"))
+        cfg = case_config(case, saved_run(tmp_path / "run.json", wpn.copy()))
+        with_wpn = cfg.variant in ("learned", "whole_meta", "frozen_wpn")
+        state = TrainState(backbone=init_params(BB, root.child("init-backbone")), wpn=wpn if with_wpn else None,
+                           velocity=None, adam=AdamState.zeros(wpn.num_params) if with_wpn else None)
+        data = root.child("data")
+        batches = [(data.standard_normal((10, 4)), data.integers(0, 3, 10).astype(np.int64)) for _ in range(3)]
+        return cfg, state, batches
+
+    @pytest.mark.parametrize("case", ["learned", "whole_meta", "frozen_wpn", "fixed_ascending", "selection", "baseline"])
+    def test_networks_and_buffers_keep_their_identity(self, tmp_path, case):
+        cfg, state, batches = self.make(tmp_path, case)
+        meta = cfg.variant in ("learned", "whole_meta")
+        backbone, wpn, adam = state.backbone, state.wpn, state.adam
+        buffers = [backbone.buffer] + ([] if wpn is None else [wpn.buffer, adam.m, adam.v])
+        before = [b.copy() for b in buffers]
+        train_step(state, *batches[0], cfg, cfg.alpha)
+        grad, wpn_grad, velocity = state.grad, state.wpn_grad, state.velocity
+        assert isinstance(grad, BackboneParams) and velocity is not None
+        assert (wpn_grad is not None) == meta
+        for x, y in batches[1:]:
+            train_step(state, x, y, cfg, cfg.alpha)
+        assert state.backbone is backbone and state.wpn is wpn and state.adam is adam
+        after = [state.backbone.buffer] + ([] if wpn is None else [state.wpn.buffer, state.adam.m, state.adam.v])
+        assert all(a is b for a, b in zip(after, buffers, strict=True))
+        assert state.grad is grad and state.wpn_grad is wpn_grad and state.velocity is velocity
+        moved = [a.tobytes() != b.tobytes() for a, b in zip(after, before)]
+        assert moved == [True] + ([meta] * 3 if wpn is not None else [])
+
+    @pytest.mark.parametrize("case, per_substep", [
+        ("baseline", 0), ("fixed_ascending", 0), ("selection", 0), ("frozen_wpn", 0),
+        ("learned", 2), ("whole_meta", 2),
+    ])
+    def test_flat_params_constructed_per_train_step(self, monkeypatch, tmp_path, case, per_substep):
+        cfg, state, batches = self.make(tmp_path, case)
+        train_step(state, *batches[0], cfg, cfg.alpha)  # the first step allocates the gradient buffers
+        made = []
+        real = FlatParams.__init__
+
+        def counting(self, config, buffer):
+            made.append((type(self), buffer))
+            real(self, config, buffer)
+
+        monkeypatch.setattr(FlatParams, "__init__", counting)
+        train_step(state, *batches[1], cfg, cfg.alpha)  # interval 2: no meta step at iteration 1
+        assert made == []
+        train_step(state, *batches[2], cfg, cfg.alpha)
+        substeps = 1 if case == "baseline" else 2
+        assert len(made) == substeps * per_substep
+        # per meta step: the lookahead's new parameters, then per_sample_grad_dots' view of state.grad
+        for (cls, pseudo), (view_cls, view) in zip(made[::2], made[1::2]):
+            assert cls is view_cls is BackboneParams
+            assert not np.shares_memory(pseudo, state.backbone.buffer) and not np.shares_memory(pseudo, state.grad.buffer)
+            assert view is state.grad.buffer
+
+
+class TestNonFiniteGradients:
+    def test_steps_raise_and_leave_the_parameters(self):
+        root = RngStream(76)
+        backbone = init_params(BB, root.child("init-backbone"))
+        theta, n = backbone.flatten(), backbone.num_params
+        grad = np.full(n, 0.5)
+        grad[3] = np.nan
+        velocity = np.ones(n)
+        with pytest.raises(NumericError, match="grad contains non-finite entries"):
+            sgd_step(backbone, grad, 0.1, 0.9, 0.01, velocity)
+        assert backbone.flatten().tobytes() == theta.tobytes() and np.all(velocity == 1.0)
+
+        data = root.child("data")
+        train_pass = forward_pass(backbone, data.standard_normal((6, 4)), data.integers(0, 3, 6).astype(np.int64))
+        weights = np.ones((6, 2))
+        weights[2, 1] = np.inf
+        for out in (None, BackboneParams.zeros(BB)):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="grad contains non-finite entries"):
+                lookahead(train_pass, weights, 0.1, out)
+        assert backbone.flatten().tobytes() == theta.tobytes()
+
+        wpn = init_wpn(WPN, root.child("init-wpn"))
+        phi, m = wpn.flatten(), wpn.num_params
+        adam = AdamState(np.full(m, 0.1), np.full(m, 0.2), 3)
+        wpn_grad = np.zeros(m)
+        wpn_grad[-1] = -np.inf
+        with pytest.raises(NumericError, match="grad contains non-finite entries"):
+            adam_step(wpn.buffer, wpn_grad, adam, 1e-3)
+        assert wpn.flatten().tobytes() == phi.tobytes()
+        assert np.all(adam.m == 0.1) and np.all(adam.v == 0.2) and adam.step == 3
 
 
 _ALWAYS = {"iteration", "lr", "train_loss_per_exit"}

@@ -17,7 +17,8 @@ pair, and per workload and metric the median and quartiles of each
 side, the pairs the change wins and the ties. The parameter or sweep
 digest of both sides is compared pair by pair. With --claim, it also
 says whether the change won at least 9 of 10 pairs on that metric with
-a median gap wider than the parent's interquartile range. The file is
+a median gap wider than the parent's interquartile range, while failing
+no larger share of its attempted operations than the parent. The file is
 rewritten after every pair, so an interrupted comparison keeps what it
 measured.
 """
@@ -36,7 +37,8 @@ import numpy as np
 METRICS = {"op_cost_p50": "lower", "quality_acc": "higher", "peak_rss_mb": "lower",
            "setup_s": "lower", "op_ms_p50": "lower"}
 SIDES = ("parent", "change")
-CLAIM_RULE = "change wins at least 9 of 10 pairs and the median gap exceeds the parent's IQR"
+CLAIM_RULE = ("change wins at least 9 of 10 pairs, the median gap exceeds the parent's IQR, "
+              "and the change's failed share of operations is no larger than the parent's")
 
 
 def run_side(checkout: Path, workload: str, seed: int) -> dict:
@@ -81,6 +83,7 @@ def summarize(pairs: list[dict]) -> dict:
             "pairs": len(pairs),
         }
     summary["failed_ops"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+    summary["attempted_ops"] = {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES}
     summary["identical_digests"] = sum(p["parent"]["digest"] == p["change"]["digest"] for p in pairs)
     return summary
 
@@ -90,9 +93,12 @@ def claim_verdict(summary: dict, metric: str) -> dict:
     gap = abs(row["change"]["median"] - row["parent"]["median"])
     wins = row["change_better_pairs"]
     direction_ok = (row["change"]["median"] < row["parent"]["median"]) == (row["better"] == "lower")
+    # failed over attempted, summed over pairs: a gain does not count when more operations fail
+    failed = {side: summary["failed_ops"][side] / max(summary["attempted_ops"][side], 1) for side in SIDES}
     return {"wins": wins, "pairs": row["pairs"], "median_gap": round(gap, 4),
-            "parent_iqr": row["parent"]["iqr"],
-            "met": direction_ok and wins * 10 >= 9 * row["pairs"] and gap > row["parent"]["iqr"]}
+            "parent_iqr": row["parent"]["iqr"], "failed_share": failed,
+            "met": (direction_ok and wins * 10 >= 9 * row["pairs"] and gap > row["parent"]["iqr"]
+                    and failed["change"] <= failed["parent"])}
 
 
 def main() -> int:
