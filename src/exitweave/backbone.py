@@ -423,8 +423,6 @@ def _tops_grad(lp: LayerPass, tops: np.ndarray, out: FlatParams | None = None) -
     params, hs = lp.params, lp.hs
     if out is None:
         out = type(params)(params.config, np.empty(params.num_params))
-    elif out.config != params.config:
-        raise ShapeError(f"gradient buffer is laid out for {out.config}, the pass for {params.config}")
     f = len(out.blocks) - len(out.heads)
     for k, head in enumerate(out.heads):
         np.add(0.0, tops[k].T @ hs[f + k + 1], out=head.weight)

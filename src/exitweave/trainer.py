@@ -153,10 +153,11 @@ class TrainState:
 
     The steps update the backbone, the weight network, the velocity and
     the Adam moments in place, so each is one buffer for the whole run.
-    The state also owns the run's gradient buffers, allocated at their
-    first use and never saved: `grad`, which a substep's lookahead, meta
-    and real-step gradients each write and consume in turn, and
-    `wpn_grad` for the weight network's meta steps.
+    The state also owns the run's gradient buffers, allocated once when
+    it is built and never saved: `grad`, which a substep's lookahead,
+    meta and real-step gradients each write and consume in turn, and
+    `wpn_grad` (None without a weight network) for the weight network's
+    meta steps.
     """
 
     backbone: BackboneParams
@@ -164,8 +165,12 @@ class TrainState:
     velocity: np.ndarray | None
     adam: AdamState | None
     iteration: int = 0
-    grad: BackboneParams | None = field(default=None, init=False, repr=False, compare=False)
-    wpn_grad: WpnParams | None = field(default=None, init=False, repr=False, compare=False)
+    grad: BackboneParams = field(init=False, repr=False, compare=False)
+    wpn_grad: WpnParams | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.grad = BackboneParams.zeros(self.backbone.config)
+        self.wpn_grad = None if self.wpn is None else WpnParams.zeros(self.wpn.config)
 
 
 @dataclass
@@ -264,8 +269,6 @@ def _meta_step(state: TrainState, train_pass: ForwardPass, wpn_pass: WpnPass, me
         train_pass, wpn_pass.weights, alpha_t, *meta, config.q,
         whole_meta=config.variant == "whole_meta", out=state.grad,
     )
-    if state.wpn_grad is None:
-        state.wpn_grad = WpnParams.zeros(state.wpn.config)
     adam_step(state.wpn.buffer, wpn_backward(wpn_pass, dl_dw, state.wpn_grad), state.adam, config.beta)
     fields = {"meta_loss": meta_value}
     if alloc is not None:
@@ -291,8 +294,6 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
     raise TrainingError: the run diverged. Every gradient goes into the
     state's buffers, and the steps update the state's networks in place.
     """
-    if state.grad is None:
-        state.grad = BackboneParams.zeros(state.backbone.config)
     train_pass = forward_pass(state.backbone, *train)
     outs = train_pass.outputs
     if not np.isfinite(outs.losses).all():

@@ -25,11 +25,14 @@ def side(cost: float, failed: int = 0) -> dict:
             "op_ms_p50": 10.0 * cost, "attempted": 100, "failed": failed, "digest": "same"}
 
 
-def verdict(parent: list[float], change: list[float], parent_failed=0, change_failed=0) -> dict:
+def verdict(parent: list[float], change: list[float], parent_failed=0, change_failed=0,
+            change_attempted=100) -> dict:
     tool = load_tool()
     pairs = [{"parent": side(p), "change": side(c)} for p, c in zip(parent, change, strict=True)]
     pairs[0]["parent"]["failed"] = parent_failed
     pairs[-1]["change"]["failed"] = change_failed
+    for pair in pairs:
+        pair["change"]["attempted"] = change_attempted
     return tool.claim_verdict(tool.summarize(pairs), METRIC)
 
 
@@ -72,3 +75,13 @@ def test_more_failed_operations_is_not_met():
     assert result["failed_share"] == {"parent": 0.0, "change": 1 / 1000}
     assert not result["met"]
     assert verdict(PARENT, change, parent_failed=1, change_failed=1)["met"]
+
+
+def test_more_failed_operations_at_a_smaller_share_is_not_met():
+    # a faster change attempts more operations, so it can fail more of them at a smaller share
+    change = [0.80] * 10
+    result = verdict(PARENT, change, parent_failed=1, change_failed=2, change_attempted=300)
+    assert result["failed_ops"] == {"parent": 1, "change": 2}
+    assert result["failed_share"]["change"] < result["failed_share"]["parent"]
+    assert not result["met"]
+    assert verdict(PARENT, change, parent_failed=1, change_failed=1, change_attempted=300)["met"]

@@ -48,7 +48,16 @@ from exitweave.trainer import (
     substep,
     train_step,
 )
-from exitweave.wpn import AdamState, WpnConfig, adam_step, init_wpn, make_weights, meta_weight_grad, wpn_forward
+from exitweave.wpn import (
+    AdamState,
+    WpnConfig,
+    WpnParams,
+    adam_step,
+    init_wpn,
+    make_weights,
+    meta_weight_grad,
+    wpn_forward,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +800,12 @@ class TestStateBuffers:
         backbone, wpn, adam = state.backbone, state.wpn, state.adam
         buffers = [backbone.buffer] + ([] if wpn is None else [wpn.buffer, adam.m, adam.v])
         before = [b.copy() for b in buffers]
+        grad, wpn_grad = state.grad, state.wpn_grad  # allocated with the state
+        assert isinstance(grad, BackboneParams) and grad.config == backbone.config
+        assert (wpn_grad is None) if wpn is None else (isinstance(wpn_grad, WpnParams) and wpn_grad.config == wpn.config)
         train_step(state, *batches[0], cfg, cfg.alpha)
-        grad, wpn_grad, velocity = state.grad, state.wpn_grad, state.velocity
-        assert isinstance(grad, BackboneParams) and velocity is not None
-        assert (wpn_grad is not None) == meta
+        velocity = state.velocity
+        assert velocity is not None
         for x, y in batches[1:]:
             train_step(state, x, y, cfg, cfg.alpha)
         assert state.backbone is backbone and state.wpn is wpn and state.adam is adam
@@ -810,7 +821,6 @@ class TestStateBuffers:
     ])
     def test_flat_params_constructed_per_train_step(self, monkeypatch, tmp_path, case, per_substep):
         cfg, state, batches = self.make(tmp_path, case)
-        train_step(state, *batches[0], cfg, cfg.alpha)  # the first step allocates the gradient buffers
         made = []
         real = FlatParams.__init__
 
@@ -819,11 +829,13 @@ class TestStateBuffers:
             real(self, config, buffer)
 
         monkeypatch.setattr(FlatParams, "__init__", counting)
-        train_step(state, *batches[1], cfg, cfg.alpha)  # interval 2: no meta step at iteration 1
-        assert made == []
-        train_step(state, *batches[2], cfg, cfg.alpha)
         substeps = 1 if case == "baseline" else 2
+        train_step(state, *batches[0], cfg, cfg.alpha)  # iteration 0: a meta step
         assert len(made) == substeps * per_substep
+        train_step(state, *batches[1], cfg, cfg.alpha)  # interval 2: no meta step at iteration 1
+        assert len(made) == substeps * per_substep
+        train_step(state, *batches[2], cfg, cfg.alpha)
+        assert len(made) == 2 * substeps * per_substep
         # per meta step: the lookahead's new parameters, then per_sample_grad_dots' view of state.grad
         for (cls, pseudo), (view_cls, view) in zip(made[::2], made[1::2]):
             assert cls is view_cls is BackboneParams

@@ -274,8 +274,10 @@ class TestBackward:
 class TestAdam:
     def test_zero_grad_first_step_is_identity(self):
         params = np.arange(5.0)
+        before = params.copy()
         out, state = adam_step(params, np.zeros(5), AdamState.zeros(5), lr=0.1)
-        np.testing.assert_array_equal(out, params)
+        assert out is params  # stepped in place: compare with the copy taken before the call
+        assert out.tobytes() == before.tobytes()
         assert state.step == 1
 
     def test_first_step_magnitude_is_about_lr(self):

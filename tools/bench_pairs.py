@@ -38,7 +38,7 @@ METRICS = {"op_cost_p50": "lower", "quality_acc": "higher", "peak_rss_mb": "lowe
            "setup_s": "lower", "op_ms_p50": "lower"}
 SIDES = ("parent", "change")
 CLAIM_RULE = ("change wins at least 9 of 10 pairs, the median gap exceeds the parent's IQR, "
-              "and the change's failed share of operations is no larger than the parent's")
+              "and the change fails no more operations than the parent, in count and in share")
 
 
 def run_side(checkout: Path, workload: str, seed: int) -> dict:
@@ -93,12 +93,14 @@ def claim_verdict(summary: dict, metric: str) -> dict:
     gap = abs(row["change"]["median"] - row["parent"]["median"])
     wins = row["change_better_pairs"]
     direction_ok = (row["change"]["median"] < row["parent"]["median"]) == (row["better"] == "lower")
-    # failed over attempted, summed over pairs: a gain does not count when more operations fail
-    failed = {side: summary["failed_ops"][side] / max(summary["attempted_ops"][side], 1) for side in SIDES}
+    # a gain does not count when more operations fail: neither more of them (a faster change
+    # attempts more) nor a larger share (failed over attempted, summed over pairs)
+    failed_ops = summary["failed_ops"]
+    failed = {side: failed_ops[side] / max(summary["attempted_ops"][side], 1) for side in SIDES}
     return {"wins": wins, "pairs": row["pairs"], "median_gap": round(gap, 4),
-            "parent_iqr": row["parent"]["iqr"], "failed_share": failed,
+            "parent_iqr": row["parent"]["iqr"], "failed_ops": failed_ops, "failed_share": failed,
             "met": (direction_ok and wins * 10 >= 9 * row["pairs"] and gap > row["parent"]["iqr"]
-                    and failed["change"] <= failed["parent"])}
+                    and failed_ops["change"] <= failed_ops["parent"] and failed["change"] <= failed["parent"])}
 
 
 def main() -> int:
