@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -153,11 +154,11 @@ class TrainState:
 
     The steps update the backbone, the weight network, the velocity and
     the Adam moments in place, so each is one buffer for the whole run.
-    The state also owns the run's gradient buffers, allocated once when
-    it is built and never saved: `grad`, which a substep's lookahead,
-    meta and real-step gradients each write and consume in turn, and
-    `wpn_grad` (None without a weight network) for the weight network's
-    meta steps.
+    The state also owns the run's gradient buffers, allocated once at
+    first read (a state that is only evaluated holds none) and never
+    saved: `grad`, which a substep's lookahead, meta and real-step
+    gradients each write and consume in turn, and `wpn_grad` for the
+    weight network's meta steps.
     """
 
     backbone: BackboneParams
@@ -165,12 +166,14 @@ class TrainState:
     velocity: np.ndarray | None
     adam: AdamState | None
     iteration: int = 0
-    grad: BackboneParams = field(init=False, repr=False, compare=False)
-    wpn_grad: WpnParams | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.grad = BackboneParams.zeros(self.backbone.config)
-        self.wpn_grad = None if self.wpn is None else WpnParams.zeros(self.wpn.config)
+    @cached_property
+    def grad(self) -> BackboneParams:
+        return BackboneParams.zeros(self.backbone.config)
+
+    @cached_property
+    def wpn_grad(self) -> WpnParams:
+        return WpnParams.zeros(self.wpn.config)
 
 
 @dataclass

@@ -800,18 +800,19 @@ class TestStateBuffers:
         backbone, wpn, adam = state.backbone, state.wpn, state.adam
         buffers = [backbone.buffer] + ([] if wpn is None else [wpn.buffer, adam.m, adam.v])
         before = [b.copy() for b in buffers]
-        grad, wpn_grad = state.grad, state.wpn_grad  # allocated with the state
-        assert isinstance(grad, BackboneParams) and grad.config == backbone.config
-        assert (wpn_grad is None) if wpn is None else (isinstance(wpn_grad, WpnParams) and wpn_grad.config == wpn.config)
+        assert "grad" not in vars(state) and "wpn_grad" not in vars(state)  # none until a step reads them
         train_step(state, *batches[0], cfg, cfg.alpha)
-        velocity = state.velocity
-        assert velocity is not None
+        assert ("wpn_grad" in vars(state)) == meta
+        grad, velocity = state.grad, state.velocity
+        assert isinstance(grad, BackboneParams) and grad.config == backbone.config and velocity is not None
+        wpn_grad = state.wpn_grad if meta else None
+        assert wpn_grad is None or (isinstance(wpn_grad, WpnParams) and wpn_grad.config == wpn.config)
         for x, y in batches[1:]:
             train_step(state, x, y, cfg, cfg.alpha)
         assert state.backbone is backbone and state.wpn is wpn and state.adam is adam
         after = [state.backbone.buffer] + ([] if wpn is None else [state.wpn.buffer, state.adam.m, state.adam.v])
         assert all(a is b for a, b in zip(after, buffers, strict=True))
-        assert state.grad is grad and state.wpn_grad is wpn_grad and state.velocity is velocity
+        assert state.grad is grad and state.velocity is velocity and (not meta or state.wpn_grad is wpn_grad)
         moved = [a.tobytes() != b.tobytes() for a, b in zip(after, before)]
         assert moved == [True] + ([meta] * 3 if wpn is not None else [])
 
@@ -821,6 +822,8 @@ class TestStateBuffers:
     ])
     def test_flat_params_constructed_per_train_step(self, monkeypatch, tmp_path, case, per_substep):
         cfg, state, batches = self.make(tmp_path, case)
+        # the gradient buffers are allocated at their first read, outside the count
+        assert state.grad.config == BB and (state.wpn is None or state.wpn_grad.config == WPN)
         made = []
         real = FlatParams.__init__
 

@@ -18,7 +18,8 @@ side, the pairs the change wins and the ties. The parameter or sweep
 digest of both sides is compared pair by pair. With --claim, it also
 says whether the change won at least 9 of 10 pairs on that metric with
 a median gap wider than the parent's interquartile range, while failing
-no larger share of its attempted operations than the parent. The file is
+no more operations than the parent, neither in count nor as a share of
+those it attempted. The file is
 rewritten after every pair, so an interrupted comparison keeps what it
 measured.
 """
