@@ -20,9 +20,10 @@ The layout of a shape tuple is computed once (`layer_slices`) and
 shared, immutable, by every parameter, gradient and lookahead buffer of
 those shapes; each buffer builds only its own views. Gradients share the
 layout, so a backward pass writes its buffer through the same views,
-into a caller's buffer when given one (`out`). `sgd_step` updates the
-parameter buffer and the velocity in place, so a training run keeps one
-parameter buffer per network from start to end.
+into a caller's buffer when given one (`out`); the heads come last, so
+the writer normalizes their signed zeros in one call over that region.
+`sgd_step` updates the parameter buffer and the velocity in place, so a
+training run keeps one parameter buffer per network from start to end.
 
 Gradients here are hand-derived reverse-mode passes, not autodiff. They
 start from a `ForwardPass` (`forward_pass`): the exit outputs, the
@@ -35,7 +36,9 @@ the prediction. `forward_all` returns only what scoring reads, the
 core as cache-sized row blocks and keeps only each block's outputs,
 bitwise those of one whole-batch pass. Both check their inputs once, as
 a `datahub.Dataset`, the one check of a dataset's contents, that fits
-the model (`require_fit`).
+the model (`require_fit`). `_forward_pass` is `forward_pass` on a batch
+already checked: training checks each mini-batch once
+(`trainer.train_step`) and runs it on the halves.
 `batch_weighted_grad` folds a coefficient matrix into the logit errors
 for the "weighted sum of losses" case, and `per_sample_grad_dots`
 returns the inner products <vec, d loss_i^(k)/d theta> the meta-learning
@@ -106,7 +109,9 @@ class FlatParams:
     Subclasses define `layer_shapes(config)`, the (out, in) of each
     layer as a tuple cached per config, which keys `layer_slices`, and
     `num_heads(config)`: the last that many layers are the linear
-    `heads`, the rest the ReLU `blocks`.
+    `heads`, the rest the ReLU `blocks`. The heads come last in the
+    buffer too, so `head_region` is one view of every head's weight and
+    bias.
     """
 
     def __init__(self, config, buffer: np.ndarray):
@@ -121,6 +126,7 @@ class FlatParams:
         ]
         split = len(shapes) - self.num_heads(config)
         self.blocks, self.heads = self.layers[:split], self.layers[split:]
+        self.head_region = buffer[slices[split].weight.start :]
 
     @classmethod
     def from_flat(cls, config, flat):
@@ -336,14 +342,19 @@ def _forward(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> t
     return hs, out, probs
 
 
-def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
-    """Evaluate every exit on a batch in one shared-trunk pass, keeping
-    the logit errors and trunk activations for gradients at the same
-    parameters. The probabilities turn into the errors in place."""
-    batch, labels = _validate_batch(params.config, batch, labels)
+def _forward_pass(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> ForwardPass:
+    """`forward_pass` on a batch `_validate_batch` already checked. The
+    probabilities turn into the logit errors in place."""
     hs, outputs, errors = _forward(params, batch, labels)
     errors[:, np.arange(labels.shape[0]), labels] -= 1.0
     return ForwardPass(params, hs, outputs, errors)
+
+
+def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
+    """Evaluate every exit on a batch in one shared-trunk pass, keeping
+    the logit errors and trunk activations for gradients at the same
+    parameters."""
+    return _forward_pass(params, *_validate_batch(params.config, batch, labels))
 
 
 def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
@@ -416,21 +427,24 @@ def _tops_grad(lp: LayerPass, tops: np.ndarray, out: FlatParams | None = None) -
     Each layer's head terms are added in head order from 0.0, as one
     sweep per head into a zero buffer adds them (numpy sums a one-entry
     slice pairwise, so a width-1 layer that 8 or more heads reach may
-    differ in a last bit). Every entry is written, through the views of
-    out (a FlatParams of lp's layout, whose buffer is returned) or, with
-    no out, of a new buffer.
+    differ in a last bit). A head's one term is written in place and
+    the 0.0 added once over the whole head region, which turns a -0.0
+    sum into +0.0 as a zero buffer would. Every entry is written,
+    through the views of out (a FlatParams of lp's layout, whose buffer
+    is returned) or, with no out, of a new buffer.
     """
     params, hs = lp.params, lp.hs
     if out is None:
         out = type(params)(params.config, np.empty(params.num_params))
     f = len(out.blocks) - len(out.heads)
     for k, head in enumerate(out.heads):
-        np.add(0.0, tops[k].T @ hs[f + k + 1], out=head.weight)
-        np.add(0.0, tops[k].sum(axis=0), out=head.bias)
+        np.matmul(tops[k].T, hs[f + k + 1], out=head.weight)
+        np.add.reduce(tops[k], axis=0, out=head.bias)
+    np.add(0.0, out.head_region, out=out.head_region)
     for j, stack in _block_errors(lp, tops):
         block = out.blocks[j]
         np.add.reduce(np.matmul(stack.transpose(0, 2, 1), hs[j]), axis=0, initial=0.0, out=block.weight)
-        np.add.reduce(stack.sum(axis=1), axis=0, initial=0.0, out=block.bias)
+        np.add.reduce(np.add.reduce(stack, axis=1), axis=0, initial=0.0, out=block.bias)
     return out.buffer
 
 
@@ -450,8 +464,9 @@ def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray, out: BackboneParams
     return _tops_grad(fp, coeffs.T[:, :, None] * fp.logit_errors, out)
 
 
-def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
-    """Inner products <vec, d loss_i^(k) / d theta> at the pass's params, shape (B, K).
+def per_sample_grad_dots(fp: ForwardPass, v: BackboneParams) -> np.ndarray:
+    """Inner products <vec, d loss_i^(k) / d theta> at the pass's params, shape (B, K),
+    for vec the buffer of v, a BackboneParams of the pass's config read through its views.
 
     Same numbers as contracting `per_sample_grads` with vec, but no
     gradient row is built: the gradient of a layer with input h and
@@ -461,8 +476,9 @@ def per_sample_grad_dots(fp: ForwardPass, vec: np.ndarray) -> np.ndarray:
     and shared by every exit whose error reaches it in the one backward
     sweep; exit k adds its head term, then blocks k .. 0, from 0.0.
     """
+    if v.config != fp.params.config:
+        raise ShapeError(f"vector has the layout of {v.config}, the pass has {fp.params.config}")
     hs, dlogs = fp.hs, fp.logit_errors
-    v = BackboneParams(fp.params.config, np.asarray(vec, dtype=np.float64))
     acc = np.add(0.0, np.einsum("kbo,kbo->kb", dlogs, head_forward(v, hs)))
     for j, stack in _block_errors(fp, dlogs):
         block = v.blocks[j]

@@ -54,7 +54,7 @@ class Dataset:
         self.labels = np.asarray(self.labels)
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
             raise ShapeError(f"labels: shape {self.labels.shape} does not match {self.features.shape[0]} rows")
-        if not np.issubdtype(self.labels.dtype, np.integer):
+        if self.labels.dtype.kind not in "iu":  # signed or unsigned integers
             raise ShapeError(f"labels: need integers, got {self.labels.dtype}")
         self.labels = self.labels.astype(np.int64)
         if self.num_classes < 2:

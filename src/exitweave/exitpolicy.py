@@ -112,7 +112,7 @@ def _confidence_table(confidences) -> np.ndarray:
 def _exit_orders(conf: np.ndarray) -> np.ndarray:
     """Row k: all sample indices by descending confidence at exit k, ties
     toward the lower index, for every exit but the last; (K-1, N)."""
-    return np.argsort(np.ascontiguousarray(-conf[:, :-1].T), axis=1, kind="stable")
+    return np.ascontiguousarray(-conf[:, :-1].T).argsort(axis=1, kind="stable")
 
 
 def _greedy_subsets(orders: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
@@ -121,12 +121,13 @@ def _greedy_subsets(orders: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
 
     Dropping claimed rows from a full-table order leaves the unclaimed
     rows in the order a stable sort of the remainder alone would give,
-    because the remainder keeps ascending index order.
+    because the remainder keeps ascending index order. Nothing is
+    claimed before the first exit, which takes the head of its order.
     """
     claimed = np.zeros(orders.shape[1], dtype=bool)
     subsets = []
     for order, take in zip(orders, sizes[:-1]):
-        chosen = order[~claimed[order]][: int(take)]
+        chosen = (order[~claimed[order]] if subsets else order)[: int(take)]
         claimed[chosen] = True
         subsets.append(chosen)
     subsets.append(np.flatnonzero(~claimed))

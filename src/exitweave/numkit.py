@@ -32,18 +32,20 @@ def softmax_lse(logits) -> tuple[np.ndarray, np.ndarray]:
     overflow and rows of probs sum to 1, but an entry is exactly 0.0 once
     its logit trails the row max by more than about 745. m is read at
     the argmax, x.max(-1) up to the sign of a zero max, which neither
-    x - m nor the log-sum-exp depends on.
+    x - m nor the log-sum-exp depends on. The reductions call the ufunc
+    methods directly, skipping numpy's Python-level wrappers.
     """
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ShapeError(f"logits must be 1-D or 2-D, got ndim={x.ndim}")
     require_finite(x, "logits")
-    m = np.take_along_axis(x, x.argmax(axis=-1)[..., None], axis=-1)
-    e = np.subtract(x, m)  # the one array of x's shape: exp and division run in place
+    rows = x if x.ndim == 2 else x[None]  # a 1-D x as one row
+    m = rows[np.arange(rows.shape[0]), rows.argmax(axis=1)][:, None]
+    e = np.subtract(rows, m)  # the one array of x's shape: exp and division run in place
     np.exp(e, out=e)
-    s = e.sum(axis=-1, keepdims=True)
+    s = np.add.reduce(e, axis=1, keepdims=True)
     e /= s
-    return e, (m + np.log(s))[..., 0]
+    return e.reshape(x.shape), (m + np.log(s)).reshape(x.shape[:-1])
 
 
 def softmax_stable(logits) -> np.ndarray:
@@ -52,14 +54,15 @@ def softmax_stable(logits) -> np.ndarray:
 
 
 def sigmoid_stable(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, safe for large |x| of either sign."""
+    """Elementwise logistic function, safe for large |x| of either sign.
+
+    With e = exp(-|x|), never above 1: 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere, bitwise the two masked halves they replace.
+    -|x| is taken as min(x, -x), which keeps a NaN's sign bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _child_seed(seed: int, label: str) -> int:

@@ -29,9 +29,9 @@ pass, so no per-sample gradient is ever stored. The weight network's
 backward pass turns it into an Adam step, and `substep` recomputes w
 with the updated network before the real step. The trunk thus runs once
 per parameter point. Each side's record fragment holds only the fields
-its variant fills; `train_step` merges the sides into one iteration
-record and keeps the first scatter-budget (loss, weight, claimed)
-points.
+its variant fills; `train_step` checks the mini-batch once, before
+any substep, merges the sides into one iteration record and keeps the
+first scatter-budget (loss, weight, claimed) points.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ from .backbone import (
     BackboneParams,
     ExitOutputs,
     ForwardPass,
+    _forward_pass,
+    _validate_batch,
     batch_weighted_grad,
     forward_all,
-    forward_pass,
     init_params,
     per_sample_grad_dots,
     require_fit,
@@ -154,11 +155,11 @@ class TrainState:
 
     The steps update the backbone, the weight network, the velocity and
     the Adam moments in place, so each is one buffer for the whole run.
-    The state also owns the run's gradient buffers, allocated once at
-    first read (a state that is only evaluated holds none) and never
-    saved: `grad`, which a substep's lookahead, meta and real-step
-    gradients each write and consume in turn, and `wpn_grad` for the
-    weight network's meta steps.
+    The state also owns the run's work buffers, allocated once at first
+    read (a state that is only evaluated holds none) and never saved:
+    `grad`, which a substep's lookahead, meta and real-step gradients
+    each write and consume in turn, `pseudo`, the meta steps' lookahead
+    parameters, and `wpn_grad` for the weight network's meta steps.
     """
 
     backbone: BackboneParams
@@ -169,6 +170,10 @@ class TrainState:
 
     @cached_property
     def grad(self) -> BackboneParams:
+        return BackboneParams.zeros(self.backbone.config)
+
+    @cached_property
+    def pseudo(self) -> BackboneParams:
         return BackboneParams.zeros(self.backbone.config)
 
     @cached_property
@@ -218,45 +223,56 @@ def meta_objective(outputs: ExitOutputs, allocation: AllocationResult | None = N
         for k, subset in enumerate(allocation.subsets):
             if subset.size:
                 mask[subset, k] = 1.0 / subset.size
-    return float(np.sum(mask * outputs.losses)), mask
+    return float(np.add.reduce(mask * outputs.losses, axis=None)), mask
 
 
 def lookahead(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
-              out: BackboneParams | None = None) -> BackboneParams:
+              out: BackboneParams | None = None, pseudo: BackboneParams | None = None) -> BackboneParams:
     """Momentum-free pseudo step from the train pass's params against the
     w-weighted train-half loss: theta_hat = theta - (alpha/n) * sum w[i,k] g[i,k].
     Kept plain (no momentum, no decay) so theta_hat is affine in the weight
     matrix, which makes the analytic weight gradient in `meta_chain` exact.
-    Returns new parameters and leaves the pass's untouched; the gradient
+    Returns theta_hat as pseudo, whose buffer is overwritten (new
+    parameters when None), and leaves the pass's untouched; the gradient
     goes into out when given (see `batch_weighted_grad`). A non-finite
-    gradient raises NumericError.
+    gradient raises NumericError before pseudo is written.
     """
     grad = batch_weighted_grad(train_pass, weights / train_pass.outputs.batch_size, out)
     require_finite(grad, "grad")
     params = train_pass.params
-    return BackboneParams(params.config, params.buffer - alpha * grad)
+    if pseudo is None:
+        pseudo = BackboneParams(params.config, np.empty(params.num_params))
+    np.multiply(alpha, grad, out=pseudo.buffer)
+    np.subtract(params.buffer, pseudo.buffer, out=pseudo.buffer)
+    return pseudo
 
 
 def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
                meta_x: np.ndarray, meta_y: np.ndarray, q: float, whole_meta: bool = False,
-               out: BackboneParams | None = None):
+               out: BackboneParams | None = None, pseudo: BackboneParams | None = None):
     """Analytic gradient of the meta objective wrt the weight matrix.
 
     Takes the lookahead of the train pass under weights, then makes one
     pass at those pseudo params that serves both the allocation and the
-    meta gradient. Returns (dl_dw, meta_value, allocation, mask,
+    meta gradient. The meta half is a checked batch, float64 rows and
+    int64 labels in range as `forward_pass` checks them: the pass does
+    not check it again. Returns (dl_dw, meta_value, allocation, mask,
     meta_outputs); allocation is None for whole_meta. The allocation
     (and hence the mask) is treated as constant: it is a discrete
     selection, so the objective's dependence on parameters flows only
-    through the allocated losses. Given out, the lookahead and meta
-    gradients are written into it in turn, each consumed before the next.
+    through the allocated losses. The lookahead and meta gradients are
+    written in turn into out (new parameters when None), each consumed
+    before the next, and the lookahead parameters into pseudo (see
+    `lookahead`).
     """
-    meta_pass = forward_pass(lookahead(train_pass, weights, alpha, out), meta_x, meta_y)
+    if out is None:
+        out = BackboneParams(train_pass.params.config, np.empty(train_pass.params.num_params))
+    meta_pass = _forward_pass(lookahead(train_pass, weights, alpha, out, pseudo), meta_x, meta_y)
     outs = meta_pass.outputs
     alloc = None if whole_meta else allocate_meta(outs.confidences, q)
     value, mask = meta_objective(outs, alloc)
-    meta_grad = batch_weighted_grad(meta_pass, mask, out)
-    dl_dw = -(alpha / train_pass.outputs.batch_size) * per_sample_grad_dots(train_pass, meta_grad)
+    batch_weighted_grad(meta_pass, mask, out)
+    dl_dw = -(alpha / train_pass.outputs.batch_size) * per_sample_grad_dots(train_pass, out)
     return dl_dw, value, alloc, mask, outs
 
 
@@ -270,7 +286,7 @@ def _meta_step(state: TrainState, train_pass: ForwardPass, wpn_pass: WpnPass, me
     """
     dl_dw, meta_value, alloc, _, meta_outs = meta_chain(
         train_pass, wpn_pass.weights, alpha_t, *meta, config.q,
-        whole_meta=config.variant == "whole_meta", out=state.grad,
+        whole_meta=config.variant == "whole_meta", out=state.grad, pseudo=state.pseudo,
     )
     adam_step(state.wpn.buffer, wpn_backward(wpn_pass, dl_dw, state.wpn_grad), state.adam, config.beta)
     fields = {"meta_loss": meta_value}
@@ -289,20 +305,21 @@ def _meta_step(state: TrainState, train_pass: ForwardPass, wpn_pass: WpnPass, me
 def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float, log_scatter: bool = False) -> dict:
     """One backbone update on the train side; mutates state, returns a record fragment.
 
-    train and meta are (features, labels) pairs; meta is the other half
-    of the batch (None for baseline). One pass at the current backbone
+    train and meta are (features, labels) pairs of a batch `train_step`
+    checked; meta is the other half of the batch (None for baseline).
+    Neither is checked again. One pass at the current backbone
     gives the losses, the coefficient matrix and the gradient; the
     variant only chooses the coefficients. The fragment holds loss_sum
     plus only the fields the variant fills. Non-finite training losses
     raise TrainingError: the run diverged. Every gradient goes into the
     state's buffers, and the steps update the state's networks in place.
     """
-    train_pass = forward_pass(state.backbone, *train)
+    train_pass = _forward_pass(state.backbone, *train)
     outs = train_pass.outputs
     if not np.isfinite(outs.losses).all():
         raise TrainingError(f"non-finite training loss at iteration {state.iteration}; run diverged")
     n = outs.batch_size
-    frag = {"loss_sum": outs.losses.sum(axis=0)}
+    frag = {"loss_sum": np.add.reduce(outs.losses, axis=0)}
     if config.variant == "baseline":
         coeffs = np.full(outs.losses.shape, 1.0 / n)
     elif config.variant == "selection":
@@ -337,13 +354,15 @@ def train_step(
 ) -> dict:
     """One mini-batch update; mutates state and returns an iteration record.
 
-    Baseline takes one substep on the full batch; the other variants take
-    one per half, each half serving once as the train side and once as the
-    other's meta side. The record keeps the first scatter_budget scatter
-    points of the two sides, in order. The iteration counter advances
-    once per mini-batch.
+    The batch is checked once, as `forward_pass` checks a batch, before
+    any substep. Baseline takes one substep on the full batch; the other
+    variants take one per half, each half serving once as the train side
+    and once as the other's meta side. The record keeps the first
+    scatter_budget scatter points of the two sides, in order. The
+    iteration counter advances once per mini-batch.
     """
     t = state.iteration
+    batch_x, batch_y = _validate_batch(state.backbone.config, batch_x, batch_y)
     if config.variant == "baseline":
         sides = [((batch_x, batch_y), None)]
     else:

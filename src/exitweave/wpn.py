@@ -117,7 +117,7 @@ def make_weights(raw, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     require_finite(raw, "raw scores")
     s = sigmoid_stable(raw)
     pre = delta * (2.0 * s - 1.0)
-    ptb = pre - pre.mean()
+    ptb = pre - np.add.reduce(pre, axis=None) / pre.size
     return ptb, 1.0 + ptb, s
 
 
@@ -175,7 +175,7 @@ def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray, out: WpnParams | No
     if g.shape != wpn_pass.weights.shape:
         raise ShapeError(f"dl_dweights shape {g.shape} does not match the weights {wpn_pass.weights.shape}")
     # Zero-sum normalization: J = I - (1/BK) 11^T is symmetric.
-    g = g - g.mean()
+    g = g - np.add.reduce(g, axis=None) / g.size
     s = wpn_pass.sigmoids
     dz = g * (2.0 * wpn_pass.params.config.delta) * s * (1.0 - s)
     return _tops_grad(wpn_pass, dz[None], out)

@@ -25,6 +25,7 @@ from exitweave.backbone import (
     BackboneParams,
     ExitOutputs,
     ForwardPass,
+    _tops_grad,
     batch_weighted_grad,
     count_mul_adds,
     forward_all,
@@ -193,6 +194,33 @@ class TestFlatBuffer:
         got = wpn_backward(wpn_pass, probe, wpn_out)
         assert got is wpn_out.buffer
         assert got.tobytes() == wpn_backward(wpn_pass, probe).tobytes()
+
+
+class TestHeadRegion:
+    """Head gradients are written in place and normalized once over the
+    head region, the tail of the flat buffer that holds every head."""
+
+    @pytest.mark.parametrize("params", [
+        BackboneParams.zeros(BackboneConfig(3, (4, 2, 5), 3)),
+        WpnParams.zeros(WpnConfig(3, hidden_width=6, hidden_depth=2)),
+    ])
+    def test_region_is_every_head_and_nothing_else(self, params):
+        assert np.shares_memory(params.head_region, params.buffer)
+        assert params.head_region.size == sum(h.weight.size + h.bias.size for h in params.heads)
+        params.head_region[:] = 1.0
+        assert all(np.all(h.weight == 1.0) and np.all(h.bias == 1.0) for h in params.heads)
+        assert all(np.all(b.weight == 0.0) and np.all(b.bias == 0.0) for b in params.blocks)
+
+    def test_weight_network_head_gets_positive_zeros(self):
+        # the backbone's case is TestBlockSweep::test_selection_coefficients_on_one_label;
+        # the weight network's one head under an all -0.0 error, written
+        # over stale NaNs, gets +0.0 everywhere, as a zero buffer would
+        _, params, x, y = small_instance(seed=95, config=BackboneConfig(4, (6, 3, 5), 3), batch=9)
+        wpn = init_wpn(WpnConfig(3, hidden_width=5, hidden_depth=2), RngStream(95).child("w"))
+        wpn_pass = wpn_weights(wpn, forward_pass(params, x, y).outputs.losses)
+        out = WpnParams(wpn.config, np.full(wpn.num_params, np.nan))
+        _tops_grad(wpn_pass, np.full((1, 9, 3), -0.0), out)
+        assert np.all(out.buffer == 0.0) and not np.signbit(out.buffer).any()
 
 
 class TestLayoutCache:
@@ -717,7 +745,7 @@ class TestPerSampleGradDots:
             _, params, x, y = small_instance(seed=40 + n, config=config, batch=9)
             random_biases(params, rng)
             vec = rng.standard_normal(param_layout(config)[2])
-            out = per_sample_grad_dots(forward_pass(params, x, y), vec)
+            out = per_sample_grad_dots(forward_pass(params, x, y), BackboneParams(config, vec))
             assert out.shape == (9, config.num_exits)
             np.testing.assert_allclose(out, dense_dots(params, x, y, vec), rtol=0, atol=1e-13)
 
@@ -737,7 +765,8 @@ class TestPerSampleGradDots:
         assert np.all(z1[:3] <= 0) and np.any(z1[3:] > 0)
         vec = rng.standard_normal(param_layout(config)[2])
         np.testing.assert_allclose(
-            per_sample_grad_dots(forward_pass(params, x, y), vec), dense_dots(params, x, y, vec), rtol=0, atol=1e-13
+            per_sample_grad_dots(forward_pass(params, x, y), BackboneParams(config, vec)),
+            dense_dots(params, x, y, vec), rtol=0, atol=1e-13,
         )
 
     def test_vec_on_biases_only(self):
@@ -750,7 +779,8 @@ class TestPerSampleGradDots:
         for sl in [*blocks, *heads]:
             vec[sl.bias] = rng.standard_normal(sl.bias.stop - sl.bias.start)
         np.testing.assert_allclose(
-            per_sample_grad_dots(forward_pass(params, x, y), vec), dense_dots(params, x, y, vec), rtol=0, atol=1e-13
+            per_sample_grad_dots(forward_pass(params, x, y), BackboneParams(config, vec)),
+            dense_dots(params, x, y, vec), rtol=0, atol=1e-13,
         )
 
     def test_vec_on_one_head_only(self):
@@ -762,7 +792,7 @@ class TestPerSampleGradDots:
         for k, sl in enumerate(heads):
             vec = np.zeros(total)
             vec[sl.weight.start : sl.bias.stop] = rng.standard_normal(sl.bias.stop - sl.weight.start)
-            out = per_sample_grad_dots(forward_pass(params, x, y), vec)
+            out = per_sample_grad_dots(forward_pass(params, x, y), BackboneParams(config, vec))
             np.testing.assert_allclose(out, dense_dots(params, x, y, vec), rtol=0, atol=1e-13)
             # only exit k's loss touches head k
             others = [j for j in range(config.num_exits) if j != k]
@@ -771,11 +801,12 @@ class TestPerSampleGradDots:
 
     def test_shape_error_on_wrong_vec(self):
         config, params, x, y = small_instance(seed=44)
-        total = param_layout(config)[2]
         fp = forward_pass(params, x, y)
-        for bad in (np.zeros(total - 1), np.zeros(total + 1), np.zeros((total, 1))):
-            with pytest.raises(ShapeError):
-                per_sample_grad_dots(fp, bad)
+        wider = BackboneConfig(config.input_dim + 1, config.trunk_widths, config.num_classes)
+        shallower = BackboneConfig(config.input_dim, config.trunk_widths[:-1], config.num_classes)
+        for bad in (wider, shallower):
+            with pytest.raises(ShapeError, match="layout"):
+                per_sample_grad_dots(fp, BackboneParams.zeros(bad))
 
 
 def forward_with_preactivations(layers: list[Affine], x: np.ndarray):
@@ -857,7 +888,8 @@ class TestRectifierMask:
     def test_per_sample_grad_dots(self):
         params, fp, hs, zs = self.backbone_instance()
         vec = np.random.default_rng(62).standard_normal(params.num_params)
-        assert per_sample_grad_dots(fp, vec).tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
+        dots = per_sample_grad_dots(fp, BackboneParams(params.config, vec))
+        assert dots.tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
 
     @pytest.mark.parametrize("b", [1, 7])
     @pytest.mark.parametrize("k", [1, 3])
@@ -915,7 +947,7 @@ class TestBlockSweep:
         vec = rng.standard_normal(params.num_params)
         fp = forward_pass(params, x, y)
         assert batch_weighted_grad(fp, coeffs).tobytes() == per_exit_weighted_grad(params, fp, hs, zs, coeffs).tobytes()
-        dots = per_sample_grad_dots(fp, vec)
+        dots = per_sample_grad_dots(fp, BackboneParams(params.config, vec))
         assert dots.flags.c_contiguous
         assert dots.tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
 
@@ -937,7 +969,8 @@ class TestBlockSweep:
         assert not np.signbit(head.weight).any() and not np.signbit(head.bias).any()
         assert np.all(head.weight == 0.0) and np.all(head.bias == 0.0)
         vec = np.random.default_rng(91).standard_normal(params.num_params)
-        assert per_sample_grad_dots(fp, vec).tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
+        dots = per_sample_grad_dots(fp, BackboneParams(params.config, vec))
+        assert dots.tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "exitweave"
@@ -1044,14 +1077,22 @@ def test_one_head_pass():
         assert "head_forward" in names_used(SRC / module, function), function
 
 
+def calls_in(module: Path, function: str) -> list[str]:
+    """The bare names one top-level function of module calls, once per call site."""
+    node = function_node(module, function)
+    return [n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+
+
 def test_one_forward_path():
-    # both forward functions validate a batch once and run one pass core,
-    # which validates nothing; forward_all adds no layer math of its own
-    for function in ("forward_pass", "forward_all"):
-        node = function_node(SRC / "backbone.py", function)
-        calls = [n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
-        assert calls.count("_validate_batch") == 1 and calls.count("_forward") == 1, function
-    assert "_validate_batch" not in names_used(SRC / "backbone.py", "_forward")
+    # both public forward functions validate a batch once and run one pass
+    # core, and the cores validate nothing: `_forward_pass` is forward_pass
+    # on a checked batch, over `_forward`; forward_all adds no layer math
+    for function, core in (("forward_pass", "_forward_pass"), ("forward_all", "_forward")):
+        calls = calls_in(SRC / "backbone.py", function)
+        assert calls.count("_validate_batch") == 1 and calls.count(core) == 1, function
+    assert calls_in(SRC / "backbone.py", "_forward_pass").count("_forward") == 1
+    for core in ("_forward", "_forward_pass"):
+        assert "_validate_batch" not in names_used(SRC / "backbone.py", core), core
     forward_all_node = function_node(SRC / "backbone.py", "forward_all")
     assert not [n for n in ast.walk(forward_all_node) if isinstance(n, ast.MatMult)]
     assert not {"matmul", "relu_forward", "softmax_lse"} & names_used(SRC / "backbone.py", "forward_all")

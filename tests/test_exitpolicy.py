@@ -20,6 +20,8 @@ from exitweave.backbone import BackboneConfig, ExitOutputs, count_mul_adds, forw
 from exitweave.errors import DomainError, ShapeError
 from exitweave.exitpolicy import (
     EMPTY_EXIT_SENTINEL,
+    _exit_orders,
+    _greedy_subsets,
     allocate_meta,
     allocation_sizes,
     calibrate_threshold_grid,
@@ -261,6 +263,41 @@ class TestAllocateMeta:
             allocate_meta(np.zeros(4), 1.0)
         with pytest.raises(DomainError):
             allocate_meta(np.zeros((0, 3)), 1.0)
+
+
+class TestGreedySubsets:
+    """The first exit takes the head of its order unfiltered: bitwise the
+    claimed-mask filter's subsets, which claim nothing before it."""
+
+    @staticmethod
+    def filtered(orders, sizes):
+        claimed = np.zeros(orders.shape[1], dtype=bool)
+        subsets = []
+        for order, take in zip(orders, sizes[:-1]):
+            chosen = order[~claimed[order]][: int(take)]
+            claimed[chosen] = True
+            subsets.append(chosen)
+        subsets.append(np.flatnonzero(~claimed))
+        return subsets
+
+    @pytest.mark.parametrize("table", ["random", "tied", "constant"])
+    @pytest.mark.parametrize("first", ["zero", "all", "half"])
+    def test_matches_the_filtered_form(self, table, first):
+        rng = np.random.default_rng(11)
+        n, k = 12, 4
+        conf = rng.uniform(size=(n, k))
+        if table == "tied":
+            conf = np.round(conf * 3.0) / 3.0  # four levels: many ties inside each exit
+        elif table == "constant":
+            conf = np.full((n, k), 0.5)
+        take = {"zero": 0, "all": n, "half": n // 2}[first]
+        rest = n - take
+        sizes = np.array([take, rest // 3, rest // 3, rest - 2 * (rest // 3)], dtype=np.int64)
+        orders = _exit_orders(conf)
+        got, want = _greedy_subsets(orders, sizes), self.filtered(orders, sizes)
+        assert len(got) == len(want) == k
+        for g, w, size in zip(got, want, sizes, strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes() and g.size == size
 
 
 class TestSortOnce:

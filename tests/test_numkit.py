@@ -117,6 +117,24 @@ class TestSigmoid:
         x = np.linspace(-25, 25, 101)
         np.testing.assert_allclose(sigmoid_stable(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-14)
 
+    def test_bitwise_the_masked_halves(self):
+        # the two-branch form: 1 / (1 + exp(-x)) on x >= 0, exp(x) / (1 + exp(x)) elsewhere
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.2, -745.2, 746.0, -746.0,
+                   800.0, -800.0, 1e308, -1e308, 5e-324, -5e-324]
+        x = np.concatenate([special, np.random.default_rng(5).standard_normal(4000) * 30.0])
+        with np.errstate(invalid="ignore"):
+            assert sigmoid_stable(x).tobytes() == masked(x).tobytes()
+        grid = x[16:].reshape(-1, 4)
+        assert sigmoid_stable(grid).tobytes() == masked(grid).tobytes()
+
 
 class TestRequireFinite:
     def test_passes_through_and_raises(self):

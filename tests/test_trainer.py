@@ -32,7 +32,7 @@ from exitweave.backbone import (
 )
 from exitweave.checkpoint import save_run_checkpoint
 from exitweave.datahub import gen_synthetic_gaussians
-from exitweave.errors import CompatibilityError, ConfigError, NumericError, TrainingError
+from exitweave.errors import CompatibilityError, ConfigError, NumericError, ShapeError, TrainingError
 from exitweave.exitpolicy import allocate_meta
 from exitweave.numkit import RngStream
 from exitweave.serial import config_doc, read_config
@@ -708,6 +708,29 @@ class TestFactoredMetaChain:
         assert pseudo.flatten().tobytes() != before
         assert not np.shares_memory(pseudo.buffer, backbone.buffer)
 
+    def test_buffers_given_match_the_allocating_calls(self):
+        # lookahead and meta_chain into given buffers over stale contents: the
+        # same objects back, bitwise the results of calls that allocate
+        backbone_cfg = BackboneConfig(5, (7, 3, 6), 4)
+        root = RngStream(71)
+        backbone = init_params(backbone_cfg, root.child("init-backbone"))
+        data = root.child("data")
+        tx, mx = data.standard_normal((8, 5)), data.standard_normal((8, 5))
+        ty, my = (data.integers(0, 4, 8).astype(np.int64) for _ in range(2))
+        weights = data.uniform(0.5, 1.5, (8, 3))
+        train_pass = forward_pass(backbone, tx, ty)
+        out = BackboneParams(backbone_cfg, np.full(backbone.num_params, np.nan))
+        pseudo = BackboneParams(backbone_cfg, np.full(backbone.num_params, np.inf))
+        fresh = lookahead(train_pass, weights, 0.3)
+        assert lookahead(train_pass, weights, 0.3, out, pseudo) is pseudo
+        assert pseudo.buffer.tobytes() == fresh.buffer.tobytes()
+        grad = batch_weighted_grad(train_pass, weights / 8)
+        assert fresh.buffer.tobytes() == (backbone.buffer - 0.3 * grad).tobytes()
+        given = meta_chain(train_pass, weights, 0.3, mx, my, 0.75, out=out, pseudo=pseudo)
+        allocating = meta_chain(train_pass, weights, 0.3, mx, my, 0.75)
+        assert given[0].tobytes() == allocating[0].tobytes() and given[1] == allocating[1]
+        assert given[3].tobytes() == allocating[3].tobytes()
+
     def test_trainer_binds_no_dense_route(self, package_modules):
         # backbone and wpn define the dense reference; no other module, trainer and gradcheck included, binds it
         dense = ("per_sample_grads", "grad_weighted_loss", "pseudo_step", "param_layout", "meta_weight_grad")
@@ -780,7 +803,8 @@ class TestPassSharing:
 
 class TestStateBuffers:
     """One parameter buffer per network for the whole run, stepped in
-    place, and gradients in buffers the state allocates once."""
+    place, and gradients and lookahead parameters in buffers the state
+    allocates once."""
 
     def make(self, tmp_path, case):
         root = RngStream(75)
@@ -800,30 +824,36 @@ class TestStateBuffers:
         backbone, wpn, adam = state.backbone, state.wpn, state.adam
         buffers = [backbone.buffer] + ([] if wpn is None else [wpn.buffer, adam.m, adam.v])
         before = [b.copy() for b in buffers]
-        assert "grad" not in vars(state) and "wpn_grad" not in vars(state)  # none until a step reads them
+        assert not {"grad", "pseudo", "wpn_grad"} & set(vars(state))  # none until a step reads them
         train_step(state, *batches[0], cfg, cfg.alpha)
-        assert ("wpn_grad" in vars(state)) == meta
+        assert ("wpn_grad" in vars(state)) == ("pseudo" in vars(state)) == meta
         grad, velocity = state.grad, state.velocity
         assert isinstance(grad, BackboneParams) and grad.config == backbone.config and velocity is not None
         wpn_grad = state.wpn_grad if meta else None
         assert wpn_grad is None or (isinstance(wpn_grad, WpnParams) and wpn_grad.config == wpn.config)
+        pseudo = state.pseudo if meta else None
+        assert pseudo is None or (isinstance(pseudo, BackboneParams) and pseudo.config == backbone.config
+                                  and np.any(pseudo.buffer != 0.0))
         for x, y in batches[1:]:
             train_step(state, x, y, cfg, cfg.alpha)
         assert state.backbone is backbone and state.wpn is wpn and state.adam is adam
         after = [state.backbone.buffer] + ([] if wpn is None else [state.wpn.buffer, state.adam.m, state.adam.v])
         assert all(a is b for a, b in zip(after, buffers, strict=True))
-        assert state.grad is grad and state.velocity is velocity and (not meta or state.wpn_grad is wpn_grad)
+        assert state.grad is grad and state.velocity is velocity
+        assert not meta or (state.wpn_grad is wpn_grad and state.pseudo is pseudo)
         moved = [a.tobytes() != b.tobytes() for a, b in zip(after, before)]
         assert moved == [True] + ([meta] * 3 if wpn is not None else [])
 
     @pytest.mark.parametrize("case, per_substep", [
         ("baseline", 0), ("fixed_ascending", 0), ("selection", 0), ("frozen_wpn", 0),
-        ("learned", 2), ("whole_meta", 2),
+        ("learned", 0), ("whole_meta", 0),
     ])
     def test_flat_params_constructed_per_train_step(self, monkeypatch, tmp_path, case, per_substep):
         cfg, state, batches = self.make(tmp_path, case)
-        # the gradient buffers are allocated at their first read, outside the count
+        meta = cfg.variant in ("learned", "whole_meta")
+        # the state's buffers are allocated at their first read, outside the count
         assert state.grad.config == BB and (state.wpn is None or state.wpn_grad.config == WPN)
+        assert not meta or state.pseudo.config == BB
         made = []
         real = FlatParams.__init__
 
@@ -833,17 +863,64 @@ class TestStateBuffers:
 
         monkeypatch.setattr(FlatParams, "__init__", counting)
         substeps = 1 if case == "baseline" else 2
-        train_step(state, *batches[0], cfg, cfg.alpha)  # iteration 0: a meta step
+        records = [train_step(state, *batches[0], cfg, cfg.alpha)]  # iteration 0: a meta step
         assert len(made) == substeps * per_substep
-        train_step(state, *batches[1], cfg, cfg.alpha)  # interval 2: no meta step at iteration 1
+        records.append(train_step(state, *batches[1], cfg, cfg.alpha))  # interval 2: no meta step at iteration 1
         assert len(made) == substeps * per_substep
-        train_step(state, *batches[2], cfg, cfg.alpha)
+        records.append(train_step(state, *batches[2], cfg, cfg.alpha))
         assert len(made) == 2 * substeps * per_substep
-        # per meta step: the lookahead's new parameters, then per_sample_grad_dots' view of state.grad
-        for (cls, pseudo), (view_cls, view) in zip(made[::2], made[1::2]):
-            assert cls is view_cls is BackboneParams
-            assert not np.shares_memory(pseudo, state.backbone.buffer) and not np.shares_memory(pseudo, state.grad.buffer)
-            assert view is state.grad.buffer
+        assert [r["meta_loss"] is not None for r in records] == [meta, False, meta]
+
+
+class TestBatchCheck:
+    """train_step checks a mini-batch once, before any substep, as
+    forward_pass checks a batch; the substeps check nothing again."""
+
+    FAULTS = {
+        "nan_feature": (NumericError, "features contains non-finite entries"),
+        "inf_feature": (NumericError, "features contains non-finite entries"),
+        "label_high": (ShapeError, "labels: label 3 out of range [0, 3)"),
+        "label_negative": (ShapeError, "labels: label -1 out of range [0, 3)"),
+    }
+
+    @pytest.mark.parametrize("half", [0, 1])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("case", ["learned", "whole_meta", "frozen_wpn", "fixed_ascending", "selection", "baseline"])
+    def test_a_fault_in_either_half_raises_as_forward_pass_does(self, tmp_path, case, fault, half):
+        cfg, state, batches = TestStateBuffers().make(tmp_path, case)
+        x, y = batches[0]
+        row = 5 * half + 3  # a row of the first or the second half of 10
+        if fault.endswith("feature"):
+            x[row, 2] = np.nan if fault == "nan_feature" else np.inf
+        else:
+            y[row] = 3 if fault == "label_high" else -1
+        error, message = self.FAULTS[fault]
+        with pytest.raises(error) as caught:
+            train_step(state, x, y, cfg, cfg.alpha)
+        assert str(caught.value) == message
+        with pytest.raises(error) as direct:
+            forward_pass(state.backbone, x[5 * half : 5 * half + 5], y[5 * half : 5 * half + 5])
+        assert str(direct.value) == message
+
+    @pytest.mark.parametrize("case", ["learned", "whole_meta", "frozen_wpn", "fixed_ascending", "selection", "baseline"])
+    def test_substeps_never_check_a_batch(self, monkeypatch, tmp_path, case):
+        import exitweave.backbone as backbone_module
+        import exitweave.trainer as trainer_module
+
+        cfg, state, batches = TestStateBuffers().make(tmp_path, case)
+        checked = []
+        real = backbone_module._validate_batch
+
+        def counting(config, batch, labels):
+            checked.append(len(batch))
+            return real(config, batch, labels)
+
+        for module in (backbone_module, trainer_module):
+            monkeypatch.setattr(module, "_validate_batch", counting)
+        records = [train_step(state, x, y, cfg, cfg.alpha) for x, y in batches]
+        assert checked == [10, 10, 10]  # once per train_step, on the whole batch
+        meta = cfg.variant in ("learned", "whole_meta")
+        assert [r["meta_loss"] is not None for r in records] == [meta, False, meta]
 
 
 class TestNonFiniteGradients:
@@ -862,10 +939,12 @@ class TestNonFiniteGradients:
         train_pass = forward_pass(backbone, data.standard_normal((6, 4)), data.integers(0, 3, 6).astype(np.int64))
         weights = np.ones((6, 2))
         weights[2, 1] = np.inf
+        pseudo = BackboneParams(BB, np.full(n, 0.25))
         for out in (None, BackboneParams.zeros(BB)):
-            with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="grad contains non-finite entries"):
-                lookahead(train_pass, weights, 0.1, out)
-        assert backbone.flatten().tobytes() == theta.tobytes()
+            for given in (None, pseudo):
+                with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="grad contains non-finite entries"):
+                    lookahead(train_pass, weights, 0.1, out, given)
+        assert backbone.flatten().tobytes() == theta.tobytes() and np.all(pseudo.buffer == 0.25)
 
         wpn = init_wpn(WPN, root.child("init-wpn"))
         phi, m = wpn.flatten(), wpn.num_params
