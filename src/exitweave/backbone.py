@@ -19,9 +19,9 @@ from it, since max(z, 0) > 0 exactly where z > 0.
 The layout of a shape tuple is computed once (`layer_slices`) and
 shared, immutable, by every parameter, gradient and lookahead buffer of
 those shapes; each buffer builds only its own views. Gradients share the
-layout, so a backward pass writes its buffer through the same views,
-into a caller's buffer when given one (`out`); the heads come last, so
-the writer normalizes their signed zeros in one call over that region.
+layout, so a backward pass writes the caller's buffer (`out`) through
+the same views; the heads come last, so the writer normalizes their
+signed zeros in one call over that region.
 `sgd_step` updates the parameter buffer and the velocity in place, so a
 training run keeps one parameter buffer per network from start to end.
 
@@ -55,6 +55,7 @@ and the benchmark tracer call (`gradcheck` audits the sweep above).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -105,7 +106,7 @@ class FlatParams:
 
     `layers[j]` is an Affine whose weight and bias are views into
     `buffer`, so writing through a view writes the buffer. The
-    constructor wraps the buffer it is given; `from_flat` copies first.
+    constructor wraps the float64 buffer it is given; `from_flat` copies first.
     Subclasses define `layer_shapes(config)`, the (out, in) of each
     layer as a tuple cached per config, which keys `layer_slices`, and
     `num_heads(config)`: the last that many layers are the linear
@@ -117,6 +118,8 @@ class FlatParams:
     def __init__(self, config, buffer: np.ndarray):
         shapes = self.layer_shapes(config)
         slices, total = layer_slices(shapes)
+        if buffer.dtype != np.float64:
+            raise ShapeError(f"parameter buffer has dtype {buffer.dtype}, expected float64")
         if buffer.shape != (total,):
             raise ShapeError(f"parameter vector has shape {buffer.shape}, layout implies {total} entries")
         self.config = config
@@ -204,7 +207,11 @@ class BackboneConfig:
     num_classes: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trunk_widths", tuple(int(w) for w in self.trunk_widths))
+        widths = self.trunk_widths
+        whole = (isinstance(w, numbers.Real) and float(w).is_integer() for w in widths)
+        if isinstance(widths, (str, bytes)) or not all(whole):
+            raise ConfigError(f"trunk_widths must be a sequence of whole numbers, got {widths!r}")
+        object.__setattr__(self, "trunk_widths", tuple(int(w) for w in widths))
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if len(self.trunk_widths) < 1:
@@ -421,7 +428,7 @@ def _block_errors(lp: LayerPass, tops: np.ndarray):
         yield j, stack
 
 
-def _tops_grad(lp: LayerPass, tops: np.ndarray, out: FlatParams | None = None) -> np.ndarray:
+def _tops_grad(lp: LayerPass, tops: np.ndarray, out: FlatParams) -> np.ndarray:
     """Flat gradient of a blocks-and-heads network at lp from its heads' output errors.
 
     Each layer's head terms are added in head order from 0.0, as one
@@ -430,32 +437,29 @@ def _tops_grad(lp: LayerPass, tops: np.ndarray, out: FlatParams | None = None) -
     differ in a last bit). A head's one term is written in place and
     the 0.0 added once over the whole head region, which turns a -0.0
     sum into +0.0 as a zero buffer would. Every entry is written,
-    through the views of out (a FlatParams of lp's layout, whose buffer
-    is returned) or, with no out, of a new buffer.
+    through the views of out, a FlatParams of lp's layout, whose buffer
+    is returned.
     """
-    params, hs = lp.params, lp.hs
-    if out is None:
-        out = type(params)(params.config, np.empty(params.num_params))
     f = len(out.blocks) - len(out.heads)
     for k, head in enumerate(out.heads):
-        np.matmul(tops[k].T, hs[f + k + 1], out=head.weight)
+        np.matmul(tops[k].T, lp.hs[f + k + 1], out=head.weight)
         np.add.reduce(tops[k], axis=0, out=head.bias)
     np.add(0.0, out.head_region, out=out.head_region)
     for j, stack in _block_errors(lp, tops):
         block = out.blocks[j]
-        np.add.reduce(np.matmul(stack.transpose(0, 2, 1), hs[j]), axis=0, initial=0.0, out=block.weight)
+        np.add.reduce(np.matmul(stack.transpose(0, 2, 1), lp.hs[j]), axis=0, initial=0.0, out=block.weight)
         np.add.reduce(np.add.reduce(stack, axis=1), axis=0, initial=0.0, out=block.bias)
     return out.buffer
 
 
-def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray, out: BackboneParams | None = None) -> np.ndarray:
+def batch_weighted_grad(fp: ForwardPass, coeffs: np.ndarray, out: BackboneParams) -> np.ndarray:
     """Gradient of sum_{i,k} coeffs[i,k] * loss_i^(k) at the pass's params, flat (P,).
 
     Same math as contracting `per_sample_grads` with coeffs, but the
     coefficients are folded into the logit errors before the backward
-    sweep (`_tops_grad`), so the (B, K, P) tensor is never built. Given
-    out, a BackboneParams of the pass's config, the gradient is written
-    into it and out.buffer is returned; otherwise into a new buffer.
+    sweep (`_tops_grad`), so the (B, K, P) tensor is never built. The
+    gradient is written into out, a BackboneParams of the pass's config,
+    and out.buffer is returned.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     expected = (fp.outputs.batch_size, len(fp.logit_errors))

@@ -11,10 +11,10 @@ on a deliberately tiny instance:
   4. end_to_end: d(meta objective)/d(weight network parameters) through
      squash, normalization, pseudo step and allocated meta loss.
 
-Every suite audits the route training runs: suite 1 runs
-`batch_weighted_grad` under each (row, exit) cell's one-hot coefficient
-matrix, and suites 2 and 4 take their analytic sides from
-`trainer.meta_chain` and `wpn_backward` and step `trainer.lookahead` for
+Every suite audits the route training runs, in one `TrainState`'s
+buffers: suite 1 runs `batch_weighted_grad` under each (row, exit)
+cell's one-hot coefficients, and suites 2 and 4 take their analytic
+sides from `trainer.meta_chain` and `wpn_backward` and step `trainer.lookahead` for
 their finite differences. The meta allocation is held fixed at the base
 point in suites 2 and 4, as `meta_chain` chose it: it is a discrete
 selection, constant under infinitesimal perturbation.
@@ -40,7 +40,7 @@ from .backbone import (
 )
 from .errors import ConfigError
 from .numkit import RngStream
-from .trainer import TrainConfig, lookahead, meta_chain
+from .trainer import TrainConfig, TrainState, lookahead, meta_chain
 from .wpn import WpnConfig, WpnParams, init_wpn, wpn_backward, wpn_weights
 
 PARAM_CAP = 2000
@@ -96,18 +96,8 @@ def fd_loss_grads(params: BackboneParams, batch: np.ndarray, labels: np.ndarray)
     return np.moveaxis(central_diff(losses, params.flatten(), 1e-5), 0, -1)
 
 
-@dataclass
-class _Instance:
-    backbone: BackboneParams
-    wpn: WpnParams
-    train_x: np.ndarray
-    train_y: np.ndarray
-    meta_x: np.ndarray
-    meta_y: np.ndarray
-    alpha: float
-
-
 _KINK_MARGIN = 1e-3
+_ALPHA = 0.05  # the lookahead step size
 
 
 def _min_preactivation(params: BackboneParams, batch: np.ndarray) -> float:
@@ -116,7 +106,8 @@ def _min_preactivation(params: BackboneParams, batch: np.ndarray) -> float:
     return min(float(np.min(np.abs(h @ layer.weight.T + layer.bias))) for h, layer in zip(hs, params.blocks))
 
 
-def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int) -> _Instance:
+def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int) -> tuple[TrainState, tuple, tuple]:
+    """The state whose networks and buffers every suite uses, and a train and a meta batch, each (x, y)."""
     total = layer_slices(BackboneParams.layer_shapes(backbone_cfg))[1]
     if total > PARAM_CAP:
         raise ConfigError(
@@ -125,7 +116,7 @@ def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int)
         )
     root = RngStream(seed)
     backbone = init_params(backbone_cfg, root.child("init-backbone"))
-    wpn_params = init_wpn(wpn_cfg, root.child("init-wpn"))
+    state = TrainState(backbone, init_wpn(wpn_cfg, root.child("init-wpn")), None, None)
     data = root.child("data")
     b = 6
     # central differences are only meaningful away from the rectifier kinks
@@ -137,13 +128,13 @@ def _build_instance(backbone_cfg: BackboneConfig, wpn_cfg: WpnConfig, seed: int)
         train_y = data.integers(0, backbone_cfg.num_classes, b).astype(np.int64)
         meta_x = data.standard_normal((b, backbone_cfg.input_dim))
         meta_y = data.integers(0, backbone_cfg.num_classes, b).astype(np.int64)
-        inst = _Instance(backbone, wpn_params, train_x, train_y, meta_x, meta_y, alpha=0.05)
         if _min_preactivation(backbone, train_x) <= _KINK_MARGIN:
             continue
         train_pass = forward_pass(backbone, train_x, train_y)
-        pseudo = lookahead(train_pass, wpn_weights(wpn_params, train_pass.outputs.losses).weights, inst.alpha)
+        weights = wpn_weights(state.wpn, train_pass.outputs.losses).weights
+        pseudo = lookahead(train_pass, weights, _ALPHA, state.grad, state.pseudo)
         if _min_preactivation(pseudo, meta_x) > _KINK_MARGIN:
-            return inst
+            return state, (train_x, train_y), (meta_x, meta_y)
     raise ConfigError(
         "could not draw a finite-difference instance clear of rectifier kinks; "
         "try a different seed"
@@ -157,29 +148,28 @@ def run_suites(
     q: float = TrainConfig.q,
 ) -> list[SuiteResult]:
     """Run all four FD suites."""
-    inst = _build_instance(backbone_cfg, wpn_cfg, seed)
+    state, train, meta = _build_instance(backbone_cfg, wpn_cfg, seed)
     results = []
 
     # 1. per-sample backbone gradients: the training sweep under each
     # (row, exit) cell's one-hot coefficients
-    train_pass = forward_pass(inst.backbone, inst.train_x, inst.train_y)
-    fd = fd_loss_grads(inst.backbone, inst.train_x, inst.train_y)
+    train_pass = forward_pass(state.backbone, *train)
+    fd = fd_loss_grads(state.backbone, *train)
     cells = np.eye(fd.shape[0] * fd.shape[1]).reshape(-1, *fd.shape[:2])
     fd_rows = fd.reshape(len(cells), -1)
-    worst = max(rel_err(batch_weighted_grad(train_pass, c), g) for c, g in zip(cells, fd_rows))
+    worst = max(rel_err(batch_weighted_grad(train_pass, c, state.grad), g) for c, g in zip(cells, fd_rows))
     results.append(SuiteResult("backbone_per_sample", worst, 1e-5))
 
     # shared pieces for the meta chain
     tr_losses = train_pass.outputs.losses
-    wpn_pass = wpn_weights(inst.wpn, tr_losses)
+    wpn_pass = wpn_weights(state.wpn, tr_losses)
     weights = wpn_pass.weights
-    # analytic sides of suites 2 and 4: the chain the trainer runs
-    dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, inst.alpha, inst.meta_x, inst.meta_y, q)
-    analytic_e2e = wpn_backward(wpn_pass, dl_dw)
+    # analytic side of suite 2, and suite 4's dL/dw: the chain the trainer runs
+    dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, _ALPHA, *meta, q, out=state.grad, pseudo=state.pseudo)
 
     def meta_loss_for_weights(w: np.ndarray) -> float:
-        outs = forward_all(lookahead(train_pass, w, inst.alpha), inst.meta_x, inst.meta_y)
-        return float(np.sum(mask * outs.losses))
+        pseudo = lookahead(train_pass, w, _ALPHA, state.grad, state.pseudo)
+        return float(np.sum(mask * forward_all(pseudo, *meta).losses))
 
     # 2. weight gradient through the pseudo step (allocation fixed)
     fd_w = central_diff(meta_loss_for_weights, weights, 1e-4)
@@ -187,16 +177,18 @@ def run_suites(
 
     # 3. weight-network backward for a fixed linear probe sum(c * weights)
     probe = RngStream(seed).child("probe").standard_normal(weights.shape)
-    analytic_wpn = wpn_backward(wpn_pass, probe)
-    flat_g = inst.wpn.flatten()
+    analytic_wpn = wpn_backward(wpn_pass, probe, state.wpn_grad)
+    flat_g = state.wpn.flatten()
 
     def weights_at(flat: np.ndarray) -> np.ndarray:
-        return wpn_weights(WpnParams.from_flat(inst.wpn.config, flat), tr_losses).weights
+        return wpn_weights(WpnParams.from_flat(state.wpn.config, flat), tr_losses).weights
 
     fd_wpn = central_diff(lambda flat: float(np.sum(probe * weights_at(flat))), flat_g, 1e-5)
     results.append(SuiteResult("wpn_backward", rel_err(analytic_wpn, fd_wpn), 1e-6))
 
-    # 4. end to end: meta objective as a function of the network params
+    # 4. end to end: meta objective as a function of the network params;
+    # the analytic side overwrites suite 3's in the state's buffer
+    analytic_e2e = wpn_backward(wpn_pass, dl_dw, state.wpn_grad)
     fd_e2e = central_diff(lambda flat: meta_loss_for_weights(weights_at(flat)), flat_g, 1e-4)
     results.append(SuiteResult("end_to_end", rel_err(analytic_e2e, fd_e2e), 1e-4))
     return results

@@ -37,6 +37,7 @@ first scatter-budget (loss, weight, claimed) points.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -135,7 +136,10 @@ class TrainConfig:
             raise ConfigError(f"lr_schedule must be one of {LR_SCHEDULES}, got {self.lr_schedule!r}")
         if self.variant not in VARIANT_NAMES:
             raise ConfigError(f"variant must be one of {VARIANT_NAMES}, got {self.variant!r}")
-        row = None if self.exit_weights is None else tuple(map(float, self.exit_weights))
+        row = self.exit_weights
+        if row is not None and (isinstance(row, (str, bytes)) or not all(isinstance(v, numbers.Real) for v in row)):
+            raise ConfigError(f"exit_weights must be a sequence of numbers, got {row!r}")
+        row = None if row is None else tuple(map(float, row))
         object.__setattr__(self, "exit_weights", row)
         for variant, name in (("frozen_wpn", "frozen_wpn_path"), ("fixed", "exit_weights")):
             if (self.variant == variant) != (getattr(self, name) not in (None, "")):  # "" is missing
@@ -159,7 +163,8 @@ class TrainState:
     read (a state that is only evaluated holds none) and never saved:
     `grad`, which a substep's lookahead, meta and real-step gradients
     each write and consume in turn, `pseudo`, the meta steps' lookahead
-    parameters, and `wpn_grad` for the weight network's meta steps.
+    parameters, and `wpn_grad` for the weight network's meta steps:
+    the only such buffers (`gradcheck` audits through a state of its own).
     """
 
     backbone: BackboneParams
@@ -227,29 +232,25 @@ def meta_objective(outputs: ExitOutputs, allocation: AllocationResult | None = N
 
 
 def lookahead(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
-              out: BackboneParams | None = None, pseudo: BackboneParams | None = None) -> BackboneParams:
+              out: BackboneParams, pseudo: BackboneParams) -> BackboneParams:
     """Momentum-free pseudo step from the train pass's params against the
     w-weighted train-half loss: theta_hat = theta - (alpha/n) * sum w[i,k] g[i,k].
     Kept plain (no momentum, no decay) so theta_hat is affine in the weight
     matrix, which makes the analytic weight gradient in `meta_chain` exact.
-    Returns theta_hat as pseudo, whose buffer is overwritten (new
-    parameters when None), and leaves the pass's untouched; the gradient
-    goes into out when given (see `batch_weighted_grad`). A non-finite
-    gradient raises NumericError before pseudo is written.
+    Returns theta_hat as pseudo, whose buffer is overwritten, and leaves
+    the pass's untouched; the gradient goes into out (see
+    `batch_weighted_grad`). A non-finite gradient raises NumericError
+    before pseudo is written.
     """
-    grad = batch_weighted_grad(train_pass, weights / train_pass.outputs.batch_size, out)
-    require_finite(grad, "grad")
-    params = train_pass.params
-    if pseudo is None:
-        pseudo = BackboneParams(params.config, np.empty(params.num_params))
+    grad = require_finite(batch_weighted_grad(train_pass, weights / train_pass.outputs.batch_size, out), "grad")
     np.multiply(alpha, grad, out=pseudo.buffer)
-    np.subtract(params.buffer, pseudo.buffer, out=pseudo.buffer)
+    np.subtract(train_pass.params.buffer, pseudo.buffer, out=pseudo.buffer)
     return pseudo
 
 
 def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
                meta_x: np.ndarray, meta_y: np.ndarray, q: float, whole_meta: bool = False,
-               out: BackboneParams | None = None, pseudo: BackboneParams | None = None):
+               *, out: BackboneParams, pseudo: BackboneParams):
     """Analytic gradient of the meta objective wrt the weight matrix.
 
     Takes the lookahead of the train pass under weights, then makes one
@@ -261,12 +262,9 @@ def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
     (and hence the mask) is treated as constant: it is a discrete
     selection, so the objective's dependence on parameters flows only
     through the allocated losses. The lookahead and meta gradients are
-    written in turn into out (new parameters when None), each consumed
-    before the next, and the lookahead parameters into pseudo (see
-    `lookahead`).
+    written in turn into out, each consumed before the next, and the
+    lookahead parameters into pseudo (see `lookahead`).
     """
-    if out is None:
-        out = BackboneParams(train_pass.params.config, np.empty(train_pass.params.num_params))
     meta_pass = _forward_pass(lookahead(train_pass, weights, alpha, out, pseudo), meta_x, meta_y)
     outs = meta_pass.outputs
     alloc = None if whole_meta else allocate_meta(outs.confidences, q)
@@ -311,13 +309,12 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
     gives the losses, the coefficient matrix and the gradient; the
     variant only chooses the coefficients. The fragment holds loss_sum
     plus only the fields the variant fills. Non-finite training losses
-    raise TrainingError: the run diverged. Every gradient goes into the
+    raise NumericError, as any overflow does. Every gradient goes into the
     state's buffers, and the steps update the state's networks in place.
     """
     train_pass = _forward_pass(state.backbone, *train)
     outs = train_pass.outputs
-    if not np.isfinite(outs.losses).all():
-        raise TrainingError(f"non-finite training loss at iteration {state.iteration}; run diverged")
+    require_finite(outs.losses, "training loss")
     n = outs.batch_size
     frag = {"loss_sum": np.add.reduce(outs.losses, axis=0)}
     if config.variant == "baseline":
@@ -359,7 +356,8 @@ def train_step(
     variants take one per half, each half serving once as the train side
     and once as the other's meta side. The record keeps the first
     scatter_budget scatter points of the two sides, in order. The
-    iteration counter advances once per mini-batch.
+    iteration counter advances once per mini-batch. A substep's
+    NumericError becomes TrainingError: the run diverged.
     """
     t = state.iteration
     batch_x, batch_y = _validate_batch(state.backbone.config, batch_x, batch_y)
@@ -368,7 +366,10 @@ def train_step(
     else:
         first, second = split_batch(batch_x, batch_y)
         sides = [(first, second), (second, first)]
-    frags = [substep(state, train, meta, config, alpha_t, scatter_budget > 0) for train, meta in sides]
+    try:
+        frags = [substep(state, train, meta, config, alpha_t, scatter_budget > 0) for train, meta in sides]
+    except NumericError as exc:  # exc names the array the overflow reached
+        raise TrainingError(f"{exc} at iteration {t}; run diverged") from exc
     state.iteration = t + 1
     # summed per side, then in total: the record's bytes depend on the order
     loss = sum(f["loss_sum"] for f in frags) / batch_x.shape[0]
@@ -456,13 +457,7 @@ def run_training(
         except ConfigError as exc:  # make_batches owns the bound; the key is train's
             raise ConfigError(f"train.{exc}") from exc
         for idx in batches:
-            try:
-                record = train_step(
-                    state, train_set.features[idx], train_set.labels[idx], config, alpha_t, budget
-                )
-            except NumericError as exc:
-                # overflow in a forward or gradient before the loss check fires; exc names the array
-                raise TrainingError(f"{exc} at iteration {state.iteration}; run diverged") from exc
+            record = train_step(state, train_set.features[idx], train_set.labels[idx], config, alpha_t, budget)
             budget -= len(record.get("weight_scatter", []))
             history.iterations.append(record)
         history.epochs.append(_eval_epoch(state, val_set, config, epoch, alpha_t))

@@ -163,13 +163,13 @@ def meta_weight_grad(psg: np.ndarray, meta_grad: np.ndarray, alpha: float, n: in
     return -(alpha / n) * np.einsum("bkp,p->bk", psg, meta_grad)
 
 
-def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray, out: WpnParams | None = None) -> np.ndarray:
+def wpn_backward(wpn_pass: WpnPass, dl_dweights: np.ndarray, out: WpnParams) -> np.ndarray:
     """Flat gradient wrt the network parameters of `wpn_pass` given dL/d(weights).
 
     Chain: weights = 1 + (pre - mean(pre)) with pre = delta*(2*sigmoid(raw)-1),
     then the MLP. dl_dweights must have the shape of the pass's weights.
-    Given out, a WpnParams of the pass's config, the gradient is written
-    into it and out.buffer is returned; otherwise into a new buffer.
+    The gradient is written into out, a WpnParams of the pass's config,
+    and out.buffer is returned.
     """
     g = np.asarray(dl_dweights, dtype=np.float64)
     if g.shape != wpn_pass.weights.shape:
@@ -203,9 +203,12 @@ def adam_step(flat_params: np.ndarray, grad: np.ndarray, state: AdamState, lr: f
 
     flat_params, state.m and state.v are overwritten and state.step
     advances to t; returns (flat_params, state), the same objects. A
-    non-finite grad raises NumericError before anything is written.
+    target that is not a float64 ndarray raises ShapeError, and a
+    non-finite grad NumericError, before anything is written.
     """
-    flat_params = np.asarray(flat_params, dtype=np.float64)
+    if not isinstance(flat_params, np.ndarray) or flat_params.dtype != np.float64:
+        got = getattr(flat_params, "dtype", type(flat_params).__name__)
+        raise ShapeError(f"params must be a float64 ndarray, got {got}")
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != flat_params.shape:
         raise ShapeError(f"grad shape {grad.shape} does not match params {flat_params.shape}")

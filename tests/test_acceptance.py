@@ -17,6 +17,7 @@ import numpy as np
 
 from exitweave.backbone import (
     BackboneConfig,
+    BackboneParams,
     ExitOutputs,
     batch_weighted_grad,
     forward_all,
@@ -83,11 +84,12 @@ def test_criterion_01_per_sample_gradient_fidelity():
         # the training sweep under each (row, exit) cell's one-hot coefficients
         fp = forward_pass(params, x, y)
         fd = fd_loss_grads(params, x, y)
+        out = BackboneParams.zeros(config)
         for i in range(4):
             for k in range(config.num_exits):
                 onehot = np.zeros((4, config.num_exits))
                 onehot[i, k] = 1.0
-                worst = max(worst, rel_err(batch_weighted_grad(fp, onehot), fd[i, k]))
+                worst = max(worst, rel_err(batch_weighted_grad(fp, onehot, out), fd[i, k]))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed <= 60.0
     detail = f"worst rel err {worst:.2e} (tol 1e-05) over 20 configs in {elapsed:.1f}s"
@@ -150,7 +152,7 @@ def test_criterion_03_degenerate_squash_reduces_to_unweighted():
         adam=AdamState.zeros(init_wpn(wpn_cfg, RngStream(11).child("init-wpn")).num_params),
     )
     twin = init_params(backbone_cfg, RngStream(11).child("init-backbone"))
-    twin_vel = None
+    twin_vel, twin_grad = None, BackboneParams.zeros(backbone_cfg)
     worst = 0.0
     iterations = 0
     ones = np.ones((10, 2))
@@ -160,7 +162,7 @@ def test_criterion_03_degenerate_squash_reduces_to_unweighted():
             x, y = train.features[idx], train.labels[idx]
             train_step(state, x, y, cfg, alpha_t)
             for sl in (slice(0, 10), slice(10, 20)):
-                grad = batch_weighted_grad(forward_pass(twin, x[sl], y[sl]), ones / 10)
+                grad = batch_weighted_grad(forward_pass(twin, x[sl], y[sl]), ones / 10, twin_grad)
                 twin, twin_vel = sgd_step(twin, grad, alpha_t, cfg.momentum,
                                           cfg.weight_decay, twin_vel)
             worst = max(worst, float(np.max(np.abs(state.backbone.flatten() - twin.flatten()))))

@@ -10,9 +10,12 @@ the oracles independently.
 """
 
 import ast
+import inspect
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from functools import cached_property
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +100,17 @@ class TestConfigAndLayout:
         with pytest.raises(ConfigError):
             BackboneConfig(2, (4,), 1)
 
+    @pytest.mark.parametrize("widths", ["44", b"44", (16.9, 16), (16, math.nan), (16, math.inf), (16, "16"), (None,)],
+                             ids=["str", "bytes", "fraction", "nan", "inf", "str-entry", "none-entry"])
+    def test_refuses_widths_that_are_not_whole_numbers(self, widths):
+        # "44" read as two widths of 4, and 16.9 truncated to 16
+        with pytest.raises(ConfigError, match="^trunk_widths must be a sequence of whole numbers, got "):
+            BackboneConfig(16, widths, 8)
+
+    def test_whole_widths_of_any_number_type_become_ints(self):
+        config = BackboneConfig(16, [np.int64(16), 8.0, True], 8)
+        assert config.trunk_widths == (16, 8, 1) and all(type(w) is int for w in config.trunk_widths)
+
     def test_param_count_hand_total(self):
         # input 2, widths [8, 8], C=3:
         # blocks: 8*2+8 + 8*8+8 = 24 + 72; heads: 2 * (3*8+3) = 54; total 150
@@ -136,6 +150,18 @@ class TestConfigAndLayout:
 
 
 class TestFlatBuffer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.float16, np.complex128, np.dtype(">f8")],
+                             ids=["float32", "int64", "float16", "complex128", "big-endian-float64"])
+    @pytest.mark.parametrize("config", [BackboneConfig(3, (4, 3), 3), WpnConfig(2, hidden_width=5)],
+                             ids=["backbone", "wpn"])
+    def test_refuses_a_buffer_that_is_not_float64(self, config, dtype):
+        # a float32 buffer would round every in-place write, and an int64 one
+        # make sgd_step raise numpy's casting error
+        cls = BackboneParams if isinstance(config, BackboneConfig) else WpnParams
+        n = layer_slices(cls.layer_shapes(config))[1]
+        with pytest.raises(ShapeError, match=f"^parameter buffer has dtype {np.dtype(dtype)}, expected float64$"):
+            cls(config, np.zeros(n, dtype=dtype))
+
     def test_layer_views_alias_the_buffer(self):
         config, params, _, _ = small_instance()
         before = params.flatten()
@@ -157,7 +183,8 @@ class TestFlatBuffer:
         # sgd_step writes only params and the velocity, in place; pseudo_step writes nothing it is given
         config, params, x, y = small_instance(seed=4)
         buffer, theta = params.buffer, params.flatten()
-        grad = batch_weighted_grad(forward_pass(params, x, y), np.full((x.shape[0], config.num_exits), 0.2))
+        grad = batch_weighted_grad(forward_pass(params, x, y), np.full((x.shape[0], config.num_exits), 0.2),
+                                   BackboneParams.zeros(config))
         grad_before = grad.copy()
         velocity = np.ones_like(grad)
         stepped, new_velocity = sgd_step(params, grad, 0.1, momentum=0.9, weight_decay=0.01, velocity=velocity)
@@ -178,22 +205,22 @@ class TestFlatBuffer:
         assert not np.shares_memory(pseudo.buffer, params.buffer)
 
     @pytest.mark.parametrize("config", [BackboneConfig(3, (4, 3), 3), BackboneConfig(2, (5, 1, 4), 4)])
-    def test_gradients_into_a_given_buffer_match_the_allocating_ones(self, config):
-        # written through out's views over stale contents: bitwise the fresh buffer's gradient
+    def test_every_entry_is_written_over_stale_contents(self, config):
+        # written through out's views over NaN or inf: bitwise the gradient written into a zero buffer
         _, params, x, y = small_instance(seed=6, config=config, batch=7)
         fp = forward_pass(params, x, y)
         coeffs = RngStream(6).child("c").standard_normal((7, config.num_exits))
         out = BackboneParams(config, np.full(params.num_params, np.nan))
         got = batch_weighted_grad(fp, coeffs, out)
         assert got is out.buffer
-        assert got.tobytes() == batch_weighted_grad(fp, coeffs).tobytes()
+        assert got.tobytes() == batch_weighted_grad(fp, coeffs, BackboneParams.zeros(config)).tobytes()
         wpn = init_wpn(WpnConfig(config.num_exits, hidden_width=5, hidden_depth=2), RngStream(6).child("w"))
         wpn_pass = wpn_weights(wpn, fp.outputs.losses)
         probe = RngStream(6).child("p").standard_normal(wpn_pass.weights.shape)
         wpn_out = WpnParams(wpn.config, np.full(wpn.num_params, np.inf))
         got = wpn_backward(wpn_pass, probe, wpn_out)
         assert got is wpn_out.buffer
-        assert got.tobytes() == wpn_backward(wpn_pass, probe).tobytes()
+        assert got.tobytes() == wpn_backward(wpn_pass, probe, WpnParams.zeros(wpn.config)).tobytes()
 
 
 class TestHeadRegion:
@@ -473,12 +500,13 @@ class TestForwardPass:
         masks, exit_array = n * sum(widths), n * k * classes * f64
         swept_bound = hs + masks + exit_array + 2**19  # 0.5 MiB for the (n, K) outputs and labels
         coeffs = np.full((n, k), 1.0 / n)
-        batch_weighted_grad(forward_pass(params, x, y), coeffs)  # imports and caches settle outside the trace
+        out = BackboneParams.zeros(config)  # the caller's buffer, outside the trace
+        batch_weighted_grad(forward_pass(params, x, y), coeffs, out)  # imports and caches settle outside the trace
         tracemalloc.start()
         try:
             fp = forward_pass(params, x, y)
             held, _ = tracemalloc.get_traced_memory()
-            batch_weighted_grad(fp, coeffs)
+            batch_weighted_grad(fp, coeffs, out)
             swept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -661,7 +689,7 @@ class TestPerSampleGrads:
         for k in range(config.num_exits):
             coeffs = np.zeros((b, config.num_exits))
             coeffs[:, k] = 1.0 / b
-            batch_grad = batch_weighted_grad(forward_pass(params, x, y), coeffs)
+            batch_grad = batch_weighted_grad(forward_pass(params, x, y), coeffs, BackboneParams.zeros(config))
             np.testing.assert_allclose(psg[:, k].mean(axis=0), batch_grad, atol=1e-12)
 
 
@@ -680,7 +708,7 @@ class TestGradWeightedLoss:
         ones = np.ones((x.shape[0], config.num_exits))
         np.testing.assert_allclose(
             grad_weighted_loss(psg, ones),
-            batch_weighted_grad(forward_pass(params, x, y), ones / x.shape[0]),
+            batch_weighted_grad(forward_pass(params, x, y), ones / x.shape[0], BackboneParams.zeros(config)),
             atol=1e-12,
         )
 
@@ -710,7 +738,7 @@ class TestGradWeightedLoss:
         w = rng.uniform(-1.0, 2.0, (6, config.num_exits))
         psg = per_sample_grads(params, x, y)
         dense = grad_weighted_loss(psg, w)
-        fused = batch_weighted_grad(forward_pass(params, x, y), w / x.shape[0])
+        fused = batch_weighted_grad(forward_pass(params, x, y), w / x.shape[0], BackboneParams.zeros(config))
         np.testing.assert_allclose(dense, fused, atol=1e-13)
 
     def test_shape_errors(self):
@@ -719,7 +747,7 @@ class TestGradWeightedLoss:
         config, params, x, y = small_instance()
         fp = forward_pass(params, x, y)
         with pytest.raises(ShapeError):
-            batch_weighted_grad(fp, np.zeros((2, 2)))
+            batch_weighted_grad(fp, np.zeros((2, 2)), BackboneParams.zeros(config))
 
 
 def dense_dots(params, x, y, vec):
@@ -883,7 +911,7 @@ class TestRectifierMask:
         params, fp, hs, zs = self.backbone_instance()
         coeffs = np.random.default_rng(61).uniform(0.1, 1.0, (8, 3))
         want = per_exit_weighted_grad(params, fp, hs, zs, coeffs)
-        assert batch_weighted_grad(fp, coeffs).tobytes() == want.tobytes()
+        assert batch_weighted_grad(fp, coeffs, BackboneParams.zeros(params.config)).tobytes() == want.tobytes()
 
     def test_per_sample_grad_dots(self):
         params, fp, hs, zs = self.backbone_instance()
@@ -919,7 +947,7 @@ class TestRectifierMask:
         s = wpn_pass.sigmoids
         want = WpnParams.zeros(config)
         sweep_into(params.layers, hs, zs, g * (2.0 * config.delta) * s * (1.0 - s), want.layers)
-        assert wpn_backward(wpn_pass, probe).tobytes() == want.buffer.tobytes()
+        assert wpn_backward(wpn_pass, probe, WpnParams.zeros(config)).tobytes() == want.buffer.tobytes()
 
 
 # one unequal-width trunk per exit count, a 2-wide bottleneck from K = 2 on
@@ -946,7 +974,8 @@ class TestBlockSweep:
         coeffs = rng.uniform(-1.0, 1.0, (b, k))
         vec = rng.standard_normal(params.num_params)
         fp = forward_pass(params, x, y)
-        assert batch_weighted_grad(fp, coeffs).tobytes() == per_exit_weighted_grad(params, fp, hs, zs, coeffs).tobytes()
+        got = batch_weighted_grad(fp, coeffs, BackboneParams.zeros(params.config))
+        assert got.tobytes() == per_exit_weighted_grad(params, fp, hs, zs, coeffs).tobytes()
         dots = per_sample_grad_dots(fp, BackboneParams(params.config, vec))
         assert dots.flags.c_contiguous
         assert dots.tobytes() == per_exit_grad_dots(params, fp, hs, zs, vec).tobytes()
@@ -963,7 +992,7 @@ class TestBlockSweep:
         coeffs[:, 1] = 0.0
         fp = forward_pass(params, x, y)
         want = per_exit_weighted_grad(params, fp, hs, zs, coeffs)
-        got = batch_weighted_grad(fp, coeffs)
+        got = batch_weighted_grad(fp, coeffs, BackboneParams.zeros(params.config))
         assert got.tobytes() == want.tobytes()
         head = BackboneParams(params.config, got).heads[1]
         assert not np.signbit(head.weight).any() and not np.signbit(head.bias).any()
@@ -1100,6 +1129,66 @@ def test_one_forward_path():
     assert not [n for n in ast.walk(function_node(SRC / "wpn.py", "wpn_backward")) if isinstance(n, ast.Gt)]
     for path in SRC.glob("*.py"):
         assert "_relu_layer" not in path.read_text(), path
+
+
+# each writer of a gradient or of lookahead parameters, and its buffer parameters
+BUFFER_WRITERS = {
+    "backbone._tops_grad": ("out",),
+    "backbone.batch_weighted_grad": ("out",),
+    "wpn.wpn_backward": ("out",),
+    "trainer.lookahead": ("out", "pseudo"),
+    "trainer.meta_chain": ("out", "pseudo"),
+}
+FLAT_CLASSES = {"FlatParams", "BackboneParams", "WpnParams"}
+FRESH_ARRAYS = {"empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like", "full_like"}
+
+
+def buffer_allocations(module: Path) -> list[str]:
+    """`module:Class.function` of each call in module that builds parameters
+    over a fresh array: `X.zeros(...)`, or `X(config, np.empty(...))` and
+    the like, for X a FlatParams class named as such or `type(...)` (the
+    classmethods that define `zeros` build through `cls`)."""
+
+    def flat_class(node):
+        return getattr(node, "id", None) in FLAT_CLASSES or (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "type")
+
+    def fresh(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in FRESH_ARRAYS
+                and getattr(node.func.value, "id", None) == "np")
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and (
+                (isinstance(child.func, ast.Attribute) and child.func.attr == "zeros" and flat_class(child.func.value))
+                or (flat_class(child.func) and any(map(fresh, child.args)))
+            ):
+                found.append(f"{module.name}:{scope}")
+            visit(child, inner)
+
+    visit(ast.parse(module.read_text(), str(module)), "")
+    return found
+
+
+class TestCallerBuffers:
+    """Every gradient and lookahead writer writes a buffer its caller owns."""
+
+    @pytest.mark.parametrize("writer", sorted(BUFFER_WRITERS))
+    def test_writers_take_no_default_buffer(self, writer):
+        module, function = writer.split(".")
+        parameters = inspect.signature(getattr(import_module(f"exitweave.{module}"), function)).parameters
+        assert [name for name in BUFFER_WRITERS[writer] if parameters[name].default is not inspect.Parameter.empty] == []
+
+    def test_only_the_training_state_allocates_work_buffers(self):
+        # only TrainState's cached buffers build parameters over a fresh
+        # array: no writer, and no function of gradcheck, allocates one
+        found = sorted(call for module in sorted(SRC.glob("*.py")) for call in buffer_allocations(module))
+        assert found == ["trainer.py:TrainState.grad", "trainer.py:TrainState.pseudo", "trainer.py:TrainState.wpn_grad"]
 
 
 class TestUpdates:

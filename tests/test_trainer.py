@@ -31,7 +31,7 @@ from exitweave.backbone import (
     sgd_step,
 )
 from exitweave.checkpoint import save_run_checkpoint
-from exitweave.datahub import gen_synthetic_gaussians
+from exitweave.datahub import gen_synthetic_gaussians, make_batches
 from exitweave.errors import CompatibilityError, ConfigError, NumericError, ShapeError, TrainingError
 from exitweave.exitpolicy import allocate_meta
 from exitweave.numkit import RngStream
@@ -506,8 +506,30 @@ class TestSubstepFailures:
         state = TrainState(backbone=params, wpn=None, velocity=None, adam=None)
         config = TrainConfig(epochs=1, batch_size=2, alpha=0.1, variant="baseline")
         batch = (RngStream(1).standard_normal((2, 2)), np.array([0, 1]))
-        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite training loss at iteration 0"):
-            substep(state, batch, None, config, 0.1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="^training loss contains non-finite entries$"):
+                substep(state, batch, None, config, 0.1)
+            with pytest.raises(TrainingError,
+                               match="^training loss contains non-finite entries at iteration 0; run diverged$"):
+                train_step(state, *batch, config, 0.1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["baseline", "learned"])
+    def test_train_step_reports_an_overflow_as_divergence(self, variant):
+        # run_training's divergent run, stepped directly: whichever array of
+        # a substep overflows first, train_step names it and the iteration
+        train, _ = quick_sets()
+        cfg = TrainConfig(epochs=50, batch_size=10, alpha=1e8, variant=variant,
+                          momentum=0.0, weight_decay=0.0, lr_schedule="constant")
+        root = RngStream(cfg.seed)
+        wpn = init_wpn(WPN, root.child("init-wpn"))
+        state = TrainState(init_params(BB, root.child("init-backbone")), wpn, None, AdamState.zeros(wpn.num_params))
+        with pytest.raises(TrainingError, match=r"contains non-finite entries at iteration \d+; run diverged$") as caught:
+            for epoch in range(cfg.epochs):
+                for idx in make_batches(train, cfg.batch_size, epoch, cfg.seed, drop_last=True):
+                    train_step(state, train.features[idx], train.labels[idx], cfg, cfg.alpha)
+        assert str(caught.value).endswith(f" at iteration {state.iteration}; run diverged")
+        assert type(caught.value.__cause__) is NumericError
 
 
 class TestVariants:
@@ -568,7 +590,7 @@ class TestVariants:
             outs = forward_all(ref, x[sl], y[sl])
             alloc = allocate_meta(outs.confidences, 0.5)
             _, mask = meta_objective(outs, alloc)
-            grad = batch_weighted_grad(forward_pass(ref, x[sl], y[sl]), mask)
+            grad = batch_weighted_grad(forward_pass(ref, x[sl], y[sl]), mask, BackboneParams.zeros(BB))
             ref, _ = sgd_step(ref, grad, cfg.alpha)
         np.testing.assert_allclose(state.backbone.flatten(), ref.flatten(), atol=1e-13)
 
@@ -670,6 +692,11 @@ class TestFixedRowOfOnes:
             assert f["weight_mean"] == le["weight_mean"] == [1.0] * 4
 
 
+def zero_buffers(config: BackboneConfig) -> tuple[BackboneParams, BackboneParams]:
+    """A gradient and a lookahead buffer for `lookahead` and `meta_chain`, as `TrainState` holds them."""
+    return BackboneParams.zeros(config), BackboneParams.zeros(config)
+
+
 class TestFactoredMetaChain:
     def test_matches_dense_reference(self):
         # the trainer's lookahead and dL/dw against the stored-tensor route
@@ -686,12 +713,13 @@ class TestFactoredMetaChain:
         _, weights, _ = make_weights(raw, wpn_cfg.delta)
         psg = per_sample_grads(backbone, tx, ty)
         train_pass = forward_pass(backbone, tx, ty)
-        pseudo = lookahead(train_pass, weights, alpha)
+        pseudo = lookahead(train_pass, weights, alpha, *zero_buffers(backbone_cfg))
         np.testing.assert_allclose(
             pseudo.flatten(), pseudo_step(backbone, psg, weights, alpha).flatten(), rtol=0, atol=1e-14
         )
-        dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, alpha, mx, my, 0.75)
-        meta_grad = batch_weighted_grad(forward_pass(pseudo, mx, my), mask)
+        out, meta_pseudo = zero_buffers(backbone_cfg)
+        dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, alpha, mx, my, 0.75, out=out, pseudo=meta_pseudo)
+        meta_grad = batch_weighted_grad(forward_pass(pseudo, mx, my), mask, BackboneParams.zeros(backbone_cfg))
         dense = meta_weight_grad(psg, meta_grad, alpha, 8)
         assert np.any(dense != 0.0)
         np.testing.assert_allclose(dl_dw, dense, rtol=0, atol=1e-15)
@@ -703,14 +731,14 @@ class TestFactoredMetaChain:
         data = root.child("data")
         x, y = data.standard_normal((6, 5)), data.integers(0, 4, 6).astype(np.int64)
         before = backbone.flatten().tobytes()
-        pseudo = lookahead(forward_pass(backbone, x, y), np.full((6, 2), 1.5), 0.3)
+        pseudo = lookahead(forward_pass(backbone, x, y), np.full((6, 2), 1.5), 0.3, *zero_buffers(backbone_cfg))
         assert backbone.flatten().tobytes() == before
         assert pseudo.flatten().tobytes() != before
         assert not np.shares_memory(pseudo.buffer, backbone.buffer)
 
-    def test_buffers_given_match_the_allocating_calls(self):
-        # lookahead and meta_chain into given buffers over stale contents: the
-        # same objects back, bitwise the results of calls that allocate
+    def test_buffers_over_stale_contents_match_zero_buffers(self):
+        # lookahead and meta_chain into buffers of NaN and inf: the same
+        # objects back, bitwise the results written into zero buffers
         backbone_cfg = BackboneConfig(5, (7, 3, 6), 4)
         root = RngStream(71)
         backbone = init_params(backbone_cfg, root.child("init-backbone"))
@@ -721,15 +749,16 @@ class TestFactoredMetaChain:
         train_pass = forward_pass(backbone, tx, ty)
         out = BackboneParams(backbone_cfg, np.full(backbone.num_params, np.nan))
         pseudo = BackboneParams(backbone_cfg, np.full(backbone.num_params, np.inf))
-        fresh = lookahead(train_pass, weights, 0.3)
+        fresh = lookahead(train_pass, weights, 0.3, *zero_buffers(backbone_cfg))
         assert lookahead(train_pass, weights, 0.3, out, pseudo) is pseudo
         assert pseudo.buffer.tobytes() == fresh.buffer.tobytes()
-        grad = batch_weighted_grad(train_pass, weights / 8)
+        grad = batch_weighted_grad(train_pass, weights / 8, BackboneParams.zeros(backbone_cfg))
         assert fresh.buffer.tobytes() == (backbone.buffer - 0.3 * grad).tobytes()
         given = meta_chain(train_pass, weights, 0.3, mx, my, 0.75, out=out, pseudo=pseudo)
-        allocating = meta_chain(train_pass, weights, 0.3, mx, my, 0.75)
-        assert given[0].tobytes() == allocating[0].tobytes() and given[1] == allocating[1]
-        assert given[3].tobytes() == allocating[3].tobytes()
+        zero_out, zero_pseudo = zero_buffers(backbone_cfg)
+        zeroed = meta_chain(train_pass, weights, 0.3, mx, my, 0.75, out=zero_out, pseudo=zero_pseudo)
+        assert given[0].tobytes() == zeroed[0].tobytes() and given[1] == zeroed[1]
+        assert given[3].tobytes() == zeroed[3].tobytes()
 
     def test_trainer_binds_no_dense_route(self, package_modules):
         # backbone and wpn define the dense reference; no other module, trainer and gradcheck included, binds it
@@ -940,10 +969,8 @@ class TestNonFiniteGradients:
         weights = np.ones((6, 2))
         weights[2, 1] = np.inf
         pseudo = BackboneParams(BB, np.full(n, 0.25))
-        for out in (None, BackboneParams.zeros(BB)):
-            for given in (None, pseudo):
-                with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="grad contains non-finite entries"):
-                    lookahead(train_pass, weights, 0.1, out, given)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="grad contains non-finite entries"):
+            lookahead(train_pass, weights, 0.1, BackboneParams.zeros(BB), pseudo)
         assert backbone.flatten().tobytes() == theta.tobytes() and np.all(pseudo.buffer == 0.25)
 
         wpn = init_wpn(WPN, root.child("init-wpn"))
@@ -1072,6 +1099,12 @@ class TestConfigValidation:
     def test_rejects_non_finite_exit_weights(self, row):
         # a NaN never reaches the mean check's comparison as true
         with pytest.raises(ConfigError, match="exit_weights must be finite with mean 1"):
+            TrainConfig(epochs=1, batch_size=4, alpha=0.1, variant="fixed", exit_weights=row)
+
+    @pytest.mark.parametrize("row", ["1111", b"11", ("1", "1"), (1.0, None)], ids=["str", "bytes", "str-entries", "none-entry"])
+    def test_refuses_exit_weights_that_are_not_numbers(self, row):
+        # "1111" was read as the row (1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="^exit_weights must be a sequence of numbers, got "):
             TrainConfig(epochs=1, batch_size=4, alpha=0.1, variant="fixed", exit_weights=row)
 
     def test_stores_exit_weights_as_a_tuple_of_floats(self):

@@ -233,13 +233,13 @@ class TestBackward:
     def test_zero_upstream_gradient(self):
         config, params = small_wpn(seed=10, delta=0.6)
         wpn_pass = wpn_weights(params, RngStream(11).uniform(0.0, 2.0, (4, 3)))
-        grad = wpn_backward(wpn_pass, np.zeros((4, 3)))
+        grad = wpn_backward(wpn_pass, np.zeros((4, 3)), WpnParams.zeros(config))
         np.testing.assert_array_equal(grad, np.zeros(params.num_params))
 
     def test_constant_upstream_gradient_is_killed_by_normalization(self):
         config, params = small_wpn(seed=12, delta=0.6)
         wpn_pass = wpn_weights(params, RngStream(13).uniform(0.0, 2.0, (4, 3)))
-        grad = wpn_backward(wpn_pass, np.full((4, 3), 3.21))
+        grad = wpn_backward(wpn_pass, np.full((4, 3), 3.21), WpnParams.zeros(config))
         np.testing.assert_allclose(grad, np.zeros(params.num_params), atol=1e-12)
 
     def test_matches_fd_through_linear_probe(self):
@@ -247,7 +247,7 @@ class TestBackward:
             config, params = small_wpn(seed=14, depth=depth, delta=0.7)
             losses = RngStream(15).uniform(0.0, 3.0, (5, 3))
             probe = RngStream(16).standard_normal((5, 3))
-            analytic = wpn_backward(wpn_weights(params, losses), probe)
+            analytic = wpn_backward(wpn_weights(params, losses), probe, WpnParams.zeros(config))
 
             def value(flat):
                 return float(np.sum(probe * wpn_weights(WpnParams.from_flat(config, flat), losses).weights))
@@ -268,10 +268,21 @@ class TestBackward:
         wpn_pass = wpn_weights(params, RngStream(21).uniform(0.0, 2.0, (4, 3)))
         for shape in [(4,), (6, 3), (4, 2)]:
             with pytest.raises(ShapeError, match="does not match the weights"):
-                wpn_backward(wpn_pass, np.zeros(shape))
+                wpn_backward(wpn_pass, np.zeros(shape), WpnParams.zeros(config))
 
 
 class TestAdam:
+    @pytest.mark.parametrize("target", [np.arange(5.0, dtype=np.float32), [0.0, 1.0, 2.0, 3.0, 4.0]],
+                             ids=["float32", "list"])
+    def test_refuses_a_target_it_would_step_a_copy_of(self, target):
+        # converted to float64, the target would be a new array: the copy
+        # would be stepped and the caller's vector left as it was
+        state = AdamState.zeros(5)
+        got = "float32" if isinstance(target, np.ndarray) else "list"
+        with pytest.raises(ShapeError, match=f"^params must be a float64 ndarray, got {got}$"):
+            adam_step(target, np.ones(5), state, 0.1)
+        assert state.step == 0 and not state.m.any() and not state.v.any()
+
     def test_zero_grad_first_step_is_identity(self):
         params = np.arange(5.0)
         before = params.copy()
