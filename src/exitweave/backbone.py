@@ -198,6 +198,21 @@ class LayerPass:
 
 # -- the multi-exit backbone
 
+def _is_whole(value) -> bool:
+    """True for an integer (bools included) or a real number with no fraction."""
+    return isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+
+
+def whole_fields(config, *names: str) -> None:
+    """Store each named field of a frozen config as an int; a field that is
+    not a whole number (a fraction, a string, None) raises ConfigError naming it."""
+    for name in names:
+        value = getattr(config, name)
+        if not _is_whole(value):
+            raise ConfigError(f"{name} must be a whole number, got {value!r}")
+        object.__setattr__(config, name, int(value))
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     """Architecture of a K-exit MLP: input width, trunk widths, class count."""
@@ -208,10 +223,10 @@ class BackboneConfig:
 
     def __post_init__(self) -> None:
         widths = self.trunk_widths
-        whole = (isinstance(w, numbers.Real) and float(w).is_integer() for w in widths)
-        if isinstance(widths, (str, bytes)) or not all(whole):
+        if isinstance(widths, (str, bytes)) or not all(map(_is_whole, widths)):
             raise ConfigError(f"trunk_widths must be a sequence of whole numbers, got {widths!r}")
         object.__setattr__(self, "trunk_widths", tuple(int(w) for w in widths))
+        whole_fields(self, "input_dim", "num_classes")
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if len(self.trunk_widths) < 1:

@@ -8,8 +8,10 @@ calibrated on a validation split and replayed on a test split, yielding
 Both score forward outputs (`score_anytime`, `score_sweep`), so a caller
 that already holds a split's outputs runs no second forward pass;
 `anytime_accuracy` and `dynamic_sweep` run the passes themselves. Each
-exit's validation confidences are sorted once per sweep, so sweeping
-is cheap.
+exit's validation confidences are sorted once per sweep, and the test
+split is replayed at every q by counting `exitpolicy.exit_masks`, the
+one leaving rule, against an exit-by-exit table of confidences and of
+correct predictions built once per sweep, so sweeping is cheap.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from .backbone import BackboneConfig, BackboneParams, ExitOutputs, count_mul_adds, forward_all
 from .datahub import Dataset
-from .exitpolicy import calibrate_threshold_grid, dynamic_infer, expected_cost
+from .errors import ShapeError
+from .exitpolicy import calibrate_threshold_grid, exit_masks, expected_cost
 
 
 def score_anytime(outs: ExitOutputs) -> np.ndarray:
@@ -41,19 +44,28 @@ def score_sweep(config: BackboneConfig, val_outs: ExitOutputs, test_outs: ExitOu
 
     Returns one row per q: thresholds, test exit counts, test accuracy,
     and expected per-sample mul-adds under config's cost vector. Rows
-    are ordered exactly as the grid.
+    are ordered exactly as the grid. Each q's row counts, exit by exit,
+    the test rows `exit_masks` sends there and the correct ones among
+    them, from tables built once per sweep; the rows are bitwise what
+    `dynamic_infer` gives at each q's thresholds.
     """
     grid = default_q_grid() if q_grid is None else np.asarray(q_grid, dtype=np.float64)
+    if val_outs.num_exits != test_outs.num_exits:
+        raise ShapeError(f"val outputs have {val_outs.num_exits} exits, test outputs {test_outs.num_exits}")
     costs = count_mul_adds(config)
+    conf_t = np.ascontiguousarray(test_outs.confidences.T, dtype=np.float64)
+    correct_t = np.ascontiguousarray((test_outs.predictions == test_outs.labels[:, None]).T)
     rows = []
     for q, thresholds in zip(grid, calibrate_threshold_grid(val_outs.confidences, grid)):
-        result = dynamic_infer(test_outs, thresholds)
+        masks = exit_masks(conf_t, thresholds)
+        counts = [int(np.count_nonzero(leaving)) for leaving in masks]
+        masks &= correct_t
         rows.append({
             "q": float(q),
             "thresholds": [float(e) for e in thresholds],
-            "exit_counts": [int(c) for c in result.exit_counts],
-            "accuracy": result.accuracy,
-            "expected_muladds": expected_cost(result.exit_counts, costs),
+            "exit_counts": counts,
+            "accuracy": int(np.count_nonzero(masks)) / test_outs.batch_size,
+            "expected_muladds": expected_cost(counts, costs),
         })
     return rows
 

@@ -19,6 +19,12 @@ q grid (`calibrate_threshold_grid`) share one greedy loop over each
 exit's stable descending order of the table, sorted once per table: an
 exit takes the first rows of its order that no earlier exit claimed.
 
+The replay has one rule too, `exit_masks`: walking the exits in order,
+the rows that leave at exit k are those whose confidence clears eps[k]
+among the rows still open, and the last exit takes what is left.
+`exit_decisions` (and so `dynamic_infer`) reads each row's exit index
+off those masks, and `evaluate.score_sweep` counts them at every q.
+
 Floor counts are exact for the float value of q, which is the ratio of
 two integers (`float.as_integer_ratio`): each floor is one integer
 division, so mathematically-integer boundaries like q=1, K=3, N=6 come
@@ -177,6 +183,24 @@ def calibrate_thresholds(val_confidences, q: float) -> np.ndarray:
     return calibrate_threshold_grid(val_confidences, [q])[0]
 
 
+def exit_masks(conf_t: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The leaving rule: (K, N) booleans whose row k marks the rows that leave at exit k.
+
+    conf_t is the confidence table exit by exit, (K, N), and thresholds
+    has one entry per exit. A row leaves at the first exit whose
+    threshold its confidence clears; the final exit takes every row
+    still open, whatever its threshold. Each column holds one True.
+    """
+    masks = np.empty(conf_t.shape, dtype=bool)
+    np.greater_equal(conf_t[:-1], thresholds[:-1, None], out=masks[:-1])
+    still_open = masks[-1]
+    still_open[:] = True
+    for leaving in masks[:-1]:
+        leaving &= still_open
+        still_open ^= leaving
+    return masks
+
+
 def exit_decisions(confidences, thresholds) -> np.ndarray:
     """Index of the first exit whose threshold each row clears, (B,) ints.
 
@@ -186,9 +210,7 @@ def exit_decisions(confidences, thresholds) -> np.ndarray:
     eps = np.asarray(thresholds, dtype=np.float64)
     if conf.ndim != 2 or eps.shape != (conf.shape[1],):
         raise ShapeError(f"confidences {conf.shape} and thresholds {eps.shape} do not align")
-    passes = conf >= eps[None, :]
-    passes[:, -1] = True
-    return np.argmax(passes, axis=1)
+    return exit_masks(conf.T, eps).argmax(axis=0)
 
 
 @dataclass

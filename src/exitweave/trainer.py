@@ -56,6 +56,7 @@ from .backbone import (
     per_sample_grad_dots,
     require_fit,
     sgd_step,
+    whole_fields,
 )
 from .datahub import Dataset, make_batches
 from .errors import CompatibilityError, ConfigError, ExitweaveError, NumericError, TrainingError
@@ -118,6 +119,7 @@ class TrainConfig:
     scatter_cap: int = 0
 
     def __post_init__(self) -> None:
+        whole_fields(self, "epochs", "batch_size", "interval", "seed", "scatter_cap")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2 or self.batch_size % 2 != 0:

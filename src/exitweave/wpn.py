@@ -39,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from .backbone import FlatParams, LayerPass, _tops_grad, head_forward, relu_forward
+from .backbone import FlatParams, LayerPass, _tops_grad, head_forward, relu_forward, whole_fields
 from .errors import ConfigError, ShapeError
 from .numkit import RngStream, require_finite, sigmoid_stable
 
@@ -60,6 +60,7 @@ class WpnConfig:
     delta: float = 0.8
 
     def __post_init__(self) -> None:
+        whole_fields(self, "num_exits", "hidden_width", "hidden_depth")
         if self.num_exits < 1:
             raise ConfigError(f"num_exits must be >= 1, got {self.num_exits}")
         if self.hidden_width < 1 or self.hidden_depth < 1:

@@ -107,6 +107,18 @@ class TestConfigAndLayout:
         with pytest.raises(ConfigError, match="^trunk_widths must be a sequence of whole numbers, got "):
             BackboneConfig(16, widths, 8)
 
+    @pytest.mark.parametrize("field, args", [("input_dim", (16.5, (4,), 3)), ("input_dim", ("16", (4,), 3)),
+                                             ("num_classes", (16, (4,), 3.5)), ("num_classes", (16, (4,), None))],
+                             ids=["fraction-dim", "str-dim", "fraction-classes", "none-classes"])
+    def test_refuses_scalars_that_are_not_whole_numbers(self, field, args):
+        with pytest.raises(ConfigError, match=f"^{field} must be a whole number, got "):
+            BackboneConfig(*args)
+
+    def test_whole_scalars_become_ints(self):
+        config = BackboneConfig(np.int64(16), (4,), 3.0)
+        assert (config.input_dim, config.num_classes) == (16, 3)
+        assert type(config.input_dim) is int and type(config.num_classes) is int
+
     def test_whole_widths_of_any_number_type_become_ints(self):
         config = BackboneConfig(16, [np.int64(16), 8.0, True], 8)
         assert config.trunk_widths == (16, 8, 1) and all(type(w) is int for w in config.trunk_widths)

@@ -3,9 +3,10 @@
 import numpy as np
 
 from exitweave.backbone import BackboneConfig, count_mul_adds, forward_all, init_params
+from exitweave import evaluate
 from exitweave.datahub import gen_synthetic_gaussians
 from exitweave.evaluate import anytime_accuracy, default_q_grid, dynamic_sweep
-from exitweave.exitpolicy import calibrate_thresholds, dynamic_infer, expected_cost
+from exitweave.exitpolicy import DynamicInference, calibrate_thresholds, dynamic_infer, exit_masks, expected_cost
 from exitweave.numkit import RngStream
 
 
@@ -95,6 +96,24 @@ class TestDynamicSweep:
                 "expected_muladds": expected_cost(result.exit_counts, costs),
             })
         assert dynamic_sweep(params, val, test, grid) == expected
+
+    def test_one_mask_table_per_q_and_no_dynamic_inference(self, monkeypatch):
+        # the grid is replayed from per-exit masks: no DynamicInference is
+        # built and the leaving rule runs once per grid point
+        params, val, test = fixture()
+        calls = []
+
+        def counted(conf_t, thresholds):
+            calls.append(conf_t.shape)
+            return exit_masks(conf_t, thresholds)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("score_sweep built a DynamicInference")
+
+        monkeypatch.setattr(evaluate, "exit_masks", counted)
+        monkeypatch.setattr(DynamicInference, "__init__", refuse)
+        rows = dynamic_sweep(params, val, test, np.array([0.3, 0.8, 1.5]))
+        assert len(rows) == 3 and calls == [(3, len(test))] * 3
 
     def test_default_grid_used_when_omitted(self):
         params, val, test = fixture()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from exitweave.backbone import BackboneConfig, ExitOutputs, count_mul_adds, forward_all, init_params
 from exitweave.errors import DomainError, ShapeError
+from exitweave.evaluate import score_sweep
 from exitweave.exitpolicy import (
     EMPTY_EXIT_SENTINEL,
     _exit_orders,
@@ -29,6 +30,7 @@ from exitweave.exitpolicy import (
     dynamic_infer,
     exit_decisions,
     exit_fractions,
+    exit_masks,
     expected_cost,
 )
 from exitweave.numkit import RngStream
@@ -74,10 +76,10 @@ def oracle_thresholds(conf: np.ndarray, subsets: list[np.ndarray]) -> np.ndarray
 
 
 @st.composite
-def tied_tables(draw):
+def tied_tables(draw, exits=st.integers(1, 5)):
     """Confidence tables full of ties: values on a 0.1 grid, rows drawn with
     repetition from a few distinct ones, some columns saturated at 1.0."""
-    k = draw(st.integers(1, 5))
+    k = draw(exits)
     distinct = draw(st.integers(1, 6))
     values = st.integers(0, 10).map(lambda v: v / 10)
     base = np.array(draw(st.lists(st.lists(values, min_size=k, max_size=k),
@@ -417,6 +419,107 @@ class TestDynamicInference:
             assert result.exit_indices[i] == expected
             assert result.predictions[i] == outs.predictions[i, expected]
             assert result.correct[i] == (outs.predictions[i, expected] == y[i])
+
+
+def argmax_decisions(conf, eps):
+    """`exit_decisions` as it was first written: the first passing column of
+    a pass table whose last column is forced true."""
+    passes = np.asarray(conf, dtype=np.float64) >= np.asarray(eps, dtype=np.float64)[None, :]
+    passes[:, -1] = True
+    return np.argmax(passes, axis=1)
+
+
+def outputs_for_table(draw, conf, classes=3):
+    """ExitOutputs over conf with drawn predictions and labels."""
+    n, k = conf.shape
+    labels = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n)), dtype=np.int64)
+    predictions = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=n * k, max_size=n * k)),
+                           dtype=np.int64).reshape(n, k)
+    return ExitOutputs(np.zeros((n, k)), conf, predictions, labels)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Val and test outputs on tied tables of one exit count (2 to 6) and
+    separate row counts, a backbone config of that depth, and a q grid
+    wide enough to leave exits empty."""
+    k = draw(st.integers(2, 6))
+    val = outputs_for_table(draw, draw(tied_tables(st.just(k))))
+    test = outputs_for_table(draw, draw(tied_tables(st.just(k))))
+    widths = tuple(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)))
+    grid = draw(st.lists(st.floats(0.05, 40.0), min_size=1, max_size=6))
+    return BackboneConfig(3, widths, 3), val, test, grid
+
+
+class TestGridReplay:
+    """`score_sweep` replays a whole grid through `exit_masks`: bitwise the
+    rows of per-q calibration plus `dynamic_infer`."""
+
+    @staticmethod
+    def per_q_rows(config, val, test, grid):
+        costs = count_mul_adds(config)
+        rows = []
+        for q in grid:
+            thresholds = calibrate_thresholds(val.confidences, float(q))
+            result = dynamic_infer(test, thresholds)
+            rows.append({
+                "q": float(q),
+                "thresholds": [float(e) for e in thresholds],
+                "exit_counts": [int(c) for c in result.exit_counts],
+                "accuracy": result.accuracy,
+                "expected_muladds": expected_cost(result.exit_counts, costs),
+            })
+        return rows
+
+    @given(sweep_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_per_q_dynamic_infer(self, case):
+        config, val, test, grid = case
+        got = score_sweep(config, val, test, grid)
+        assert got == self.per_q_rows(config, val, test, grid)
+        for row in got:
+            assert type(row["accuracy"]) is float
+            assert all(type(c) is int for c in row["exit_counts"])
+
+    @pytest.mark.parametrize("val_rows, test_rows", [(1, 1), (1, 7), (9, 1), (5, 8)])
+    def test_one_row_tables_and_empty_exits(self, val_rows, test_rows):
+        rng = np.random.default_rng(val_rows * 10 + test_rows)
+        config = BackboneConfig(3, (4, 3, 5, 2), 3)
+
+        def outs(n):
+            conf = np.round(rng.uniform(size=(n, 4)) * 4) / 4
+            conf[:, 1] = 1.0  # a saturated column
+            return ExitOutputs(np.zeros((n, 4)), conf, rng.integers(0, 3, (n, 4)), rng.integers(0, 3, n))
+
+        val, test = outs(val_rows), outs(test_rows)
+        grid = [0.05, 0.5, 1.0, 3.0, 40.0]
+        got = score_sweep(config, val, test, grid)
+        assert any(EMPTY_EXIT_SENTINEL in row["thresholds"] for row in got)
+        assert got == self.per_q_rows(config, val, test, grid)
+
+    @given(tied_tables(st.integers(1, 6)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_decisions_equal_the_argmax_form(self, conf, data):
+        k = conf.shape[1]
+        levels = st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0, EMPTY_EXIT_SENTINEL])
+        eps = np.array(data.draw(st.lists(levels, min_size=k, max_size=k)))
+        got, want = exit_decisions(conf, eps), argmax_decisions(conf, eps)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_masks_partition_the_rows(self):
+        conf_t = np.array([[0.9, 0.2, 0.9, 0.1], [0.8, 0.8, 0.1, 0.1], [0.0, 0.0, 0.0, 0.0]])
+        masks = exit_masks(conf_t, np.array([0.5, 0.5, 0.9]))
+        np.testing.assert_array_equal(masks, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+
+    def test_exit_count_mismatch_is_a_shape_error(self):
+        config = BackboneConfig(3, (4, 4, 4), 3)
+        val = TestDynamicInference.outputs_for(np.full((5, 3), 0.5))
+        test = TestDynamicInference.outputs_for(np.full((6, 2), 0.5))
+        with pytest.raises(ShapeError, match="val outputs have 3 exits, test outputs 2"):
+            score_sweep(config, val, test, [1.0])
+        with pytest.raises(ShapeError):
+            score_sweep(config, test, val, [1.0])
 
 
 class TestExpectedCost:

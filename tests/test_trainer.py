@@ -1094,6 +1094,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(**{**good, "scatter_cap": -1})
 
+    @pytest.mark.parametrize("field, value", [("epochs", 1.5), ("batch_size", "4"), ("interval", 2.5),
+                                              ("seed", 0.5), ("scatter_cap", None)])
+    def test_refuses_integers_that_are_not_whole_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a whole number, got "):
+            TrainConfig(**{**dict(epochs=1, batch_size=4, alpha=0.1), field: value})
+
+    def test_whole_integers_become_ints(self):
+        config = TrainConfig(epochs=np.int64(2), batch_size=4.0, alpha=0.1, seed=7.0)
+        assert (config.epochs, config.batch_size, config.seed) == (2, 4, 7)
+        assert all(type(v) is int for v in (config.epochs, config.batch_size, config.seed))
+
     @pytest.mark.parametrize("row", [(math.nan, 1.0), (1.0, math.inf), (math.inf, -math.inf)],
                              ids=["nan", "inf", "inf-minus-inf"])
     def test_rejects_non_finite_exit_weights(self, row):
