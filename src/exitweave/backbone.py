@@ -5,6 +5,8 @@ classifier head to the output of block k, so sub-network k consists of
 trunk blocks 1..k plus head k: shallower sub-networks share every trunk
 parameter with deeper ones. All K exits are evaluated in one forward
 pass, and the training objective sums per-exit cross-entropy terms.
+`BackboneConfig` reads its fields by `serial.convert_fields`, as a
+config file is read, and checks only their ranges.
 
 Parameters live in one flat float64 buffer (all trunk blocks in order,
 then all heads in order; weight before bias within a layer), reached
@@ -55,7 +57,6 @@ and the benchmark tracer call (`gradcheck` audits the sweep above).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -64,6 +65,7 @@ import numpy as np
 from .datahub import Dataset
 from .errors import ConfigError, ShapeError
 from .numkit import RngStream, require_finite, softmax_lse
+from .serial import convert_fields
 
 # forward_all splits larger batches into row blocks of at most this many rows
 FORWARD_BLOCK_ROWS = 1024
@@ -198,21 +200,6 @@ class LayerPass:
 
 # -- the multi-exit backbone
 
-def _is_whole(value) -> bool:
-    """True for an integer (bools included) or a real number with no fraction."""
-    return isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
-
-
-def whole_fields(config, *names: str) -> None:
-    """Store each named field of a frozen config as an int; a field that is
-    not a whole number (a fraction, a string, None) raises ConfigError naming it."""
-    for name in names:
-        value = getattr(config, name)
-        if not _is_whole(value):
-            raise ConfigError(f"{name} must be a whole number, got {value!r}")
-        object.__setattr__(config, name, int(value))
-
-
 @dataclass(frozen=True)
 class BackboneConfig:
     """Architecture of a K-exit MLP: input width, trunk widths, class count."""
@@ -222,11 +209,7 @@ class BackboneConfig:
     num_classes: int
 
     def __post_init__(self) -> None:
-        widths = self.trunk_widths
-        if isinstance(widths, (str, bytes)) or not all(map(_is_whole, widths)):
-            raise ConfigError(f"trunk_widths must be a sequence of whole numbers, got {widths!r}")
-        object.__setattr__(self, "trunk_widths", tuple(int(w) for w in widths))
-        whole_fields(self, "input_dim", "num_classes")
+        convert_fields(self)
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if len(self.trunk_widths) < 1:

@@ -40,8 +40,8 @@ from .exitpolicy import allocate_meta, calibrate_thresholds
 from .gradcheck import DEFAULT_BACKBONE, DEFAULT_WPN, run_suites
 from .numkit import require_finite
 from .serial import (
-    CONFIG_FORMAT, HISTORY_FORMAT, METRICS_FORMAT, config_doc, output_dir, read_config, read_doc, read_text, read_value,
-    write_doc, write_text,
+    CONFIG_FORMAT, HISTORY_FORMAT, METRICS_FORMAT, config_doc, convert_fields, output_dir, read_config, read_doc,
+    read_text, read_value, write_doc, write_text,
 )
 from .trainer import TrainConfig, run_training
 from .wpn import WpnConfig
@@ -52,7 +52,8 @@ from .wpn import WpnConfig
 # ---------------------------------------------------------------------------
 
 # The output section: where `train` writes when --out is not given.
-OutputConfig = make_dataclass("OutputConfig", [("dir", str, "runs/default")], frozen=True)
+OutputConfig = make_dataclass("OutputConfig", [("dir", str, "runs/default")], frozen=True,
+                              namespace={"__post_init__": convert_fields})
 
 
 def load_config(path) -> dict:

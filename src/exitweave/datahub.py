@@ -33,7 +33,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
 from .numkit import RngStream, require_finite
 from .serial import (
-    DATASET_FORMAT, decode_array, encode_array, read_bytes, read_config, read_doc, read_value, require_keys, write_doc,
+    DATASET_FORMAT, convert_fields, decode_array, encode_array, read_bytes, read_config, read_doc, read_value,
+    require_keys, write_doc,
 )
 
 
@@ -326,6 +327,7 @@ _FLOORS = {"classes": 2, "num_classes": 2, "dim": 1, "train_per_class": 1, "val_
 def _check_bounds(spec) -> None:
     """A section value no dataset can be built from raises ConfigError
     naming the key; `read_config` adds the file and the section."""
+    convert_fields(spec)
     for key, floor in _FLOORS.items():
         value = getattr(spec, key, floor)
         if not value >= floor:  # NaN fails too

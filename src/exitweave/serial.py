@@ -17,7 +17,9 @@ directory such writes will fill.
 Config sections (in run config files and in checkpoints) are read and
 written against the config dataclasses themselves: their fields give
 the allowed keys, their defaults fill missing ones, and their type
-annotations say how each value is converted.
+annotations say how each value is converted. Each config dataclass
+converts its own fields when it is constructed (`convert_fields`), so a
+config built in code is read by the same rule as a config file.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, fields
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -154,25 +157,26 @@ def config_doc(config) -> dict:
 
 def _convert(hint, value):
     origin = get_origin(hint)
-    if origin is tuple:
-        if not isinstance(value, list):  # a string or an object would read item by item
-            raise TypeError("expected a JSON list")
+    if origin is tuple:  # a string, bytes or a mapping would read item by item
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise TypeError("expected a list")
         return tuple(_convert(get_args(hint)[0], v) for v in value)
     if hint is bool:  # bool("false") is True, so only JSON true/false count
         if not isinstance(value, bool):
             raise TypeError("expected true or false")
         return value
-    if hint in (int, float) and isinstance(value, bool):
+    if hint in (int, float) and isinstance(value, (bool, np.bool_)):
         raise TypeError("not a number")  # int() and float() would read true as 1
-    if hint is int and isinstance(value, float) and not value.is_integer():
+    if hint is int and isinstance(value, (float, np.floating)) and not float(value).is_integer():
         raise ValueError("not a whole number")  # int() would read 2.9 as 2
     if hint is float and not math.isfinite(float(value)):  # json reads NaN and Infinity
         raise ValueError("not a finite number")
     if origin is None:  # a plain class such as int
         return hint(value)
-    # a union such as str | None: keep a value of a member type, else convert to the first
+    # a union such as str | None: convert by the member whose type value has, else by the first
     args = get_args(hint)
-    return value if isinstance(value, tuple(get_origin(a) or a for a in args)) else _convert(args[0], value)
+    member = next((a for a in args if isinstance(value, get_origin(a) or a)), args[0])
+    return value if member is type(None) else _convert(member, value)
 
 
 def require_keys(doc: dict, keys, where: str, error) -> None:
@@ -183,7 +187,7 @@ def require_keys(doc: dict, keys, where: str, error) -> None:
 
 
 def read_value(hint, value, where: str, error=ConfigError):
-    """value converted to type hint as `read_config` converts a field;
+    """value converted to type hint as `convert_fields` converts a field;
     a value that does not convert raises `error` naming where."""
     try:
         return _convert(hint, value)
@@ -192,19 +196,34 @@ def read_value(hint, value, where: str, error=ConfigError):
         raise error(f"{where}: cannot read {value!r} as {kind}") from exc
 
 
+_field_hints = cache(get_type_hints)  # a config class's annotations, resolved once
+
+
+def convert_fields(config) -> None:
+    """Convert each field of config dataclass config in place by its
+    annotation: the one rule for a config value, from a file or from
+    code, that every config dataclass applies first in `__post_init__`.
+    Values convert as int(), float() and str() do, a tuple item by item
+    from a list, tuple or array, except that a number field takes no
+    boolean, an int field no fraction, a float field no NaN or infinity
+    and a bool field only true or false; a union field converts by the
+    member type the value has. A value that does not convert raises
+    ConfigError naming the field."""
+    hints = _field_hints(type(config))
+    for f in fields(config):
+        object.__setattr__(config, f.name, read_value(hints[f.name], getattr(config, f.name), f.name))
+
+
 def read_config(cls, doc, where: str, error=ConfigError, *, fill: bool = True, **given):
-    """Build config dataclass cls from the JSON section doc.
+    """Build config dataclass cls, which converts the values itself
+    (`convert_fields`), from the JSON section doc.
 
     Keyword arguments supply fields derived elsewhere, which doc may
     state only as their given values. With fill, a missing key takes its
-    field's default if it has one; other missing keys are errors. Values
-    convert to their field's type as int(), float() and str() do, a tuple
-    from a JSON list item by item, except that a number field takes no
-    boolean, an int field no fractional number, a float field no NaN or
-    infinity, and a bool field only true or false; a union field keeps a
-    value of one of its types. A bad key, a value that does not convert
-    or that differs from its given value, or one the dataclass rejects
-    raises `error` naming where and the key (and both values if given).
+    field's default if it has one; other missing keys are errors. A bad
+    key, a value that does not convert or that differs from its given
+    value, or one the dataclass rejects raises `error` naming where and
+    the key (and both values if given).
     """
     if not isinstance(doc, dict):
         raise error(f"{where}: expected a JSON object")
@@ -214,13 +233,11 @@ def read_config(cls, doc, where: str, error=ConfigError, *, fill: bool = True, *
         raise error(f"{where}: unknown key(s): {', '.join(unknown)}")
     optional = {*given, *(f.name for f in fields(cls) if fill and f.default is not MISSING)}
     require_keys(doc, [name for name in names if name not in optional], where, error)
-    hints = get_type_hints(cls)
-    values = dict(given)
-    for name, value in doc.items():
-        values[name] = read_value(hints[name], value, f"{where}: {name}", error)
-        if name in given and values[name] != given[name]:
-            raise error(f"{where}: {name}: must equal the derived value {given[name]!r}, got {value!r}")
     try:
-        return cls(**values)
+        config = cls(**{**given, **doc})
     except ConfigError as exc:
         raise error(f"{where}: {exc}") from exc
+    for name in given:
+        if name in doc and getattr(config, name) != given[name]:
+            raise error(f"{where}: {name}: must equal the derived value {given[name]!r}, got {doc[name]!r}")
+    return config

@@ -37,7 +37,6 @@ first scatter-budget (loss, weight, claimed) points.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,13 +55,13 @@ from .backbone import (
     per_sample_grad_dots,
     require_fit,
     sgd_step,
-    whole_fields,
 )
 from .datahub import Dataset, make_batches
 from .errors import CompatibilityError, ConfigError, ExitweaveError, NumericError, TrainingError
 from .evaluate import score_anytime, score_sweep
 from .exitpolicy import AllocationResult, allocate_meta
 from .numkit import RngStream, require_finite
+from .serial import convert_fields
 from .wpn import (
     AdamState,
     WpnConfig,
@@ -119,7 +118,7 @@ class TrainConfig:
     scatter_cap: int = 0
 
     def __post_init__(self) -> None:
-        whole_fields(self, "epochs", "batch_size", "interval", "seed", "scatter_cap")
+        convert_fields(self)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
@@ -138,15 +137,11 @@ class TrainConfig:
             raise ConfigError(f"lr_schedule must be one of {LR_SCHEDULES}, got {self.lr_schedule!r}")
         if self.variant not in VARIANT_NAMES:
             raise ConfigError(f"variant must be one of {VARIANT_NAMES}, got {self.variant!r}")
-        row = self.exit_weights
-        if row is not None and (isinstance(row, (str, bytes)) or not all(isinstance(v, numbers.Real) for v in row)):
-            raise ConfigError(f"exit_weights must be a sequence of numbers, got {row!r}")
-        row = None if row is None else tuple(map(float, row))
-        object.__setattr__(self, "exit_weights", row)
         for variant, name in (("frozen_wpn", "frozen_wpn_path"), ("fixed", "exit_weights")):
             if (self.variant == variant) != (getattr(self, name) not in (None, "")):  # "" is missing
                 raise ConfigError(f"variant {variant!r} requires {name}" if self.variant == variant
                                   else f"{name} applies only to variant {variant!r}, not {self.variant!r}")
+        row = self.exit_weights
         if row is not None and not (row and abs(sum(row) / len(row) - 1.0) <= 1e-12):  # NaN and inf fail too
             raise ConfigError(f"exit_weights must be finite with mean 1 (within 1e-12), got {list(row)}")
         if self.scatter_cap < 0:

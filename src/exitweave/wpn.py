@@ -39,9 +39,10 @@ from functools import cache
 
 import numpy as np
 
-from .backbone import FlatParams, LayerPass, _tops_grad, head_forward, relu_forward, whole_fields
+from .backbone import FlatParams, LayerPass, _tops_grad, head_forward, relu_forward
 from .errors import ConfigError, ShapeError
 from .numkit import RngStream, require_finite, sigmoid_stable
+from .serial import convert_fields
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
 
@@ -60,7 +61,7 @@ class WpnConfig:
     delta: float = 0.8
 
     def __post_init__(self) -> None:
-        whole_fields(self, "num_exits", "hidden_width", "hidden_depth")
+        convert_fields(self)
         if self.num_exits < 1:
             raise ConfigError(f"num_exits must be >= 1, got {self.num_exits}")
         if self.hidden_width < 1 or self.hidden_depth < 1:

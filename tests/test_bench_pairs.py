@@ -1,14 +1,17 @@
-"""The claim rule of the pair-comparison tool, on synthetic pairs.
+"""The claim rule and the no-regression verdicts of the pair-comparison
+tool, on synthetic pairs.
 
 `tools/bench_pairs.py` turns alternating runs of two checkouts into a
-verdict on a claimed gain. No benchmark runs here: each case builds the
+verdict on a claimed gain, and one per bounded metric on a regression. No benchmark runs here: each case builds the
 per-run figures the tool reads from a report and checks the verdict.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
 METRIC = "op_cost_p50"
 
 
@@ -81,3 +84,48 @@ def test_more_failed_operations_is_not_met():
     assert result["failed_share"]["change"] < result["failed_share"]["parent"]
     assert not result["met"]
     assert verdict(PARENT, change, parent_failed=1, change_failed=1, change_attempted=300)["met"]
+
+
+def regression_verdict(parent: list[float], change: list[float], metric: str = METRIC) -> str:
+    tool = load_tool()
+    pairs = [{"parent": side(1.0), "change": side(1.0)} for _ in parent]
+    for pair, old, new in zip(pairs, parent, change, strict=True):
+        pair["parent"][metric], pair["change"][metric] = old, new
+    return tool.summarize(pairs)[metric]["verdict"]
+
+
+def test_bounds_are_the_benchmark_files():
+    bounds = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert load_tool().bounds() == bounds and METRIC in bounds
+
+
+def test_a_median_worse_by_more_than_the_bound_regressed():
+    # bound 0.2 of the parent's median 1.045 is 0.209
+    assert regression_verdict(PARENT, [p + 0.25 for p in PARENT]) == "regressed"
+    assert regression_verdict(PARENT, [p + 0.20 for p in PARENT]) == "within_bound"
+    assert regression_verdict(PARENT, PARENT) == "within_bound"
+
+
+def test_a_higher_is_better_metric_regresses_downwards():
+    parent = [0.90] * 10
+    assert regression_verdict(parent, [0.70] * 10, "quality_acc") == "regressed"  # bound 0.15: 0.135
+    assert regression_verdict(parent, [0.80] * 10, "quality_acc") == "within_bound"
+    assert regression_verdict(parent, [1.20] * 10, "quality_acc") == "within_bound"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    wide = [0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.3, 1.4]  # median 1.0, IQR 0.375 > 0.2
+    assert regression_verdict(wide, wide) == "unresolved"
+    assert regression_verdict(wide, [0.55] * 9 + [1.0]) == "unresolved"
+    # unless every change run beats every parent run
+    assert regression_verdict(wide, [0.55] * 10) == "within_bound"
+    # a median worse by more than the bound is a regression however wide the spread
+    assert regression_verdict(wide, [w + 0.3 for w in wide]) == "regressed"
+
+
+def test_only_bounded_metrics_get_a_verdict():
+    tool = load_tool()
+    summary = tool.summarize([{"parent": side(1.0), "change": side(1.0)}] * 3)
+    assert {m for m in tool.METRICS if "verdict" in summary[m]} == set(tool.bounds())
+    assert "verdict" not in summary["op_ms_p50"]
+    assert summary[METRIC]["bound"] == tool.bounds()[METRIC]

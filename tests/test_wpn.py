@@ -66,15 +66,6 @@ class TestConfig:
             WpnConfig(2, delta=-0.1)
         WpnConfig(2, delta=0.0)  # degenerate all-ones case is legal
 
-    @pytest.mark.parametrize("field, kwargs", [("num_exits", {"num_exits": 2.5}),
-                                               ("hidden_width", {"hidden_width": 8.5}),
-                                               ("hidden_width", {"hidden_width": "8"}),
-                                               ("hidden_depth", {"hidden_depth": None})],
-                             ids=["fraction-exits", "fraction-width", "str-width", "none-depth"])
-    def test_refuses_counts_that_are_not_whole_numbers(self, field, kwargs):
-        with pytest.raises(ConfigError, match=f"^{field} must be a whole number, got "):
-            WpnConfig(**{"num_exits": 2, **kwargs})
-
     def test_whole_counts_become_ints(self):
         config = WpnConfig(np.int64(2), hidden_width=8.0)
         assert (config.num_exits, config.hidden_width) == (2, 8)

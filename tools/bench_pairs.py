@@ -19,7 +19,8 @@ digest of both sides is compared pair by pair. With --claim, it also
 says whether the change won at least 9 of 10 pairs on that metric with
 a median gap wider than the parent's interquartile range, while failing
 no more operations than the parent, neither in count nor as a share of
-those it attempted. The file is
+those it attempted. Every metric BENCHMARK.json bounds
+gets a no-regression verdict (`bound_verdict`). The file is
 rewritten after every pair, so an interrupted comparison keeps what it
 measured.
 """
@@ -30,6 +31,7 @@ import argparse
 import json
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,29 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4), "iqr": round(q3 - q1, 4)}
 
 
+@cache
+def bounds() -> dict:
+    """metric -> its end-to-end bound in BENCHMARK.json, a fraction of the parent's median."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
+
+
+def bound_verdict(old: list[float], new: list[float], better: str, bound: float) -> str:
+    """`regressed` if the change's median is worse than the parent's by
+    more than bound times the parent's median; else `unresolved` if the
+    parent's IQR is wider than that and not every change run beats every
+    parent run; else `within_bound`."""
+    sign = 1.0 if better == "higher" else -1.0
+    old, new = sign * np.asarray(old, dtype=float), sign * np.asarray(new, dtype=float)
+    limit = bound * abs(float(np.median(old)))
+    if float(np.median(old) - np.median(new)) > limit:
+        return "regressed"
+    q1, q3 = np.percentile(old, [25, 75])
+    if q3 - q1 > limit and not new.min() > old.max():
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(pairs: list[dict]) -> dict:
     summary = {}
     for metric, better in METRICS.items():
@@ -83,6 +108,9 @@ def summarize(pairs: list[dict]) -> dict:
             "ties": sum(a == b for a, b in zip(old, new)),
             "pairs": len(pairs),
         }
+        if metric in bounds():
+            summary[metric]["bound"] = bounds()[metric]
+            summary[metric]["verdict"] = bound_verdict(old, new, better, bounds()[metric])
     summary["failed_ops"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     summary["attempted_ops"] = {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES}
     summary["identical_digests"] = sum(p["parent"]["digest"] == p["change"]["digest"] for p in pairs)
