@@ -13,8 +13,9 @@ then all heads in order; weight before bias within a layer), reached
 through per-layer `Affine` views (`FlatParams`). The weight network
 keeps its parameters the same way, as ReLU `blocks` plus linear `heads`
 (a one-exit trunk): the layout rule, the dense ReLU forward pass
-(`relu_forward`, whose matmul, bias and ReLU run in place in one new
-array per layer), the head pass (`head_forward`), the pass record
+(`relu_forward`, whose matmul, bias and ReLU run in place in one array
+per layer, new or the caller's), the head pass (`head_forward`, each
+head as soon as its block's output arrives), the pass record
 (`LayerPass`) and the reverse sweep are defined once, here. A pass
 keeps only each layer's output: the reverse sweep reads the ReLU mask
 from it, since max(z, 0) > 0 exactly where z > 0.
@@ -31,12 +32,16 @@ Gradients here are hand-derived reverse-mode passes, not autodiff. They
 start from a `ForwardPass` (`forward_pass`): the exit outputs, the
 (K, B, C) logit errors and the trunk activations at one parameter
 point, so every gradient at that point reuses one trunk pass. One pass
-core (`_forward`) serves both forward functions: the trunk, the heads,
-then one `softmax_lse` pass over all exits, with the confidence read at
-the prediction. `forward_all` returns only what scoring reads, the
-(B, K) `ExitOutputs`: it runs a batch (an evaluation split) through the
-core as cache-sized row blocks and keeps only each block's outputs,
-bitwise those of one whole-batch pass. Both check their inputs once, as
+core (`_forward`) serves both forward functions: the trunk with each
+head right after its block, then one `softmax_lse` pass over all exits,
+in place over the logits, with the confidence read at the prediction.
+It writes arrays its caller owns. `forward_all` returns only what
+scoring reads, the (B, K) `ExitOutputs`: it runs a batch (an evaluation
+split) through the core as cache-sized row blocks, on two threads at
+most, each with one workspace for the call (two alternating activation
+buffers and one block's logits), and each block writes its rows of the
+outputs in place. The outputs are bitwise those of one whole-batch pass,
+whatever the number of threads. Both check their inputs once, as
 a `datahub.Dataset`, the one check of a dataset's contents, that fits
 the model (`require_fit`). `_forward_pass` is `forward_pass` on a batch
 already checked: training checks each mini-batch once
@@ -57,6 +62,9 @@ and the benchmark tracer call (`gradcheck` audits the sweep above).
 
 from __future__ import annotations
 
+import os
+import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -69,6 +77,10 @@ from .serial import convert_fields
 
 # forward_all splits larger batches into row blocks of at most this many rows
 FORWARD_BLOCK_ROWS = 1024
+# and runs them on at most this many threads, the caller's among them: two
+# workspaces (two activation buffers and one block's logits each) fit in the
+# memory of one block's whole trunk, logits and probabilities
+FORWARD_WORKERS = min(2, os.cpu_count() or 1)
 
 
 # -- dense ReLU layers over one flat float64 buffer, shared with the weight network
@@ -165,19 +177,24 @@ class FlatParams:
         return type(self).from_flat(self.config, self.buffer)
 
 
-def relu_forward(layers: list[Affine], x: np.ndarray) -> list[np.ndarray]:
+def relu_forward(layers: list[Affine], x: np.ndarray, outs: list[np.ndarray] | None = None) -> Iterator[np.ndarray]:
     """Pass x through affine layers, each followed by a ReLU.
 
-    Returns hs: hs[j] is the input of layer j (hs[0] is x) and hs[-1]
-    the last output, one new array per layer, in which the matmul, the
-    bias and the ReLU run in place.
+    Yields hs: hs[j] is the input of layer j (hs[0] is x) and hs[-1]
+    the last output. Layer j's matmul writes outs[j], a C-contiguous
+    (rows, out) array, or a new array when outs is None; its bias and
+    ReLU run in place there. A layer runs only when its output is asked
+    for, so a caller may read each output before the next layer runs,
+    and outs may repeat a buffer: two that alternate hold every output
+    a head reads right after its block. `list(relu_forward(...))` keeps
+    them all.
     """
-    hs = [x]
-    for layer in layers:
-        h = np.matmul(hs[-1], layer.weight.T)
+    h = x
+    yield h
+    for j, layer in enumerate(layers):
+        h = np.matmul(h, layer.weight.T, out=None if outs is None else outs[j])
         h += layer.bias  # rounds as `+` does
-        hs.append(np.maximum(h, 0.0, out=h))
-    return hs
+        yield np.maximum(h, 0.0, out=h)
 
 
 @dataclass
@@ -273,6 +290,12 @@ class ExitOutputs:
     predictions: np.ndarray
     labels: np.ndarray
 
+    @classmethod
+    def empty(cls, labels: np.ndarray, num_exits: int) -> "ExitOutputs":
+        """Unwritten (B, K) outputs for a batch with these labels."""
+        shape = (labels.shape[0], num_exits)
+        return cls(np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp), labels)
+
     @property
     def batch_size(self) -> int:
         return self.losses.shape[0]
@@ -316,43 +339,57 @@ class ForwardPass(LayerPass):
     logit_errors: np.ndarray
 
 
-def head_forward(params: FlatParams, hs: list[np.ndarray]) -> np.ndarray:
+def head_forward(params: FlatParams, hs: Iterable[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """Every head's output, (heads, B, out): head k reads hs[f + k + 1],
-    f = len(blocks) - len(heads). Each head's matmul writes its own
-    slot, and its bias is added in place (rounds as `+` does)."""
-    f = len(params.blocks) - len(params.heads)
-    out = np.empty((len(params.heads), hs[0].shape[0], params.heads[0].weight.shape[0]))
-    for k, head in enumerate(params.heads):
-        np.matmul(hs[f + k + 1], head.weight.T, out=out[k])
-        out[k] += head.bias
+    f = len(blocks) - len(heads). hs may be a `relu_forward` generator:
+    each head runs as soon as its block's output arrives. Each head's
+    matmul writes its own slot of out (a new array when out is None),
+    and its bias is added in place (rounds as `+` does)."""
+    heads = params.heads
+    f = len(params.blocks) - len(heads)
+    for j, h in enumerate(hs):
+        if out is None:
+            out = np.empty((len(heads), h.shape[0], heads[0].weight.shape[0]))
+        if j > f:
+            head = heads[j - f - 1]
+            np.matmul(h, head.weight.T, out=out[j - f - 1])
+            out[j - f - 1] += head.bias
     return out
 
 
-def _forward(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> tuple[list, ExitOutputs, np.ndarray]:
-    """The one forward pass, on a validated batch: the trunk, the heads,
-    one `softmax_lse` pass over all exits and the confidence read at the
-    prediction. Returns hs, the outputs and the (K, B, C) softmax."""
-    hs = relu_forward(params.blocks, batch)
-    logits = head_forward(params, hs)
+def _forward(params: BackboneParams, batch: np.ndarray, out: ExitOutputs, acts: list[np.ndarray],
+             logits: np.ndarray) -> None:
+    """The one forward pass, on a validated batch: the trunk, each head
+    right after its block, one `softmax_lse` pass over all exits and the
+    confidence read at the prediction.
+
+    Block j's output goes to acts[j] (`relu_forward`'s outs), the
+    (K, B, C) logits to logits, where the softmax then overwrites them,
+    and the scores to out, (B, K) arrays or views of them whose labels
+    are the batch's.
+    """
+    head_forward(params, relu_forward(params.blocks, batch, acts), logits)
     k_exits, b, c = logits.shape
-    probs, lse = softmax_lse(logits.reshape(k_exits * b, c))
-    probs = probs.reshape(k_exits, b, c)
-    shape = (b, k_exits)
-    out = ExitOutputs(np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp), labels)
     # (K, 1) exits by (B,) rows, written through (K, B) views of the C-contiguous (B, K) outputs
     exits, rows = np.arange(k_exits)[:, None], np.arange(b)
-    np.subtract(lse.reshape(k_exits, b), logits[exits, rows, labels], out=out.losses.T)
-    probs.argmax(axis=2, out=out.predictions.T)
-    out.confidences.T[...] = probs[exits, rows, out.predictions.T]
-    return hs, out, probs
+    picked = logits[exits, rows, out.labels]  # read before the softmax overwrites the logits
+    flat = logits.reshape(k_exits * b, c)
+    _, lse = softmax_lse(flat, out=flat)
+    np.subtract(lse.reshape(k_exits, b), picked, out=out.losses.T)
+    logits.argmax(axis=2, out=out.predictions.T)
+    out.confidences.T[...] = logits[exits, rows, out.predictions.T]
 
 
 def _forward_pass(params: BackboneParams, batch: np.ndarray, labels: np.ndarray) -> ForwardPass:
     """`forward_pass` on a batch `_validate_batch` already checked. The
     probabilities turn into the logit errors in place."""
-    hs, outputs, errors = _forward(params, batch, labels)
-    errors[:, np.arange(labels.shape[0]), labels] -= 1.0
-    return ForwardPass(params, hs, outputs, errors)
+    config, b = params.config, labels.shape[0]
+    acts = [np.empty((b, w)) for w in config.trunk_widths]
+    errors = np.empty((config.num_exits, b, config.num_classes))
+    outputs = ExitOutputs.empty(labels, config.num_exits)
+    _forward(params, batch, outputs, acts, errors)
+    errors[:, np.arange(b), labels] -= 1.0
+    return ForwardPass(params, [batch, *acts], outputs, errors)
 
 
 def forward_pass(params: BackboneParams, batch, labels) -> ForwardPass:
@@ -366,20 +403,62 @@ def forward_all(params: BackboneParams, batch, labels) -> ExitOutputs:
     """Evaluate every exit on a batch, keeping no probabilities or activations.
 
     The batch is validated once, then runs through `_forward` as
-    ceil(n / FORWARD_BLOCK_ROWS) near-equal row blocks, each dropped
-    once its (rows, K) outputs are copied into the (n, K) outputs, so no
-    array grows with n times the class count. The outputs are bitwise
-    those of one whole-batch `forward_pass`. A matmul over a few rows
-    may take another BLAS kernel and round differently, so the blocks
-    are split as np.array_split splits: each holds more than
-    FORWARD_BLOCK_ROWS / 2 rows, never a sliver left over.
+    ceil(n / FORWARD_BLOCK_ROWS) near-equal row blocks, each writing its
+    rows of the (n, K) outputs in place, so no array grows with n times
+    the class count. The outputs are bitwise those of one whole-batch
+    `forward_pass`. A matmul over a few rows may take another BLAS
+    kernel and round differently, so the blocks are split as
+    np.array_split splits: each holds more than FORWARD_BLOCK_ROWS / 2
+    rows, never a sliver left over.
+
+    The blocks run on w = min(FORWARD_WORKERS, blocks) workers: the
+    calling thread takes blocks 0, w, 2w, ... and helper threads,
+    started and joined here, the others. numpy's matmuls release the
+    interpreter lock, so two workers use two cores. Each worker owns
+    one workspace for the whole call, allocated before any block runs:
+    two activation buffers that its blocks' layers write in turn, and
+    one (K, rows, C) buffer for the logits. A block is never split
+    further, so the outputs do not depend on the number of workers.
+    Once every worker has stopped, the error of the earliest block that
+    failed is raised, the one a serial run raises.
     """
     batch, labels = _validate_batch(params.config, batch, labels)
-    blocks = -(-batch.shape[0] // FORWARD_BLOCK_ROWS)
-    parts = [_forward(params, x, y)[1]
-             for x, y in zip(np.array_split(batch, blocks), np.array_split(labels, blocks))]
-    scores = ("losses", "confidences", "predictions")
-    return ExitOutputs(*(np.concatenate([getattr(part, name) for part in parts]) for name in scores), labels)
+    config, n = params.config, labels.shape[0]
+    blocks = -(-n // FORWARD_BLOCK_ROWS)
+    size, extra = divmod(n, blocks)
+    edges = [j * size + min(j, extra) for j in range(blocks + 1)]  # np.array_split's partition
+    rows, widths = edges[1], config.trunk_widths  # the first block is the largest
+    k_exits, c = config.num_exits, config.num_classes
+    workers = min(FORWARD_WORKERS, blocks)
+    spaces = [([np.empty(rows * max(widths[p::2], default=0)) for p in (0, 1)], np.empty(k_exits * rows * c))
+              for _ in range(workers)]  # per worker: the activation pair and the logits
+    out = ExitOutputs.empty(labels, k_exits)
+    failed = {}  # block -> the error it raised; each worker stops at its first
+
+    def run(worker: int) -> None:
+        buffers, logits = spaces[worker]
+        for j in range(worker, blocks, workers):
+            lo, hi = edges[j], edges[j + 1]
+            r = hi - lo
+            acts = [buffers[i % 2][: r * w].reshape(r, w) for i, w in enumerate(widths)]
+            part = ExitOutputs(out.losses[lo:hi], out.confidences[lo:hi], out.predictions[lo:hi], labels[lo:hi])
+            try:
+                _forward(params, batch[lo:hi], part, acts, logits[: k_exits * r * c].reshape(k_exits, r, c))
+            except Exception as error:  # raised in the calling thread, below
+                failed[j] = error
+                return
+
+    helpers = [threading.Thread(target=run, args=(worker,)) for worker in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 def per_sample_grads(params: BackboneParams, batch, labels) -> np.ndarray:

@@ -127,14 +127,19 @@ def _greedy_subsets(orders: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
 
     Dropping claimed rows from a full-table order leaves the unclaimed
     rows in the order a stable sort of the remainder alone would give,
-    because the remainder keeps ascending index order. Nothing is
-    claimed before the first exit, which takes the head of its order.
+    because the remainder keeps ascending index order. Only the head of
+    each order is scanned: with n_claimed rows claimed, the first take
+    unclaimed rows lie within its first take + n_claimed positions, and
+    with none claimed they are those positions.
     """
     claimed = np.zeros(orders.shape[1], dtype=bool)
+    n_claimed = 0
     subsets = []
     for order, take in zip(orders, sizes[:-1]):
-        chosen = (order[~claimed[order]] if subsets else order)[: int(take)]
+        head = order[: int(take) + n_claimed]
+        chosen = head[~claimed[head]][: int(take)] if n_claimed else head
         claimed[chosen] = True
+        n_claimed += chosen.size
         subsets.append(chosen)
     subsets.append(np.flatnonzero(~claimed))
     return subsets

@@ -3,7 +3,8 @@
 All heavy math in this package runs on C-contiguous float64 ndarrays.
 The helpers here pin down the conventions the rest of the code relies on:
 explicit errors for non-finite values, an overflow-safe softmax and
-log-sum-exp in one pass (`softmax_lse`) and sigmoid, and a reproducible
+log-sum-exp in one pass (`softmax_lse`, in place when asked) and
+sigmoid, and a reproducible
 RNG tree (`RngStream`, numpy's PCG64 `Generator` plus labeled children)
 where every consumer draws from its own child stream.
 """
@@ -24,7 +25,7 @@ def require_finite(arr: np.ndarray, name: str = "array", error=NumericError) -> 
     return arr
 
 
-def softmax_lse(logits) -> tuple[np.ndarray, np.ndarray]:
+def softmax_lse(logits, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Softmax and log-sum-exp over the last axis of a 1-D row or 2-D batch.
 
     One row max m serves both halves: with e = exp(x - m) and
@@ -34,14 +35,20 @@ def softmax_lse(logits) -> tuple[np.ndarray, np.ndarray]:
     the argmax, x.max(-1) up to the sign of a zero max, which neither
     x - m nor the log-sum-exp depends on. The reductions call the ufunc
     methods directly, skipping numpy's Python-level wrappers.
+    The probabilities go to out, a float64 array of x's shape, when it
+    is given: out may be the logits themselves, which the softmax then
+    overwrites in place, bitwise as it writes a new array.
     """
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ShapeError(f"logits must be 1-D or 2-D, got ndim={x.ndim}")
+    if out is not None and out.shape != x.shape:
+        raise ShapeError(f"out has shape {out.shape}, the logits {x.shape}")
     require_finite(x, "logits")
     rows = x if x.ndim == 2 else x[None]  # a 1-D x as one row
     m = rows[np.arange(rows.shape[0]), rows.argmax(axis=1)][:, None]
-    e = np.subtract(rows, m)  # the one array of x's shape: exp and division run in place
+    # the one array of x's shape: exp and division run in place
+    e = np.subtract(rows, m, out=None if out is None else out.reshape(rows.shape))
     np.exp(e, out=e)
     s = np.add.reduce(e, axis=1, keepdims=True)
     e /= s

@@ -165,6 +165,11 @@ def _convert(hint, value):
         if not isinstance(value, bool):
             raise TypeError("expected true or false")
         return value
+    if hint is str:  # str() would read null as "None" and 8 as "8"
+        value = os.fspath(value) if isinstance(value, os.PathLike) else value
+        if not isinstance(value, str):
+            raise TypeError("expected a string or a path")
+        return str(value)
     if hint in (int, float) and isinstance(value, (bool, np.bool_)):
         raise TypeError("not a number")  # int() and float() would read true as 1
     if hint is int and isinstance(value, (float, np.floating)) and not float(value).is_integer():
@@ -203,10 +208,11 @@ def convert_fields(config) -> None:
     """Convert each field of config dataclass config in place by its
     annotation: the one rule for a config value, from a file or from
     code, that every config dataclass applies first in `__post_init__`.
-    Values convert as int(), float() and str() do, a tuple item by item
-    from a list, tuple or array, except that a number field takes no
-    boolean, an int field no fraction, a float field no NaN or infinity
-    and a bool field only true or false; a union field converts by the
+    Values convert as int() and float() do, a tuple item by item from a
+    list, tuple or array, except that a number field takes no boolean,
+    an int field no fraction, a float field no NaN or infinity and a
+    bool field only true or false; a str field takes only a string or a
+    path, which it stores as its string; a union field converts by the
     member type the value has. A value that does not convert raises
     ConfigError naming the field."""
     hints = _field_hints(type(config))

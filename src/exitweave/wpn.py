@@ -99,7 +99,7 @@ def wpn_forward(params: WpnParams, loss_matrix) -> tuple[np.ndarray, list[np.nda
             f"loss matrix shape {x.shape} does not match num_exits={params.config.num_exits}"
         )
     require_finite(x, "loss matrix")
-    hs = relu_forward(params.blocks, x)
+    hs = list(relu_forward(params.blocks, x))
     return head_forward(params, hs)[0], hs
 
 

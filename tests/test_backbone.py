@@ -12,6 +12,8 @@ the oracles independently.
 import ast
 import inspect
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from functools import cached_property
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import exitweave.backbone as backbone_module
 from exitweave.backbone import (
     FORWARD_BLOCK_ROWS,
     Affine,
@@ -482,6 +485,71 @@ class TestForwardAll:
         x[-1, 0] = np.nan
         with pytest.raises(NumericError):
             forward_all(params, x, y)
+
+
+def block_instance(n: int, seed: int):
+    """A 16x4, 8-class backbone and an n-row batch."""
+    config = BackboneConfig(16, (16,) * 4, 8)
+    root = RngStream(seed)
+    params = init_params(config, root.child("params"))
+    x = 3.0 * root.child("x").standard_normal((n, 16))
+    return params, x, root.child("y").integers(0, 8, n)
+
+
+class TestForwardWorkers:
+    """forward_all's row blocks run on up to FORWARD_WORKERS threads; the
+    outputs and errors must not depend on how many."""
+
+    @pytest.mark.parametrize("n", [1, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1, 2051,
+                                   3 * FORWARD_BLOCK_ROWS + 77, 10000])
+    def test_outputs_do_not_depend_on_the_worker_count(self, monkeypatch, n):
+        params, x, y = block_instance(n, n)
+        want = forward_pass(params, x, y).outputs
+        for workers in (2, 1):  # two even on a one-CPU machine
+            monkeypatch.setattr(backbone_module, "FORWARD_WORKERS", workers)
+            assert_same_outputs(forward_all(params, x, y), want)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_an_overflow_in_a_late_block_raises_the_serial_error(self, monkeypatch):
+        params, x, y = block_instance(4 * FORWARD_BLOCK_ROWS, 21)
+        params.blocks[0].weight[:] = 1e200
+        x[-5:] = 1e300  # finite inputs whose trunk overflows, in the last of four blocks only
+        forward_pass(params, x[:-5], y[:-5])  # the other rows raise nothing
+        raised = []
+        for workers in (1, 2):
+            monkeypatch.setattr(backbone_module, "FORWARD_WORKERS", workers)
+            before = threading.active_count()
+            with pytest.raises(NumericError) as info:
+                forward_all(params, x, y)
+            assert threading.active_count() == before
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] == (NumericError, "logits contains non-finite entries")
+
+    def test_two_callers_at_once_get_their_serial_results(self, monkeypatch):
+        monkeypatch.setattr(backbone_module, "FORWARD_WORKERS", 2)
+        cases = [block_instance(3 * FORWARD_BLOCK_ROWS + 77, 31), block_instance(2051, 32)]
+        want = [forward_all(*case) for case in cases]
+        got = [[] for _ in cases]
+
+        def call(i):
+            for _ in range(5):
+                got[i].append(forward_all(*cases[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for outs, expected in zip(got, want):
+            assert len(outs) == 5
+            for out in outs:
+                assert_same_outputs(out, expected)
 
 
 class TestForwardPass:

@@ -25,7 +25,7 @@ def load_tool():
 def side(cost: float, failed: int = 0) -> dict:
     """One run's figures as `figures` returns them."""
     return {"op_cost_p50": cost, "quality_acc": 0.9, "peak_rss_mb": 60.0, "setup_s": 0.2,
-            "op_ms_p50": 10.0 * cost, "attempted": 100, "failed": failed, "digest": "same"}
+            "op_ms_p50": 10.0 * cost, "ref_ms_p50": 10.0, "attempted": 100, "failed": failed, "digest": "same"}
 
 
 def verdict(parent: list[float], change: list[float], parent_failed=0, change_failed=0,
@@ -129,3 +129,21 @@ def test_only_bounded_metrics_get_a_verdict():
     assert {m for m in tool.METRICS if "verdict" in summary[m]} == set(tool.bounds())
     assert "verdict" not in summary["op_ms_p50"]
     assert summary[METRIC]["bound"] == tool.bounds()[METRIC]
+
+
+def test_the_yardstick_is_reported_beside_the_wall_time():
+    # a change whose operations take the same time while the yardstick
+    # runs 20 % slower reads as a 17 % lower op_cost_p50: the summary
+    # shows both, and judges neither the yardstick nor the wall time
+    tool = load_tool()
+    pairs = [{"parent": side(1.0), "change": side(1.0 / 1.2)} for _ in range(4)]
+    for pair, ref in zip(pairs, (10.0, 11.0, 12.0, 13.0)):
+        pair["parent"]["ref_ms_p50"], pair["change"]["ref_ms_p50"] = ref, 1.2 * ref
+        pair["change"]["op_ms_p50"] = pair["parent"]["op_ms_p50"]
+    summary = tool.summarize(pairs)
+    assert list(summary).index("ref_ms_p50") == list(summary).index("op_ms_p50") + 1
+    row = summary["ref_ms_p50"]
+    assert row["parent"] == {"median": 11.5, "q1": 10.75, "q3": 12.25, "iqr": 1.5}
+    assert row["change"]["median"] == 13.8 and row["pairs"] == 4
+    assert "verdict" not in row and "change_better_pairs" not in row
+    assert summary["op_ms_p50"]["ties"] == 4 and summary["op_cost_p50"]["change_better_pairs"] == 4

@@ -268,8 +268,9 @@ class TestAllocateMeta:
 
 
 class TestGreedySubsets:
-    """The first exit takes the head of its order unfiltered: bitwise the
-    claimed-mask filter's subsets, which claim nothing before it."""
+    """Each exit scans only the head of its order that can hold its
+    quota: bitwise the subsets of the claimed-mask filter over the whole
+    order."""
 
     @staticmethod
     def filtered(orders, sizes):
@@ -300,6 +301,16 @@ class TestGreedySubsets:
         assert len(got) == len(want) == k
         for g, w, size in zip(got, want, sizes, strict=True):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes() and g.size == size
+
+    @settings(max_examples=150, deadline=None)
+    @given(conf=tied_tables(), q=st.sampled_from([0.05, 0.3, 0.5, 0.75, 1.0, 2.0]))
+    def test_tied_tables_match_the_full_scan(self, conf, q):
+        orders = _exit_orders(conf)
+        sizes = allocation_sizes(q, conf.shape[1], conf.shape[0])
+        got, want = _greedy_subsets(orders, sizes), self.filtered(orders, sizes)
+        assert len(got) == len(want) == conf.shape[1]
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestSortOnce:

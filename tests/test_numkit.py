@@ -96,6 +96,22 @@ class TestSoftmax:
             assert probs.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
             assert lse.tobytes() == (m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))).tobytes()
 
+    def test_in_place_matches_a_new_array(self):
+        # out=x overwrites the logits with bitwise the probabilities a new
+        # array receives, and the log-sum-exp is the same
+        for c in (2, 3, 100):
+            far = np.full((1, c), -800.0)  # entries whose exp underflows to 0.0
+            far[0, 0] = 5.0
+            batch = np.vstack([self.edge_rows(c), far])
+            for x in (batch, *batch):  # 2-D, then each row 1-D
+                probs, lse = softmax_lse(x)
+                inplace = x.copy()
+                got, got_lse = softmax_lse(inplace, out=inplace)
+                assert np.shares_memory(got, inplace)
+                assert inplace.tobytes() == probs.tobytes() and got_lse.tobytes() == lse.tobytes()
+        with pytest.raises(ShapeError):
+            softmax_lse(np.zeros((2, 3)), out=np.zeros((3, 2)))
+
     def test_entries_far_below_the_max_underflow_to_zero(self):
         # exp(-805) is below the smallest subnormal: the entry is exactly
         # 0.0 while the row's log-sum-exp stays finite

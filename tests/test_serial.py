@@ -114,9 +114,9 @@ R = REFUSED
 READS = {
     "int": (R, R, 8, 8, 8, R, R, R, R),
     "float": (R, 2.5, 8.0, 8.0, 8.0, R, R, R, R),
-    "str": ("True", "2.5", "8.0", "8", "8", "x", "None", "nan", "inf"),
-    "str | None": ("True", "2.5", "8.0", "8", "8", "x", None, "nan", "inf"),
-    "str | list": ("True", "2.5", "8.0", "8", "8", "x", "None", "nan", "inf"),
+    "str": (R, R, R, R, "8", "x", R, R, R),
+    "str | None": (R, R, R, R, "8", "x", None, R, R),
+    "str | list": (R, R, R, R, "8", "x", R, R, R),
     "tuple[int, ...]": (R,) * 9 + ((1, 1), (1, 1), (1, 1), R, R),
     "tuple[float, ...] | None": (R,) * 6 + (None, R, R) + ((1.0, 1.0), (1.0, 1.0), (1.0, 1.0), R, R),
 }
@@ -166,6 +166,24 @@ def test_a_config_built_in_code_reads_each_value_as_a_file_does(cls, f):
             assert stored == expected and type(stored) is type(expected), (value, stored)
             if isinstance(stored, tuple):
                 assert [type(v) for v in stored] == [type(v) for v in expected], (value, stored)
+
+
+class BytesPath:
+    """A path object whose path is bytes."""
+
+    def __fspath__(self):
+        return b"runs"
+
+
+def test_a_str_field_takes_a_path_as_its_string_and_nothing_else():
+    stored = OutputConfig(dir=Path("runs") / "a").dir
+    assert stored == str(Path("runs") / "a") and type(stored) is str
+    assert read_value(str | None, Path("b"), "train.frozen_wpn_path") == "b"
+    for value in (None, 8, True, b"runs", BytesPath()):
+        with pytest.raises(ConfigError, match=re.escape(f"dir: cannot read {value!r} as str")):
+            OutputConfig(dir=value)
+    with pytest.raises(ConfigError, match=re.escape("run.json: output: dir: cannot read None as str")):
+        read_config(OutputConfig, {"dir": None}, "run.json: output")
 
 
 def src_uses(names: set[str]) -> list[str]:

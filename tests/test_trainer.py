@@ -831,9 +831,9 @@ class TestPassSharing:
         calls = []
         real = backbone_module.relu_forward
 
-        def counting(layers, batch):
+        def counting(layers, batch, outs=None):
             calls.append(batch.shape[0])
-            return real(layers, batch)
+            return real(layers, batch, outs)
 
         monkeypatch.setattr(backbone_module, "relu_forward", counting)
         record = train_step(state, x, y, cfg, alpha_t=cfg.alpha)

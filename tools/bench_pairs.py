@@ -14,7 +14,8 @@ come from the report that perfbench writes under the checkout's
 
 The output holds the environment, both sides' source digests, every
 pair, and per workload and metric the median and quartiles of each
-side, the pairs the change wins and the ties. The parameter or sweep
+side, the pairs the change wins and the ties, and the median and
+quartiles of the yardstick's time (`ref_ms_p50`). The parameter or sweep
 digest of both sides is compared pair by pair. With --claim, it also
 says whether the change won at least 9 of 10 pairs on that metric with
 a median gap wider than the parent's interquartile range, while failing
@@ -39,6 +40,8 @@ import numpy as np
 # metric -> the direction that is better; the four bounded ones of BENCHMARK.json, then wall time
 METRICS = {"op_cost_p50": "lower", "quality_acc": "higher", "peak_rss_mb": "lower",
            "setup_s": "lower", "op_ms_p50": "lower"}
+# the yardstick's time, which op_cost_p50 divides each operation's time by: reported, never judged
+YARDSTICK = "ref_ms_p50"
 SIDES = ("parent", "change")
 CLAIM_RULE = ("change wins at least 9 of 10 pairs, the median gap exceeds the parent's IQR, "
               "and the change fails no more operations than the parent, in count and in share")
@@ -111,6 +114,9 @@ def summarize(pairs: list[dict]) -> dict:
         if metric in bounds():
             summary[metric]["bound"] = bounds()[metric]
             summary[metric]["verdict"] = bound_verdict(old, new, better, bounds()[metric])
+    # beside op_ms_p50, so that a shift of the yardstick shows next to an op_cost_p50 claim
+    summary[YARDSTICK] = {side: quartiles([p[side][YARDSTICK] for p in pairs]) for side in SIDES}
+    summary[YARDSTICK]["pairs"] = len(pairs)
     summary["failed_ops"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     summary["attempted_ops"] = {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES}
     summary["identical_digests"] = sum(p["parent"]["digest"] == p["change"]["digest"] for p in pairs)
