@@ -7,7 +7,8 @@ enough to evaluate or inspect a finished run, and where a `frozen_wpn`
 run reads its weight network. `serial` writes and checks its header
 (format `exitweave-run`). A load requires every key the writer writes:
 the five top-level keys, the four optimizer keys and every field of
-each config, as `config_doc` writes them. Loads also check that the
+each config, as `config_doc` writes them, with the three Adam keys all
+null or all set and no negative counter. Loads also check that the
 flat vectors match the parameter counts their configs imply, raising
 CompatibilityError rather than producing silently misshapen models.
 """
@@ -73,17 +74,25 @@ def load_run_checkpoint(path) -> tuple[TrainState, TrainConfig]:
     velocity = None if opt["velocity"] is None else decode_array(opt["velocity"], f"{path}: optimizer.velocity")
     if velocity is not None and velocity.shape != (backbone.num_params,):
         raise CompatibilityError(f"{path}: momentum buffer does not match parameter count")
-    if wpn_params is None and any(opt[key] is not None for key in ("adam_m", "adam_v", "adam_step")):
+    adam_keys = ("adam_m", "adam_v", "adam_step")
+    null = [key for key in adam_keys if opt[key] is None]
+    if wpn_params is None and len(null) < len(adam_keys):
         raise CompatibilityError(f"{path}: optimizer: Adam state in a run checkpoint with no weight network")
+    if 0 < len(null) < len(adam_keys):  # the writer sets all three or none
+        raise FormatError(f"{path}: optimizer: {', '.join(null)} null while the other Adam keys are set")
     adam = None
-    if opt["adam_m"] is not None:
+    if not null:
         adam = AdamState(
             decode_array(opt["adam_m"], f"{path}: optimizer.adam_m"),
             decode_array(opt["adam_v"], f"{path}: optimizer.adam_v"),
             read_value(int, opt["adam_step"], f"{path}: optimizer.adam_step", FormatError),
         )
+        if adam.step < 0:
+            raise FormatError(f"{path}: optimizer.adam_step: must be >= 0, got {adam.step}")
         if wpn_params is not None and not adam.m.shape == adam.v.shape == (wpn_params.num_params,):
             raise CompatibilityError(f"{path}: Adam buffers do not match weight-network size")
     iteration = read_value(int, doc["iteration"], f"{path}: iteration", FormatError)
+    if iteration < 0:
+        raise FormatError(f"{path}: iteration: must be >= 0, got {iteration}")
     state = TrainState(backbone=backbone, wpn=wpn_params, velocity=velocity, adam=adam, iteration=iteration)
     return state, train_config

@@ -165,7 +165,7 @@ def run_suites(
     wpn_pass = wpn_weights(state.wpn, tr_losses)
     weights = wpn_pass.weights
     # analytic side of suite 2, and suite 4's dL/dw: the chain the trainer runs
-    dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, _ALPHA, *meta, q, out=state.grad, pseudo=state.pseudo)
+    dl_dw, _, _, mask = meta_chain(train_pass, weights, _ALPHA, *meta, q, out=state.grad, pseudo=state.pseudo)
 
     def meta_loss_for_weights(w: np.ndarray) -> float:
         pseudo = lookahead(train_pass, w, _ALPHA, state.grad, state.pseudo)

@@ -30,8 +30,7 @@ backward pass turns it into an Adam step, and `substep` recomputes w
 with the updated network before the real step. The trunk thus runs once
 per parameter point. Each side's record fragment holds only the fields
 its variant fills; `train_step` checks the mini-batch once, before
-any substep, merges the sides into one iteration record and keeps the
-first scatter-budget (loss, weight, claimed) points.
+any substep, and merges the sides into one iteration record.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ class TrainConfig:
     halves that exchange train and meta roles. frozen_wpn_path (variant
     frozen_wpn only) names the run checkpoint whose weight network the run
     applies; exit_weights (fixed only) is the per-exit weight row, mean 1.
-    scatter_cap > 0 logs up to that many weight scatter points per epoch.
     """
 
     epochs: int
@@ -115,7 +113,6 @@ class TrainConfig:
     seed: int = 0
     frozen_wpn_path: str | None = None
     exit_weights: tuple[float, ...] | None = None
-    scatter_cap: int = 0
 
     def __post_init__(self) -> None:
         convert_fields(self)
@@ -144,8 +141,6 @@ class TrainConfig:
         row = self.exit_weights
         if row is not None and not (row and abs(sum(row) / len(row) - 1.0) <= 1e-12):  # NaN and inf fail too
             raise ConfigError(f"exit_weights must be finite with mean 1 (within 1e-12), got {list(row)}")
-        if self.scatter_cap < 0:
-            raise ConfigError(f"scatter_cap must be >= 0, got {self.scatter_cap}")
         if self.seed < 0:  # PCG64 takes no negative seed
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -254,9 +249,9 @@ def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
     pass at those pseudo params that serves both the allocation and the
     meta gradient. The meta half is a checked batch, float64 rows and
     int64 labels in range as `forward_pass` checks them: the pass does
-    not check it again. Returns (dl_dw, meta_value, allocation, mask,
-    meta_outputs); allocation is None for whole_meta. The allocation
-    (and hence the mask) is treated as constant: it is a discrete
+    not check it again. Returns (dl_dw, meta_value, allocation, mask);
+    allocation is None for whole_meta. The allocation (and hence the
+    mask) is treated as constant: it is a discrete
     selection, so the objective's dependence on parameters flows only
     through the allocated losses. The lookahead and meta gradients are
     written in turn into out, each consumed before the next, and the
@@ -268,18 +263,18 @@ def meta_chain(train_pass: ForwardPass, weights: np.ndarray, alpha: float,
     value, mask = meta_objective(outs, alloc)
     batch_weighted_grad(meta_pass, mask, out)
     dl_dw = -(alpha / train_pass.outputs.batch_size) * per_sample_grad_dots(train_pass, out)
-    return dl_dw, value, alloc, mask, outs
+    return dl_dw, value, alloc, mask
 
 
 def _meta_step(state: TrainState, train_pass: ForwardPass, wpn_pass: WpnPass, meta,
-               config: TrainConfig, alpha_t: float, log_scatter: bool) -> dict:
+               config: TrainConfig, alpha_t: float) -> dict:
     """One Adam step of the weight network from dL/dw at the train side's
     weights (wpn_pass: their `wpn_weights` pass); steps state.wpn and
     state.adam in place, with the gradients in the state's buffers.
     Returns the record fields it fills: meta_loss and, except for
-    whole_meta, alloc_sizes and (with log_scatter) scatter.
+    whole_meta, alloc_sizes.
     """
-    dl_dw, meta_value, alloc, _, meta_outs = meta_chain(
+    dl_dw, meta_value, alloc, _ = meta_chain(
         train_pass, wpn_pass.weights, alpha_t, *meta, config.q,
         whole_meta=config.variant == "whole_meta", out=state.grad, pseudo=state.pseudo,
     )
@@ -287,17 +282,10 @@ def _meta_step(state: TrainState, train_pass: ForwardPass, wpn_pass: WpnPass, me
     fields = {"meta_loss": meta_value}
     if alloc is not None:
         fields["alloc_sizes"] = [int(s) for s in alloc.sizes]
-        if log_scatter:
-            # (loss, weight, claimed): the fresh network's weight per meta sample, and did exit 1 claim it?
-            m_weights = wpn_weights(state.wpn, meta_outs.losses).weights
-            claimed = np.zeros(meta_outs.batch_size, dtype=bool)
-            claimed[alloc.subsets[0]] = True
-            fields["scatter"] = [[float(loss), float(w), int(c)]
-                                 for loss, w, c in zip(meta_outs.losses[:, 0], m_weights[:, 0], claimed)]
     return fields
 
 
-def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float, log_scatter: bool = False) -> dict:
+def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float) -> dict:
     """One backbone update on the train side; mutates state, returns a record fragment.
 
     train and meta are (features, labels) pairs of a batch `train_step`
@@ -326,7 +314,7 @@ def substep(state: TrainState, train, meta, config: TrainConfig, alpha_t: float,
         else:
             wpn_pass = wpn_weights(state.wpn, outs.losses)
             if config.variant != "frozen_wpn" and state.iteration % config.interval == 0:
-                frag.update(_meta_step(state, train_pass, wpn_pass, meta, config, alpha_t, log_scatter))
+                frag.update(_meta_step(state, train_pass, wpn_pass, meta, config, alpha_t))
                 wpn_pass = wpn_weights(state.wpn, outs.losses)
             weights = wpn_pass.weights
         frag["weights"] = weights
@@ -344,17 +332,15 @@ def train_step(
     batch_y: np.ndarray,
     config: TrainConfig,
     alpha_t: float,
-    scatter_budget: int = 0,
 ) -> dict:
     """One mini-batch update; mutates state and returns an iteration record.
 
     The batch is checked once, as `forward_pass` checks a batch, before
     any substep. Baseline takes one substep on the full batch; the other
     variants take one per half, each half serving once as the train side
-    and once as the other's meta side. The record keeps the first
-    scatter_budget scatter points of the two sides, in order. The
-    iteration counter advances once per mini-batch. A substep's
-    NumericError becomes TrainingError: the run diverged.
+    and once as the other's meta side. Every record of every variant has
+    the same keys. The iteration counter advances once per mini-batch. A
+    substep's NumericError becomes TrainingError: the run diverged.
     """
     t = state.iteration
     batch_x, batch_y = _validate_batch(state.backbone.config, batch_x, batch_y)
@@ -364,7 +350,7 @@ def train_step(
         first, second = split_batch(batch_x, batch_y)
         sides = [(first, second), (second, first)]
     try:
-        frags = [substep(state, train, meta, config, alpha_t, scatter_budget > 0) for train, meta in sides]
+        frags = [substep(state, train, meta, config, alpha_t) for train, meta in sides]
     except NumericError as exc:  # exc names the array the overflow reached
         raise TrainingError(f"{exc} at iteration {t}; run diverged") from exc
     state.iteration = t + 1
@@ -382,9 +368,6 @@ def train_step(
         record[f"weight_{stat}"] = None if stacked is None else [float(v) for v in getattr(stacked, stat)(axis=0)]
     record["allocation_sizes"] = allocs or None
     record["meta_loss"] = float(np.mean(metas)) if metas else None
-    scatter = [p for f in frags for p in f.get("scatter", [])][:scatter_budget]
-    if scatter:
-        record["weight_scatter"] = scatter
     return record
 
 
@@ -448,14 +431,12 @@ def run_training(
     history = History()
     for epoch in range(config.epochs):
         alpha_t = lr_at(config, epoch)
-        budget = config.scatter_cap
         try:
             batches = make_batches(train_set, config.batch_size, epoch, config.seed, drop_last=True)
         except ConfigError as exc:  # make_batches owns the bound; the key is train's
             raise ConfigError(f"train.{exc}") from exc
         for idx in batches:
-            record = train_step(state, train_set.features[idx], train_set.labels[idx], config, alpha_t, budget)
-            budget -= len(record.get("weight_scatter", []))
-            history.iterations.append(record)
+            history.iterations.append(train_step(state, train_set.features[idx], train_set.labels[idx],
+                                                 config, alpha_t))
         history.epochs.append(_eval_epoch(state, val_set, config, epoch, alpha_t))
     return state, history

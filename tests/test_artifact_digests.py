@@ -4,7 +4,9 @@
 checkouts and compares the artifacts. No run here: each config and the
 tool's data files are only read back through the package, so a schema
 change that breaks the tool's inputs fails this suite, not the next
-digest run. A non-empty --out is refused before any run.
+digest run. Every section of each config is converted, backbone and
+wpn against the train split the config builds, as `train` converts
+them. A non-empty --out is refused before any run.
 """
 
 import importlib.util
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from exitweave.cli import load_config
+from exitweave.cli import _model_configs, load_config
 from exitweave.datahub import build_datasets
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
@@ -34,7 +36,9 @@ def test_reference_configs_load_and_build(tmp_path):
     for name, config in configs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config, indent=1) + "\n")
-        build_datasets(load_config(path)["dataset"], path)
+        run = load_config(path)
+        train_set, _, _ = build_datasets(run["dataset"], path)
+        _model_configs(run, path, input_dim=train_set.dim, num_classes=train_set.num_classes)
 
 
 def test_non_empty_out_is_refused_before_any_run(tmp_path):

@@ -269,12 +269,35 @@ class TestMalformedRunCheckpoint:
         with pytest.raises(CompatibilityError, match="Adam"):
             load_run_checkpoint(path)
 
-    def test_missing_scatter_cap_names_the_key(self, tmp_path):
+    def test_missing_interval_names_the_key(self, tmp_path):
         # every writer wrote every train_config field, so no key reads a default
         path, doc = self.saved(tmp_path)
-        del doc["train_config"]["scatter_cap"]
+        del doc["train_config"]["interval"]
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "train_config" in msg and "interval" in msg
+
+    def test_removed_scatter_cap_is_refused(self, tmp_path):
+        # the weight scatter is gone; a checkpoint that still carries its cap is not read
+        path, doc = self.saved(tmp_path)
+        doc["train_config"]["scatter_cap"] = 0
         msg = self.load_error(path, doc)
         assert str(path) in msg and "train_config" in msg and "scatter_cap" in msg
+
+    @pytest.mark.parametrize("where", ["adam_step", "iteration"])
+    def test_negative_counter(self, tmp_path, where):
+        # the writer counts from 0, so a negative counter never came from it
+        path, doc = self.saved(tmp_path)
+        (doc["optimizer"] if where == "adam_step" else doc)[where] = -3
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and where in msg and "-3" in msg
+
+    @pytest.mark.parametrize("null", ["adam_m", "adam_v", "adam_step"])
+    def test_partial_adam_state(self, tmp_path, null):
+        # the writer sets all three Adam keys or none; one null would drop or misread the state
+        path, doc = self.saved(tmp_path)
+        doc["optimizer"][null] = None
+        msg = self.load_error(path, doc)
+        assert str(path) in msg and "optimizer" in msg and null in msg
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_train_field_names_the_key(self, tmp_path, value):

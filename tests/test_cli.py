@@ -384,6 +384,17 @@ class TestPreciseFileErrors:
         assert str(cfg) in err and "train" in err and key in err
         assert not (tmp_path / "o").exists()
 
+    def test_config_with_removed_scatter_cap(self, tmp_path, capsys):
+        # the weight scatter is gone, and its cap with it: the key is refused, not ignored
+        cfg = tmp_path / "run.json"
+        doc = write_config(cfg)
+        doc["train"]["scatter_cap"] = 50
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "train" in err and "scatter_cap" in err
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_strings_still_accepted(self, tmp_path):
         cfg = tmp_path / "run.json"
         doc = write_config(cfg)
@@ -394,7 +405,7 @@ class TestPreciseFileErrors:
 
 
 class TestEvalReadsNoHistory:
-    """eval reads the checkpoint and the dataset source only; the weight scatter stays in history.json."""
+    """eval reads the checkpoint and the dataset source only, never the history beside it."""
 
     def eval_beside(self, trained, run_dir, history):
         run_dir.mkdir()

@@ -11,6 +11,8 @@ cover schedules, variants, interval gating, determinism and failure
 modes.
 """
 
+import dataclasses
+import inspect
 import json
 import math
 import re
@@ -425,7 +427,7 @@ class TestRunTraining:
 
     def test_determinism_across_reruns(self):
         train, val = quick_sets()
-        cfg = TrainConfig(epochs=2, batch_size=10, alpha=0.1, seed=3, scatter_cap=10)
+        cfg = TrainConfig(epochs=2, batch_size=10, alpha=0.1, seed=3)
         s1, h1 = run_training(cfg, BB, WPN, train, val)
         s2, h2 = run_training(cfg, BB, WPN, train, val)
         np.testing.assert_array_equal(s1.backbone.flatten(), s2.backbone.flatten())
@@ -729,7 +731,7 @@ class TestFactoredMetaChain:
             pseudo.flatten(), pseudo_step(backbone, psg, weights, alpha).flatten(), rtol=0, atol=1e-14
         )
         out, meta_pseudo = zero_buffers(backbone_cfg)
-        dl_dw, _, _, mask, _ = meta_chain(train_pass, weights, alpha, mx, my, 0.75, out=out, pseudo=meta_pseudo)
+        dl_dw, _, _, mask = meta_chain(train_pass, weights, alpha, mx, my, 0.75, out=out, pseudo=meta_pseudo)
         meta_grad = batch_weighted_grad(forward_pass(pseudo, mx, my), mask, BackboneParams.zeros(backbone_cfg))
         dense = meta_weight_grad(psg, meta_grad, alpha, 8)
         assert np.any(dense != 0.0)
@@ -768,6 +770,7 @@ class TestFactoredMetaChain:
         given = meta_chain(train_pass, weights, 0.3, mx, my, 0.75, out=out, pseudo=pseudo)
         zero_out, zero_pseudo = zero_buffers(backbone_cfg)
         zeroed = meta_chain(train_pass, weights, 0.3, mx, my, 0.75, out=zero_out, pseudo=zero_pseudo)
+        assert len(given) == 4  # (dl_dw, value, allocation, mask): nothing that only a log reads
         assert given[0].tobytes() == zeroed[0].tobytes() and given[1] == zeroed[1]
         assert given[3].tobytes() == zeroed[3].tobytes()
 
@@ -1040,43 +1043,27 @@ class TestRecordFields:
         assert {key for key, value in record.items() if value is not None} == _ALWAYS | filled
         assert record["iteration"] == iteration
 
+    @pytest.mark.parametrize("variant", list(dict.fromkeys(v for v, _, _ in _RECORD_CASES)))
+    def test_every_record_of_a_run(self, tmp_path, variant):
+        # update and off-interval iterations of two epochs, as run_training records them
+        filled = {t: f for v, t, f in _RECORD_CASES if v == variant}
+        path = saved_run(tmp_path / "run.json", init_wpn(WPN, RngStream(74).child("init-wpn")))
+        cfg = dataclasses.replace(case_config(variant, path), epochs=2)
+        _, history = run_training(cfg, BB, WPN, *quick_sets())
+        assert [r["iteration"] for r in history.iterations] == list(range(18))
+        for record in history.iterations:
+            assert set(record) == _ALWAYS | _WEIGHT_STATS | {"allocation_sizes", "meta_loss"}
+            unfilled = {key for key, value in record.items() if value is None}
+            assert set(record) - unfilled == _ALWAYS | filled[record["iteration"] % 2]
 
-class TestScatterLogging:
-    def test_cap_and_shape(self):
-        train, val = quick_sets(seed=60)
-        cfg = TrainConfig(epochs=2, batch_size=10, alpha=0.05, seed=2, scatter_cap=7)
-        _, history = run_training(cfg, BB, WPN, train, val)
-        per_epoch = [0, 0]
-        for rec in history.iterations:
-            pts = rec.get("weight_scatter", [])
-            for p in pts:
-                assert len(p) == 3
-                assert p[0] > 0.0  # a cross-entropy loss
-                assert p[2] in (0, 1)
-            per_epoch[rec["iteration"] // 9] += len(pts)
-        assert all(c <= 7 for c in per_epoch)
-        assert per_epoch[0] > 0
 
-    def test_cap_keeps_the_first_points_across_sides(self):
-        # halves of 5: the first record has 5 points per side, so a cap of
-        # 7 keeps all of the first side's points and 2 of the second's
-        train, val = quick_sets(seed=62)
-        runs = []
-        for cap in (7, 10_000):
-            cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.05, seed=2, scatter_cap=cap)
-            runs.append(run_training(cfg, BB, WPN, train, val))
-        (capped, capped_history), (full, full_history) = runs
-        first = full_history.iterations[0]["weight_scatter"]
-        assert len(first) == 10
-        assert capped_history.iterations[0]["weight_scatter"] == first[:7]
-        assert all("weight_scatter" not in r for r in capped_history.iterations[1:])
-        assert capped.backbone.buffer.tobytes() == full.backbone.buffer.tobytes()
+class TestOnePath:
+    """Every variant trains through one substep path: no argument serves only a log."""
 
-    def test_disabled_by_default(self):
-        train, val = quick_sets(seed=61)
-        cfg = TrainConfig(epochs=1, batch_size=10, alpha=0.05, seed=2)
-        _, history = run_training(cfg, BB, WPN, train, val)
-        assert all("weight_scatter" not in r for r in history.iterations)
+    def test_signatures(self):
+        # train_step takes the five arguments perfbench passes
+        assert list(inspect.signature(train_step).parameters) == ["state", "batch_x", "batch_y", "config", "alpha_t"]
+        assert list(inspect.signature(substep).parameters) == ["state", "train", "meta", "config", "alpha_t"]
 
 
 class TestConfigValidation:
@@ -1102,8 +1089,6 @@ class TestConfigValidation:
             TrainConfig(**{**good, "lr_schedule": "linear"})
         with pytest.raises(ConfigError):
             TrainConfig(**{**good, "variant": "magic"})
-        with pytest.raises(ConfigError):
-            TrainConfig(**{**good, "scatter_cap": -1})
 
     @pytest.mark.parametrize("value", [True, np.True_])
     @pytest.mark.parametrize("field", ["q", "epochs"])

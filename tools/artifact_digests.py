@@ -14,28 +14,27 @@ id, so run both checkouts at the same --out path: run one, keep its
 output, remove DIR, then run the other. A DIR that is not empty is
 refused before any run.
 
-The reference runs are the six variants on a 16x4 trunk (synthetic
-data, 6 classes, dim 16, 150/60/60 rows per class; 3 epochs, batch 32,
-weight-network hidden width 32; `learned` logs its weight scatter with
-`scatter_cap` 50, `frozen_wpn` loads `learned/checkpoint.json`), with
-`fixed` run twice, as `fixed_ascending` and `fixed_descending`, on the
-row `np.linspace(0.6, 1.4, 4)` and on its reverse, `learned` on the
-same data and trunk with a three-hidden-layer weight network (width 32),
-so that its backward sweep reaches blocks below its head, `learned` on a
-128x4 trunk (10 classes, dim 32, 100/50/50 rows per class; 2 epochs,
-batch 128), and `baseline` on a 16x4 trunk whose val and test splits
-hold 1,500 rows each (6 classes, dim 16, 250 rows per class in every
-split; 1 epoch, batch 64), so that training's per-epoch validation and
-`eval` run `forward_all` in row blocks, and `baseline` on a 16x4 trunk
-whose val and test splits hold 2,051 rows each (7 classes, dim 16,
-150/293/293 rows per class; 1 epoch, batch 64), which split unevenly
-into blocks of 684, 684 and 683 rows. Last come three `baseline` runs
-on a 16x4 trunk (4 classes; 2 epochs, batch 32), one for each
-file-backed dataset kind, on data files the tool writes into DIR/data
-from a fixed seed, without the package: `container` (dim 8, 200/80/80
-rows), `idx` (3x3 uint8 images, 200/80/80 rows) and `cifar_bin` (one
-120-record train file, 40 of them held out for validation, and a
-40-record test file).
+The reference runs are the six variants on a 16x4 trunk (synthetic data,
+6 classes, dim 16, 150/60/60 rows per class; 3 epochs, batch 32,
+weight-network hidden width 32; `frozen_wpn` loads
+`learned/checkpoint.json`), with `fixed` run twice, as `fixed_ascending`
+and `fixed_descending`, on the row `np.linspace(0.6, 1.4, 4)` and on its
+reverse, `learned` on the same data and trunk with a three-hidden-layer
+weight network (width 32), so that its backward sweep reaches blocks
+below its head, `learned` on a 128x4 trunk (10 classes, dim 32,
+100/50/50 rows per class; 2 epochs, batch 128), and `baseline` on a 16x4
+trunk whose val and test splits hold 1,500 rows each (6 classes, dim 16,
+250 rows per class in every split; 1 epoch, batch 64), so that
+training's per-epoch validation and `eval` run `forward_all` in row
+blocks, and `baseline` on a 16x4 trunk whose val and test splits hold
+2,051 rows each (7 classes, dim 16, 150/293/293 rows per class; 1 epoch,
+batch 64), which split unevenly into blocks of 684, 684 and 683 rows.
+Last come three `baseline` runs on a 16x4 trunk (4 classes; 2 epochs,
+batch 32), one for each file-backed dataset kind, on data files the tool
+writes into DIR/data from a fixed seed, without the package: `container`
+(dim 8, 200/80/80 rows), `idx` (3x3 uint8 images, 200/80/80 rows) and
+`cifar_bin` (one 120-record train file, 40 of them held out for
+validation, and a 40-record test file).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 # run name -> the train keys beyond epochs, batch size and alpha; frozen_wpn reads learned's checkpoint
 ROW = [float(w) for w in np.linspace(0.6, 1.4, 4)]
 VARIANTS = {
-    "learned": {"variant": "learned", "scatter_cap": 50},
+    "learned": {"variant": "learned"},
     "baseline": {"variant": "baseline"},
     "fixed_ascending": {"variant": "fixed", "exit_weights": ROW},
     "fixed_descending": {"variant": "fixed", "exit_weights": ROW[::-1]},
